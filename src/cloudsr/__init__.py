@@ -6,61 +6,4 @@ the image's detected edges by descending a combined chamfer / hausdorff /
 smoothness loss.
 """
 
-from .camera import (
-    CameraRig,
-    EPS_Z,
-    Extrinsics,
-    Intrinsics,
-    load_rig,
-    project,
-    project_cloud,
-    projection_jacobian,
-    rig_from_dict,
-    tof_to_rgb_frame,
-)
-from .densify import DensifyConfig, densify
-from .edges import CannyParams, GradientField, GrayImage, canny, gaussian_smooth, gradient
-from .geometry import (
-    Point2,
-    Point3,
-    PointCloud3,
-    PointSet2,
-    SpatialIndex,
-    bin_downsample,
-    build_index,
-    denormalize,
-    knn,
-    normalize_to_unit,
-)
-from .hull import HullPolygon, concave_hull, contains_all, polygon_is_simple
-from .losses import (
-    LossReport,
-    LossWeights,
-    MatchInfo,
-    chamfer_loss,
-    combined_loss,
-    gradient_smooth_loss,
-    hausdorff_loss,
-)
-from .metrics import EvalReport, eval_metrics
-from .pixmap import read_pixmap, write_pixmap
-from .ply_io import read_ply, write_ply
-from .refine import RefineConfig, RefineTrace, TraceRecord, refine, superres
-from .synth import SceneSpec, synth_scene
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CameraRig", "CannyParams", "DensifyConfig", "EPS_Z", "EvalReport",
-    "Extrinsics", "GradientField", "GrayImage", "HullPolygon", "Intrinsics",
-    "LossReport", "LossWeights", "MatchInfo", "Point2", "Point3",
-    "PointCloud3", "PointSet2", "RefineConfig", "RefineTrace", "SceneSpec",
-    "SpatialIndex", "TraceRecord", "bin_downsample", "build_index", "canny",
-    "chamfer_loss", "combined_loss", "concave_hull", "contains_all",
-    "denormalize", "densify", "eval_metrics", "gaussian_smooth", "gradient",
-    "gradient_smooth_loss", "hausdorff_loss", "knn", "load_rig",
-    "normalize_to_unit", "polygon_is_simple", "project", "project_cloud",
-    "projection_jacobian", "read_pixmap", "read_ply", "refine",
-    "rig_from_dict", "superres", "synth_scene", "tof_to_rgb_frame",
-    "write_pixmap", "write_ply",
-]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllPointsCulled, BehindCamera, CalibrationError
-from .geometry import Point2, Point3, PointCloud3, PointSet2
+from .geometry import PointCloud3, PointSet2
 
 #: near-plane cutoff in meters; points at or behind it have no projection
 EPS_Z = 1e-6
@@ -123,11 +123,14 @@ class CameraRig:
         self._trans.setflags(write=False)
 
     @property
-    def tof_to_rgb_matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self._rot
-        m[:3, 3] = self._trans
-        return m
+    def rotation(self) -> np.ndarray:
+        """Read-only rotation block of the depth-to-RGB transform."""
+        return self._rot
+
+    @property
+    def translation(self) -> np.ndarray:
+        """Read-only translation of the depth-to-RGB transform."""
+        return self._trans
 
     @classmethod
     def identity(cls, fx: float, fy: float, cx: float, cy: float,
@@ -137,29 +140,25 @@ class CameraRig:
                    Extrinsics.identity(), width, height)
 
 
-def _to_xyz(p) -> np.ndarray:
-    if isinstance(p, Point3):
-        return p.as_array()
-    return np.asarray(p, dtype=np.float64).reshape(3)
+def _rgb_frame(points: np.ndarray, rig: CameraRig) -> np.ndarray:
+    """(N, 3) depth-frame points expressed in the RGB camera frame."""
+    return points @ rig._rot.T + rig._trans
 
 
-def tof_to_rgb_frame(p, rig: CameraRig) -> Point3:
-    """Transform a depth-frame point into the RGB camera frame."""
-    v = rig._rot @ _to_xyz(p) + rig._trans
-    return Point3(float(v[0]), float(v[1]), float(v[2]))
+def pinhole(points: np.ndarray, rig: CameraRig) -> tuple[np.ndarray, np.ndarray]:
+    """Project (N, 3) depth-frame points to RGB pixels.
 
-
-def project(p, rig: CameraRig) -> Point2:
-    """Project a depth-frame point to RGB pixel coordinates.
-
-    Raises BehindCamera when the transformed depth is at or below the near
-    plane; callers must drop such points before hull computation.
+    Returns (uv (N, 2), z (N,)) with z the RGB-frame depth.  Nothing is
+    culled and nothing raises: pixels of points with z <= EPS_Z are
+    meaningless (possibly inf/NaN), and callers decide what to drop.
     """
-    x, y, z = rig._rot @ _to_xyz(p) + rig._trans
-    if z <= EPS_Z:
-        raise BehindCamera(f"point depth {z:.3g} m is at or behind the near plane")
+    xyz = _rgb_frame(points, rig)
+    z = xyz[:, 2]
     k = rig.k_rgb
-    return Point2(float(k.fx * x / z + k.cx), float(k.fy * y / z + k.cy))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = k.fx * xyz[:, 0] / z + k.cx
+        v = k.fy * xyz[:, 1] / z + k.cy
+    return np.stack([u, v], axis=1), z
 
 
 def project_cloud(cloud: PointCloud3, rig: CameraRig):
@@ -169,40 +168,23 @@ def project_cloud(cloud: PointCloud3, rig: CameraRig):
     source row of projected point i.  Culled count is len(cloud) minus the
     output size.
     """
-    xyz = cloud.points @ rig._rot.T + rig._trans
-    z = xyz[:, 2]
-    k = rig.k_rgb
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = k.fx * xyz[:, 0] / z + k.cx
-        v = k.fy * xyz[:, 1] / z + k.cy
+    uv, z = pinhole(cloud.points, rig)
+    u, v = uv[:, 0], uv[:, 1]
     keep = (z > EPS_Z) & (u >= 0.0) & (u < rig.width) & (v >= 0.0) & (v < rig.height)
     index_map = np.nonzero(keep)[0]
     if index_map.size == 0:
         raise AllPointsCulled("no point projects inside the image frame")
-    pts = np.stack([u[keep], v[keep]], axis=1)
-    return PointSet2(pts, role="projection"), index_map
-
-
-def projection_jacobian(p, rig: CameraRig) -> np.ndarray:
-    """2x3 Jacobian d(u, v)/d(x, y, z) of the full projection chain.
-
-    Perspective Jacobian at the RGB-frame point, composed with the rigid
-    rotation (translation has zero derivative).
-    """
-    x, y, z = rig._rot @ _to_xyz(p) + rig._trans
-    if z <= EPS_Z:
-        raise BehindCamera(f"point depth {z:.3g} m is at or behind the near plane")
-    k = rig.k_rgb
-    persp = np.array(
-        [[k.fx / z, 0.0, -k.fx * x / (z * z)],
-         [0.0, k.fy / z, -k.fy * y / (z * z)]]
-    )
-    return persp @ rig._rot
+    return PointSet2(uv[keep], role="projection"), index_map
 
 
 def projection_jacobians(points: np.ndarray, rig: CameraRig) -> np.ndarray:
-    """Batched (N, 2, 3) projection Jacobians; all depths must clear EPS_Z."""
-    xyz = points @ rig._rot.T + rig._trans
+    """Batched (N, 2, 3) Jacobians d(u, v)/d(x, y, z) of the full chain.
+
+    Perspective Jacobian at each RGB-frame point, composed with the rigid
+    rotation (translation has zero derivative).  Raises BehindCamera unless
+    every depth clears EPS_Z.
+    """
+    xyz = _rgb_frame(points, rig)
     z = xyz[:, 2]
     if np.any(z <= EPS_Z):
         raise BehindCamera("a point is at or behind the near plane")

@@ -52,9 +52,16 @@ def read_points_csv(path) -> np.ndarray:
             line = line.strip()
             if not line or (lineno == 0 and line == _CSV_HEADER):
                 continue
-            u, v = line.split(",")
-            pts.append((float(u), float(v)))
-    return np.array(pts, dtype=np.float64).reshape(-1, 2)
+            try:
+                u, v = line.split(",")
+                pts.append((float(u), float(v)))
+            except ValueError as exc:
+                raise CloudSRError(
+                    f"{path}:{lineno + 1}: expected 'u,v', got {line!r}") from exc
+    arr = np.array(pts, dtype=np.float64).reshape(-1, 2)
+    if not np.all(np.isfinite(arr)):
+        raise CloudSRError(f"{path}: point coordinates must be finite")
+    return arr
 
 
 def _add_canny_flags(p):
@@ -228,7 +235,12 @@ def _cmd_eval(args) -> int:
 
 def _cmd_synth(args) -> int:
     with open(args.scene, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CloudSRError(f"scene file is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise CloudSRError("bad scene spec: expected a JSON object")
     try:
         pose = Extrinsics(np.array(raw.get("pose", np.eye(4).ravel().tolist()),
                                    dtype=np.float64).reshape(4, 4))

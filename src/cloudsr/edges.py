@@ -89,10 +89,7 @@ def gaussian_smooth(img: GrayImage, sigma: float) -> GrayImage:
     """Separable Gaussian blur with edge-clamp border replication."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    k = gaussian_kernel(sigma)
-    out = ndimage.correlate1d(img.pixels, k, axis=0, mode="nearest")
-    out = ndimage.correlate1d(out, k, axis=1, mode="nearest")
-    return GrayImage(np.clip(out, 0.0, 1.0))
+    return GrayImage(np.clip(_smoothed_array(img.pixels, sigma), 0.0, 1.0))
 
 
 def _smoothed_array(pixels: np.ndarray, sigma: float) -> np.ndarray:

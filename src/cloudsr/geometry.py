@@ -38,20 +38,6 @@ class Point3:
         return np.array([self.x, self.y, self.z], dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class Point2:
-    """A single 2D pixel-coordinate point (u rightward, v downward)."""
-
-    u: float
-    v: float
-
-    def __post_init__(self):
-        _require_finite(np.array([self.u, self.v]), "Point2 coordinates")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v], dtype=np.float64)
-
-
 class PointCloud3:
     """Immutable ordered collection of 3D points."""
 
@@ -107,10 +93,6 @@ class PointSet2:
 
     def __len__(self) -> int:
         return self._points.shape[0]
-
-    def point(self, i: int) -> Point2:
-        u, v = self._points[i]
-        return Point2(float(u), float(v))
 
     def deduplicated(self, tol: float = 1e-9):
         """Drop points within `tol` of an earlier point (grid snap).
@@ -188,24 +170,6 @@ class SpatialIndex:
     def dim(self) -> int:
         return self._points.shape[1]
 
-    def knn(self, query, k: int) -> list[tuple[int, float]]:
-        """k nearest neighbors of `query`, ascending by distance.
-
-        Exact ties are broken by the lowest point index.
-        """
-        if k < 1:
-            raise InsufficientPoints("k must be at least 1")
-        if k > self.count:
-            raise InsufficientPoints(f"k={k} exceeds point count {self.count}")
-        q = np.asarray(query, dtype=np.float64).reshape(self.dim)
-        d2 = self._sq_dists(self._points, q)
-        order = np.lexsort((np.arange(self.count), d2))[:k]
-        return [(int(i), float(np.sqrt(d2[i]))) for i in order]
-
-    def nearest(self, query) -> tuple[int, float]:
-        """Single nearest neighbor (index, distance), lowest index on ties."""
-        return self.knn(query, 1)[0]
-
     def knn_batch(self, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k nearest neighbors for each query row.
 
@@ -231,7 +195,7 @@ class SpatialIndex:
         """Nearest neighbor for each query row.
 
         Returns (indices, squared distances). np.argmin returns the first
-        minimum, so ties break to the lowest index exactly as `nearest`.
+        minimum, so ties break to the lowest index exactly as `knn_batch`.
         """
         Q = as_point_array(queries, self.dim)
         idx = np.empty(Q.shape[0], dtype=np.intp)
@@ -243,16 +207,6 @@ class SpatialIndex:
             idx[lo:lo + block.shape[0]] = j
             sqd[lo:lo + block.shape[0]] = d2[np.arange(block.shape[0]), j]
         return idx, sqd
-
-
-def build_index(points) -> SpatialIndex:
-    """Build an immutable exact nearest-neighbor index."""
-    return SpatialIndex(points)
-
-
-def knn(index: SpatialIndex, query, k: int) -> list[tuple[int, float]]:
-    """k nearest neighbors from a prebuilt index (see SpatialIndex.knn)."""
-    return index.knn(query, k)
 
 
 def _voxel_bin_count(pts: np.ndarray, origin: np.ndarray, edge: float) -> int:

@@ -70,9 +70,15 @@ def _signed_area(verts: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _orient(a, b, c):
-    """Orientation cross product (b-a) x (c-a); vectorized over c."""
-    return (b[0] - a[0]) * (c[..., 1] - a[1]) - (b[1] - a[1]) * (c[..., 0] - a[0])
+def orient(a, b, c):
+    """Orientation cross product (b-a) x (c-a), broadcast over leading axes.
+
+    Positive when c lies left of the directed line a->b (counter-clockwise
+    turn), zero when collinear.
+    """
+    return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (
+        b[..., 1] - a[..., 1]
+    ) * (c[..., 0] - a[..., 0])
 
 
 def _crosses_any(p, q, e0: np.ndarray, e1: np.ndarray) -> bool:
@@ -83,61 +89,45 @@ def _crosses_any(p, q, e0: np.ndarray, e1: np.ndarray) -> bool:
     """
     if e0.shape[0] == 0:
         return False
-    d1 = _orient(p, q, e0)
-    d2 = _orient(p, q, e1)
-    d3 = (e1[:, 0] - e0[:, 0]) * (p[1] - e0[:, 1]) - (e1[:, 1] - e0[:, 1]) * (
-        p[0] - e0[:, 0]
-    )
-    d4 = (e1[:, 0] - e0[:, 0]) * (q[1] - e0[:, 1]) - (e1[:, 1] - e0[:, 1]) * (
-        q[0] - e0[:, 0]
-    )
+    d1 = orient(p, q, e0)
+    d2 = orient(p, q, e1)
+    d3 = orient(e0, e1, p)
+    d4 = orient(e0, e1, q)
     return bool(np.any((d1 * d2 < 0) & (d3 * d4 < 0)))
 
 
-def _segments_intersect(p1, p2, p3, p4) -> bool:
-    """Full segment intersection test, including collinear overlap and
-    endpoint touching."""
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    def on_segment(a, b, c):
-        return (
-            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-        )
-
-    d1 = orient(p3, p4, p1)
-    d2 = orient(p3, p4, p2)
-    d3 = orient(p1, p2, p3)
-    d4 = orient(p1, p2, p4)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    if d1 == 0 and on_segment(p3, p4, p1):
-        return True
-    if d2 == 0 and on_segment(p3, p4, p2):
-        return True
-    if d3 == 0 and on_segment(p1, p2, p3):
-        return True
-    if d4 == 0 and on_segment(p1, p2, p4):
-        return True
-    return False
+def _on_segment(a, b, c):
+    """c inside the bounding box of segment a-b (for collinear c)."""
+    return np.all((np.minimum(a, b) <= c) & (c <= np.maximum(a, b)), axis=-1)
 
 
 def polygon_is_simple(poly: HullPolygon) -> bool:
-    """True iff no pair of non-adjacent edges intersects (touching counts)."""
-    verts = poly.vertices
-    n = verts.shape[0]
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # adjacent edges share an endpoint legitimately
-            c, d = verts[j], verts[(j + 1) % n]
-            if _segments_intersect(a, b, c, d):
-                return False
+    """True iff no pair of non-adjacent edges intersects (touching counts).
+
+    Edge i is tested against all later non-adjacent edges at once, so the
+    work is O(H^2) but the memory O(H).
+    """
+    a = poly.vertices
+    b = np.roll(a, -1, axis=0)
+    n = a.shape[0]
+    for i in range(n - 2):
+        stop = n - 1 if i == 0 else n  # edges 0 and n-1 are adjacent
+        c, d = a[i + 2:stop], b[i + 2:stop]
+        d1 = orient(c, d, a[i])
+        d2 = orient(c, d, b[i])
+        d3 = orient(a[i], b[i], c)
+        d4 = orient(a[i], b[i], d)
+        proper = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
+            ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
+        )
+        touch = (
+            ((d1 == 0) & _on_segment(c, d, a[i]))
+            | ((d2 == 0) & _on_segment(c, d, b[i]))
+            | ((d3 == 0) & _on_segment(a[i], b[i], c))
+            | ((d4 == 0) & _on_segment(a[i], b[i], d))
+        )
+        if np.any(proper | touch):
+            return False
     return True
 
 
@@ -176,23 +166,17 @@ def contains_all(poly: HullPolygon, points) -> bool:
     return bool(np.all(_points_in_polygon(poly.vertices, pts)))
 
 
-def _monotone_chain(pts: np.ndarray) -> list[int]:
+def monotone_chain(pts: np.ndarray) -> list[int]:
     """Convex hull indices, CCW, keeping collinear boundary points."""
     order = sorted(range(pts.shape[0]), key=lambda i: (pts[i, 0], pts[i, 1]))
-
-    def cross(o, a, b):
-        return (pts[a, 0] - pts[o, 0]) * (pts[b, 1] - pts[o, 1]) - (
-            pts[a, 1] - pts[o, 1]
-        ) * (pts[b, 0] - pts[o, 0])
-
     lower: list[int] = []
     for i in order:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], i) < 0:
+        while len(lower) >= 2 and orient(pts[lower[-2]], pts[lower[-1]], pts[i]) < 0:
             lower.pop()
         lower.append(i)
     upper: list[int] = []
     for i in reversed(order):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], i) < 0:
+        while len(upper) >= 2 and orient(pts[upper[-2]], pts[upper[-1]], pts[i]) < 0:
             upper.pop()
         upper.append(i)
     return lower[:-1] + upper[:-1]
@@ -275,7 +259,7 @@ def concave_hull(points, index_map=None, k: int = 20) -> HullPolygon:
     n = pts.shape[0]
     if n < 3:
         raise TooFewPoints(f"need at least 3 distinct points, got {n}")
-    if np.all(_orient(pts[0], pts[1], pts) == 0.0):
+    if np.all(orient(pts[0], pts[1], pts) == 0.0):
         raise DegenerateCollinear("all points are collinear")
 
     if n == 3:
@@ -293,7 +277,7 @@ def concave_hull(points, index_map=None, k: int = 20) -> HullPolygon:
 
     # terminal fallback: the convex hull is the k -> count-1 limit and always
     # satisfies the contract for non-collinear input
-    order = _monotone_chain(pts)
+    order = monotone_chain(pts)
     if len(order) >= 3:
         order = _oriented_ccw(order, pts)
         return HullPolygon(pts[order], sources[order], n - 1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MalformedHeader, TruncatedData, UnsupportedFormat
+from .errors import CloudSRError, MalformedHeader, TruncatedData, UnsupportedFormat
 from .geometry import PointCloud3
 
 _SCALAR_TYPES = {
@@ -179,7 +179,10 @@ def read_ply(path) -> PointCloud3:
         if el.count < 1:
             raise MalformedHeader("vertex element is empty")
         pts = _read_binary(fh, elements) if fmt == "binary_little_endian" else _read_ascii(fh, elements)
-    return PointCloud3(pts)
+    try:
+        return PointCloud3(pts)
+    except ValueError as exc:
+        raise CloudSRError(f"bad vertex data: {exc}") from exc
 
 
 def write_ply(cloud: PointCloud3, path, fmt: str = "ascii",

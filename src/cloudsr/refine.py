@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import CameraRig, EPS_Z, project_cloud, projection_jacobians
+from .camera import CameraRig, EPS_Z, pinhole, project_cloud, projection_jacobians
 from .densify import DensifyConfig, densify
 from .edges import CannyParams, GrayImage, canny
 from .errors import EmptyEdgeMap
@@ -110,14 +110,10 @@ class _FrozenHull:
 
     def project_members(self, cloud_pts: np.ndarray, rig: CameraRig):
         """Current vertex pixels, or None if a member crossed the near plane."""
-        xyz = cloud_pts[self.members] @ rig._rot.T + rig._trans
-        z = xyz[:, 2]
+        uv, z = pinhole(cloud_pts[self.members], rig)
         if np.any(z <= EPS_Z):
             return None
-        k = rig.k_rgb
-        u = k.fx * xyz[:, 0] / z + k.cx
-        v = k.fy * xyz[:, 1] / z + k.cy
-        return np.stack([u, v], axis=1)
+        return uv
 
     def loss(self, cloud_pts: np.ndarray, rig: CameraRig,
              weights: LossWeights, edges: PointSet2) -> LossReport | None:

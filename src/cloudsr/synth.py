@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraRig, Extrinsics, project_cloud
+from .camera import CameraRig, Extrinsics, pinhole, project_cloud
 from .edges import GrayImage
 from .errors import ShapeOutOfFrame
 from .geometry import PointCloud3
+from .hull import monotone_chain, orient
 
 SHAPES = ("square-plane", "box", "sphere")
 
@@ -50,9 +51,7 @@ class SceneSpec:
 
 def _camera_center_in_tof(rig: CameraRig) -> np.ndarray:
     """RGB camera origin expressed in the depth frame."""
-    m = rig.tof_to_rgb_matrix
-    r, t = m[:3, :3], m[:3, 3]
-    return -r.T @ t
+    return -rig.rotation.T @ rig.translation
 
 
 def _grid(n: int) -> np.ndarray:
@@ -136,50 +135,23 @@ def _pixel_rays(rig: CameraRig):
 
 def _convex_silhouette_mask(rig: CameraRig, tof_pts: np.ndarray) -> np.ndarray:
     """Pixels whose centers fall inside the convex hull of projected points."""
-    m = rig.tof_to_rgb_matrix
-    xyz = tof_pts @ m[:3, :3].T + m[:3, 3]
-    if np.any(xyz[:, 2] <= 0):
+    proj, z = pinhole(tof_pts, rig)
+    if np.any(z <= 0):
         raise ShapeOutOfFrame("shape extends behind the camera")
-    k = rig.k_rgb
-    u = k.fx * xyz[:, 0] / xyz[:, 2] + k.cx
-    v = k.fy * xyz[:, 1] / xyz[:, 2] + k.cy
-    proj = np.stack([u, v], axis=1)
-
-    # monotone chain over the few projected corners
-    order = sorted(range(len(proj)), key=lambda i: (proj[i, 0], proj[i, 1]))
-
-    def cross(o, a, b):
-        return (proj[a, 0] - proj[o, 0]) * (proj[b, 1] - proj[o, 1]) - (
-            proj[a, 1] - proj[o, 1]
-        ) * (proj[b, 0] - proj[o, 0])
-
-    lower: list[int] = []
-    for i in order:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], i) <= 0:
-            lower.pop()
-        lower.append(i)
-    upper: list[int] = []
-    for i in reversed(order):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], i) <= 0:
-            upper.pop()
-        upper.append(i)
-    hull = proj[lower[:-1] + upper[:-1]]
+    hull = proj[monotone_chain(proj)]
 
     us, vs = np.meshgrid(np.arange(rig.width, dtype=float),
                          np.arange(rig.height, dtype=float))
+    pixels = np.stack([us, vs], axis=-1)
     inside = np.ones(us.shape, dtype=bool)
-    n = hull.shape[0]
-    for i in range(n):  # CCW hull: inside means left of every edge
-        ax, ay = hull[i]
-        bx, by = hull[(i + 1) % n]
-        inside &= (bx - ax) * (vs - ay) - (by - ay) * (us - ax) >= 0.0
+    for a, b in zip(hull, np.roll(hull, -1, axis=0)):
+        inside &= orient(a, b, pixels) >= 0.0  # CCW hull: inside is left of every edge
     return inside
 
 
 def _sphere_silhouette_mask(rig: CameraRig, center_tof: np.ndarray,
                             radius: float) -> np.ndarray:
-    m = rig.tof_to_rgb_matrix
-    c = m[:3, :3] @ center_tof + m[:3, 3]
+    c = rig.rotation @ center_tof + rig.translation
     if c[2] <= radius:
         raise ShapeOutOfFrame("sphere extends behind the camera")
     rays = _pixel_rays(rig)

@@ -86,6 +86,54 @@ def monotone_chain(points):
     return lower[:-1] + upper[:-1]
 
 
+def _segments_intersect(p1, p2, p3, p4):
+    """Full segment intersection test, including collinear overlap and
+    endpoint touching."""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    def on_segment(a, b, c):
+        return (
+            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+        )
+
+    d1 = orient(p3, p4, p1)
+    d2 = orient(p3, p4, p2)
+    d3 = orient(p1, p2, p3)
+    d4 = orient(p1, p2, p4)
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+    ):
+        return True
+    if d1 == 0 and on_segment(p3, p4, p1):
+        return True
+    if d2 == 0 and on_segment(p3, p4, p2):
+        return True
+    if d3 == 0 and on_segment(p1, p2, p3):
+        return True
+    if d4 == 0 and on_segment(p1, p2, p4):
+        return True
+    return False
+
+
+def brute_polygon_is_simple(vertices):
+    """Scalar pair loop: True iff no two non-adjacent edges of the closed
+    polygon intersect (touching and collinear overlap count)."""
+    verts = np.asarray(vertices, dtype=np.float64)
+    n = len(verts)
+    for i in range(n):
+        a, b = verts[i], verts[(i + 1) % n]
+        for j in range(i + 1, n):
+            if (j + 1) % n == i or (i + 1) % n == j:
+                continue  # adjacent edges share an endpoint legitimately
+            c, d = verts[j], verts[(j + 1) % n]
+            if _segments_intersect(a, b, c, d):
+                return False
+    return True
+
+
 def project_homogeneous(p, k_mat, e_rgb, e_tof):
     """Projection via direct homogeneous-matrix evaluation.
 

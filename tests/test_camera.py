@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from cloudsr.camera import (
+    EPS_Z,
     CameraRig,
     Extrinsics,
     Intrinsics,
     load_rig,
-    project,
+    pinhole,
     project_cloud,
-    projection_jacobian,
     projection_jacobians,
-    tof_to_rgb_frame,
 )
 from cloudsr.errors import AllPointsCulled, BehindCamera, CalibrationError
-from cloudsr.geometry import Point3, PointCloud3
+from cloudsr.geometry import PointCloud3
 
 from oracles import project_homogeneous, random_rotation
 
@@ -28,6 +27,22 @@ def _rig(fx=100.0, fy=100.0, cx=50.0, cy=50.0, w=100, h=100,
         e_tof or Extrinsics.identity(),
         w, h,
     )
+
+
+def _project(p, rig):
+    """Pixel of one point through the batched kernel."""
+    uv, _ = pinhole(np.asarray(p, dtype=np.float64).reshape(1, 3), rig)
+    return uv[0]
+
+
+def _jacobian(p, rig):
+    """2x3 Jacobian of one point through the batched path."""
+    return projection_jacobians(np.asarray(p, dtype=np.float64).reshape(1, 3), rig)[0]
+
+
+def _to_rgb(p, rig):
+    """Depth-frame point in the RGB frame via the rig's public transform."""
+    return rig.rotation @ np.asarray(p, dtype=np.float64) + rig.translation
 
 
 def _random_rig(rng):
@@ -66,13 +81,13 @@ def test_extrinsics_inverse_closed_form():
 
 
 def test_frame_transform_identity():
-    p = Point3(1.0, 2.0, 3.0)
-    assert tof_to_rgb_frame(p, _rig()) == p
+    p = np.array([1.0, 2.0, 3.0])
+    assert np.array_equal(_to_rgb(p, _rig()), p)
 
 
 def test_frame_transform_translation():
     rig = _rig(e_tof=Extrinsics.from_translation(1.0, 0.0, 0.0))
-    assert tof_to_rgb_frame(Point3(0.0, 0.0, 5.0), rig) == Point3(1.0, 0.0, 5.0)
+    assert np.array_equal(_to_rgb([0.0, 0.0, 5.0], rig), [1.0, 0.0, 5.0])
 
 
 def test_frame_transform_shared_pose_cancels():
@@ -80,7 +95,7 @@ def test_frame_transform_shared_pose_cancels():
     shared = Extrinsics.from_rt(random_rotation(rng), [0.1, 0.2, -0.3])
     rig = _rig(e_rgb=shared, e_tof=shared)
     p = np.array([0.4, -0.7, 2.0])
-    out = tof_to_rgb_frame(p, rig).as_array()
+    out = _to_rgb(p, rig)
     np.testing.assert_allclose(out, p, atol=1e-12)
 
 
@@ -89,28 +104,37 @@ def test_frame_transform_is_rigid():
     rig = _random_rig(rng)
     for _ in range(50):
         p, q = rng.normal(size=(2, 3))
-        tp = tof_to_rgb_frame(p, rig).as_array()
-        tq = tof_to_rgb_frame(q, rig).as_array()
+        tp = _to_rgb(p, rig)
+        tq = _to_rgb(q, rig)
         assert abs(np.linalg.norm(tp - tq) - np.linalg.norm(p - q)) < 1e-9
+
+
+def test_rig_transform_is_read_only():
+    rig = _random_rig(np.random.default_rng(9))
+    with pytest.raises(ValueError):
+        rig.rotation[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        rig.translation[0] = 2.0
 
 
 # -- projection ----------------------------------------------------------------
 
 
 def test_project_principal_point():
-    assert project(Point3(0.0, 0.0, 4.0), _rig()) .as_array() == pytest.approx([50.0, 50.0])
+    assert _project([0.0, 0.0, 4.0], _rig()) == pytest.approx([50.0, 50.0])
 
 
 def test_project_hand_example():
-    p2 = project(Point3(1.0, 2.0, 10.0), _rig())
-    assert (p2.u, p2.v) == (60.0, 70.0)
+    u, v = _project([1.0, 2.0, 10.0], _rig())
+    assert (u, v) == (60.0, 70.0)
 
 
 def test_project_behind_camera():
-    with pytest.raises(BehindCamera):
-        project(Point3(0.0, 0.0, -1.0), _rig())
-    with pytest.raises(BehindCamera):
-        project(Point3(0.0, 0.0, 0.0), _rig())
+    # the kernel never raises; it reports the depth and callers cull
+    uv, z = pinhole(np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]),
+                    _rig())
+    assert list(z <= EPS_Z) == [True, True, False]
+    np.testing.assert_array_equal(uv[2], [50.0, 50.0])
 
 
 def test_project_scale_invariance_identity_extrinsics():
@@ -119,8 +143,8 @@ def test_project_scale_invariance_identity_extrinsics():
     for _ in range(50):
         p = rng.uniform([-0.5, -0.5, 1.0], [0.5, 0.5, 5.0])
         lam = rng.uniform(0.1, 10.0)
-        a = project(p, rig).as_array()
-        b = project(lam * p, rig).as_array()
+        a = _project(p, rig)
+        b = _project(lam * p, rig)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -134,8 +158,9 @@ def test_project_matches_homogeneous_oracle():
         )
         if z <= 0.1:
             continue
-        got = project(p, rig)
-        np.testing.assert_allclose([got.u, got.v], [u, v], rtol=1e-12, atol=1e-12)
+        uv, got_z = pinhole(p[None, :], rig)
+        np.testing.assert_allclose(uv[0], [u, v], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got_z[0], z, rtol=1e-12, atol=1e-12)
 
 
 def test_project_cloud_all_in_frame():
@@ -169,9 +194,11 @@ def test_project_cloud_matches_pointwise():
     except AllPointsCulled:
         pytest.skip("random rig culled everything")
     for row, src in enumerate(imap):
-        want = project(cloud.points[src], rig)
+        u, v, _ = project_homogeneous(
+            cloud.points[src], rig.k_rgb.matrix, rig.e_rgb.matrix, rig.e_tof.matrix
+        )
         np.testing.assert_allclose(
-            proj.points[row], [want.u, want.v], rtol=1e-12, atol=1e-12
+            proj.points[row], [u, v], rtol=1e-12, atol=1e-12
         )
 
 
@@ -184,7 +211,7 @@ def test_project_cloud_all_culled():
 
 
 def test_jacobian_identity_rig_on_axis():
-    j = projection_jacobian(Point3(0.0, 0.0, 10.0), _rig())
+    j = _jacobian([0.0, 0.0, 10.0], _rig())
     np.testing.assert_allclose(j, [[10.0, 0, 0], [0, 10.0, 0]], atol=1e-15)
 
 
@@ -195,16 +222,16 @@ def test_jacobian_matches_finite_differences():
     while checked < 200:
         rig = _random_rig(rng)
         p = rng.uniform(-1, 1, 3)
-        z = (rig._rot @ p + rig._trans)[2]
+        z = _to_rgb(p, rig)[2]
         if z <= 0.1:
             continue
-        jac = projection_jacobian(p, rig)
+        jac = _jacobian(p, rig)
         fd = np.zeros((2, 3))
         for axis in range(3):
             e = np.zeros(3)
             e[axis] = h
-            hi = project(p + e, rig).as_array()
-            lo = project(p - e, rig).as_array()
+            hi = _project(p + e, rig)
+            lo = _project(p - e, rig)
             fd[:, axis] = (hi - lo) / (2 * h)
         assert np.max(np.abs(jac - fd)) / max(np.max(np.abs(fd)), 1e-12) < 1e-5
         checked += 1
@@ -213,17 +240,19 @@ def test_jacobian_matches_finite_differences():
 def test_jacobian_rotation_chain_rule():
     rng = np.random.default_rng(7)
     rot = random_rotation(rng)
-    rig_rot = _rig(e_tof=Extrinsics.from_rt(rot, [0, 0, 0]))
+    rig_rotated = _rig(e_tof=Extrinsics.from_rt(rot, [0, 0, 0]))
     rig_id = _rig()
     p = np.array([0.2, -0.1, 3.0])
-    j_rot = projection_jacobian(p, rig_rot)
-    j_id_at_rp = projection_jacobian(rot @ p, rig_id)
-    np.testing.assert_allclose(j_rot, j_id_at_rp @ rot, atol=1e-12)
+    j_rotated = _jacobian(p, rig_rotated)
+    j_id_at_rp = _jacobian(rot @ p, rig_id)
+    np.testing.assert_allclose(j_rotated, j_id_at_rp @ rot, atol=1e-12)
 
 
 def test_jacobian_behind_camera():
     with pytest.raises(BehindCamera):
-        projection_jacobian(Point3(0.0, 0.0, -2.0), _rig())
+        _jacobian([0.0, 0.0, -2.0], _rig())
+    with pytest.raises(BehindCamera):  # one bad row fails the whole batch
+        projection_jacobians(np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 0.0]]), _rig())
 
 
 def test_batched_jacobians_match_single():
@@ -232,11 +261,16 @@ def test_batched_jacobians_match_single():
     pts = rng.uniform(-0.3, 0.3, size=(40, 3))
     pts[:, 2] = rng.uniform(1.0, 3.0, 40)
     # keep only points safely in front
-    keep = (pts @ rig._rot.T + rig._trans)[:, 2] > 0.1
+    keep = np.array([_to_rgb(p, rig)[2] > 0.1 for p in pts])
     pts = pts[keep]
     batch = projection_jacobians(pts, rig)
+    k = rig.k_rgb
     for i, p in enumerate(pts):
-        np.testing.assert_allclose(batch[i], projection_jacobian(p, rig), atol=1e-12)
+        # closed-form perspective Jacobian composed with the rotation, per point
+        x, y, z = _to_rgb(p, rig)
+        persp = np.array([[k.fx / z, 0.0, -k.fx * x / (z * z)],
+                          [0.0, k.fy / z, -k.fy * y / (z * z)]])
+        np.testing.assert_allclose(batch[i], persp @ rig.rotation, atol=1e-12)
 
 
 # -- calibration file -----------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,3 +144,30 @@ def test_synth_superres_eval_chain(tmp_path, calib, scene):
     assert rec["iteration"] == 0 and rec["hull_size"] >= 3
 
     assert main(["eval", str(out_ply), str(gt_ply), "--normalize"]) == 0
+
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\n"
+             "property double y\nproperty double z\nend_header\n")
+
+
+@pytest.mark.parametrize("cmd,name,text", [
+    ("hull", "pts.csv", "u,v\n1,2\nfoo\n3,4\n"),
+    ("hull", "pts.csv", "u,v\n1,2\nnan,3\n3,4\n0,5\n"),
+    ("synth", "scene.json", '{"shape": "box",'),
+    ("synth", "scene.json", '["box"]'),
+    ("densify", "in.ply", _PLY_HEAD + "0 0 1\nnan 0 1\n1 1 1\n"),
+], ids=["hull-bad-row", "hull-nan", "synth-bad-json", "synth-json-list", "densify-nan"])
+def test_malformed_input_exit_2_without_traceback(tmp_path, calib, cmd, name, text):
+    (tmp_path / name).write_text(text)
+    outs = ([calib, tmp_path / "gt.ply", tmp_path / "img.pgm"] if cmd == "synth"
+            else [tmp_path / "out"])
+    argv = [cmd, str(tmp_path / name)] + [str(p) for p in outs]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [_SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "cloudsr.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert any(line.startswith("error: ") for line in proc.stderr.splitlines())

@@ -6,11 +6,10 @@ from cloudsr.geometry import (
     Point3,
     PointCloud3,
     PointSet2,
+    SpatialIndex,
     bin_downsample,
     binned_centroids,
-    build_index,
     denormalize,
-    knn,
     normalize_to_unit,
 )
 
@@ -38,66 +37,78 @@ def test_pointset2_roles_and_dedupe():
         PointSet2([[0, 0]], role="banana")
 
 
-def test_build_index_rejects_empty():
+def _nearest(idx, q):
+    """(index, distance) of one query through the batched path."""
+    i, sq = idx.nearest_batch(np.asarray(q, dtype=np.float64)[None, :])
+    return int(i[0]), float(np.sqrt(sq[0]))
+
+
+def _knn(idx, q, k):
+    """[(index, distance)] of one query through the batched path."""
+    i, sq = idx.knn_batch(np.asarray(q, dtype=np.float64)[None, :], k)
+    return [(int(j), float(d)) for j, d in zip(i[0], np.sqrt(sq[0]))]
+
+
+def test_index_rejects_empty():
     with pytest.raises(EmptyInput):
-        build_index(np.zeros((0, 2)))
+        SpatialIndex(np.zeros((0, 2)))
 
 
 def test_single_point_query():
-    idx = build_index(np.array([[1.0, 2.0]]))
-    i, d = idx.nearest([5.0, 5.0])
+    idx = SpatialIndex(np.array([[1.0, 2.0]]))
+    i, d = _nearest(idx, [5.0, 5.0])
     assert i == 0
     assert d == pytest.approx(5.0, abs=1e-15)  # 3-4-5 triangle
 
 
 def test_self_query_distance_zero():
     pts = np.array([[0.0, 0.0], [3.0, 1.0], [2.0, -4.0]])
-    idx = build_index(pts)
-    i, d = idx.nearest([2.0, -4.0])
+    idx = SpatialIndex(pts)
+    i, d = _nearest(idx, [2.0, -4.0])
     assert (i, d) == (2, 0.0)
 
 
 def test_knn_on_line():
     pts = np.array([[0.0, 0], [1, 0], [2, 0], [3, 0]])
-    idx = build_index(pts)
-    assert [i for i, _ in knn(idx, [0.0, 0.0], 2)] == [0, 1]
+    idx = SpatialIndex(pts)
+    assert [i for i, _ in _knn(idx, [0.0, 0.0], 2)] == [0, 1]
 
 
 def test_knn_k_equals_count_sorted():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(9, 3))
-    idx = build_index(pts)
-    res = knn(idx, rng.normal(size=3), 9)
+    idx = SpatialIndex(pts)
+    res = _knn(idx, rng.normal(size=3), 9)
     dists = [d for _, d in res]
     assert dists == sorted(dists)
     assert sorted(i for i, _ in res) == list(range(9))
 
 
 def test_knn_equidistant_tie_breaks_low_index():
-    idx = build_index(np.array([[0.0, 0.0], [2.0, 0.0]]))
-    i, d = idx.nearest([1.0, 0.0])
+    idx = SpatialIndex(np.array([[0.0, 0.0], [2.0, 0.0]]))
+    i, d = _nearest(idx, [1.0, 0.0])
     assert i == 0
     assert d == 1.0
 
 
 def test_knn_errors():
-    idx = build_index(np.array([[0.0, 0.0]]))
+    idx = SpatialIndex(np.array([[0.0, 0.0]]))
     with pytest.raises(InsufficientPoints):
-        knn(idx, [0.0, 0.0], 2)
+        idx.knn_batch(np.array([[0.0, 0.0]]), 2)
     with pytest.raises(InsufficientPoints):
-        knn(idx, [0.0, 0.0], 0)
+        idx.knn_batch(np.array([[0.0, 0.0]]), 0)
 
 
 @pytest.mark.parametrize("n,dim", [(1, 2), (2, 3), (17, 2), (256, 3), (1024, 2)])
 def test_index_matches_linear_scan(n, dim):
     rng = np.random.default_rng(n * 31 + dim)
     pts = rng.uniform(-5, 5, size=(n, dim))
-    idx = build_index(pts)
+    idx = SpatialIndex(pts)
     queries = rng.uniform(-6, 6, size=(50, dim))
     for q in queries:
-        assert idx.nearest(q) == linear_nn(pts, q)
+        assert _nearest(idx, q) == linear_nn(pts, q)
         k = int(rng.integers(1, n + 1))
-        got = idx.knn(q, k)
+        got = _knn(idx, q, k)
         want = linear_knn(pts, q, k)
         assert [i for i, _ in got] == [i for i, _ in want]
         np.testing.assert_allclose(
@@ -109,12 +120,12 @@ def test_index_matches_linear_scan_with_forced_ties():
     # integer lattice + integer queries force exact distance ties
     xs, ys = np.meshgrid(np.arange(8), np.arange(8))
     pts = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(float)
-    idx = build_index(pts)
+    idx = SpatialIndex(pts)
     rng = np.random.default_rng(3)
     for _ in range(200):
         q = rng.integers(-1, 9, size=2).astype(float) + rng.choice([0.0, 0.5], 2)
-        assert idx.nearest(q) == linear_nn(pts, q)
-        got = idx.knn(q, 5)
+        assert _nearest(idx, q) == linear_nn(pts, q)
+        got = _knn(idx, q, 5)
         want = linear_knn(pts, q, 5)
         assert got == want
 
@@ -122,11 +133,11 @@ def test_index_matches_linear_scan_with_forced_ties():
 def test_index_matches_linear_scan_at_4096():
     rng = np.random.default_rng(4096)
     pts = rng.uniform(-10, 10, size=(4096, 3))
-    idx = build_index(pts)
+    idx = SpatialIndex(pts)
     queries = rng.uniform(-11, 11, size=(150, 3))
     for q in queries:
-        assert idx.nearest(q) == linear_nn(pts, q)
-    # remaining queries through the batched path, cross-checked per query
+        assert _nearest(idx, q) == linear_nn(pts, q)
+    # remaining queries in one batch (several chunks), cross-checked per query
     more = rng.uniform(-11, 11, size=(850, 3))
     bidx, bsq = idx.nearest_batch(more)
     for qi in rng.choice(850, size=60, replace=False):
@@ -135,15 +146,30 @@ def test_index_matches_linear_scan_at_4096():
 
 
 def test_nearest_batch_matches_single_queries():
+    # every row of one multi-chunk batch against the exhaustive scalar scan
     rng = np.random.default_rng(11)
     pts = rng.normal(size=(300, 2))
-    idx = build_index(pts)
+    idx = SpatialIndex(pts)
     queries = rng.normal(size=(701, 2))
     bidx, bsq = idx.nearest_batch(queries)
     for qi, q in enumerate(queries):
-        i, d = idx.nearest(q)
+        i, d = linear_nn(pts, q)
         assert bidx[qi] == i
-        assert np.sqrt(bsq[qi]) == pytest.approx(d, rel=1e-15, abs=1e-15)
+        assert np.sqrt(bsq[qi]) == d
+
+
+def test_knn_batch_matches_linear_scan():
+    # every row of one multi-chunk batch against the exhaustive scalar scan
+    rng = np.random.default_rng(12)
+    pts = rng.integers(0, 6, size=(300, 2)).astype(float)  # many exact ties
+    idx = SpatialIndex(pts)
+    queries = rng.integers(0, 12, size=(600, 2)) / 2.0
+    bidx, bsq = idx.knn_batch(queries, 7)
+    for qi, q in enumerate(queries):
+        want = linear_knn(pts, q, 7)
+        assert list(bidx[qi]) == [i for i, _ in want]
+        np.testing.assert_allclose(np.sqrt(bsq[qi]), [d for _, d in want],
+                                   rtol=0, atol=0)
 
 
 # -- bin_downsample ----------------------------------------------------------

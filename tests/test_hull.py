@@ -10,7 +10,7 @@ from cloudsr.hull import (
     polygon_is_simple,
 )
 
-from oracles import monotone_chain
+from oracles import brute_polygon_is_simple, monotone_chain
 
 
 def _signed_area(verts):
@@ -84,6 +84,35 @@ def test_polygon_is_simple_square_true():
 def test_polygon_is_simple_bowtie_false():
     poly = HullPolygon([[0, 0], [1, 1], [1, 0], [0, 1]], range(4), 3)
     assert not polygon_is_simple(poly)
+
+
+def test_polygon_is_simple_matches_pair_loop_random():
+    rng = np.random.default_rng(21)
+    outcomes = set()
+    for _ in range(300):
+        n = int(rng.integers(3, 30))
+        verts = rng.uniform(0, 10, size=(n, 2))
+        if rng.random() < 0.5:  # star-shaped ordering: often simple
+            c = verts.mean(axis=0)
+            verts = verts[np.argsort(np.arctan2(*(verts - c).T[::-1]))]
+        want = brute_polygon_is_simple(verts)
+        assert polygon_is_simple(HullPolygon(verts, range(n), 3)) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_polygon_is_simple_matches_pair_loop_lattice():
+    # small integer grids force touching vertices, collinear overlapping
+    # edges and repeated vertices, where the exact predicates matter
+    rng = np.random.default_rng(22)
+    outcomes = set()
+    for _ in range(1500):
+        n = int(rng.integers(3, 9))
+        verts = rng.integers(0, 4, size=(n, 2)).astype(float)
+        want = brute_polygon_is_simple(verts)
+        assert polygon_is_simple(HullPolygon(verts, range(n), 3)) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_contains_all_cases():
