@@ -222,6 +222,6 @@ def load_rig(path) -> CameraRig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CalibrationError(f"calibration file is not valid JSON: {exc}") from exc
     return rig_from_dict(data)

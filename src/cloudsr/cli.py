@@ -46,18 +46,22 @@ def write_points_csv(points: np.ndarray, path) -> None:
 
 
 def read_points_csv(path) -> np.ndarray:
-    pts = []
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line or (lineno == 0 and line == _CSV_HEADER):
-                continue
-            try:
-                u, v = line.split(",")
-                pts.append((float(u), float(v)))
-            except ValueError as exc:
-                raise CloudSRError(
-                    f"{path}:{lineno + 1}: expected 'u,v', got {line!r}") from exc
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise CloudSRError(f"{path}: not an ASCII u,v file: {exc}") from exc
+    pts = []
+    for lineno, line in enumerate(lines):
+        line = line.strip()
+        if not line or (lineno == 0 and line == _CSV_HEADER):
+            continue
+        try:
+            u, v = line.split(",")
+            pts.append((float(u), float(v)))
+        except ValueError as exc:
+            raise CloudSRError(
+                f"{path}:{lineno + 1}: expected 'u,v', got {line!r}") from exc
     arr = np.array(pts, dtype=np.float64).reshape(-1, 2)
     if not np.all(np.isfinite(arr)):
         raise CloudSRError(f"{path}: point coordinates must be finite")
@@ -237,7 +241,7 @@ def _cmd_synth(args) -> int:
     with open(args.scene, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CloudSRError(f"scene file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise CloudSRError("bad scene spec: expected a JSON object")

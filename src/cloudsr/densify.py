@@ -18,20 +18,17 @@ from .geometry import PointCloud3, SpatialIndex, bin_downsample, dedupe_rows
 
 @dataclass(frozen=True)
 class DensifyConfig:
-    """Upsampling rate, neighbors interpolated per point, and the merge
-    tolerance for coincident midpoints."""
+    """Upsampling rate and neighbors interpolated per point.  Coincident
+    midpoints merge at `geometry.DEDUPE_TOL`."""
 
     rate: int = 4
     k_interp: int = 4
-    dedupe_eps: float = 1e-9
 
     def __post_init__(self):
         if self.rate < 2:
             raise ValueError("rate must be at least 2")
         if self.k_interp < 2:
             raise ValueError("k_interp must be at least 2")
-        if not self.dedupe_eps > 0:
-            raise ValueError("dedupe_eps must be positive")
 
 
 def _midpoint_round(pts: np.ndarray, k_interp: int) -> np.ndarray:
@@ -61,13 +58,13 @@ def densify(cloud: PointCloud3, cfg: DensifyConfig = DensifyConfig()) -> PointCl
 
     # the working pool starts from the deduped originals; all originals are
     # reinstated verbatim at the end regardless
-    keep = dedupe_rows(originals, cfg.dedupe_eps)
+    keep = dedupe_rows(originals)
     pool = originals[keep]
     n_base = pool.shape[0]
     while pool.shape[0] - n_base < target - n_in:
         mids = _midpoint_round(pool, cfg.k_interp)
         grown = np.vstack([pool, mids])
-        grown = grown[dedupe_rows(grown, cfg.dedupe_eps)]
+        grown = grown[dedupe_rows(grown)]
         if grown.shape[0] == pool.shape[0]:
             break  # degenerate cloud stopped producing new points
         pool = grown

@@ -14,9 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateCollinear, HullFailed, TooFewPoints
-from .geometry import as_point_array, dedupe_rows
+from .geometry import SpatialIndex, as_point_array, dedupe_rows
 
-_DEDUPE_TOL = 1e-9
 _ON_EDGE_TOL = 1e-9
 
 
@@ -81,19 +80,23 @@ def orient(a, b, c):
     ) * (c[..., 0] - a[..., 0])
 
 
+def _proper_crossing(d1, d2, d3, d4):
+    """Segments a-b and c-d cross properly, from d1 = orient(c, d, a),
+    d2 = orient(c, d, b), d3 = orient(a, b, c), d4 = orient(a, b, d): strict
+    opposite signs on both, so a zero orientation (a touch) never counts."""
+    return (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
+        ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
+    )
+
+
 def _crosses_any(p, q, e0: np.ndarray, e1: np.ndarray) -> bool:
     """True if open segment p-q properly crosses any segment e0[i]-e1[i].
 
     Shared endpoints do not count (an orientation is zero there), which is
     exactly what the walk needs when testing against adjacent hull edges.
     """
-    if e0.shape[0] == 0:
-        return False
-    d1 = orient(p, q, e0)
-    d2 = orient(p, q, e1)
-    d3 = orient(e0, e1, p)
-    d4 = orient(e0, e1, q)
-    return bool(np.any((d1 * d2 < 0) & (d3 * d4 < 0)))
+    return bool(np.any(_proper_crossing(
+        orient(e0, e1, p), orient(e0, e1, q), orient(p, q, e0), orient(p, q, e1))))
 
 
 def _on_segment(a, b, c):
@@ -117,9 +120,7 @@ def polygon_is_simple(poly: HullPolygon) -> bool:
         d2 = orient(c, d, b[i])
         d3 = orient(a[i], b[i], c)
         d4 = orient(a[i], b[i], d)
-        proper = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
-            ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
-        )
+        proper = _proper_crossing(d1, d2, d3, d4)
         touch = (
             ((d1 == 0) & _on_segment(c, d, a[i]))
             | ((d2 == 0) & _on_segment(c, d, b[i]))
@@ -182,7 +183,7 @@ def monotone_chain(pts: np.ndarray) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
-def _walk(pts: np.ndarray, kk: int) -> list[int] | None:
+def _walk(pts: np.ndarray, index: SpatialIndex, kk: int) -> list[int] | None:
     """One Moreira-Santos boundary walk; None when it cannot close."""
     n = pts.shape[0]
     start = int(np.lexsort((pts[:, 0], pts[:, 1]))[0])  # lowest v, then u
@@ -196,14 +197,10 @@ def _walk(pts: np.ndarray, kk: int) -> list[int] | None:
         if len(hull) == 4:
             used[start] = False  # start point may close the hull from now on
 
-        d = pts - pts[cur]
-        d2 = d[:, 0] ** 2 + d[:, 1] ** 2
-        d2[used] = np.inf
-        d2[cur] = np.inf
-        avail = int(np.sum(np.isfinite(d2)))
-        if avail == 0:
-            return None
-        cand = np.lexsort((np.arange(n), d2))[: min(kk, avail)]
+        # the kk nearest unused points (cur is used); used rows are hull
+        # members, so kk + len(hull) rows leave kk whenever that many exist
+        (near,), _ = index.knn_batch(pts[cur:cur + 1], min(n, kk + len(hull)))
+        cand = near[~used[near]][:kk]
 
         # largest right-hand turn first: ascending clockwise angle from the
         # reversed previous edge direction
@@ -253,7 +250,7 @@ def concave_hull(points, index_map=None, k: int = 20) -> HullPolygon:
         if index_map.shape != (raw.shape[0],):
             raise ValueError("index_map must map every input point")
 
-    keep = dedupe_rows(raw, _DEDUPE_TOL)
+    keep = dedupe_rows(raw)
     pts = raw[keep]
     sources = index_map[keep]
     n = pts.shape[0]
@@ -266,8 +263,9 @@ def concave_hull(points, index_map=None, k: int = 20) -> HullPolygon:
         order = _oriented_ccw([0, 1, 2], pts)
         return HullPolygon(pts[order], sources[order], min(k, n - 1))
 
+    index = SpatialIndex(pts)
     for kk in range(min(k, n - 1), n):
-        order = _walk(pts, kk)
+        order = _walk(pts, index, kk)
         if order is None:
             continue
         order = _oriented_ccw(order, pts)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySet, TooFewVertices
-from .geometry import SpatialIndex, as_point_array
+from .geometry import as_point_array, nearest_both_ways
 from .hull import HullPolygon
 
 
@@ -67,30 +67,24 @@ def _nonempty(arr: np.ndarray, name: str) -> None:
         raise EmptySet(f"{name} must not be empty")
 
 
-def _cross_nn(a: np.ndarray, b: np.ndarray):
-    """Nearest neighbor in b for each row of a: (indices, squared dists)."""
-    return SpatialIndex(b).nearest_batch(a)
-
-
-def chamfer_loss(r_set, p_set) -> float:
-    """Symmetric sum of squared nearest-neighbor distances."""
+def _squared_nn_both_ways(r_set, p_set):
     r = as_point_array(r_set, 2)
     p = as_point_array(p_set, 2)
     _nonempty(r, "first point set")
     _nonempty(p, "second point set")
-    _, rp = _cross_nn(r, p)
-    _, pr = _cross_nn(p, r)
+    (_, rp), (_, pr) = nearest_both_ways(r, p)
+    return rp, pr
+
+
+def chamfer_loss(r_set, p_set) -> float:
+    """Symmetric sum of squared nearest-neighbor distances."""
+    rp, pr = _squared_nn_both_ways(r_set, p_set)
     return float(np.sum(rp) + np.sum(pr))
 
 
 def hausdorff_loss(r_set, p_set) -> float:
     """Max over both directed maxima of unsquared nearest-neighbor distances."""
-    r = as_point_array(r_set, 2)
-    p = as_point_array(p_set, 2)
-    _nonempty(r, "first point set")
-    _nonempty(p, "second point set")
-    _, rp = _cross_nn(r, p)
-    _, pr = _cross_nn(p, r)
+    rp, pr = _squared_nn_both_ways(r_set, p_set)
     return float(max(np.sqrt(np.max(rp)), np.sqrt(np.max(pr))))
 
 
@@ -146,8 +140,7 @@ def combined_loss(r_edge, hull: HullPolygon, w: LossWeights = LossWeights()) -> 
     p = hull.vertices
     n = p.shape[0]
 
-    e2h, d2_e2h = _cross_nn(r, p)
-    h2e, d2_h2e = _cross_nn(p, r)
+    (e2h, d2_e2h), (h2e, d2_h2e) = nearest_both_ways(r, p)
 
     l_cd = float(np.sum(d2_e2h) + np.sum(d2_h2e))
     grad_cd = np.zeros((n, 2))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCloud
-from .geometry import PointCloud3, SpatialIndex, normalize_to_unit
+from .geometry import PointCloud3, nearest_both_ways, normalize_to_unit
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,7 @@ def eval_metrics(pred: PointCloud3, gt: PointCloud3,
         p = (p - off) / scale
         g = (g - off) / scale
 
-    _, d2_pg = SpatialIndex(g).nearest_batch(p)
-    _, d2_gp = SpatialIndex(p).nearest_batch(g)
+    (_, d2_pg), (_, d2_gp) = nearest_both_ways(p, g)
     cd = float((np.sum(d2_pg) + np.sum(d2_gp)) / (len(pred) + len(gt)))
     hd = float(max(np.sqrt(np.max(d2_pg)), np.sqrt(np.max(d2_gp))))
     return EvalReport(cd=cd, hd=hd, normalized=normalize,

@@ -158,12 +158,23 @@ _PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\n"
     ("synth", "scene.json", '{"shape": "box",'),
     ("synth", "scene.json", '["box"]'),
     ("densify", "in.ply", _PLY_HEAD + "0 0 1\nnan 0 1\n1 1 1\n"),
-], ids=["hull-bad-row", "hull-nan", "synth-bad-json", "synth-json-list", "densify-nan"])
+    ("hull", "pts.csv", b"u,v\n1,2\n\xff,3\n3,4\n"),
+    ("synth", "scene.json", b'{"shape": "box\xff"}'),
+    ("project", "rig.json", b'{"fx": 500.0\xff}'),
+], ids=["hull-bad-row", "hull-nan", "synth-bad-json", "synth-json-list", "densify-nan",
+        "hull-non-ascii", "synth-non-utf8", "calib-non-utf8"])
 def test_malformed_input_exit_2_without_traceback(tmp_path, calib, cmd, name, text):
-    (tmp_path / name).write_text(text)
-    outs = ([calib, tmp_path / "gt.ply", tmp_path / "img.pgm"] if cmd == "synth"
-            else [tmp_path / "out"])
-    argv = [cmd, str(tmp_path / name)] + [str(p) for p in outs]
+    bad = tmp_path / name
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode("ascii"))
+    if cmd == "synth":
+        args = [bad, calib, tmp_path / "gt.ply", tmp_path / "img.pgm"]
+    elif cmd == "project":  # the cloud is valid, the calibration is not
+        cloud = tmp_path / "in.ply"
+        cloud.write_text(_PLY_HEAD + "0 0 1\n1 0 1\n1 1 1\n")
+        args = [cloud, bad, tmp_path / "out"]
+    else:
+        args = [bad, tmp_path / "out"]
+    argv = [cmd] + [str(p) for p in args]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [_SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-m", "cloudsr.cli", *argv],

@@ -231,6 +231,16 @@ def test_downsample_duplicate_heavy_cloud():
     np.testing.assert_allclose(out.points, np.tile([[1, 2, 3]], (4, 1)))
 
 
+def test_downsample_tiny_gap_keeps_distinct_rows():
+    # a 1e-20 gap makes the smallest voxel edge 5e-21, so a voxel index of a
+    # unit-size cloud is ~2e20: past int64, where the keys used to collide
+    pts = np.random.default_rng(0).random((200, 3))
+    pts[0] = [0.0, 0.5, 0.5]
+    pts[1] = [1e-20, 0.5, 0.5]
+    out = bin_downsample(PointCloud3(pts), 150)
+    assert np.unique(out.points, axis=0).shape[0] == 150
+
+
 # -- normalize ---------------------------------------------------------------
 
 

@@ -44,6 +44,16 @@ def test_square_corners_k3():
     assert _signed_area(poly.vertices) > 0
 
 
+@pytest.mark.parametrize("k,k_used", [(3, 3), (8, 15)])
+def test_lattice_walk_tie_order(k, k_used):
+    # every step of the walk on a lattice meets exact distance ties, so the
+    # lowest-index tie rule fixes the vertex order
+    pts = np.array([[x, y] for y in range(4) for x in range(4)], dtype=float)
+    poly = concave_hull(pts, k=k)
+    assert poly.source_indices.tolist() == [0, 1, 2, 3, 7, 11, 15, 14, 13, 12, 8, 4]
+    assert poly.k_used == k_used
+
+
 def test_convex_position_equals_convex_hull():
     rng = np.random.default_rng(0)
     angles = np.sort(rng.uniform(0, 2 * np.pi, 200))
