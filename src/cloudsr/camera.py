@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllPointsCulled, BehindCamera, CalibrationError
-from .geometry import PointCloud3, PointSet2
+from .geometry import PointCloud3
 
 #: near-plane cutoff in meters; points at or behind it have no projection
 EPS_Z = 1e-6
@@ -54,7 +54,9 @@ class Extrinsics:
         if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > tol:
             raise CalibrationError("extrinsic bottom row must be [0, 0, 0, 1]")
         r = m[:3, :3]
-        if np.max(np.abs(r.T @ r - np.eye(3))) > tol:
+        # an orthonormal block has no entry beyond 1, and the bound keeps the
+        # product below from overflowing on absurd input
+        if np.max(np.abs(r)) > 1.0 + tol or np.max(np.abs(r.T @ r - np.eye(3))) > tol:
             raise CalibrationError("rotation block fails orthonormality tolerance")
         if np.linalg.det(r) < 0:
             raise CalibrationError("rotation block must have determinant +1")
@@ -161,12 +163,11 @@ def pinhole(points: np.ndarray, rig: CameraRig) -> tuple[np.ndarray, np.ndarray]
     return np.stack([u, v], axis=1), z
 
 
-def project_cloud(cloud: PointCloud3, rig: CameraRig):
+def project_cloud(cloud: PointCloud3, rig: CameraRig) -> tuple[np.ndarray, np.ndarray]:
     """Project a cloud, keeping points in front of the camera and in frame.
 
-    Returns (projected PointSet2, index_map) where index_map[i] is the
-    source row of projected point i.  Culled count is len(cloud) minus the
-    output size.
+    Returns (uv (M, 2), index_map (M,)) where index_map[i] is the source
+    row of pixel i.  Culled count is len(cloud) minus M.
     """
     uv, z = pinhole(cloud.points, rig)
     u, v = uv[:, 0], uv[:, 1]
@@ -174,7 +175,7 @@ def project_cloud(cloud: PointCloud3, rig: CameraRig):
     index_map = np.nonzero(keep)[0]
     if index_map.size == 0:
         raise AllPointsCulled("no point projects inside the image frame")
-    return PointSet2(uv[keep], role="projection"), index_map
+    return uv[keep], index_map
 
 
 def projection_jacobians(points: np.ndarray, rig: CameraRig) -> np.ndarray:
@@ -210,11 +211,9 @@ def rig_from_dict(data: dict) -> CameraRig:
                           float(kd["cx"]), float(kd["cy"]))
         e_rgb = Extrinsics(np.array(data["e_rgb"], dtype=np.float64).reshape(4, 4))
         e_tof = Extrinsics(np.array(data["e_tof"], dtype=np.float64).reshape(4, 4))
-        width = int(data["width"])
-        height = int(data["height"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return CameraRig(intr, e_rgb, e_tof, int(data["width"]), int(data["height"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CalibrationError(f"bad calibration data: {exc}") from exc
-    return CameraRig(intr, e_rgb, e_tof, width, height)
 
 
 def load_rig(path) -> CameraRig:
@@ -222,6 +221,6 @@ def load_rig(path) -> CameraRig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer past the digit limit
             raise CalibrationError(f"calibration file is not valid JSON: {exc}") from exc
     return rig_from_dict(data)

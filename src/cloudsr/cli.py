@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -16,7 +17,7 @@ from .camera import Extrinsics, load_rig, project_cloud
 from .densify import DensifyConfig, densify
 from .edges import CannyParams, canny
 from .errors import CloudSRError
-from .geometry import PointSet2, bin_downsample
+from .geometry import COORD_LIMIT, bin_downsample
 from .hull import concave_hull
 from .losses import LossWeights
 from .metrics import eval_metrics
@@ -63,43 +64,50 @@ def read_points_csv(path) -> np.ndarray:
             raise CloudSRError(
                 f"{path}:{lineno + 1}: expected 'u,v', got {line!r}") from exc
     arr = np.array(pts, dtype=np.float64).reshape(-1, 2)
-    if not np.all(np.isfinite(arr)):
-        raise CloudSRError(f"{path}: point coordinates must be finite")
+    if not np.all(np.abs(arr) <= COORD_LIMIT):
+        raise CloudSRError(
+            f"{path}: point coordinates must be finite and within +/-{COORD_LIMIT:g}")
     return arr
 
 
+# every default is read from the config it fills, so each has one source
 def _add_canny_flags(p):
-    p.add_argument("--sigma", type=float, default=1.4,
-                   help="Gaussian sigma in pixels (default 1.4)")
-    p.add_argument("--low", type=float, default=0.1,
-                   help="low threshold fraction of max gradient (default 0.1)")
-    p.add_argument("--high", type=float, default=0.2,
-                   help="high threshold fraction of max gradient (default 0.2)")
+    p.add_argument("--sigma", type=float, default=CannyParams.sigma,
+                   help="Gaussian sigma in pixels (default %(default)s)")
+    p.add_argument("--low", type=float, default=CannyParams.low,
+                   help="low threshold fraction of max gradient (default %(default)s)")
+    p.add_argument("--high", type=float, default=CannyParams.high,
+                   help="high threshold fraction of max gradient (default %(default)s)")
+
+
+def _add_densify_flags(p):
+    p.add_argument("--rate", type=int, default=DensifyConfig.rate,
+                   help="upsampling factor r (default %(default)s)")
+    p.add_argument("--k-interp", type=int, default=DensifyConfig.k_interp,
+                   help="neighbors per point for midpoint interpolation "
+                        "(default %(default)s)")
 
 
 def _add_refine_flags(p):
-    p.add_argument("--rate", type=int, default=4,
-                   help="upsampling factor r (default 4)")
-    p.add_argument("--k-interp", type=int, default=4,
-                   help="neighbors per point for midpoint interpolation (default 4)")
-    p.add_argument("--hull-k", type=int, default=20,
-                   help="concave hull neighbor count (default 20)")
-    p.add_argument("--alpha", type=float, default=1e-5,
-                   help="chamfer weight (default 1e-5)")
-    p.add_argument("--beta", type=float, default=1e-2,
-                   help="hausdorff weight (default 1e-2)")
-    p.add_argument("--gamma", type=float, default=1e-2,
-                   help="gradient-smooth weight (default 1e-2)")
-    p.add_argument("--max-iters", type=int, default=200,
-                   help="refinement iterations (default 200)")
-    p.add_argument("--refresh", type=int, default=10,
-                   help="hull refresh period in iterations (default 10)")
-    p.add_argument("--step", type=float, default=0.01,
-                   help="initial step as a fraction of cloud half-extent (default 0.01)")
-    p.add_argument("--backtrack", type=float, default=0.5,
-                   help="line search shrink factor (default 0.5)")
-    p.add_argument("--min-step", type=float, default=1e-8,
-                   help="step underflow threshold (default 1e-8)")
+    p.add_argument("--hull-k", type=int, default=RefineConfig.hull_k,
+                   help="concave hull neighbor count (default %(default)s)")
+    p.add_argument("--alpha", type=float, default=LossWeights.alpha,
+                   help="chamfer weight (default %(default)s)")
+    p.add_argument("--beta", type=float, default=LossWeights.beta,
+                   help="hausdorff weight (default %(default)s)")
+    p.add_argument("--gamma", type=float, default=LossWeights.gamma,
+                   help="gradient-smooth weight (default %(default)s)")
+    p.add_argument("--max-iters", type=int, default=RefineConfig.max_iters,
+                   help="refinement iterations (default %(default)s)")
+    p.add_argument("--refresh", type=int, default=RefineConfig.hull_refresh_period,
+                   help="hull refresh period in iterations (default %(default)s)")
+    p.add_argument("--step", type=float, default=RefineConfig.initial_step,
+                   help="initial step as a fraction of cloud half-extent "
+                        "(default %(default)s)")
+    p.add_argument("--backtrack", type=float, default=RefineConfig.backtrack_factor,
+                   help="line search shrink factor (default %(default)s)")
+    p.add_argument("--min-step", type=float, default=RefineConfig.min_step,
+                   help="step underflow threshold (default %(default)s)")
     p.add_argument("--constant-depth", action="store_true",
                    help="freeze depth coordinates during refinement")
 
@@ -122,16 +130,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("hull", help="concave hull of a u,v CSV point set")
     p.add_argument("points")
     p.add_argument("output")
-    p.add_argument("--k", type=int, default=20,
-                   help="starting neighbor count (default 20)")
+    p.add_argument("--k", type=int,
+                   default=inspect.signature(concave_hull).parameters["k"].default,
+                   help="starting neighbor count (default %(default)s)")
 
     p = sub.add_parser("densify", help="midpoint-upsample a PLY cloud")
     p.add_argument("cloud")
     p.add_argument("output")
-    p.add_argument("--rate", type=int, default=4,
-                   help="upsampling factor r (default 4)")
-    p.add_argument("--k-interp", type=int, default=4,
-                   help="neighbors per point (default 4)")
+    _add_densify_flags(p)
     p.add_argument("--target", type=int, default=None,
                    help="bin-downsample the input to this size first")
 
@@ -146,6 +152,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ply-format", choices=["ascii", "binary-little-endian"],
                    default="binary-little-endian")
     _add_canny_flags(p)
+    _add_densify_flags(p)
     _add_refine_flags(p)
 
     p = sub.add_parser("eval", help="CD/HD metrics between two PLY clouds")
@@ -165,23 +172,23 @@ def _build_parser() -> _Parser:
 
 def _cmd_edges(args) -> int:
     img = read_pixmap(args.image)
-    edge_map = canny(img, CannyParams(sigma=args.sigma, low=args.low, high=args.high))
-    write_points_csv(edge_map.points, args.output)
+    edge_map = canny(img, _canny_params(args))
+    write_points_csv(edge_map, args.output)
     return 0
 
 
 def _cmd_project(args) -> int:
     cloud = read_ply(args.cloud)
     rig = load_rig(args.calib)
-    proj, _ = project_cloud(cloud, rig)
-    print(f"culled {len(cloud) - len(proj)} of {len(cloud)} points", file=sys.stderr)
-    write_points_csv(proj.points, args.output)
+    uv, _ = project_cloud(cloud, rig)
+    print(f"culled {len(cloud) - len(uv)} of {len(cloud)} points", file=sys.stderr)
+    write_points_csv(uv, args.output)
     return 0
 
 
 def _cmd_hull(args) -> int:
     pts = read_points_csv(args.points)
-    poly = concave_hull(PointSet2(pts, role="projection"), k=args.k)
+    poly = concave_hull(pts, k=args.k)
     write_points_csv(poly.vertices, args.output)
     return 0
 
@@ -190,9 +197,17 @@ def _cmd_densify(args) -> int:
     cloud = read_ply(args.cloud)
     if args.target is not None:
         cloud = bin_downsample(cloud, args.target)
-    out = densify(cloud, DensifyConfig(rate=args.rate, k_interp=args.k_interp))
+    out = densify(cloud, _densify_config(args))
     write_ply(out, args.output)
     return 0
+
+
+def _canny_params(args) -> CannyParams:
+    return CannyParams(sigma=args.sigma, low=args.low, high=args.high)
+
+
+def _densify_config(args) -> DensifyConfig:
+    return DensifyConfig(rate=args.rate, k_interp=args.k_interp)
 
 
 def _refine_config(args) -> RefineConfig:
@@ -217,12 +232,8 @@ def _cmd_superres(args) -> int:
             f"calibration says {rig.width}x{rig.height} pixels "
             f"but the pixmap is {img.width}x{img.height}"
         )
-    out, trace = superres(
-        cloud, img, rig,
-        DensifyConfig(rate=args.rate, k_interp=args.k_interp),
-        _refine_config(args),
-        CannyParams(sigma=args.sigma, low=args.low, high=args.high),
-    )
+    out, trace = superres(cloud, img, rig, _densify_config(args),
+                          _refine_config(args), _canny_params(args))
     write_ply(out, args.output, fmt=args.ply_format)
     if args.trace:
         with open(args.trace, "w", encoding="ascii") as fh:
@@ -241,7 +252,7 @@ def _cmd_synth(args) -> int:
     with open(args.scene, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer past the digit limit
             raise CloudSRError(f"scene file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise CloudSRError("bad scene spec: expected a JSON object")
@@ -251,12 +262,12 @@ def _cmd_synth(args) -> int:
         spec = SceneSpec(
             shape=raw["shape"],
             pose=pose,
-            extent=float(raw.get("extent", 0.5)),
-            density=float(raw.get("density", 4e4)),
-            fg=float(raw.get("fg", 1.0)),
-            bg=float(raw.get("bg", 0.0)),
+            extent=float(raw.get("extent", SceneSpec.extent)),
+            density=float(raw.get("density", SceneSpec.density)),
+            fg=float(raw.get("fg", SceneSpec.fg)),
+            bg=float(raw.get("bg", SceneSpec.bg)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CloudSRError(f"bad scene spec: {exc}") from exc
     rig = load_rig(args.calib)
     cloud, img = synth_scene(spec, rig)

@@ -15,10 +15,11 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ImageTooSmall
-from .geometry import PointSet2
 
 _SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 _SOBEL_Y = _SOBEL_X.T
+_NO_EDGES = np.zeros((0, 2))
+_NO_EDGES.setflags(write=False)
 
 
 class GrayImage:
@@ -148,8 +149,9 @@ def _nonmax_suppress(mag: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return keep
 
 
-def canny(img: GrayImage, params: CannyParams = CannyParams()) -> PointSet2:
-    """Edge detection; returns edge pixel centers as a 2D point set.
+def canny(img: GrayImage, params: CannyParams = CannyParams()) -> np.ndarray:
+    """Edge detection; returns edge pixel centers as a read-only (E, 2)
+    float64 array.
 
     Output points are (u=column, v=row) in row-major scan order.  A border
     band of ceil(3*sigma)+1 pixels is excluded to avoid clamp artifacts.
@@ -162,14 +164,14 @@ def canny(img: GrayImage, params: CannyParams = CannyParams()) -> PointSet2:
     mag = np.hypot(gx, gy)
     gmax = mag.max()
     if gmax == 0.0:
-        return PointSet2(np.zeros((0, 2)), role="edge-map")
+        return _NO_EDGES
     theta = np.arctan2(gy, gx)
 
     keep = _nonmax_suppress(mag, theta)
     weak = keep & (mag >= params.low * gmax)
     strong = keep & (mag >= params.high * gmax)
     if not strong.any():
-        return PointSet2(np.zeros((0, 2)), role="edge-map")
+        return _NO_EDGES
 
     labels, _ = ndimage.label(weak, structure=np.ones((3, 3), dtype=bool))
     good = np.unique(labels[strong])
@@ -183,4 +185,5 @@ def canny(img: GrayImage, params: CannyParams = CannyParams()) -> PointSet2:
 
     rows, cols = np.nonzero(edges)
     pts = np.stack([cols, rows], axis=1).astype(np.float64)
-    return PointSet2(pts, role="edge-map")
+    pts.setflags(write=False)
+    return pts

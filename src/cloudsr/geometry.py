@@ -1,42 +1,27 @@
-"""Point containers, exact nearest-neighbor search, and downsampling.
+"""The point container, exact nearest-neighbor search, and downsampling.
 
-All containers are immutable after construction (the backing arrays are
-marked read-only) and safe to share across threads.
+`PointCloud3` is the one point container: it validates points arriving
+from outside the program and is immutable after construction (the backing
+array is marked read-only), so it is safe to share across threads.  2D
+point sets (edge maps, projections, hull vertices) are plain (N, 2) arrays.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyInput, InsufficientPoints, InvalidTarget
 
-#: roles a 2D point set can play in the pipeline
-POINTSET2_ROLES = ("edge-map", "projection", "hull")
-
 _NN_CHUNK = 512  # queries per block in batched nearest-neighbor scans
 DEDUPE_TOL = 1e-9  # grid pitch below which two rows are one point, everywhere
+#: largest coordinate magnitude accepted: beyond it squared distances and
+#: orientation products overflow float64
+COORD_LIMIT = 1e150
 
 
-def _require_finite(arr, what):
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must be finite (no NaN/Inf)")
-
-
-@dataclass(frozen=True)
-class Point3:
-    """A single 3D point, camera-frame meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        _require_finite(np.array([self.x, self.y, self.z]), "Point3 coordinates")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
+def _require_bounded(arr, what):
+    if not np.all(np.abs(arr) <= COORD_LIMIT):  # NaN fails the comparison too
+        raise ValueError(f"{what} must be finite and within +/-{COORD_LIMIT:g}")
 
 
 class PointCloud3:
@@ -48,7 +33,7 @@ class PointCloud3:
             raise ValueError("expected an (N, 3) array of 3D points")
         if arr.shape[0] < 1:
             raise ValueError("point cloud must contain at least one point")
-        _require_finite(arr, "point cloud coordinates")
+        _require_bounded(arr, "point cloud coordinates")
         arr.setflags(write=False)
         self._points = arr
 
@@ -60,51 +45,8 @@ class PointCloud3:
     def __len__(self) -> int:
         return self._points.shape[0]
 
-    def point(self, i: int) -> Point3:
-        x, y, z = self._points[i]
-        return Point3(float(x), float(y), float(z))
-
     def __repr__(self) -> str:
         return f"PointCloud3({len(self)} points)"
-
-
-class PointSet2:
-    """Immutable 2D point set tagged with its pipeline role.
-
-    May be empty (an edge detector can legitimately find nothing); callers
-    that need points enforce their own minimum counts.
-    """
-
-    def __init__(self, points, role: str):
-        if role not in POINTSET2_ROLES:
-            raise ValueError(f"role must be one of {POINTSET2_ROLES}, got {role!r}")
-        arr = np.array(points, dtype=np.float64, copy=True).reshape(-1, 2)
-        _require_finite(arr, "2D point coordinates")
-        arr.setflags(write=False)
-        self._points = arr
-        self._role = role
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._points
-
-    @property
-    def role(self) -> str:
-        return self._role
-
-    def __len__(self) -> int:
-        return self._points.shape[0]
-
-    def deduplicated(self):
-        """Drop points within `DEDUPE_TOL` of an earlier point (grid snap).
-
-        Returns (deduped set, kept indices into this set).
-        """
-        keep = dedupe_rows(self._points)
-        return PointSet2(self._points[keep], self._role), keep
-
-    def __repr__(self) -> str:
-        return f"PointSet2({len(self)} points, role={self._role!r})"
 
 
 def dedupe_rows(arr: np.ndarray) -> np.ndarray:
@@ -115,19 +57,17 @@ def dedupe_rows(arr: np.ndarray) -> np.ndarray:
     """
     if arr.shape[0] == 0:
         return np.arange(0, dtype=np.intp)
-    keys = np.round(arr / DEDUPE_TOL).astype(np.int64)
+    # float keys: an int64 cast would wrap beyond about 9.2e9
+    keys = np.round(arr / DEDUPE_TOL)
     _, first = np.unique(keys, axis=0, return_index=True)
     return np.sort(first)
 
 
 def as_point_array(points, dim: int | None = None) -> np.ndarray:
-    """Coerce a container or array-like to an (N, D) float64 array."""
-    if isinstance(points, PointCloud3) or isinstance(points, PointSet2):
-        arr = points.points
-    else:
-        arr = np.asarray(points, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError("expected a 2D array of points")
+    """Coerce an array-like to an (N, D) float64 array."""
+    arr = np.asarray(points, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError("expected a 2D array of points")
     if dim is not None and arr.shape[1] != dim:
         raise ValueError(f"expected points of dimension {dim}, got {arr.shape[1]}")
     return arr
@@ -160,7 +100,7 @@ class SpatialIndex:
         arr = as_point_array(points)
         if arr.shape[0] < 1:
             raise EmptyInput("cannot index an empty point set")
-        _require_finite(arr, "indexed point coordinates")
+        _require_bounded(arr, "indexed point coordinates")
         arr = arr.copy()
         arr.setflags(write=False)
         self._points = arr
@@ -271,7 +211,10 @@ def binned_centroids(pts: np.ndarray, target: int) -> tuple[np.ndarray, float]:
             gaps.append(diffs.min())
     if not gaps:  # all rows identical
         return pts[:1].copy(), 1.0
-    lo = min(gaps) / 2.0
+    # ...but no finer than extent / 1e300 and never zero: the voxel keys of
+    # finer bins overflow, so rows a subnormal gap apart may share a bin
+    lo = max(min(gaps) / 2.0, float(extent.max()) / 1e300,
+             np.finfo(np.float64).smallest_subnormal)
     hi = float(np.linalg.norm(extent)) + lo
 
     if _voxel_bin_count(pts, origin, lo) < target:
@@ -312,10 +255,10 @@ def bin_downsample(cloud: PointCloud3, target_count: int) -> PointCloud3:
     return PointCloud3(out)
 
 
-def normalize_to_unit(cloud: PointCloud3) -> tuple[PointCloud3, float, Point3]:
+def normalize_to_unit(cloud: PointCloud3) -> tuple[PointCloud3, float, np.ndarray]:
     """Center a cloud on its bounding-box midpoint and scale to unit size.
 
-    Returns (normalized cloud, scale, offset) with max |coordinate| == 1
+    Returns (normalized cloud, scale, (3,) offset) with max |coordinate| == 1
     after the transform; `denormalize` inverts it exactly up to float
     rounding.  A zero-extent cloud keeps scale 1.
     """
@@ -326,10 +269,9 @@ def normalize_to_unit(cloud: PointCloud3) -> tuple[PointCloud3, float, Point3]:
     scale = float(np.max(np.abs(pts - offset)))
     if scale == 0.0:
         scale = 1.0
-    out = PointCloud3((pts - offset) / scale)
-    return out, scale, Point3(float(offset[0]), float(offset[1]), float(offset[2]))
+    return PointCloud3((pts - offset) / scale), scale, offset
 
 
-def denormalize(cloud: PointCloud3, scale: float, offset: Point3) -> PointCloud3:
+def denormalize(cloud: PointCloud3, scale: float, offset: np.ndarray) -> PointCloud3:
     """Invert `normalize_to_unit`."""
-    return PointCloud3(cloud.points * scale + offset.as_array())
+    return PointCloud3(cloud.points * scale + offset)

@@ -55,11 +55,6 @@ class HullPolygon:
     def __len__(self) -> int:
         return self._verts.shape[0]
 
-    def with_vertices(self, vertices) -> "HullPolygon":
-        """Same membership and order, new vertex coordinates (used while the
-        3D points behind a frozen hull move during refinement)."""
-        return HullPolygon(vertices, self._src, self.k_used)
-
     def __repr__(self) -> str:
         return f"HullPolygon({len(self)} vertices, k_used={self.k_used})"
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import EmptySet, TooFewVertices
 from .geometry import as_point_array, nearest_both_ways
-from .hull import HullPolygon
 
 
 @dataclass(frozen=True)
@@ -88,13 +87,9 @@ def hausdorff_loss(r_set, p_set) -> float:
     return float(max(np.sqrt(np.max(rp)), np.sqrt(np.max(pr))))
 
 
-def gradient_smooth_loss(hull: HullPolygon) -> float:
-    """Sum of second-difference magnitudes along the open vertex list."""
-    verts = hull.vertices
-    return _gs_value(verts)
-
-
-def _gs_value(verts: np.ndarray) -> float:
+def gradient_smooth_loss(verts) -> float:
+    """Sum of second-difference magnitudes along the open (N, 2) vertex list."""
+    verts = as_point_array(verts, 2)
     if verts.shape[0] < 3:
         raise TooFewVertices("smoothness needs at least 3 vertices")
     g = np.diff(verts, axis=0)           # edge vectors, closing edge excluded
@@ -127,8 +122,9 @@ def _gs_gradient(verts: np.ndarray) -> np.ndarray:
     return grad
 
 
-def combined_loss(r_edge, hull: HullPolygon, w: LossWeights = LossWeights()) -> LossReport:
-    """All three losses on (edge set, hull vertices) plus the total gradient.
+def combined_loss(r_edge, verts, w: LossWeights = LossWeights()) -> LossReport:
+    """All three losses on (edge set, ordered hull vertices) plus the total
+    gradient per vertex.
 
     Chamfer contributes 2(b - a) per matched pair in both directions;
     Hausdorff contributes a unit-vector subgradient at its single argmax
@@ -137,7 +133,7 @@ def combined_loss(r_edge, hull: HullPolygon, w: LossWeights = LossWeights()) -> 
     """
     r = as_point_array(r_edge, 2)
     _nonempty(r, "edge map")
-    p = hull.vertices
+    p = as_point_array(verts, 2)
     n = p.shape[0]
 
     (e2h, d2_e2h), (h2e, d2_h2e) = nearest_both_ways(r, p)
@@ -166,7 +162,7 @@ def combined_loss(r_edge, hull: HullPolygon, w: LossWeights = LossWeights()) -> 
             b, a = p[i_h], r[h2e[i_h]]
             grad_hd[i_h] = (b - a) / d_h2e
 
-    l_gs = _gs_value(p)
+    l_gs = gradient_smooth_loss(p)
     grad_gs = _gs_gradient(p)
 
     total = w.alpha * l_cd + w.beta * l_hd + w.gamma * l_gs

@@ -48,10 +48,9 @@ def eval_metrics(pred: PointCloud3, gt: PointCloud3,
     g = gt.points
     scale = 1.0
     if normalize:
-        _, scale, offset = normalize_to_unit(gt)
-        off = offset.as_array()
-        p = (p - off) / scale
-        g = (g - off) / scale
+        gt_unit, scale, offset = normalize_to_unit(gt)
+        p = (p - offset) / scale
+        g = gt_unit.points
 
     (_, d2_pg), (_, d2_gp) = nearest_both_ways(p, g)
     cd = float((np.sum(d2_pg) + np.sum(d2_gp)) / (len(pred) + len(gt)))

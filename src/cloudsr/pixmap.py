@@ -79,7 +79,7 @@ def read_pixmap(path) -> GrayImage:
             raise MalformedHeader("raster data shorter than header promises")
         try:
             values = np.array([int(t) for t in vals[:n_values]], dtype=np.float64)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise MalformedHeader("plain raster values must be integers") from exc
     if values.max() > maxval:
         raise MalformedHeader("raster value exceeds maxval")

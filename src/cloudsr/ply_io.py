@@ -7,6 +7,8 @@ write -> read round-trips are lossless.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import CloudSRError, MalformedHeader, TruncatedData, UnsupportedFormat
@@ -63,12 +65,17 @@ def _parse_header(fh):
             if len(parts) != 3:
                 raise MalformedHeader("bad element line")
             try:
-                elements.append(_Element(parts[1], int(parts[2])))
+                count = int(parts[2])
             except ValueError as exc:
                 raise MalformedHeader("bad element count") from exc
+            if count < 0:
+                raise MalformedHeader(f"negative element count {count}")
+            elements.append(_Element(parts[1], count))
         elif parts[0] == "property":
             if not elements:
                 raise MalformedHeader("property before any element")
+            if len(parts) < 2:
+                raise MalformedHeader("bad property line")
             if parts[1] == "list":
                 if len(parts) != 5:
                     raise MalformedHeader("bad list property line")
@@ -116,11 +123,12 @@ def _read_binary(fh, elements) -> np.ndarray:
                 )
             fields.append((f"f{i}__{name}", "<" + _SCALAR_TYPES[ptype]))
         dtype = np.dtype(fields)
-        data = fh.read(dtype.itemsize * el.count)
-        if len(data) < dtype.itemsize * el.count:
+        # check before reading: a false count must not allocate its bytes
+        if dtype.itemsize * el.count > os.fstat(fh.fileno()).st_size - fh.tell():
             raise TruncatedData(
                 f"element {el.name!r} promises {el.count} records, file ends early"
             )
+        data = fh.read(dtype.itemsize * el.count)
         if el.name == "vertex":
             rec = np.frombuffer(data, dtype=dtype)
             names = {name: f"f{i}__{name}" for i, (name, _, _) in enumerate(el.properties)}
@@ -145,6 +153,14 @@ def _read_ascii(fh, elements) -> np.ndarray:
 
     out = None
     for el in elements:
+        # each record takes at least one token per property, and a record
+        # without properties takes none: neither may loop over a false count
+        if el.count * len(el.properties) > len(tokens) - pos:
+            raise TruncatedData(
+                f"element {el.name!r} promises {el.count} records, file ends early"
+            )
+        if not el.properties:
+            continue
         rows = []
         for _ in range(el.count):
             row = {}
@@ -154,6 +170,8 @@ def _read_ascii(fh, elements) -> np.ndarray:
                         count = int(take(1)[0])
                     except ValueError as exc:
                         raise MalformedHeader("bad list count") from exc
+                    if count < 0:
+                        raise MalformedHeader(f"negative list count {count}")
                     take(count)
                     continue
                 val = take(1)[0]

@@ -19,7 +19,7 @@ from .camera import CameraRig, EPS_Z, pinhole, project_cloud, projection_jacobia
 from .densify import DensifyConfig, densify
 from .edges import CannyParams, GrayImage, canny
 from .errors import EmptyEdgeMap
-from .geometry import PointCloud3, PointSet2
+from .geometry import PointCloud3
 from .hull import concave_hull
 from .losses import LossReport, LossWeights, combined_loss
 
@@ -102,11 +102,10 @@ class _FrozenHull:
     """Hull membership and vertex order pinned for one refresh window."""
 
     def __init__(self, cloud_pts: np.ndarray, rig: CameraRig, hull_k: int):
-        proj, index_map = project_cloud(PointCloud3(cloud_pts), rig)
-        self.culled = cloud_pts.shape[0] - len(proj)
-        poly = concave_hull(proj, index_map=index_map, k=hull_k)
+        uv, index_map = project_cloud(PointCloud3(cloud_pts), rig)
+        self.culled = cloud_pts.shape[0] - len(uv)
+        poly = concave_hull(uv, index_map=index_map, k=hull_k)
         self.members = poly.source_indices  # 3D rows, one per hull vertex
-        self.template = poly
 
     def project_members(self, cloud_pts: np.ndarray, rig: CameraRig):
         """Current vertex pixels, or None if a member crossed the near plane."""
@@ -116,14 +115,14 @@ class _FrozenHull:
         return uv
 
     def loss(self, cloud_pts: np.ndarray, rig: CameraRig,
-             weights: LossWeights, edges: PointSet2) -> LossReport | None:
+             weights: LossWeights, edges: np.ndarray) -> LossReport | None:
         verts = self.project_members(cloud_pts, rig)
         if verts is None:
             return None
-        return combined_loss(edges, self.template.with_vertices(verts), weights)
+        return combined_loss(edges, verts, weights)
 
 
-def refine(cloud: PointCloud3, edge_map: PointSet2, rig: CameraRig,
+def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
            cfg: RefineConfig = RefineConfig()) -> tuple[PointCloud3, RefineTrace]:
     """Iteratively move hull-member points so the projected hull tracks the
     edge map.  Non-member points are never touched.

@@ -19,6 +19,10 @@ from .hull import monotone_chain, orient
 
 SHAPES = ("square-plane", "box", "sphere")
 
+#: bound on extent^2 * density, the samples on one square face (4.2M samples,
+#: 100 MB of float64 coordinates), checked before any sample is allocated
+MAX_FACE_SAMPLES = 1 << 22
+
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -38,10 +42,13 @@ class SceneSpec:
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise ValueError(f"shape must be one of {SHAPES}")
-        if not self.extent > 0:
-            raise ValueError("extent must be positive")
-        if not self.density > 0:
-            raise ValueError("density must be positive")
+        if not 0 < self.extent < np.inf:
+            raise ValueError("extent must be positive and finite")
+        if not 0 < self.density < np.inf:
+            raise ValueError("density must be positive and finite")
+        if self.extent * self.extent * self.density > MAX_FACE_SAMPLES:
+            raise ValueError(
+                f"extent^2 * density exceeds {MAX_FACE_SAMPLES} samples per face")
         for v in (self.fg, self.bg):
             if not (0.0 <= v <= 1.0):
                 raise ValueError("intensities must lie in [0, 1]")

@@ -15,7 +15,7 @@ from cloudsr.cli import main as cli_main
 from cloudsr.densify import DensifyConfig, densify
 from cloudsr.edges import CannyParams, GrayImage, canny
 from cloudsr.geometry import PointCloud3, bin_downsample
-from cloudsr.hull import HullPolygon, concave_hull, contains_all, polygon_is_simple
+from cloudsr.hull import concave_hull, contains_all, polygon_is_simple
 from cloudsr.losses import LossWeights, chamfer_loss, combined_loss, hausdorff_loss
 from cloudsr.metrics import eval_metrics
 from cloudsr.pixmap import read_pixmap, write_pixmap
@@ -103,16 +103,15 @@ def test_criterion_3_gradient_finite_differences():
             rng, int(rng.integers(4, 40)), int(rng.integers(4, 14)), margin=1e-4
         )
         w = LossWeights(*rng.uniform(0.05, 1.0, size=3))
-        hull = HullPolygon(p, np.arange(len(p)), 3)
-        rep = combined_loss(r, hull, w)
+        rep = combined_loss(r, p, w)
         fd = np.zeros_like(p)
         for i in range(p.shape[0]):
             for j in range(2):
                 hi = p.copy(); hi[i, j] += h
                 lo = p.copy(); lo[i, j] -= h
                 fd[i, j] = (
-                    combined_loss(r, HullPolygon(hi, np.arange(len(p)), 3), w).total
-                    - combined_loss(r, HullPolygon(lo, np.arange(len(p)), 3), w).total
+                    combined_loss(r, hi, w).total
+                    - combined_loss(r, lo, w).total
                 ) / (2 * h)
         err = np.max(np.abs(fd - rep.grad)) / max(np.max(np.abs(fd)), 1e-12)
         worst = max(worst, err)
@@ -198,13 +197,13 @@ def test_criterion_6_canny_localization():
     ok = True
 
     img = np.zeros((64, 64)); img[:, 32:] = 1.0
-    pts = canny(GrayImage(img), params).points
+    pts = canny(GrayImage(img), params)
     ok &= len(pts) > 0 and np.all((pts[:, 0] >= 31) & (pts[:, 0] <= 33))
     rows = sorted(int(v) for v in pts[:, 1])
     ok &= rows == list(range(band, 64 - band))  # exactly one per interior row
 
     img = np.zeros((64, 64)); img[32:, :] = 1.0
-    pts = canny(GrayImage(img), params).points
+    pts = canny(GrayImage(img), params)
     ok &= len(pts) > 0 and np.all((pts[:, 1] >= 31) & (pts[:, 1] <= 33))
     cols = sorted(int(u) for u in pts[:, 0])
     ok &= cols == list(range(band, 64 - band))

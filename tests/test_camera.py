@@ -198,7 +198,7 @@ def test_project_cloud_matches_pointwise():
             cloud.points[src], rig.k_rgb.matrix, rig.e_rgb.matrix, rig.e_tof.matrix
         )
         np.testing.assert_allclose(
-            proj.points[row], [u, v], rtol=1e-12, atol=1e-12
+            proj[row], [u, v], rtol=1e-12, atol=1e-12
         )
 
 

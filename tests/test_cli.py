@@ -8,23 +8,34 @@ import numpy as np
 import pytest
 
 from cloudsr.camera import Extrinsics
-from cloudsr.cli import main, read_points_csv
+from cloudsr.cli import (
+    _build_parser,
+    _canny_params,
+    _densify_config,
+    _refine_config,
+    main,
+    read_points_csv,
+)
+from cloudsr.densify import DensifyConfig
+from cloudsr.edges import CannyParams, GrayImage
 from cloudsr.geometry import PointCloud3
 from cloudsr.pixmap import write_pixmap
 from cloudsr.ply_io import read_ply, write_ply
-from cloudsr.edges import GrayImage
+from cloudsr.refine import RefineConfig
+
+_CALIB = json.dumps({
+    "k_rgb": {"fx": 800.0, "fy": 800.0, "cx": 320.0, "cy": 240.0},
+    "e_rgb": list(np.eye(4).ravel()),
+    "e_tof": list(np.eye(4).ravel()),
+    "width": 640,
+    "height": 480,
+})
 
 
 @pytest.fixture
 def calib(tmp_path):
     path = tmp_path / "calib.json"
-    path.write_text(json.dumps({
-        "k_rgb": {"fx": 800.0, "fy": 800.0, "cx": 320.0, "cy": 240.0},
-        "e_rgb": list(np.eye(4).ravel()),
-        "e_tof": list(np.eye(4).ravel()),
-        "width": 640,
-        "height": 480,
-    }))
+    path.write_text(_CALIB)
     return path
 
 
@@ -49,6 +60,15 @@ def test_usage_error_exit_1(capsys):
 
 def test_unknown_command_exit_1():
     assert main(["frobnicate"]) == 1
+
+
+def test_flag_defaults_are_the_config_defaults():
+    args = _build_parser().parse_args(["superres", "a", "b", "c", "d"])
+    assert _refine_config(args) == RefineConfig()
+    assert _canny_params(args) == CannyParams()
+    assert _densify_config(args) == DensifyConfig()
+    args = _build_parser().parse_args(["densify", "a", "b"])
+    assert _densify_config(args) == DensifyConfig()
 
 
 def test_eval_identical_clouds(tmp_path, capsys):
@@ -150,6 +170,9 @@ def test_synth_superres_eval_chain(tmp_path, calib, scene):
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 _PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\n"
              "property double y\nproperty double z\nend_header\n")
+_BIN_PLY = (b"ply\nformat binary_little_endian 1.0\n%b"
+            b"element vertex %d\nproperty double x\nproperty double y\n"
+            b"property double z\nend_header\n" + bytes(24))
 
 
 @pytest.mark.parametrize("cmd,name,text", [
@@ -161,8 +184,29 @@ _PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\n"
     ("hull", "pts.csv", b"u,v\n1,2\n\xff,3\n3,4\n"),
     ("synth", "scene.json", b'{"shape": "box\xff"}'),
     ("project", "rig.json", b'{"fx": 500.0\xff}'),
+    ("project", "rig.json", _CALIB.replace('"width": 640', '"width": 1e400')),
+    ("project", "rig.json", _CALIB.replace('"width": 640', '"width": 0')),
+    ("synth", "scene.json", '{"shape": "square-plane", "density": 1e400}'),
+    ("synth", "scene.json", '{"shape": "square-plane", "density": 1e300}'),
+    ("synth", "scene.json", '{"shape": "square-plane", "extent": 1%s}' % ("0" * 400)),
+    ("project", "rig.json", _CALIB.replace('"width": 640', '"width": 1%s' % ("0" * 5000))),
+    ("densify", "in.ply", _BIN_PLY % (b"element face -3\nproperty uchar n\n", 1)),
+    ("densify", "in.ply", _BIN_PLY % (b"", 10**15)),
+    ("densify", "in.ply", _PLY_HEAD.replace(
+        "element vertex", "element face -3\nproperty list uchar int vertex_indices\n"
+        "element vertex") + "0 0 1\n1 0 1\n1 1 1\n"),
+    ("densify", "in.ply", _PLY_HEAD.replace("property double z", "property")
+     + "0 0 1\n1 0 1\n1 1 1\n"),
+    ("densify", "in.ply", _PLY_HEAD + "0 0 1\n1e300 0 1\n1 1 1\n"),
+    ("hull", "pts.csv", "u,v\n0,0\n1e200,0\n0,1e200\n"),
+    ("edges", "img.pgm", "P2\n2 2\n255\n%s 0 0 0\n" % ("9" * 400)),
 ], ids=["hull-bad-row", "hull-nan", "synth-bad-json", "synth-json-list", "densify-nan",
-        "hull-non-ascii", "synth-non-utf8", "calib-non-utf8"])
+        "hull-non-ascii", "synth-non-utf8", "calib-non-utf8", "calib-width-overflow",
+        "calib-zero-width", "synth-density-overflow", "synth-density-huge",
+        "synth-int-overflow", "calib-digit-limit",
+        "ply-binary-negative-count", "ply-binary-false-count",
+        "ply-ascii-negative-count", "ply-bare-property", "ply-huge-coordinate",
+        "hull-huge-coordinate", "pnm-int-overflow"])
 def test_malformed_input_exit_2_without_traceback(tmp_path, calib, cmd, name, text):
     bad = tmp_path / name
     bad.write_bytes(text if isinstance(text, bytes) else text.encode("ascii"))

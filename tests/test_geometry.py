@@ -3,12 +3,12 @@ import pytest
 
 from cloudsr.errors import EmptyInput, InsufficientPoints, InvalidTarget
 from cloudsr.geometry import (
-    Point3,
+    COORD_LIMIT,
     PointCloud3,
-    PointSet2,
     SpatialIndex,
     bin_downsample,
     binned_centroids,
+    dedupe_rows,
     denormalize,
     normalize_to_unit,
 )
@@ -16,25 +16,27 @@ from cloudsr.geometry import (
 from oracles import linear_knn, linear_nn
 
 
-def test_point3_rejects_nan():
-    with pytest.raises(ValueError):
-        Point3(0.0, float("nan"), 1.0)
-
-
 def test_cloud_is_immutable_and_ordered():
     cloud = PointCloud3([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
         cloud.points[0, 0] = 9.0
-    assert cloud.point(1) == Point3(4.0, 5.0, 6.0)
+    np.testing.assert_array_equal(cloud.points[1], [4.0, 5.0, 6.0])
 
 
-def test_pointset2_roles_and_dedupe():
-    s = PointSet2([[0, 0], [0, 0], [1, 1]], role="projection")
-    deduped, keep = s.deduplicated()
-    assert len(deduped) == 2
-    assert list(keep) == [0, 2]
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -2 * COORD_LIMIT])
+def test_cloud_rejects_unbounded_coordinates(bad):
+    PointCloud3([[COORD_LIMIT, -COORD_LIMIT, 0.0]])  # the limit itself is accepted
     with pytest.raises(ValueError):
-        PointSet2([[0, 0]], role="banana")
+        PointCloud3([[0.0, bad, 1.0]])
+
+
+@pytest.mark.parametrize("rows,keep", [
+    ([[0, 0], [0, 0], [1, 1]], [0, 2]),
+    # beyond ~9.2e9 an int64 grid key would wrap and merge distant rows
+    ([[1e10, 0], [2e10, 0], [3e10, 1]], [0, 1, 2]),
+], ids=["duplicate", "beyond-int64-grid"])
+def test_dedupe_rows_keeps_first_representative(rows, keep):
+    assert dedupe_rows(np.array(rows, dtype=np.float64)).tolist() == keep
 
 
 def _nearest(idx, q):
@@ -241,6 +243,16 @@ def test_downsample_tiny_gap_keeps_distinct_rows():
     assert np.unique(out.points, axis=0).shape[0] == 150
 
 
+@pytest.mark.parametrize("gap,far", [(5e-324, 3.0), (1e-310, 1e10)],
+                         ids=["half-gap-rounds-to-zero", "key-overflow"])
+def test_downsample_subnormal_gap_keeps_keys_finite(gap, far):
+    # half the smallest gap is zero, or the extent over it overflows: both
+    # made the voxel keys non-finite, which RuntimeWarning-as-error catches
+    pts = [[0, 0, 0], [gap, 0, 0], [1, 1, 1], [2, 2, 2], [far, 1, 0]]
+    out = bin_downsample(PointCloud3(pts), 4)
+    assert out.points.shape == (4, 3) and np.all(np.isfinite(out.points))
+
+
 # -- normalize ---------------------------------------------------------------
 
 
@@ -259,7 +271,7 @@ def test_normalize_single_point():
     norm, scale, offset = normalize_to_unit(PointCloud3([[5.0, 5.0, 5.0]]))
     np.testing.assert_array_equal(norm.points, [[0.0, 0.0, 0.0]])
     assert scale == 1.0
-    assert offset == Point3(5.0, 5.0, 5.0)
+    np.testing.assert_array_equal(offset, [5.0, 5.0, 5.0])
 
 
 def test_normalize_round_trip_random():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cloudsr.errors import DegenerateCollinear, TooFewPoints
-from cloudsr.geometry import PointSet2
 from cloudsr.hull import (
     HullPolygon,
     concave_hull,
@@ -138,7 +137,7 @@ def test_random_sets_simple_contains_and_subset(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(10, 400))
     pts = rng.uniform(0, 100, size=(n, 2))
-    poly = concave_hull(PointSet2(pts, role="projection"), k=20)
+    poly = concave_hull(pts, k=20)
     assert polygon_is_simple(poly)
     assert contains_all(poly, pts)
     pt_set = {tuple(p) for p in pts}
@@ -176,10 +175,3 @@ def test_area_monotonicity_statistic_logged():
     # logged statistic, loose assertion only: mostly monotone
     assert violations <= trials * 0.2
 
-
-def test_with_vertices_preserves_membership():
-    poly = concave_hull(np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]), k=3)
-    moved = poly.with_vertices(poly.vertices + 5.0)
-    assert list(moved.source_indices) == list(poly.source_indices)
-    assert moved.k_used == poly.k_used
-    np.testing.assert_allclose(moved.vertices, poly.vertices + 5.0)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cloudsr.errors import EmptySet, TooFewVertices
-from cloudsr.hull import HullPolygon
 from cloudsr.losses import (
     LossWeights,
     chamfer_loss,
@@ -12,11 +11,6 @@ from cloudsr.losses import (
 )
 
 from oracles import brute_chamfer, brute_hausdorff, sample_far_from_ties
-
-
-def _hull(verts):
-    verts = np.asarray(verts, dtype=float)
-    return HullPolygon(verts, np.arange(len(verts)), 3)
 
 
 # -- weights -------------------------------------------------------------------
@@ -125,37 +119,34 @@ def test_hausdorff_dominates_chamfer_entries():
 
 
 def test_gs_collinear_zero():
-    hull = _hull([[0, 0], [1, 0], [2, 0], [3, 0]])
-    assert gradient_smooth_loss(hull) == 0.0
+    assert gradient_smooth_loss([[0, 0], [1, 0], [2, 0], [3, 0]]) == 0.0
 
 
 def test_gs_unit_square():
-    hull = _hull([[0, 0], [1, 0], [1, 1], [0, 1]])
-    assert gradient_smooth_loss(hull) == pytest.approx(2 * np.sqrt(2), rel=1e-15)
+    verts = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    assert gradient_smooth_loss(verts) == pytest.approx(2 * np.sqrt(2), rel=1e-15)
 
 
 def test_gs_translation_invariance():
     rng = np.random.default_rng(6)
     verts = rng.uniform(size=(12, 2))
-    base = gradient_smooth_loss(_hull(verts))
-    shifted = gradient_smooth_loss(_hull(verts + [17.0, -3.5]))
+    base = gradient_smooth_loss(verts)
+    shifted = gradient_smooth_loss(verts + [17.0, -3.5])
     assert shifted == pytest.approx(base, rel=1e-12)
 
 
 def test_gs_scale_equivariance():
     rng = np.random.default_rng(7)
     verts = rng.uniform(size=(9, 2))
-    base = gradient_smooth_loss(_hull(verts))
-    assert gradient_smooth_loss(_hull(3.0 * verts)) == pytest.approx(
+    base = gradient_smooth_loss(verts)
+    assert gradient_smooth_loss(3.0 * verts) == pytest.approx(
         3.0 * base, rel=1e-12
     )
 
 
 def test_gs_too_few_vertices():
     with pytest.raises(TooFewVertices):
-        from cloudsr.losses import _gs_value
-
-        _gs_value(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        gradient_smooth_loss(np.array([[0.0, 0.0], [1.0, 1.0]]))
 
 
 # -- combined -----------------------------------------------------------------------
@@ -164,8 +155,7 @@ def test_gs_too_few_vertices():
 def test_combined_zero_when_hull_equals_edges_regular():
     # collinear-regular vertex ring subset: CD = HD = 0 and their gradients 0
     verts = np.array([[0.0, 0], [1, 0], [2, 0], [2, 1]])
-    hull = _hull(verts)
-    rep = combined_loss(verts, hull, LossWeights(1.0, 1.0, 0.0))
+    rep = combined_loss(verts, verts, LossWeights(1.0, 1.0, 0.0))
     assert rep.l_cd == 0.0
     assert rep.l_hd == 0.0
     np.testing.assert_array_equal(rep.grad, 0.0)
@@ -174,18 +164,18 @@ def test_combined_zero_when_hull_equals_edges_regular():
 def test_combined_weight_masking():
     rng = np.random.default_rng(8)
     r = rng.uniform(size=(20, 2))
-    hull = _hull(rng.uniform(size=(6, 2)))
-    rep = combined_loss(r, hull, LossWeights(1.0, 0.0, 0.0))
+    p = rng.uniform(size=(6, 2))
+    rep = combined_loss(r, p, LossWeights(1.0, 0.0, 0.0))
     assert rep.total == rep.l_cd
-    assert rep.l_cd == pytest.approx(chamfer_loss(r, hull.vertices), rel=1e-15)
+    assert rep.l_cd == pytest.approx(chamfer_loss(r, p), rel=1e-15)
 
 
 def test_combined_total_composition():
     rng = np.random.default_rng(9)
     r = rng.uniform(size=(15, 2))
-    hull = _hull(rng.uniform(size=(5, 2)))
+    p = rng.uniform(size=(5, 2))
     w = LossWeights(1e-5, 1e-2, 1e-2)
-    rep = combined_loss(r, hull, w)
+    rep = combined_loss(r, p, w)
     assert rep.total == pytest.approx(
         w.alpha * rep.l_cd + w.beta * rep.l_hd + w.gamma * rep.l_gs, abs=1e-12
     )
@@ -201,7 +191,7 @@ def test_combined_gradient_matches_finite_differences():
         n_hull = int(rng.integers(4, 12))
         r, p = sample_far_from_ties(rng, n_edge, n_hull)
         w = LossWeights(*rng.uniform(0.05, 1.0, size=3))
-        rep = combined_loss(r, _hull(p), w)
+        rep = combined_loss(r, p, w)
 
         fd = np.zeros_like(p)
         for i in range(p.shape[0]):
@@ -211,8 +201,8 @@ def test_combined_gradient_matches_finite_differences():
                 lo = p.copy()
                 lo[i, j] -= h
                 fd[i, j] = (
-                    combined_loss(r, _hull(hi), w).total
-                    - combined_loss(r, _hull(lo), w).total
+                    combined_loss(r, hi, w).total
+                    - combined_loss(r, lo, w).total
                 ) / (2 * h)
         denom = max(np.max(np.abs(fd)), 1e-12)
         assert np.max(np.abs(fd - rep.grad)) / denom < 1e-4
@@ -220,4 +210,4 @@ def test_combined_gradient_matches_finite_differences():
 
 def test_combined_propagates_empty():
     with pytest.raises(EmptySet):
-        combined_loss(np.zeros((0, 2)), _hull(np.eye(3, 2) + [[0], [1], [2]]))
+        combined_loss(np.zeros((0, 2)), np.eye(3, 2) + [[0], [1], [2]])

@@ -115,7 +115,7 @@ def test_plane_silhouette_edges_near_analytic_boundary():
     half = 800.0 * 0.25 / 2.0
     lo_u, hi_u = 320.0 - half, 320.0 + half
     lo_v, hi_v = 240.0 - half, 240.0 + half
-    for u, v in edge_map.points:
+    for u, v in edge_map:
         d_edges = min(
             abs(u - lo_u), abs(u - hi_u), abs(v - lo_v), abs(v - hi_v)
         )

@@ -5,7 +5,7 @@ from cloudsr.camera import CameraRig, project_cloud
 from cloudsr.densify import DensifyConfig
 from cloudsr.edges import GrayImage
 from cloudsr.errors import EmptyEdgeMap
-from cloudsr.geometry import PointCloud3, PointSet2
+from cloudsr.geometry import PointCloud3
 from cloudsr.losses import LossWeights
 from cloudsr.refine import RefineConfig, RefineTrace, TraceRecord, refine, superres
 
@@ -33,7 +33,7 @@ def _square_outline(lo, hi, step=1.0):
         + [(lo, v) for v in side[1:-1]]
         + [(hi, v) for v in side[1:-1]]
     )
-    return PointSet2(np.array(pts, dtype=float), role="edge-map")
+    return np.array(pts, dtype=float)
 
 
 def _windows(trace, period):
@@ -60,7 +60,7 @@ def test_config_validation():
 
 def test_empty_edge_map_rejected():
     with pytest.raises(EmptyEdgeMap):
-        refine(_grid_cloud(), PointSet2(np.zeros((0, 2)), "edge-map"), _rig())
+        refine(_grid_cloud(), np.zeros((0, 2)), _rig())
 
 
 def test_all_points_culled_propagates():
@@ -77,8 +77,7 @@ def test_stationary_point_zero_accepted_steps():
     cloud = PointCloud3(
         [[-0.4, -0.4, 2.0], [0.4, -0.4, 2.0], [0.4, 0.4, 2.0], [-0.4, 0.4, 2.0]]
     )
-    proj, _ = project_cloud(cloud, _rig())
-    edge_map = PointSet2(proj.points, role="edge-map")
+    edge_map, _ = project_cloud(cloud, _rig())
     cfg = RefineConfig(weights=LossWeights(1.0, 1.0, 0.0))
     out, trace = refine(cloud, edge_map, _rig(), cfg)
     np.testing.assert_array_equal(out.points, cloud.points)
