@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import sys
@@ -38,6 +39,15 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
+
+
+@contextlib.contextmanager
+def _flag_values():
+    """A config rejecting a value given by flag is a usage error (exit 1)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def write_points_csv(points: np.ndarray, path) -> None:
@@ -171,8 +181,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_edges(args) -> int:
+    params = _canny_params(args)
     img = read_pixmap(args.image)
-    edge_map = canny(img, _canny_params(args))
+    edge_map = canny(img, params)
     write_points_csv(edge_map, args.output)
     return 0
 
@@ -188,42 +199,48 @@ def _cmd_project(args) -> int:
 
 def _cmd_hull(args) -> int:
     pts = read_points_csv(args.points)
-    poly = concave_hull(pts, k=args.k)
+    with _flag_values():  # concave_hull checks k before it reads the points
+        poly = concave_hull(pts, k=args.k)
     write_points_csv(poly.vertices, args.output)
     return 0
 
 
 def _cmd_densify(args) -> int:
+    cfg = _densify_config(args)
     cloud = read_ply(args.cloud)
     if args.target is not None:
         cloud = bin_downsample(cloud, args.target)
-    out = densify(cloud, _densify_config(args))
+    out = densify(cloud, cfg)
     write_ply(out, args.output)
     return 0
 
 
 def _canny_params(args) -> CannyParams:
-    return CannyParams(sigma=args.sigma, low=args.low, high=args.high)
+    with _flag_values():
+        return CannyParams(sigma=args.sigma, low=args.low, high=args.high)
 
 
 def _densify_config(args) -> DensifyConfig:
-    return DensifyConfig(rate=args.rate, k_interp=args.k_interp)
+    with _flag_values():
+        return DensifyConfig(rate=args.rate, k_interp=args.k_interp)
 
 
 def _refine_config(args) -> RefineConfig:
-    return RefineConfig(
-        max_iters=args.max_iters,
-        hull_refresh_period=args.refresh,
-        initial_step=args.step,
-        backtrack_factor=args.backtrack,
-        min_step=args.min_step,
-        weights=LossWeights(args.alpha, args.beta, args.gamma),
-        hull_k=args.hull_k,
-        constant_depth=args.constant_depth,
-    )
+    with _flag_values():
+        return RefineConfig(
+            max_iters=args.max_iters,
+            hull_refresh_period=args.refresh,
+            initial_step=args.step,
+            backtrack_factor=args.backtrack,
+            min_step=args.min_step,
+            weights=LossWeights(args.alpha, args.beta, args.gamma),
+            hull_k=args.hull_k,
+            constant_depth=args.constant_depth,
+        )
 
 
 def _cmd_superres(args) -> int:
+    dcfg, rcfg, ccfg = _densify_config(args), _refine_config(args), _canny_params(args)
     cloud = read_ply(args.cloud)
     img = read_pixmap(args.image)
     rig = load_rig(args.calib)
@@ -232,8 +249,7 @@ def _cmd_superres(args) -> int:
             f"calibration says {rig.width}x{rig.height} pixels "
             f"but the pixmap is {img.width}x{img.height}"
         )
-    out, trace = superres(cloud, img, rig, _densify_config(args),
-                          _refine_config(args), _canny_params(args))
+    out, trace = superres(cloud, img, rig, dcfg, rcfg, ccfg)
     write_ply(out, args.output, fmt=args.ply_format)
     if args.trace:
         with open(args.trace, "w", encoding="ascii") as fh:
@@ -288,18 +304,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return _COMMANDS[args.command](args)
-    except CloudSRError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CloudSRError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -94,3 +94,7 @@ class EmptyCloud(CloudSRError):
 
 class ShapeOutOfFrame(CloudSRError):
     """Synthetic shape does not project fully inside the image frame."""
+
+
+class FrameTooLarge(CloudSRError):
+    """Calibrated frame has more pixels than synthesis renders."""

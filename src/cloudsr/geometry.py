@@ -9,14 +9,17 @@ point sets (edge maps, projections, hull vertices) are plain (N, 2) arrays.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import EmptyInput, InsufficientPoints, InvalidTarget
 
-_NN_CHUNK = 512  # queries per block in batched nearest-neighbor scans
 DEDUPE_TOL = 1e-9  # grid pitch below which two rows are one point, everywhere
 #: largest coordinate magnitude accepted: beyond it squared distances and
 #: orientation products overflow float64
 COORD_LIMIT = 1e150
+_RANK_SLACK = 4  # candidates beyond k asked of the tree, so most ties settle at once
+_RANK_BLOCK = 1 << 18  # candidate entries per tree query: bounds memory when ties widen it
+_TINY = np.finfo(np.float64).tiny  # absolute margin for distances that underflow
 
 
 def _require_bounded(arr, what):
@@ -77,12 +80,15 @@ class SpatialIndex:
     """Exact nearest-neighbor index over an immutable point snapshot, and
     the one place where neighbors are ranked.
 
-    A vectorized flat scan: results, including the lowest-index tie rule,
-    are bit-identical to an exhaustive linear scan because it *is* one.
-    It costs O(N*M): densifying a 2.5k-point box to 10k points takes about
-    15 s under cProfile on a shared 2-vCPU VM, 9.5 s of it in `knn_batch`,
-    and evaluating the result takes 9 s in `nearest_batch` (ROADMAP item 2
-    replaces the scan with a tie-exact kd-tree).
+    A k-d tree (`scipy.spatial.cKDTree`, sliding-midpoint splits) proposes
+    candidates; their squared distances are recomputed with the left fold of
+    `_sq_dists` and ranked by (distance, index), and a query is widened until
+    no point the tree left out can tie with or beat the k-th candidate.  So
+    results, including the lowest-index tie rule, are bit-identical to an
+    exhaustive linear scan.  On a shared 2-vCPU VM, densifying a 2.5k-point
+    box to 10k points spends about 0.03 s in `knn_batch` and evaluating the
+    result 0.04 s in `nearest_batch` (6.4 s and 4.4 s with the flat scan it
+    replaced); CD/HD evaluation of 300k against 300k points takes about 4 s.
     """
 
     @staticmethod
@@ -104,6 +110,7 @@ class SpatialIndex:
         arr = arr.copy()
         arr.setflags(write=False)
         self._points = arr
+        self._tree = cKDTree(arr, copy_data=False, balanced_tree=False)
 
     @property
     def count(self) -> int:
@@ -113,40 +120,59 @@ class SpatialIndex:
     def dim(self) -> int:
         return self._points.shape[1]
 
-    def _scan(self, queries, k: int, rank) -> tuple[np.ndarray, np.ndarray]:
-        """(M, k) indices and squared distances; `rank` picks the k columns
-        kept, in order, from each (block, N) distance block."""
+    def _rank(self, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(M, k) indices and squared distances of the k nearest points to
+        each query row, each row sorted by (squared distance, index)."""
         Q = as_point_array(queries, self.dim)
+        # the tree refuses non-finite queries, and past the bound it loses
+        # neighbors whose squared distance overflows
+        _require_bounded(Q, "query coordinates")
+        n = self.count
         idx = np.empty((Q.shape[0], k), dtype=np.intp)
         sqd = np.empty((Q.shape[0], k), dtype=np.float64)
-        for lo in range(0, Q.shape[0], _NN_CHUNK):
-            rows = slice(lo, lo + _NN_CHUNK)
-            d2 = self._sq_dists(self._points[None, :, :], Q[rows, None, :])
-            order = rank(d2)
-            idx[rows] = order
-            sqd[rows] = np.take_along_axis(d2, order, axis=1)
+        todo = np.arange(Q.shape[0])
+        width = min(n, k + _RANK_SLACK)
+        while todo.size:
+            retry = []
+            step = max(1, _RANK_BLOCK // width)
+            for lo in range(0, todo.size, step):
+                rows = todo[lo:lo + step]
+                _, cand = self._tree.query(Q[rows], k=width)
+                cand = cand.reshape(rows.size, width)
+                d2 = self._sq_dists(self._points[cand], Q[rows, None, :])
+                order = np.lexsort((cand, d2))
+                at = np.arange(rows.size)[:, None]
+                cand, d2 = cand[at, order], d2[at, order]
+                idx[rows], sqd[rows] = cand[:, :k], d2[:, :k]  # unsettled rows are redone
+                # tree distances may differ from the left fold in the last
+                # ulps, so a row is settled only when its k-th distance is
+                # clearly below the last candidate's, hence below every
+                # point the tree left out
+                settled = (width == n) | (d2[:, k - 1] < d2[:, -1] * (1 - 1e-12) - _TINY)
+                retry.append(rows[~settled])
+            todo = np.concatenate(retry)
+            width = min(n, 2 * width)
         return idx, sqd
 
     def knn_batch(self, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k nearest neighbors for each query row.
 
         Returns (indices (M, k), squared distances (M, k)), each row sorted
-        ascending with ties broken by lowest index (stable argsort).
+        ascending with ties broken by lowest index.
         """
         if k < 1:
             raise InsufficientPoints("k must be at least 1")
         if k > self.count:
             raise InsufficientPoints(f"k={k} exceeds point count {self.count}")
-        return self._scan(
-            queries, k, lambda d2: np.argsort(d2, axis=1, kind="stable")[:, :k])
+        return self._rank(queries, k)
 
     def nearest_batch(self, queries) -> tuple[np.ndarray, np.ndarray]:
         """Nearest neighbor for each query row.
 
-        Returns (indices, squared distances). np.argmin returns the first
-        minimum, so ties break to the lowest index exactly as `knn_batch`.
+        Returns (indices, squared distances), ties broken by lowest index
+        exactly as `knn_batch`.
         """
-        idx, sqd = self._scan(queries, 1, lambda d2: np.argmin(d2, axis=1)[:, None])
+        idx, sqd = self._rank(queries, 1)
         return idx[:, 0], sqd[:, 0]
 
 
@@ -160,7 +186,8 @@ def nearest_both_ways(a, b):
 def _voxel_bin_count(pts: np.ndarray, origin: np.ndarray, edge: float) -> int:
     # float keys: at the bisection's smallest edge an index can exceed int64
     keys = np.floor((pts - origin) / edge)
-    return np.unique(keys, axis=0).shape[0]
+    keys = keys[np.lexsort(keys.T)]
+    return 1 + int(np.count_nonzero(np.any(keys[1:] != keys[:-1], axis=1)))
 
 
 def _voxel_centroids(pts: np.ndarray, origin: np.ndarray, edge: float) -> np.ndarray:

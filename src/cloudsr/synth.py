@@ -13,7 +13,7 @@ import numpy as np
 
 from .camera import CameraRig, Extrinsics, pinhole, project_cloud
 from .edges import GrayImage
-from .errors import ShapeOutOfFrame
+from .errors import FrameTooLarge, ShapeOutOfFrame
 from .geometry import PointCloud3
 from .hull import monotone_chain, orient
 
@@ -22,6 +22,9 @@ SHAPES = ("square-plane", "box", "sphere")
 #: bound on extent^2 * density, the samples on one square face (4.2M samples,
 #: 100 MB of float64 coordinates), checked before any sample is allocated
 MAX_FACE_SAMPLES = 1 << 22
+#: bound on the calibrated width * height (a 3840 x 2160 frame fits), checked
+#: before the per-pixel ray and mask arrays are allocated
+MAX_PIXELS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -174,6 +177,9 @@ def synth_scene(spec: SceneSpec, rig: CameraRig):
     Raises ShapeOutOfFrame unless every surface sample projects in-frame
     and the silhouette stays clear of the image border.
     """
+    if rig.width * rig.height > MAX_PIXELS:
+        raise FrameTooLarge(
+            f"{rig.width}x{rig.height} frame exceeds {MAX_PIXELS} pixels")
     pose_r = spec.pose.rotation
     pose_t = spec.pose.translation
     cam_tof = _camera_center_in_tof(rig)

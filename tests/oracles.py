@@ -34,6 +34,28 @@ def linear_knn(points, query, k):
     return [(i, math.sqrt(d)) for d, i in d2[:k]]
 
 
+def flat_knn(points, queries, k, chunk=512):
+    """Vectorized exhaustive k nearest neighbors, the flat scan the library's
+    index replaced: (M, k) indices and squared distances, each row sorted by
+    (squared distance, index).  Squared distances are the left fold
+    d0*d0 + d1*d1 + ..., the operation order of `_sqdist`."""
+    pts = np.asarray(points, dtype=np.float64)
+    qs = np.asarray(queries, dtype=np.float64)
+    idx = np.empty((qs.shape[0], k), dtype=np.intp)
+    sqd = np.empty((qs.shape[0], k), dtype=np.float64)
+    for lo in range(0, qs.shape[0], chunk):
+        q = qs[lo:lo + chunk, None, :]
+        d = pts[None, :, 0] - q[..., 0]
+        d2 = d * d
+        for axis in range(1, pts.shape[1]):
+            d = pts[None, :, axis] - q[..., axis]
+            d2 = d2 + d * d
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        idx[lo:lo + chunk] = order
+        sqd[lo:lo + chunk] = np.take_along_axis(d2, order, axis=1)
+    return idx, sqd
+
+
 def brute_chamfer(a, b):
     """O(n^2) Chamfer sum: squared NN distances, both directions."""
     a = np.asarray(a, dtype=np.float64)

@@ -18,10 +18,13 @@ from cloudsr.cli import (
 )
 from cloudsr.densify import DensifyConfig
 from cloudsr.edges import CannyParams, GrayImage
-from cloudsr.geometry import PointCloud3
+from cloudsr.geometry import PointCloud3, SpatialIndex
 from cloudsr.pixmap import write_pixmap
 from cloudsr.ply_io import read_ply, write_ply
 from cloudsr.refine import RefineConfig
+from cloudsr.synth import MAX_PIXELS
+
+from oracles import flat_knn
 
 _CALIB = json.dumps({
     "k_rgb": {"fx": 800.0, "fy": 800.0, "cx": 320.0, "cy": 240.0},
@@ -69,6 +72,43 @@ def test_flag_defaults_are_the_config_defaults():
     assert _densify_config(args) == DensifyConfig()
     args = _build_parser().parse_args(["densify", "a", "b"])
     assert _densify_config(args) == DensifyConfig()
+
+
+_SUPERRES = ["superres", "{ply}", "{pgm}", "{calib}", "{out}"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["densify", "{ply}", "{out}", "--rate", "1"], "rate must be at least 2"),
+    (["densify", "{ply}", "{out}", "--k-interp", "1"], "k_interp must be at least 2"),
+    (["hull", "{csv}", "{out}", "--k", "2"], "k must be at least 3"),
+    (["edges", "{pgm}", "{out}", "--sigma", "0"], "sigma must be positive"),
+    (_SUPERRES + ["--low", "0.5", "--high", "0.2"], "thresholds must satisfy 0 < low < high"),
+    (_SUPERRES + ["--backtrack", "1"], "backtrack_factor must be in (0, 1)"),
+    (_SUPERRES + ["--alpha", "-1"], "loss weights must be nonnegative"),
+], ids=["densify-rate", "densify-k-interp", "hull-k", "edges-sigma",
+        "superres-thresholds", "superres-backtrack", "superres-weight"])
+def test_invalid_flag_value_is_usage_error(tmp_path, calib, capsys, argv, message):
+    files = {"ply": tmp_path / "in.ply", "csv": tmp_path / "pts.csv",
+             "pgm": tmp_path / "img.pgm", "calib": calib, "out": tmp_path / "out"}
+    write_ply(PointCloud3([[0.0, 0, 2], [0.1, 0, 2], [0, 0.1, 2]]), files["ply"])
+    files["csv"].write_text("u,v\n0,0\n1,0\n0,1\n1,1\n")
+    write_pixmap(GrayImage(np.zeros((480, 640))), files["pgm"])
+    code = main([a.format(**files) for a in argv])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+
+
+@pytest.mark.parametrize("width,height", [(10**7, 10**7), (MAX_PIXELS // 2048 + 1, 2048)],
+                         ids=["huge", "just-over"])
+def test_synth_rejects_oversized_frame(tmp_path, scene, capsys, width, height):
+    big = tmp_path / "big.json"
+    big.write_text(_CALIB.replace('"width": 640', f'"width": {width}')
+                   .replace('"height": 480', f'"height": {height}'))
+    code = main(["synth", str(scene), str(big), str(tmp_path / "gt.ply"),
+                 str(tmp_path / "img.pgm")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {width}x{height} frame exceeds {MAX_PIXELS} pixels"]
 
 
 def test_eval_identical_clouds(tmp_path, capsys):
@@ -164,6 +204,26 @@ def test_synth_superres_eval_chain(tmp_path, calib, scene):
     assert rec["iteration"] == 0 and rec["hull_size"] >= 3
 
     assert main(["eval", str(out_ply), str(gt_ply), "--normalize"]) == 0
+
+
+def test_outputs_match_flat_scan_oracle(tmp_path, calib, scene, monkeypatch):
+    # densify and superres write the same bytes whether neighbors are ranked
+    # by the index or by an exhaustive scan (the square's lattice ties often)
+    gt_ply, pgm = tmp_path / "gt.ply", tmp_path / "scene.pgm"
+    assert main(["synth", str(scene), str(calib), str(gt_ply), str(pgm)]) == 0
+
+    def run(tag):
+        sparse, out = tmp_path / f"sparse-{tag}.ply", tmp_path / f"sup-{tag}.ply"
+        assert main(["densify", str(gt_ply), str(sparse),
+                     "--target", "128", "--rate", "2"]) == 0
+        assert main(["superres", str(sparse), str(pgm), str(calib), str(out),
+                     "--max-iters", "20"]) == 0
+        return sparse.read_bytes(), out.read_bytes()
+
+    shipped = run("tree")
+    monkeypatch.setattr(SpatialIndex, "_rank",
+                        lambda self, queries, k: flat_knn(self._points, queries, k))
+    assert run("flat") == shipped
 
 
 

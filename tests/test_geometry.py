@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudsr.errors import EmptyInput, InsufficientPoints, InvalidTarget
 from cloudsr.geometry import (
@@ -13,7 +15,7 @@ from cloudsr.geometry import (
     normalize_to_unit,
 )
 
-from oracles import linear_knn, linear_nn
+from oracles import flat_knn, linear_knn, linear_nn
 
 
 def test_cloud_is_immutable_and_ordered():
@@ -139,7 +141,7 @@ def test_index_matches_linear_scan_at_4096():
     queries = rng.uniform(-11, 11, size=(150, 3))
     for q in queries:
         assert _nearest(idx, q) == linear_nn(pts, q)
-    # remaining queries in one batch (several chunks), cross-checked per query
+    # remaining queries in one batch, cross-checked per query
     more = rng.uniform(-11, 11, size=(850, 3))
     bidx, bsq = idx.nearest_batch(more)
     for qi in rng.choice(850, size=60, replace=False):
@@ -148,7 +150,7 @@ def test_index_matches_linear_scan_at_4096():
 
 
 def test_nearest_batch_matches_single_queries():
-    # every row of one multi-chunk batch against the exhaustive scalar scan
+    # every row of one batch against the exhaustive scalar scan
     rng = np.random.default_rng(11)
     pts = rng.normal(size=(300, 2))
     idx = SpatialIndex(pts)
@@ -161,7 +163,7 @@ def test_nearest_batch_matches_single_queries():
 
 
 def test_knn_batch_matches_linear_scan():
-    # every row of one multi-chunk batch against the exhaustive scalar scan
+    # every row of one batch against the exhaustive scalar scan
     rng = np.random.default_rng(12)
     pts = rng.integers(0, 6, size=(300, 2)).astype(float)  # many exact ties
     idx = SpatialIndex(pts)
@@ -172,6 +174,108 @@ def test_knn_batch_matches_linear_scan():
         assert list(bidx[qi]) == [i for i, _ in want]
         np.testing.assert_allclose(np.sqrt(bsq[qi]), [d for _, d in want],
                                    rtol=0, atol=0)
+
+
+@st.composite
+def _point_sets(draw):
+    """(points, queries, k): lattices, duplicated rows and far-offset sets in
+    2D and 3D, with queries on, between and off the points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 80))
+    kind = draw(st.sampled_from(["lattice", "duplicates", "uniform"]))
+    if kind == "lattice":
+        pts = rng.integers(0, draw(st.integers(1, 6)), size=(n, dim)).astype(float)
+    elif kind == "duplicates":
+        base = rng.normal(size=(draw(st.integers(1, 4)), dim))
+        pts = base[rng.integers(0, base.shape[0], n)]
+    else:
+        pts = rng.uniform(-1, 1, size=(n, dim))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e5]))
+    offset = draw(st.sampled_from([0.0, 1e6, -3e9, 1e12]))
+    pts = pts * scale + offset
+    m = draw(st.integers(1, 40))
+    queries = np.vstack([
+        pts[rng.integers(0, n, m)],
+        pts[rng.integers(0, n, m)] + rng.integers(-2, 3, size=(m, dim)) * (scale / 2),
+        rng.uniform(-2, 2, size=(m, dim)) * scale + offset,
+    ])
+    return pts, queries, draw(st.integers(1, n))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_point_sets())
+def test_index_matches_flat_scan_oracle(case):
+    pts, queries, k = case
+    idx = SpatialIndex(pts)
+    for got, want in [(idx.knn_batch(queries, k), flat_knn(pts, queries, k)),
+                      (idx.nearest_batch(queries), flat_knn(pts, queries, 1)),
+                      (idx.knn_batch(queries, len(pts)), flat_knn(pts, queries, len(pts)))]:
+        np.testing.assert_array_equal(got[0], want[0].reshape(got[0].shape))
+        assert got[1].tobytes() == want[1].reshape(got[1].shape).tobytes()
+
+
+class _CountingTree:
+    """Records the width of every query passed to the wrapped tree."""
+
+    def __init__(self, tree):
+        self.tree, self.widths = tree, []
+
+    def query(self, x, k):
+        self.widths.append(k)
+        return self.tree.query(x, k=k)
+
+
+@pytest.mark.parametrize("k", [1, 3, 11])
+def test_index_widens_queries_inside_a_tie(k):
+    # 12 lattice points at distance 5 from the origin, 40 copies of one far
+    # point and a lattice around them: every query's k-th neighbor sits in a
+    # tie larger than the first candidate list, so it has to widen
+    ring = [(5, 0), (-5, 0), (0, 5), (0, -5)] + [
+        (sx * a, sy * b) for a, b in ((3, 4), (4, 3)) for sx in (1, -1) for sy in (1, -1)]
+    grid = [(x, y) for x in range(20, 30) for y in range(20, 30)]
+    pts = np.array(grid[:50] + ring + [(40.0, 40.0)] * 40 + grid[50:], dtype=float)
+    queries = np.array([[0.0, 0.0], [40.0, 40.0]])
+    idx = SpatialIndex(pts)
+    idx._tree = _CountingTree(idx._tree)
+    got = idx.knn_batch(queries, k)
+    want = flat_knn(pts, queries, k)
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+    assert len(idx._tree.widths) > 1 and idx._tree.widths[-1] > idx._tree.widths[0]
+
+
+class _SkewedTree:
+    """Ranks like the left fold, except that one point reads `skew`
+    relatively farther, as rounding inside a tree may make it."""
+
+    def __init__(self, pts, point, skew):
+        self.pts, self.point, self.skew = pts, point, skew
+
+    def query(self, x, k):
+        d2 = ((self.pts[None, :, :] - x[:, None, :]) ** 2).sum(axis=-1)
+        d2[:, self.point] *= 1 + self.skew
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        return np.sqrt(np.take_along_axis(d2, order, axis=1)), order
+
+
+def test_index_widens_past_near_ties():
+    # exact squared distances 1, 1 + 2^-51 (x3) and 1 + 2^-50 (x2); the tree
+    # reads point 0 sixteen ulps too far and leaves it out of the first five
+    # candidates, whose k-th and last distances differ by two ulps only
+    y1, y2 = 1 + 2.0**-52, 1 + 2.0**-51
+    pts = np.array([[1.0, 0], [0, y1], [-y1, 0], [0, -y1], [y2, 0], [0, y2]])
+    idx = SpatialIndex(pts)
+    idx._tree = _SkewedTree(pts, 0, 2.0**-48)
+    got = idx.knn_batch(np.zeros((1, 2)), 1)
+    assert got[0].tolist() == [[0]] and got[1].tolist() == [[1.0]]
+
+
+def test_index_rejects_unbounded_queries():
+    idx = SpatialIndex(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    for bad in (np.nan, np.inf, 2 * COORD_LIMIT):
+        with pytest.raises(ValueError):
+            idx.nearest_batch(np.array([[bad, 0.0]]))
 
 
 # -- bin_downsample ----------------------------------------------------------
