@@ -47,16 +47,17 @@ class Intrinsics:
 class Extrinsics:
     """4x4 rigid transform (orthonormal rotation block, [0,0,0,1] bottom row)."""
 
-    def __init__(self, matrix, tol: float = _ORTHO_TOL):
+    def __init__(self, matrix):
         m = np.array(matrix, dtype=np.float64).reshape(4, 4)
         if not np.all(np.isfinite(m)):
             raise CalibrationError("extrinsic matrix must be finite")
-        if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > tol:
+        if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > _ORTHO_TOL:
             raise CalibrationError("extrinsic bottom row must be [0, 0, 0, 1]")
         r = m[:3, :3]
         # an orthonormal block has no entry beyond 1, and the bound keeps the
         # product below from overflowing on absurd input
-        if np.max(np.abs(r)) > 1.0 + tol or np.max(np.abs(r.T @ r - np.eye(3))) > tol:
+        if (np.max(np.abs(r)) > 1.0 + _ORTHO_TOL
+                or np.max(np.abs(r.T @ r - np.eye(3))) > _ORTHO_TOL):
             raise CalibrationError("rotation block fails orthonormality tolerance")
         if np.linalg.det(r) < 0:
             raise CalibrationError("rotation block must have determinant +1")

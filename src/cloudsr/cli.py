@@ -80,6 +80,13 @@ def read_points_csv(path) -> np.ndarray:
     return arr
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 # every default is read from the config it fills, so each has one source
 def _add_canny_flags(p):
     p.add_argument("--sigma", type=float, default=CannyParams.sigma,
@@ -148,7 +155,7 @@ def _build_parser() -> _Parser:
     p.add_argument("cloud")
     p.add_argument("output")
     _add_densify_flags(p)
-    p.add_argument("--target", type=int, default=None,
+    p.add_argument("--target", type=_positive_int, default=None,
                    help="bin-downsample the input to this size first")
 
     p = sub.add_parser("superres",

@@ -52,16 +52,6 @@ class GrayImage:
         return f"GrayImage({self.width}x{self.height})"
 
 
-class GradientField:
-    """Per-pixel gradient magnitude and direction in (-pi, pi]."""
-
-    def __init__(self, magnitude: np.ndarray, direction: np.ndarray):
-        self.magnitude = magnitude
-        self.direction = direction
-        magnitude.setflags(write=False)
-        direction.setflags(write=False)
-
-
 @dataclass(frozen=True)
 class CannyParams:
     """Detector knobs: Gaussian sigma plus thresholds as fractions of the
@@ -99,25 +89,18 @@ def _smoothed_array(pixels: np.ndarray, sigma: float) -> np.ndarray:
     return ndimage.correlate1d(out, k, axis=1, mode="nearest")
 
 
-def _sobel(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gx = ndimage.correlate(pixels, _SOBEL_X, mode="nearest")
-    gy = ndimage.correlate(pixels, _SOBEL_Y, mode="nearest")
-    return gx, gy
-
-
-def gradient(img: GrayImage) -> GradientField:
-    """Sobel gradient magnitude and direction.
+def gradient(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sobel gradient (magnitude, direction) arrays of a 2D intensity array.
 
     Direction is atan2(Gy, Gx) with the -pi boundary folded to +pi so the
     range is the half-open (-pi, pi].
     """
-    if img.width < 3 or img.height < 3:
+    if pixels.shape[0] < 3 or pixels.shape[1] < 3:
         raise ImageTooSmall("gradient needs at least a 3x3 image")
-    gx, gy = _sobel(img.pixels)
-    mag = np.hypot(gx, gy)
+    gx = ndimage.correlate(pixels, _SOBEL_X, mode="nearest")
+    gy = ndimage.correlate(pixels, _SOBEL_Y, mode="nearest")
     theta = np.arctan2(gy, gx)
-    theta = np.where(theta <= -np.pi, np.pi, theta)
-    return GradientField(mag, theta)
+    return np.hypot(gx, gy), np.where(theta <= -np.pi, np.pi, theta)
 
 
 def _nonmax_suppress(mag: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -135,7 +118,8 @@ def _nonmax_suppress(mag: np.ndarray, theta: np.ndarray) -> np.ndarray:
     def shifted(dr, dc):
         return padded[1 + dr:h + 1 + dr, 1 + dc:w + 1 + dc]
 
-    # fold direction to [0, pi) and quantize to 4 bins of 45 degrees
+    # fold direction to [0, pi) and quantize to 4 bins of 45 degrees; the
+    # -pi -> pi fold of `gradient` cannot move a bin, as both map to 0 here
     folded = np.mod(theta, np.pi)
     bins = np.round(folded / (np.pi / 4.0)).astype(np.int64) % 4
     # (row, col) step along the gradient direction per bin
@@ -159,13 +143,10 @@ def canny(img: GrayImage, params: CannyParams = CannyParams()) -> np.ndarray:
     if img.width < 3 or img.height < 3:
         raise ImageTooSmall("canny needs at least a 3x3 image")
 
-    smoothed = _smoothed_array(img.pixels, params.sigma)
-    gx, gy = _sobel(smoothed)
-    mag = np.hypot(gx, gy)
+    mag, theta = gradient(_smoothed_array(img.pixels, params.sigma))
     gmax = mag.max()
     if gmax == 0.0:
         return _NO_EDGES
-    theta = np.arctan2(gy, gx)
 
     keep = _nonmax_suppress(mag, theta)
     weak = keep & (mag >= params.low * gmax)

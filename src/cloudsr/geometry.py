@@ -22,7 +22,8 @@ _RANK_BLOCK = 1 << 18  # candidate entries per tree query: bounds memory when ti
 _TINY = np.finfo(np.float64).tiny  # absolute margin for distances that underflow
 
 
-def _require_bounded(arr, what):
+def require_bounded(arr, what):
+    """Raise ValueError unless every entry is finite and within COORD_LIMIT."""
     if not np.all(np.abs(arr) <= COORD_LIMIT):  # NaN fails the comparison too
         raise ValueError(f"{what} must be finite and within +/-{COORD_LIMIT:g}")
 
@@ -36,7 +37,7 @@ class PointCloud3:
             raise ValueError("expected an (N, 3) array of 3D points")
         if arr.shape[0] < 1:
             raise ValueError("point cloud must contain at least one point")
-        _require_bounded(arr, "point cloud coordinates")
+        require_bounded(arr, "point cloud coordinates")
         arr.setflags(write=False)
         self._points = arr
 
@@ -106,7 +107,7 @@ class SpatialIndex:
         arr = as_point_array(points)
         if arr.shape[0] < 1:
             raise EmptyInput("cannot index an empty point set")
-        _require_bounded(arr, "indexed point coordinates")
+        require_bounded(arr, "indexed point coordinates")
         arr = arr.copy()
         arr.setflags(write=False)
         self._points = arr
@@ -126,7 +127,7 @@ class SpatialIndex:
         Q = as_point_array(queries, self.dim)
         # the tree refuses non-finite queries, and past the bound it loses
         # neighbors whose squared distance overflows
-        _require_bounded(Q, "query coordinates")
+        require_bounded(Q, "query coordinates")
         n = self.count
         idx = np.empty((Q.shape[0], k), dtype=np.intp)
         sqd = np.empty((Q.shape[0], k), dtype=np.float64)

@@ -11,52 +11,26 @@ the terminal fallback and failure is unreachable for non-collinear input.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import DegenerateCollinear, HullFailed, TooFewPoints
-from .geometry import SpatialIndex, as_point_array, dedupe_rows
+from .geometry import SpatialIndex, as_point_array, dedupe_rows, require_bounded
 
 _ON_EDGE_TOL = 1e-9
 
 
+@dataclass(frozen=True)
 class HullPolygon:
-    """Ordered simple closed polygon over projected points.
+    """Concave hull result: the (H, 2) vertices counter-clockwise (positive
+    shoelace area in (u, v), closure back to the first vertex implicit), the
+    3D source index of each vertex so gradients can be routed back, and the
+    neighbor count that produced it."""
 
-    Vertices are counter-clockwise (positive shoelace area in (u, v));
-    closure back to the first vertex is implicit.  Each vertex carries the
-    index of its source 3D point so gradients can be routed back.
-    """
-
-    def __init__(self, vertices, source_indices, k_used: int):
-        verts = np.array(vertices, dtype=np.float64, copy=True).reshape(-1, 2)
-        if verts.shape[0] < 3:
-            raise ValueError("a polygon needs at least 3 vertices")
-        if not np.all(np.isfinite(verts)):
-            raise ValueError("polygon vertices must be finite")
-        src = np.array(source_indices, dtype=np.intp, copy=True)
-        if src.shape != (verts.shape[0],):
-            raise ValueError("need one source index per vertex")
-        if np.unique(src).size != src.size:
-            raise ValueError("source indices must be distinct")
-        verts.setflags(write=False)
-        src.setflags(write=False)
-        self._verts = verts
-        self._src = src
-        self.k_used = int(k_used)
-
-    @property
-    def vertices(self) -> np.ndarray:
-        return self._verts
-
-    @property
-    def source_indices(self) -> np.ndarray:
-        return self._src
-
-    def __len__(self) -> int:
-        return self._verts.shape[0]
-
-    def __repr__(self) -> str:
-        return f"HullPolygon({len(self)} vertices, k_used={self.k_used})"
+    vertices: np.ndarray
+    source_indices: np.ndarray
+    k_used: int
 
 
 def _signed_area(verts: np.ndarray) -> float:
@@ -99,13 +73,14 @@ def _on_segment(a, b, c):
     return np.all((np.minimum(a, b) <= c) & (c <= np.maximum(a, b)), axis=-1)
 
 
-def polygon_is_simple(poly: HullPolygon) -> bool:
-    """True iff no pair of non-adjacent edges intersects (touching counts).
+def polygon_is_simple(verts: np.ndarray) -> bool:
+    """True iff no pair of non-adjacent edges of the closed polygon over the
+    (H, 2) vertices intersects (touching counts).
 
     Edge i is tested against all later non-adjacent edges at once, so the
     work is O(H^2) but the memory O(H).
     """
-    a = poly.vertices
+    a = verts
     b = np.roll(a, -1, axis=0)
     n = a.shape[0]
     for i in range(n - 2):
@@ -127,8 +102,7 @@ def polygon_is_simple(poly: HullPolygon) -> bool:
     return True
 
 
-def _points_in_polygon(verts: np.ndarray, pts: np.ndarray,
-                       tol: float = _ON_EDGE_TOL) -> np.ndarray:
+def _points_in_polygon(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Inside-or-on test for each point (ray casting + on-edge tolerance)."""
     n = verts.shape[0]
     px, py = pts[:, 0], pts[:, 1]
@@ -145,7 +119,7 @@ def _points_in_polygon(verts: np.ndarray, pts: np.ndarray,
         else:
             t = np.clip(((px - x1) * ex + (py - y1) * ey) / seg_len2, 0.0, 1.0)
             d2 = (px - (x1 + t * ex)) ** 2 + (py - (y1 + t * ey)) ** 2
-        on_edge |= d2 <= tol * tol
+        on_edge |= d2 <= _ON_EDGE_TOL * _ON_EDGE_TOL
         # standard crossing-number rule
         crosses = (y1 > py) != (y2 > py)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -154,12 +128,13 @@ def _points_in_polygon(verts: np.ndarray, pts: np.ndarray,
     return inside | on_edge
 
 
-def contains_all(poly: HullPolygon, points) -> bool:
-    """True iff every point lies inside or on the polygon."""
+def contains_all(verts: np.ndarray, points) -> bool:
+    """True iff every point lies inside or on the polygon over the (H, 2)
+    vertices."""
     pts = as_point_array(points, 2)
     if pts.shape[0] == 0:
         return True
-    return bool(np.all(_points_in_polygon(poly.vertices, pts)))
+    return bool(np.all(_points_in_polygon(verts, pts)))
 
 
 def monotone_chain(pts: np.ndarray) -> list[int]:
@@ -234,16 +209,21 @@ def concave_hull(points, index_map=None, k: int = 20) -> HullPolygon:
 
     `index_map[i]` is the 3D source index of input point i (identity when
     omitted).  `k` is the starting neighbor count; it escalates on failure.
+    Points beyond `geometry.COORD_LIMIT` or non-finite, and a repeated
+    `index_map` entry, raise ValueError before any arithmetic.
     """
     if k < 3:
         raise ValueError("k must be at least 3")
     raw = as_point_array(points, 2)
+    require_bounded(raw, "hull point coordinates")
     if index_map is None:
         index_map = np.arange(raw.shape[0], dtype=np.intp)
     else:
         index_map = np.asarray(index_map, dtype=np.intp)
         if index_map.shape != (raw.shape[0],):
             raise ValueError("index_map must map every input point")
+        if np.unique(index_map).size != index_map.size:
+            raise ValueError("index_map entries must be distinct")
 
     keep = dedupe_rows(raw)
     pts = raw[keep]
@@ -264,9 +244,9 @@ def concave_hull(points, index_map=None, k: int = 20) -> HullPolygon:
         if order is None:
             continue
         order = _oriented_ccw(order, pts)
-        poly = HullPolygon(pts[order], sources[order], kk)
-        if polygon_is_simple(poly) and contains_all(poly, pts):
-            return poly
+        verts = pts[order]
+        if polygon_is_simple(verts) and contains_all(verts, pts):
+            return HullPolygon(verts, sources[order], kk)
 
     # terminal fallback: the convex hull is the k -> count-1 limit and always
     # satisfies the contract for non-collinear input

@@ -38,27 +38,15 @@ class LossWeights:
             raise ValueError("at least one loss weight must be positive")
 
 
-@dataclass(frozen=True)
-class MatchInfo:
-    """Discrete choices frozen for one gradient evaluation."""
-
-    edge_to_hull: np.ndarray      # nearest hull vertex per edge point
-    hull_to_edge: np.ndarray      # nearest edge point per hull vertex
-    hd_direction: str             # "edge->hull" or "hull->edge"
-    hd_source: int                # argmax point index in the source set
-    hd_target: int                # its nearest neighbor in the other set
-
-
 @dataclass
 class LossReport:
-    """Loss values, gradient per hull vertex, and the matches used."""
+    """Loss values and the gradient per hull vertex."""
 
     l_cd: float
     l_hd: float
     l_gs: float
     total: float
     grad: np.ndarray              # (N, 2) d total / d (u, v)
-    match_info: MatchInfo
 
 
 def _nonempty(arr: np.ndarray, name: str) -> None:
@@ -151,13 +139,11 @@ def combined_loss(r_edge, verts, w: LossWeights = LossWeights()) -> LossReport:
     grad_hd = np.zeros((n, 2))
     if d_e2h >= d_h2e:
         l_hd = d_e2h
-        info_dir, info_src, info_dst = "edge->hull", i_e, int(e2h[i_e])
         if d_e2h > 0.0:
             b, a = p[e2h[i_e]], r[i_e]
             grad_hd[e2h[i_e]] = (b - a) / d_e2h
     else:
         l_hd = d_h2e
-        info_dir, info_src, info_dst = "hull->edge", i_h, int(h2e[i_h])
         if d_h2e > 0.0:
             b, a = p[i_h], r[h2e[i_h]]
             grad_hd[i_h] = (b - a) / d_h2e
@@ -167,12 +153,4 @@ def combined_loss(r_edge, verts, w: LossWeights = LossWeights()) -> LossReport:
 
     total = w.alpha * l_cd + w.beta * l_hd + w.gamma * l_gs
     grad = w.alpha * grad_cd + w.beta * grad_hd + w.gamma * grad_gs
-    info = MatchInfo(
-        edge_to_hull=e2h,
-        hull_to_edge=h2e,
-        hd_direction=info_dir,
-        hd_source=info_src,
-        hd_target=info_dst,
-    )
-    return LossReport(l_cd=l_cd, l_hd=l_hd, l_gs=l_gs, total=total,
-                      grad=grad, match_info=info)
+    return LossReport(l_cd=l_cd, l_hd=l_hd, l_gs=l_gs, total=total, grad=grad)

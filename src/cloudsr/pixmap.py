@@ -93,14 +93,12 @@ def read_pixmap(path) -> GrayImage:
     return GrayImage(np.clip(gray, 0.0, 1.0))
 
 
-def write_pixmap(img: GrayImage, path, fmt: str = "P5", maxval: int = 255) -> None:
-    """Write a grayscale image as P2 (plain) or P5 (raw)."""
+def write_pixmap(img: GrayImage, path, fmt: str = "P5") -> None:
+    """Write a grayscale image as P2 (plain) or P5 (raw), maxval 255."""
     if fmt not in ("P2", "P5"):
         raise ValueError(f"unsupported output format {fmt!r}")
-    if not (0 < maxval < 256):
-        raise ValueError("maxval must be in 1..255 for output")
-    quant = np.rint(img.pixels * maxval).astype(np.uint8)
-    header = f"{fmt}\n{img.width} {img.height}\n{maxval}\n".encode("ascii")
+    quant = np.rint(img.pixels * 255).astype(np.uint8)
+    header = f"{fmt}\n{img.width} {img.height}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
         if fmt == "P5":

@@ -11,7 +11,7 @@ every hull-fixed window.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -66,18 +66,6 @@ class TraceRecord:
     hull_size: int
     culled: int
 
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "total": self.total,
-            "l_cd": self.l_cd,
-            "l_hd": self.l_hd,
-            "l_gs": self.l_gs,
-            "step": self.step,
-            "hull_size": self.hull_size,
-            "culled": self.culled,
-        }
-
 
 class RefineTrace:
     """Per-iteration observability records for one refinement run."""
@@ -95,7 +83,7 @@ class RefineTrace:
         return sum(1 for r in self.records if r.step > 0.0)
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r.to_dict()) + "\n" for r in self.records)
+        return "".join(json.dumps(asdict(r)) + "\n" for r in self.records)
 
 
 class _FrozenHull:
@@ -141,11 +129,15 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
     if half_extent == 0.0:
         half_extent = 1.0
 
+    # the one trace site; it reads `report` and `hull` as they are when called
+    def record(iteration: int, step: float) -> None:
+        trace.append(TraceRecord(iteration, report.total, report.l_cd, report.l_hd,
+                                 report.l_gs, step, len(hull.members), hull.culled))
+
     hull = _FrozenHull(pts, rig, cfg.hull_k)
     report = hull.loss(pts, rig, cfg.weights, edge_map)
     assert report is not None  # members came from a valid projection
-    trace.append(TraceRecord(0, report.total, report.l_cd, report.l_hd,
-                             report.l_gs, 0.0, len(hull.members), hull.culled))
+    record(0, 0.0)
     window_start_total = report.total
 
     for it in range(1, cfg.max_iters + 1):
@@ -170,25 +162,19 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
         direction = grad3 / gnorm
 
         step = cfg.initial_step
-        accepted = None
+        used_step = 0.0  # stays 0.0 when no step is accepted
         while step >= cfg.min_step:
             trial = pts.copy()
             trial[hull.members] -= step * half_extent * direction
             trial_report = hull.loss(trial, rig, cfg.weights, edge_map)
             if trial_report is not None and trial_report.total < report.total:
-                accepted = (trial, trial_report, step)
+                pts, report, used_step = trial, trial_report, step
                 break
             step *= cfg.backtrack_factor
 
-        if accepted is None:
-            trace.append(TraceRecord(it, report.total, report.l_cd, report.l_hd,
-                                     report.l_gs, 0.0, len(hull.members),
-                                     hull.culled))
+        record(it, used_step)
+        if used_step == 0.0:
             break  # step underflow
-        pts, report, used_step = accepted
-        trace.append(TraceRecord(it, report.total, report.l_cd, report.l_hd,
-                                 report.l_gs, used_step, len(hull.members),
-                                 hull.culled))
 
     return PointCloud3(pts), trace
 

@@ -156,6 +156,33 @@ def brute_polygon_is_simple(vertices):
     return True
 
 
+def brute_points_in_polygon(vertices, points, tol=1e-9):
+    """Per-point, per-edge scalar loop: True where a point lies within `tol`
+    of an edge of the closed polygon or inside it by the crossing-number
+    rule (a horizontal ray to +u, an edge counted when its endpoints lie on
+    opposite sides of the ray's line, the upper endpoint excluded)."""
+    verts = [(float(x), float(y)) for x, y in vertices]
+    n = len(verts)
+    out = []
+    for px, py in points:
+        px, py = float(px), float(py)
+        inside = on_edge = False
+        for i in range(n):
+            x1, y1 = verts[i]
+            x2, y2 = verts[(i + 1) % n]
+            ex, ey = x2 - x1, y2 - y1
+            seg_len2 = ex * ex + ey * ey
+            t = 0.0
+            if seg_len2 != 0.0:
+                t = min(max(((px - x1) * ex + (py - y1) * ey) / seg_len2, 0.0), 1.0)
+            dx, dy = px - (x1 + t * ex), py - (y1 + t * ey)
+            on_edge = on_edge or dx * dx + dy * dy <= tol * tol
+            if (y1 > py) != (y2 > py) and px < x1 + (py - y1) * ex / ey:
+                inside = not inside
+        out.append(inside or on_edge)
+    return out
+
+
 def project_homogeneous(p, k_mat, e_rgb, e_tof):
     """Projection via direct homogeneous-matrix evaluation.
 

@@ -174,8 +174,8 @@ def test_criterion_5_concave_hull_validity():
         n = int(rng.integers(10, 501))
         pts = rng.uniform(0, 100, size=(n, 2))
         poly = concave_hull(pts, k=20)
-        ok &= polygon_is_simple(poly)
-        ok &= contains_all(poly, pts)
+        ok &= polygon_is_simple(poly.vertices)
+        ok &= contains_all(poly.vertices, pts)
     for n in (20, 100, 300):
         angles = np.sort(rng.uniform(0, 2 * np.pi, n))
         pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)

@@ -85,8 +85,10 @@ _SUPERRES = ["superres", "{ply}", "{pgm}", "{calib}", "{out}"]
     (_SUPERRES + ["--low", "0.5", "--high", "0.2"], "thresholds must satisfy 0 < low < high"),
     (_SUPERRES + ["--backtrack", "1"], "backtrack_factor must be in (0, 1)"),
     (_SUPERRES + ["--alpha", "-1"], "loss weights must be nonnegative"),
+    (["densify", "{ply}", "{out}", "--target", "0"],
+     "argument --target: must be a positive integer, got 0"),
 ], ids=["densify-rate", "densify-k-interp", "hull-k", "edges-sigma",
-        "superres-thresholds", "superres-backtrack", "superres-weight"])
+        "superres-thresholds", "superres-backtrack", "superres-weight", "densify-target"])
 def test_invalid_flag_value_is_usage_error(tmp_path, calib, capsys, argv, message):
     files = {"ply": tmp_path / "in.ply", "csv": tmp_path / "pts.csv",
              "pgm": tmp_path / "img.pgm", "calib": calib, "out": tmp_path / "out"}
@@ -96,6 +98,13 @@ def test_invalid_flag_value_is_usage_error(tmp_path, calib, capsys, argv, messag
     code = main([a.format(**files) for a in argv])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+
+
+def test_densify_target_beyond_cloud_is_data_error(tmp_path, capsys):
+    ply = tmp_path / "in.ply"
+    write_ply(PointCloud3([[0.0, 0, 2], [0.1, 0, 2], [0, 0.1, 2]]), ply)
+    assert main(["densify", str(ply), str(tmp_path / "out.ply"), "--target", "4"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("width,height", [(10**7, 10**7), (MAX_PIXELS // 2048 + 1, 2048)],

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudsr.errors import DegenerateCollinear, TooFewPoints
-from cloudsr.hull import (
-    HullPolygon,
-    concave_hull,
-    contains_all,
-    polygon_is_simple,
-)
+from cloudsr.hull import concave_hull, contains_all, polygon_is_simple
 
-from oracles import brute_polygon_is_simple, monotone_chain
+from oracles import brute_points_in_polygon, brute_polygon_is_simple, monotone_chain
 
 
 def _signed_area(verts):
@@ -17,19 +14,25 @@ def _signed_area(verts):
     return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
 
 
-def test_polygon_requires_three_vertices():
-    with pytest.raises(ValueError):
-        HullPolygon([[0, 0], [1, 0]], [0, 1], 3)
+@pytest.mark.parametrize("pts", [
+    [[0.0, 0], [1, 0], [np.nan, 1]],
+    [[0.0, 0], [1, 0], [0, 1], [np.inf, 1]],
+    [[0.0, 0], [1, 0], [0, 1], [-1e151, 1]],
+], ids=["nan-n3", "inf-n4", "beyond-limit-n4"])
+def test_non_finite_points_rejected_at_entry(pts):
+    with pytest.raises(ValueError, match="hull point coordinates"):
+        concave_hull(np.array(pts))
 
 
-def test_polygon_rejects_duplicate_sources():
-    with pytest.raises(ValueError):
-        HullPolygon([[0, 0], [1, 0], [0, 1]], [0, 0, 1], 3)
+def test_duplicate_index_map_rejected_at_entry():
+    pts = np.array([[0.0, 0], [1, 0], [0, 1], [1, 1]])
+    with pytest.raises(ValueError, match="index_map entries must be distinct"):
+        concave_hull(pts, index_map=[5, 6, 7, 5])
 
 
 def test_triangle_input():
     poly = concave_hull(np.array([[0.0, 0], [4, 0], [0, 3]]), k=3)
-    assert len(poly) == 3
+    assert len(poly.vertices) == 3
     assert set(map(tuple, poly.vertices)) == {(0, 0), (4, 0), (0, 3)}
     assert _signed_area(poly.vertices) > 0  # CCW
 
@@ -37,9 +40,9 @@ def test_triangle_input():
 def test_square_corners_k3():
     pts = np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]])
     poly = concave_hull(pts, k=3)
-    assert len(poly) == 4
+    assert len(poly.vertices) == 4
     assert set(map(tuple, poly.vertices)) == set(map(tuple, pts))
-    assert polygon_is_simple(poly)
+    assert polygon_is_simple(poly.vertices)
     assert _signed_area(poly.vertices) > 0
 
 
@@ -86,13 +89,11 @@ def test_errors():
 
 
 def test_polygon_is_simple_square_true():
-    poly = HullPolygon([[0, 0], [1, 0], [1, 1], [0, 1]], range(4), 3)
-    assert polygon_is_simple(poly)
+    assert polygon_is_simple(np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]))
 
 
 def test_polygon_is_simple_bowtie_false():
-    poly = HullPolygon([[0, 0], [1, 1], [1, 0], [0, 1]], range(4), 3)
-    assert not polygon_is_simple(poly)
+    assert not polygon_is_simple(np.array([[0.0, 0], [1, 1], [1, 0], [0, 1]]))
 
 
 def test_polygon_is_simple_matches_pair_loop_random():
@@ -105,7 +106,7 @@ def test_polygon_is_simple_matches_pair_loop_random():
             c = verts.mean(axis=0)
             verts = verts[np.argsort(np.arctan2(*(verts - c).T[::-1]))]
         want = brute_polygon_is_simple(verts)
-        assert polygon_is_simple(HullPolygon(verts, range(n), 3)) == want
+        assert polygon_is_simple(verts) == want
         outcomes.add(want)
     assert outcomes == {True, False}
 
@@ -119,17 +120,53 @@ def test_polygon_is_simple_matches_pair_loop_lattice():
         n = int(rng.integers(3, 9))
         verts = rng.integers(0, 4, size=(n, 2)).astype(float)
         want = brute_polygon_is_simple(verts)
-        assert polygon_is_simple(HullPolygon(verts, range(n), 3)) == want
+        assert polygon_is_simple(verts) == want
         outcomes.add(want)
     assert outcomes == {True, False}
 
 
 def test_contains_all_cases():
-    poly = HullPolygon([[0, 0], [4, 0], [4, 4], [0, 4]], range(4), 3)
-    assert contains_all(poly, poly.vertices)  # boundary counts as inside
-    assert contains_all(poly, np.array([[2.0, 2.0]]))
-    assert not contains_all(poly, np.array([[12.0, 12.0]]))
-    assert contains_all(poly, np.array([[2.0, 0.0], [4.0, 2.0]]))  # on edges
+    verts = np.array([[0.0, 0], [4, 0], [4, 4], [0, 4]])
+    assert contains_all(verts, verts)  # boundary counts as inside
+    assert contains_all(verts, np.array([[2.0, 2.0]]))
+    assert not contains_all(verts, np.array([[12.0, 12.0]]))
+    assert contains_all(verts, np.array([[2.0, 0.0], [4.0, 2.0]]))  # on edges
+
+
+def _hull_input(rng, kind):
+    n = int(rng.integers(8, 60))
+    if kind == "random":
+        return rng.uniform(0, 100, size=(n, 2))
+    if kind == "clustered":
+        centers = rng.uniform(0, 100, size=(int(rng.integers(2, 5)), 2))
+        return centers[rng.integers(0, len(centers), n)] + rng.normal(0, 3, size=(n, 2))
+    side = int(np.ceil(np.sqrt(n))) + 2
+    grid = np.array([[x, y] for y in range(side) for x in range(side)], dtype=float)
+    return grid[rng.choice(len(grid), n, replace=False)]
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "clustered", "lattice"]))
+def test_contains_all_matches_scalar_oracle(seed, kind):
+    rng = np.random.default_rng(seed)
+    pts = _hull_input(rng, kind)
+    verts = concave_hull(pts, k=int(rng.integers(3, 12))).vertices
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    edges = np.roll(verts, -1, axis=0) - verts
+    mids = verts + 0.5 * edges
+    along = verts + rng.uniform(0, 1, (len(verts), 1)) * edges
+    # right-hand unit normals point out of a counter-clockwise polygon;
+    # offsets of 0.5e-9 and 2e-9 straddle the 1e-9 on-edge tolerance
+    outward = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
+    outward /= np.hypot(edges[:, 0], edges[:, 1])[:, None]
+    queries = np.vstack([rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), (40, 2)),
+                         verts, mids, along]
+                        + [on + off * outward for on in (mids, along) for off in (0.5e-9, 2e-9)])
+    want = brute_points_in_polygon(verts, queries)
+    assert [contains_all(verts, q[None]) for q in queries] == want
+    assert contains_all(verts, queries) == all(want)
+    assert True in want and False in want
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -138,8 +175,8 @@ def test_random_sets_simple_contains_and_subset(seed):
     n = int(rng.integers(10, 400))
     pts = rng.uniform(0, 100, size=(n, 2))
     poly = concave_hull(pts, k=20)
-    assert polygon_is_simple(poly)
-    assert contains_all(poly, pts)
+    assert polygon_is_simple(poly.vertices)
+    assert contains_all(poly.vertices, pts)
     pt_set = {tuple(p) for p in pts}
     for v in poly.vertices:
         assert tuple(v) in pt_set  # never invents coordinates
@@ -153,8 +190,8 @@ def test_clustered_points_need_escalation():
     b = rng.normal([10, 0], 0.2, size=(40, 2))
     pts = np.vstack([a, b, [[5.0, 0.05]]])
     poly = concave_hull(pts, k=3)
-    assert polygon_is_simple(poly)
-    assert contains_all(poly, pts)
+    assert polygon_is_simple(poly.vertices)
+    assert contains_all(poly.vertices, pts)
 
 
 def test_area_monotonicity_statistic_logged():

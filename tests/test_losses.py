@@ -180,7 +180,6 @@ def test_combined_total_composition():
         w.alpha * rep.l_cd + w.beta * rep.l_hd + w.gamma * rep.l_gs, abs=1e-12
     )
     assert rep.grad.shape == (5, 2)
-    assert rep.match_info.edge_to_hull.shape == (15,)
 
 
 def test_combined_gradient_matches_finite_differences():
