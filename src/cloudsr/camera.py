@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllPointsCulled, BehindCamera, CalibrationError
-from .geometry import PointCloud3
 
 #: near-plane cutoff in meters; points at or behind it have no projection
 EPS_Z = 1e-6
@@ -164,13 +163,13 @@ def pinhole(points: np.ndarray, rig: CameraRig) -> tuple[np.ndarray, np.ndarray]
     return np.stack([u, v], axis=1), z
 
 
-def project_cloud(cloud: PointCloud3, rig: CameraRig) -> tuple[np.ndarray, np.ndarray]:
-    """Project a cloud, keeping points in front of the camera and in frame.
+def project_cloud(points: np.ndarray, rig: CameraRig) -> tuple[np.ndarray, np.ndarray]:
+    """Project (N, 3) points, keeping those in front of the camera and in frame.
 
     Returns (uv (M, 2), index_map (M,)) where index_map[i] is the source
-    row of pixel i.  Culled count is len(cloud) minus M.
+    row of pixel i.  Culled count is N minus M.
     """
-    uv, z = pinhole(cloud.points, rig)
+    uv, z = pinhole(points, rig)
     u, v = uv[:, 0], uv[:, 1]
     keep = (z > EPS_Z) & (u >= 0.0) & (u < rig.width) & (v >= 0.0) & (v < rig.height)
     index_map = np.nonzero(keep)[0]

@@ -198,7 +198,7 @@ def _cmd_edges(args) -> int:
 def _cmd_project(args) -> int:
     cloud = read_ply(args.cloud)
     rig = load_rig(args.calib)
-    uv, _ = project_cloud(cloud, rig)
+    uv, _ = project_cloud(cloud.points, rig)
     print(f"culled {len(cloud) - len(uv)} of {len(cloud)} points", file=sys.stderr)
     write_points_csv(uv, args.output)
     return 0

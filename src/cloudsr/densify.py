@@ -12,8 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewPoints
+from .errors import InvalidTarget, TooFewPoints
 from .geometry import PointCloud3, SpatialIndex, bin_downsample, dedupe_rows
+
+#: bound on target * min(k_interp + 1, target), which exceeds the rows the
+#: last midpoint round allocates; it admits a 300k-point frame at rate 4
+#: with k_interp 8
+MAX_MIDPOINT_ROWS = 300_000 * 4 * (8 + 1)
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,12 @@ def densify(cloud: PointCloud3, cfg: DensifyConfig = DensifyConfig()) -> PointCl
     if n_in < 2:
         raise TooFewPoints("densification needs at least 2 points")
     target = cfg.rate * n_in
+    # every round's pool is smaller than the target, and _midpoint_round
+    # ranks min(k_interp + 1, pool) neighbors per pool row
+    if target * min(cfg.k_interp + 1, target) > MAX_MIDPOINT_ROWS:
+        raise InvalidTarget(
+            f"densifying {n_in} points at rate {cfg.rate} with k_interp "
+            f"{cfg.k_interp} exceeds {MAX_MIDPOINT_ROWS} midpoint rows")
     originals = cloud.points
 
     # the working pool starts from the deduped originals; all originals are

@@ -16,7 +16,8 @@ class InsufficientPoints(CloudSRError):
 
 
 class InvalidTarget(CloudSRError):
-    """Downsampling target count is zero or exceeds the input size."""
+    """Downsampling target count is zero or exceeds the input size, or a
+    densification would rank more than `densify.MAX_MIDPOINT_ROWS` rows."""
 
 
 # -- camera -----------------------------------------------------------------
@@ -86,11 +87,7 @@ class UnsupportedMagic(CloudSRError):
     """Pixmap magic number is not one of P2/P3/P5/P6."""
 
 
-# -- evaluation / synthesis --------------------------------------------------
-
-class EmptyCloud(CloudSRError):
-    """Metric evaluation received an empty cloud."""
-
+# -- synthesis --------------------------------------------------------------
 
 class ShapeOutOfFrame(CloudSRError):
     """Synthetic shape does not project fully inside the image frame."""

@@ -283,23 +283,22 @@ def bin_downsample(cloud: PointCloud3, target_count: int) -> PointCloud3:
     return PointCloud3(out)
 
 
-def normalize_to_unit(cloud: PointCloud3) -> tuple[PointCloud3, float, np.ndarray]:
-    """Center a cloud on its bounding-box midpoint and scale to unit size.
+def normalize_to_unit(points: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Center (N, 3) points on their bounding-box midpoint and scale to unit size.
 
-    Returns (normalized cloud, scale, (3,) offset) with max |coordinate| == 1
+    Returns (normalized points, scale, (3,) offset) with max |coordinate| == 1
     after the transform; `denormalize` inverts it exactly up to float
-    rounding.  A zero-extent cloud keeps scale 1.
+    rounding.  A zero-extent set keeps scale 1.
     """
-    pts = cloud.points
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    lo = points.min(axis=0)
+    hi = points.max(axis=0)
     offset = 0.5 * (lo + hi)
-    scale = float(np.max(np.abs(pts - offset)))
+    scale = float(np.max(np.abs(points - offset)))
     if scale == 0.0:
         scale = 1.0
-    return PointCloud3((pts - offset) / scale), scale, offset
+    return (points - offset) / scale, scale, offset
 
 
-def denormalize(cloud: PointCloud3, scale: float, offset: np.ndarray) -> PointCloud3:
+def denormalize(points: np.ndarray, scale: float, offset: np.ndarray) -> np.ndarray:
     """Invert `normalize_to_unit`."""
-    return PointCloud3(cloud.points * scale + offset)
+    return points * scale + offset

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCloud
 from .geometry import PointCloud3, nearest_both_ways, normalize_to_unit
 
 
@@ -42,15 +41,12 @@ def eval_metrics(pred: PointCloud3, gt: PointCloud3,
                  normalize: bool = False) -> EvalReport:
     """Chamfer (count-normalized, squared) and Hausdorff (unsquared) between
     a predicted cloud and the ground truth."""
-    if len(pred) == 0 or len(gt) == 0:
-        raise EmptyCloud("evaluation needs non-empty clouds")
     p = pred.points
     g = gt.points
     scale = 1.0
     if normalize:
-        gt_unit, scale, offset = normalize_to_unit(gt)
+        g, scale, offset = normalize_to_unit(g)
         p = (p - offset) / scale
-        g = gt_unit.points
 
     (_, d2_pg), (_, d2_gp) = nearest_both_ways(p, g)
     cd = float((np.sum(d2_pg) + np.sum(d2_gp)) / (len(pred) + len(gt)))

@@ -86,28 +86,22 @@ class RefineTrace:
         return "".join(json.dumps(asdict(r)) + "\n" for r in self.records)
 
 
-class _FrozenHull:
-    """Hull membership and vertex order pinned for one refresh window."""
+def _hull_members(pts: np.ndarray, rig: CameraRig, hull_k: int) -> tuple[np.ndarray, int]:
+    """(members, culled): the rows of `pts` that are hull vertices, in
+    vertex order, and how many rows the projection culled."""
+    uv, index_map = project_cloud(pts, rig)
+    poly = concave_hull(uv, index_map=index_map, k=hull_k)
+    return poly.source_indices, pts.shape[0] - len(uv)
 
-    def __init__(self, cloud_pts: np.ndarray, rig: CameraRig, hull_k: int):
-        uv, index_map = project_cloud(PointCloud3(cloud_pts), rig)
-        self.culled = cloud_pts.shape[0] - len(uv)
-        poly = concave_hull(uv, index_map=index_map, k=hull_k)
-        self.members = poly.source_indices  # 3D rows, one per hull vertex
 
-    def project_members(self, cloud_pts: np.ndarray, rig: CameraRig):
-        """Current vertex pixels, or None if a member crossed the near plane."""
-        uv, z = pinhole(cloud_pts[self.members], rig)
-        if np.any(z <= EPS_Z):
-            return None
-        return uv
-
-    def loss(self, cloud_pts: np.ndarray, rig: CameraRig,
-             weights: LossWeights, edges: np.ndarray) -> LossReport | None:
-        verts = self.project_members(cloud_pts, rig)
-        if verts is None:
-            return None
-        return combined_loss(edges, verts, weights)
+def _member_loss(members: np.ndarray, rig: CameraRig, weights: LossWeights,
+                 edges: np.ndarray) -> LossReport | None:
+    """Loss of the hull whose vertices are the (H, 3) member rows, or None
+    if a member is at or behind the near plane."""
+    uv, z = pinhole(members, rig)
+    if np.any(z <= EPS_Z):
+        return None
+    return combined_loss(edges, uv, weights)
 
 
 def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
@@ -126,16 +120,14 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
     # step lengths are expressed in fractions of the cloud half-extent so the
     # defaults transfer across scene scales
     half_extent = float(np.max(pts.max(axis=0) - pts.min(axis=0))) / 2.0
-    if half_extent == 0.0:
-        half_extent = 1.0
 
-    # the one trace site; it reads `report` and `hull` as they are when called
+    # the one trace site; it reads `report`, `members` and `culled` when called
     def record(iteration: int, step: float) -> None:
         trace.append(TraceRecord(iteration, report.total, report.l_cd, report.l_hd,
-                                 report.l_gs, step, len(hull.members), hull.culled))
+                                 report.l_gs, step, len(members), culled))
 
-    hull = _FrozenHull(pts, rig, cfg.hull_k)
-    report = hull.loss(pts, rig, cfg.weights, edge_map)
+    members, culled = _hull_members(pts, rig, cfg.hull_k)
+    report = _member_loss(pts[members], rig, cfg.weights, edge_map)
     assert report is not None  # members came from a valid projection
     record(0, 0.0)
     window_start_total = report.total
@@ -146,13 +138,14 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
             improvement = window_start_total - report.total
             if improvement < _REL_IMPROVEMENT_STOP * max(abs(window_start_total), 1e-30):
                 break
-            hull = _FrozenHull(pts, rig, cfg.hull_k)
-            report = hull.loss(pts, rig, cfg.weights, edge_map)
+            members, culled = _hull_members(pts, rig, cfg.hull_k)
+            report = _member_loss(pts[members], rig, cfg.weights, edge_map)
             if report is None:
                 break
             window_start_total = report.total
 
-        jac = projection_jacobians(pts[hull.members], rig)   # (N, 2, 3)
+        cur = pts[members]
+        jac = projection_jacobians(cur, rig)   # (H, 2, 3)
         grad3 = np.einsum("nij,ni->nj", jac, report.grad)
         if cfg.constant_depth:
             grad3[:, 2] = 0.0
@@ -164,11 +157,11 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
         step = cfg.initial_step
         used_step = 0.0  # stays 0.0 when no step is accepted
         while step >= cfg.min_step:
-            trial = pts.copy()
-            trial[hull.members] -= step * half_extent * direction
-            trial_report = hull.loss(trial, rig, cfg.weights, edge_map)
+            trial = cur - step * half_extent * direction
+            trial_report = _member_loss(trial, rig, cfg.weights, edge_map)
             if trial_report is not None and trial_report.total < report.total:
-                pts, report, used_step = trial, trial_report, step
+                pts[members] = trial
+                report, used_step = trial_report, step
                 break
             step *= cfg.backtrack_factor
 

@@ -194,8 +194,8 @@ def synth_scene(spec: SceneSpec, rig: CameraRig):
     world = local @ pose_r.T + pose_t
     cloud = PointCloud3(world)
 
-    _, index_map = project_cloud(cloud, rig)
-    if index_map.size != len(cloud):
+    _, index_map = project_cloud(world, rig)
+    if index_map.size != len(world):
         raise ShapeOutOfFrame("some surface samples project out of frame")
 
     if spec.shape == "sphere":

@@ -14,7 +14,6 @@ from cloudsr.camera import (
     projection_jacobians,
 )
 from cloudsr.errors import AllPointsCulled, BehindCamera, CalibrationError
-from cloudsr.geometry import PointCloud3
 
 from oracles import project_homogeneous, random_rotation
 
@@ -165,8 +164,8 @@ def test_project_matches_homogeneous_oracle():
 
 def test_project_cloud_all_in_frame():
     rig = _rig()
-    cloud = PointCloud3([[0, 0, 4], [0.1, 0.1, 2], [-0.2, 0.3, 3]])
-    proj, imap = project_cloud(cloud, rig)
+    pts = np.array([[0, 0, 4], [0.1, 0.1, 2], [-0.2, 0.3, 3]])
+    proj, imap = project_cloud(pts, rig)
     assert len(proj) == 3
     assert list(imap) == [0, 1, 2]
 
@@ -174,28 +173,28 @@ def test_project_cloud_all_in_frame():
 def test_project_cloud_culls_behind():
     pts = [[0.0, 0.0, 2.0]] * 10
     pts[4] = [0.0, 0.0, -2.0]
-    proj, imap = project_cloud(PointCloud3(pts), _rig())
+    proj, imap = project_cloud(np.array(pts), _rig())
     assert len(proj) == 9
     assert 4 not in set(imap)
 
 
 def test_project_cloud_culls_out_of_frame():
-    cloud = PointCloud3([[0, 0, 2], [50.0, 0, 2]])  # second lands far right
-    proj, imap = project_cloud(cloud, _rig())
+    pts = np.array([[0, 0, 2], [50.0, 0, 2]])  # second lands far right
+    proj, imap = project_cloud(pts, _rig())
     assert list(imap) == [0]
 
 
 def test_project_cloud_matches_pointwise():
     rng = np.random.default_rng(5)
     rig = _random_rig(rng)
-    cloud = PointCloud3(rng.uniform(-1, 1, size=(200, 3)))
+    pts = rng.uniform(-1, 1, size=(200, 3))
     try:
-        proj, imap = project_cloud(cloud, rig)
+        proj, imap = project_cloud(pts, rig)
     except AllPointsCulled:
         pytest.skip("random rig culled everything")
     for row, src in enumerate(imap):
         u, v, _ = project_homogeneous(
-            cloud.points[src], rig.k_rgb.matrix, rig.e_rgb.matrix, rig.e_tof.matrix
+            pts[src], rig.k_rgb.matrix, rig.e_rgb.matrix, rig.e_tof.matrix
         )
         np.testing.assert_allclose(
             proj[row], [u, v], rtol=1e-12, atol=1e-12
@@ -204,7 +203,7 @@ def test_project_cloud_matches_pointwise():
 
 def test_project_cloud_all_culled():
     with pytest.raises(AllPointsCulled):
-        project_cloud(PointCloud3([[0, 0, -1.0]]), _rig())
+        project_cloud(np.array([[0, 0, -1.0]]), _rig())
 
 
 # -- jacobian -------------------------------------------------------------------

@@ -16,7 +16,7 @@ from cloudsr.cli import (
     main,
     read_points_csv,
 )
-from cloudsr.densify import DensifyConfig
+from cloudsr.densify import MAX_MIDPOINT_ROWS, DensifyConfig
 from cloudsr.edges import CannyParams, GrayImage
 from cloudsr.geometry import PointCloud3, SpatialIndex
 from cloudsr.pixmap import write_pixmap
@@ -105,6 +105,39 @@ def test_densify_target_beyond_cloud_is_data_error(tmp_path, capsys):
     write_ply(PointCloud3([[0.0, 0, 2], [0.1, 0, 2], [0, 0.1, 2]]), ply)
     assert main(["densify", str(ply), str(tmp_path / "out.ply"), "--target", "4"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("cmd,n,flags", [
+    ("densify", 200, ["--rate", "100000000"]),
+    ("densify", 20_000, ["--rate", "2", "--k-interp", "100000"]),
+    ("superres", 200, ["--rate", "100000000"]),
+], ids=["densify-rate", "densify-k-interp", "superres-rate"])
+def test_densify_beyond_size_bound_is_data_error(tmp_path, calib, capsys, monkeypatch,
+                                                 cmd, n, flags):
+    def round_started(pts, k_interp):
+        raise AssertionError("a midpoint round started past the size bound")
+    monkeypatch.setattr("cloudsr.densify._midpoint_round", round_started)
+    ply = tmp_path / "in.ply"
+    rng = np.random.default_rng(3)
+    write_ply(PointCloud3(rng.uniform(-0.2, 0.2, size=(n, 3)) + [0.0, 0.0, 2.0]), ply)
+    out = str(tmp_path / "out.ply")
+    if cmd == "densify":
+        argv = ["densify", str(ply), out]
+    else:
+        img = np.zeros((480, 640))
+        img[140:340, 220:420] = 1.0  # edges exist, so superres reaches densify
+        pgm = tmp_path / "img.pgm"
+        write_pixmap(GrayImage(img), pgm)
+        argv = ["superres", str(ply), str(pgm), str(calib), out]
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"exceeds {MAX_MIDPOINT_ROWS} midpoint rows" in err[0]
+
+
+def test_constant_depth_flag_reaches_config():
+    args = _build_parser().parse_args(["superres", "a", "b", "c", "d", "--constant-depth"])
+    assert _refine_config(args) == RefineConfig(constant_depth=True)
 
 
 @pytest.mark.parametrize("width,height", [(10**7, 10**7), (MAX_PIXELS // 2048 + 1, 2048)],

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import cloudsr.densify
 from cloudsr.densify import DensifyConfig, densify
-from cloudsr.errors import TooFewPoints
+from cloudsr.errors import InvalidTarget, TooFewPoints
 from cloudsr.geometry import PointCloud3
 
 
@@ -85,3 +86,34 @@ def test_duplicate_heavy_input_still_exact():
     out = densify(PointCloud3(pts), DensifyConfig(rate=2))
     assert len(out) == 14
     assert _rows(PointCloud3(pts)) <= _rows(out)
+
+
+class _RoundStarted(Exception):
+    pass
+
+
+def _no_rounds(monkeypatch):
+    def started(pts, k_interp):
+        raise _RoundStarted
+    monkeypatch.setattr(cloudsr.densify, "_midpoint_round", started)
+
+
+@pytest.mark.parametrize("n,rate,k_interp,bound,admitted", [
+    (10, 4, 4, 40 * 5, True),
+    (10, 4, 5, 40 * 5, False),
+    (3, 2, 100, 6 * 6, True),    # a round ranks at most the whole pool
+    (3, 2, 100, 6 * 6 - 1, False),
+])
+def test_size_bound_counts_ranked_rows(monkeypatch, n, rate, k_interp, bound, admitted):
+    _no_rounds(monkeypatch)
+    monkeypatch.setattr(cloudsr.densify, "MAX_MIDPOINT_ROWS", bound)
+    cloud = PointCloud3(np.random.default_rng(5).normal(size=(n, 3)))
+    with pytest.raises(_RoundStarted if admitted else InvalidTarget):
+        densify(cloud, DensifyConfig(rate=rate, k_interp=k_interp))
+
+
+def test_size_bound_admits_a_vga_frame(monkeypatch):
+    _no_rounds(monkeypatch)
+    cloud = PointCloud3(np.random.default_rng(6).uniform(size=(300_000, 3)))
+    with pytest.raises(_RoundStarted):
+        densify(cloud, DensifyConfig(rate=4, k_interp=8))

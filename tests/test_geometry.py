@@ -363,17 +363,16 @@ def test_downsample_subnormal_gap_keeps_keys_finite(gap, far):
 def test_normalize_unit_cube_round_trip():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1, 1, size=(50, 3))
-    cloud = PointCloud3(pts)
-    norm, scale, offset = normalize_to_unit(cloud)
+    norm, scale, offset = normalize_to_unit(pts)
     assert 0 < scale <= 1.0
-    assert np.max(np.abs(norm.points)) == 1.0
+    assert np.max(np.abs(norm)) == 1.0
     back = denormalize(norm, scale, offset)
-    np.testing.assert_allclose(back.points, pts, atol=1e-12)
+    np.testing.assert_allclose(back, pts, atol=1e-12)
 
 
 def test_normalize_single_point():
-    norm, scale, offset = normalize_to_unit(PointCloud3([[5.0, 5.0, 5.0]]))
-    np.testing.assert_array_equal(norm.points, [[0.0, 0.0, 0.0]])
+    norm, scale, offset = normalize_to_unit(np.array([[5.0, 5.0, 5.0]]))
+    np.testing.assert_array_equal(norm, [[0.0, 0.0, 0.0]])
     assert scale == 1.0
     np.testing.assert_array_equal(offset, [5.0, 5.0, 5.0])
 
@@ -381,6 +380,6 @@ def test_normalize_single_point():
 def test_normalize_round_trip_random():
     rng = np.random.default_rng(9)
     pts = rng.normal(scale=40.0, size=(100, 3)) + [100.0, -7.0, 3.0]
-    norm, scale, offset = normalize_to_unit(PointCloud3(pts))
+    norm, scale, offset = normalize_to_unit(pts)
     back = denormalize(norm, scale, offset)
-    assert np.max(np.abs(back.points - pts)) < 1e-12
+    assert np.max(np.abs(back - pts)) < 1e-12

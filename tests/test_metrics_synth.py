@@ -5,7 +5,7 @@ import pytest
 
 from cloudsr.camera import CameraRig, Extrinsics, project_cloud
 from cloudsr.edges import CannyParams, canny
-from cloudsr.errors import EmptyCloud, ShapeOutOfFrame
+from cloudsr.errors import ShapeOutOfFrame
 from cloudsr.geometry import PointCloud3
 from cloudsr.metrics import eval_metrics
 from cloudsr.synth import SceneSpec, synth_scene
@@ -64,19 +64,6 @@ def test_eval_json_schema():
     cloud = PointCloud3([[0.0, 0, 0]])
     data = json.loads(eval_metrics(cloud, cloud).to_json())
     assert list(data) == ["cd", "hd", "normalized", "pred_count", "gt_count"]
-
-
-def test_eval_empty_guard():
-    # constructing an empty PointCloud3 is impossible; exercise the guard
-    # through a stand-in with len 0
-    class _Fake:
-        points = np.zeros((0, 3))
-
-        def __len__(self):
-            return 0
-
-    with pytest.raises(EmptyCloud):
-        eval_metrics(_Fake(), _Fake())
 
 
 # -- synth_scene -------------------------------------------------------------------
@@ -146,7 +133,7 @@ def test_box_visible_faces_project_in_frame():
     )
     rig = _rig()
     cloud, img = synth_scene(spec, rig)
-    proj, imap = project_cloud(cloud, rig)
+    proj, imap = project_cloud(cloud.points, rig)
     assert len(proj) == len(cloud)
     # only camera-facing faces sampled: nothing deeper than the box center
     assert cloud.points[:, 2].max() <= 2.0 + 1e-12

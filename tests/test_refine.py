@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cloudsr.camera import CameraRig, project_cloud
+from cloudsr.camera import CameraRig, pinhole, project_cloud
 from cloudsr.densify import DensifyConfig
 from cloudsr.edges import GrayImage
-from cloudsr.errors import EmptyEdgeMap
+from cloudsr.errors import EmptyEdgeMap, TooFewPoints
 from cloudsr.geometry import PointCloud3
-from cloudsr.losses import LossWeights
+from cloudsr.hull import concave_hull
+from cloudsr.losses import LossWeights, combined_loss
 from cloudsr.refine import RefineConfig, RefineTrace, TraceRecord, refine, superres
 
 
@@ -26,12 +29,17 @@ def _grid_cloud(n=20, extent=0.8, z=2.0, jitter=0.0, seed=0):
 
 
 def _square_outline(lo, hi, step=1.0):
-    side = np.arange(lo, hi + step / 2, step)
+    return _rect_outline(lo, hi, lo, hi, step)
+
+
+def _rect_outline(u_lo, u_hi, v_lo, v_hi, step=1.0):
+    us = np.arange(u_lo, u_hi + step / 2, step)
+    vs = np.arange(v_lo, v_hi + step / 2, step)
     pts = (
-        [(u, lo) for u in side]
-        + [(u, hi) for u in side]
-        + [(lo, v) for v in side[1:-1]]
-        + [(hi, v) for v in side[1:-1]]
+        [(u, v_lo) for u in us]
+        + [(u, v_hi) for u in us]
+        + [(u_lo, v) for v in vs[1:-1]]
+        + [(u_hi, v) for v in vs[1:-1]]
     )
     return np.array(pts, dtype=float)
 
@@ -77,12 +85,19 @@ def test_stationary_point_zero_accepted_steps():
     cloud = PointCloud3(
         [[-0.4, -0.4, 2.0], [0.4, -0.4, 2.0], [0.4, 0.4, 2.0], [-0.4, 0.4, 2.0]]
     )
-    edge_map, _ = project_cloud(cloud, _rig())
+    edge_map, _ = project_cloud(cloud.points, _rig())
     cfg = RefineConfig(weights=LossWeights(1.0, 1.0, 0.0))
     out, trace = refine(cloud, edge_map, _rig(), cfg)
     np.testing.assert_array_equal(out.points, cloud.points)
     assert trace.accepted_steps() == 0
     assert trace.records[0].total == 0.0
+
+
+def test_identical_points_have_no_hull():
+    # one distinct pixel: the hull fails before the zero half-extent scales a step
+    cloud = PointCloud3(np.tile([[0.1, -0.2, 2.0]], (6, 1)))
+    with pytest.raises(TooFewPoints):
+        refine(cloud, _square_outline(20, 80), _rig())
 
 
 def test_max_iters_zero_is_identity():
@@ -130,9 +145,7 @@ def test_non_hull_points_bit_identical():
     edge_map = _square_outline(26.0, 74.0)
     out, trace = refine(cloud, edge_map, _rig(), RefineConfig(max_iters=15))
 
-    proj, imap = project_cloud(cloud, _rig())
-    from cloudsr.hull import concave_hull
-
+    proj, imap = project_cloud(cloud.points, _rig())
     members = set(concave_hull(proj, index_map=imap, k=20).source_indices)
     moved = {
         i
@@ -149,6 +162,51 @@ def test_non_hull_points_bit_identical():
     interior_example = len(cloud) // 2 + 6  # middle of the grid
     assert interior_example not in members
     assert interior_example not in moved
+
+
+def test_constant_depth_moves_members_laterally_only():
+    cloud = _grid_cloud(20, jitter=0.01)
+    pts = cloud.points.copy()
+    pts[:, 2] += np.random.default_rng(1).uniform(-0.02, 0.02, len(pts))
+    cloud = PointCloud3(pts)
+    edge_map = _square_outline(27.0, 73.0)
+    cfg = RefineConfig(max_iters=20)
+    free, _ = refine(cloud, edge_map, _rig(), cfg)
+    assert free.points[:, 2].tobytes() != cloud.points[:, 2].tobytes()
+
+    out, trace = refine(cloud, edge_map, _rig(), replace(cfg, constant_depth=True))
+    assert trace.accepted_steps() > 0
+    assert out.points[:, 2].tobytes() == cloud.points[:, 2].tobytes()
+    assert np.any(out.points[:, :2] != cloud.points[:, :2])
+
+
+def test_member_leaving_frame_counts_until_refresh():
+    # today's behaviour, pinned until ROADMAP item 5 decides it: a member whose
+    # pixel leaves the frame inside a hull-fixed window stays in the loss, and
+    # the next refresh culls it
+    rig = _rig()
+    xs, ys = np.meshgrid(np.linspace(-0.96, -0.5, 10), np.linspace(-0.3, 0.3, 10))
+    pts = np.stack([xs.ravel(), ys.ravel(), np.full(100, 2.0)], axis=1)
+    pts[:, :2] += np.random.default_rng(0).uniform(-0.01, 0.01, size=(100, 2))
+    cloud = PointCloud3(pts)  # projects into u in [1.6, 25.5], v in [34.5, 65.5]
+    edge_map = _rect_outline(-6.0, 25.0, 35.0, 65.0)  # reaches past the left border
+    cfg = RefineConfig(max_iters=5, hull_refresh_period=5, initial_step=0.05,
+                       weights=LossWeights(1.0, 1.0, 0.0))
+    out, trace = refine(cloud, edge_map, rig, cfg)
+
+    uv, _ = pinhole(out.points, rig)
+    left = np.nonzero(uv[:, 0] < 0.0)[0]
+    assert left.size > 0
+    assert [r.culled for r in trace.records] == [0] * len(trace)
+    proj, imap = project_cloud(cloud.points, rig)
+    members = concave_hull(proj, index_map=imap, k=cfg.hull_k).source_indices
+    assert set(left) <= set(members)
+    in_loss = combined_loss(edge_map, pinhole(out.points[members], rig)[0], cfg.weights)
+    assert trace.records[-1].total == in_loss.total
+
+    _, trace = refine(cloud, edge_map, rig, replace(cfg, max_iters=6))
+    assert trace.records[-1].iteration == 6
+    assert trace.records[-1].culled == left.size
 
 
 def test_gs_only_descent_nonincreasing():
