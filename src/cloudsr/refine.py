@@ -18,7 +18,8 @@ import numpy as np
 from .camera import CameraRig, EPS_Z, pinhole, project_cloud, projection_jacobians
 from .densify import DensifyConfig, densify
 from .edges import CannyParams, GrayImage, canny
-from .errors import EmptyEdgeMap
+from .errors import (AllPointsCulled, DegenerateCollinear, EmptyEdgeMap, HullFailed,
+                     TooFewPoints)
 from .geometry import PointCloud3
 from .hull import concave_hull
 from .losses import LossReport, LossWeights, combined_loss
@@ -107,7 +108,9 @@ def _member_loss(members: np.ndarray, rig: CameraRig, weights: LossWeights,
 def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
            cfg: RefineConfig = RefineConfig()) -> tuple[PointCloud3, RefineTrace]:
     """Iteratively move hull-member points so the projected hull tracks the
-    edge map.  Non-member points are never touched.
+    edge map.  Non-member points are never touched.  The initial hull must
+    build; a later refresh that cannot (members left the frame or collapsed)
+    ends refinement with the points reached so far.
 
     Returns the refined cloud (same size and order) and the trace.
     """
@@ -138,7 +141,10 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
             improvement = window_start_total - report.total
             if improvement < _REL_IMPROVEMENT_STOP * max(abs(window_start_total), 1e-30):
                 break
-            members, culled = _hull_members(pts, rig, cfg.hull_k)
+            try:
+                members, culled = _hull_members(pts, rig, cfg.hull_k)
+            except (AllPointsCulled, TooFewPoints, DegenerateCollinear, HullFailed):
+                break  # members left the frame or collapsed: keep the progress
             report = _member_loss(pts[members], rig, cfg.weights, edge_map)
             if report is None:
                 break

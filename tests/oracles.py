@@ -257,3 +257,17 @@ def sample_far_from_ties(rng, n_edge, n_hull, margin=1e-3, span=20.0):
             ok = False  # smoothness kink: FD ill-posed
         if ok:
             return r, p
+
+
+def brute_farthest_point_select(pts, m):
+    """Farthest-point (max-min) selection that updates every row's distance
+    to the chosen set after each pick: the exhaustive O(n * m) form the
+    library's tree-pruned selection must reproduce index for index."""
+    d0 = np.sum((pts - pts.mean(axis=0)) ** 2, axis=1)
+    chosen = [int(np.argmax(d0))]
+    dmin = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
+    while len(chosen) < m:
+        nxt = int(np.argmax(dmin))
+        chosen.append(nxt)
+        dmin = np.minimum(dmin, np.sum((pts - pts[nxt]) ** 2, axis=1))
+    return np.array(chosen, dtype=np.intp)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cloudsr import geometry
 from cloudsr.camera import Extrinsics
 from cloudsr.cli import (
     _build_parser,
@@ -24,7 +25,7 @@ from cloudsr.ply_io import read_ply, write_ply
 from cloudsr.refine import RefineConfig
 from cloudsr.synth import MAX_PIXELS
 
-from oracles import flat_knn
+from oracles import brute_farthest_point_select, flat_knn
 
 _CALIB = json.dumps({
     "k_rgb": {"fx": 800.0, "fy": 800.0, "cx": 320.0, "cy": 240.0},
@@ -248,9 +249,9 @@ def test_synth_superres_eval_chain(tmp_path, calib, scene):
     assert main(["eval", str(out_ply), str(gt_ply), "--normalize"]) == 0
 
 
-def test_outputs_match_flat_scan_oracle(tmp_path, calib, scene, monkeypatch):
-    # densify and superres write the same bytes whether neighbors are ranked
-    # by the index or by an exhaustive scan (the square's lattice ties often)
+def _pipeline_bytes(tmp_path, calib, scene):
+    """A function of a tag that runs densify and superres on a synthesized
+    square and returns the bytes of both outputs."""
     gt_ply, pgm = tmp_path / "gt.ply", tmp_path / "scene.pgm"
     assert main(["synth", str(scene), str(calib), str(gt_ply), str(pgm)]) == 0
 
@@ -262,11 +263,26 @@ def test_outputs_match_flat_scan_oracle(tmp_path, calib, scene, monkeypatch):
                      "--max-iters", "20"]) == 0
         return sparse.read_bytes(), out.read_bytes()
 
+    return run
+
+
+def test_outputs_match_flat_scan_oracle(tmp_path, calib, scene, monkeypatch):
+    # densify and superres write the same bytes whether neighbors are ranked
+    # by the index or by an exhaustive scan (the square's lattice ties often)
+    run = _pipeline_bytes(tmp_path, calib, scene)
     shipped = run("tree")
     monkeypatch.setattr(SpatialIndex, "_rank",
                         lambda self, queries, k: flat_knn(self._points, queries, k))
     assert run("flat") == shipped
 
+
+def test_outputs_match_brute_farthest_point_oracle(tmp_path, calib, scene, monkeypatch):
+    # the same bytes whether downsampling orders its centroids with the
+    # tree-pruned selection or by updating every row after each pick
+    run = _pipeline_bytes(tmp_path, calib, scene)
+    shipped = run("pruned")
+    monkeypatch.setattr(geometry, "farthest_point_select", brute_farthest_point_select)
+    assert run("brute") == shipped
 
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")

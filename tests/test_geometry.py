@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cloudsr import geometry
 from cloudsr.errors import EmptyInput, InsufficientPoints, InvalidTarget
 from cloudsr.geometry import (
     COORD_LIMIT,
@@ -12,10 +13,11 @@ from cloudsr.geometry import (
     binned_centroids,
     dedupe_rows,
     denormalize,
+    farthest_point_select,
     normalize_to_unit,
 )
 
-from oracles import flat_knn, linear_knn, linear_nn
+from oracles import brute_farthest_point_select, flat_knn, linear_knn, linear_nn
 
 
 def test_cloud_is_immutable_and_ordered():
@@ -355,6 +357,132 @@ def test_downsample_subnormal_gap_keeps_keys_finite(gap, far):
     pts = [[0, 0, 0], [gap, 0, 0], [1, 1, 1], [2, 2, 2], [far, 1, 0]]
     out = bin_downsample(PointCloud3(pts), 4)
     assert out.points.shape == (4, 3) and np.all(np.isfinite(out.points))
+
+
+def _bisect_64_steps(pts, target):
+    """`binned_centroids` as it was before its bisection stopped early: all
+    64 steps, every one counting the bins."""
+    origin = pts.min(axis=0)
+    extent = pts.max(axis=0) - origin
+    gaps = []
+    for d in range(pts.shape[1]):
+        diffs = np.diff(np.sort(pts[:, d]))
+        diffs = diffs[diffs > 0]
+        if diffs.size:
+            gaps.append(diffs.min())
+    if not gaps:
+        return pts[:1].copy(), 1.0
+    lo = max(min(gaps) / 2.0, float(extent.max()) / 1e300,
+             np.finfo(np.float64).smallest_subnormal)
+    hi = float(np.linalg.norm(extent)) + lo
+    if geometry._voxel_bin_count(pts, origin, lo) < target:
+        return geometry._voxel_centroids(pts, origin, lo), lo
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if geometry._voxel_bin_count(pts, origin, mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    return geometry._voxel_centroids(pts, origin, lo), lo
+
+
+def _downsample_clouds():
+    """The clouds of the downsample tests above, plus collinear ones whose
+    last bisection midpoint rounds up onto the initial upper edge."""
+    clouds = [np.random.default_rng(42).uniform(0, 1, size=(1000, 3))]
+    for target in (1, 3, 13, 49):
+        rng = np.random.default_rng(target)
+        clouds += [rng.normal(size=(rng.integers(target, 200), 3)) for _ in range(12)]
+    tiny = np.random.default_rng(0).random((200, 3))
+    tiny[0], tiny[1] = [0.0, 0.5, 0.5], [1e-20, 0.5, 0.5]
+    clouds.append(tiny)
+    for gap, far in [(5e-324, 3.0), (1e-310, 1e10)]:
+        clouds.append(np.array([[0, 0, 0], [gap, 0, 0], [1, 1, 1], [2, 2, 2], [far, 1, 0]]))
+    for ext in (0.5578467243498518, 3.0537940625048043):
+        clouds.append(np.array([[0.0, 0, 0], [2 * np.spacing(ext), 0, 0], [ext, 0, 0]]))
+    return clouds
+
+
+def test_bisection_stops_early_with_the_64_step_result(monkeypatch):
+    for pts in _downsample_clouds():
+        n = pts.shape[0]
+        for target in sorted({1, 2, 3, min(13, n), min(49, n), min(100, n)}):
+            want_c, want_e = _bisect_64_steps(pts, target)
+            got_c, got_e = binned_centroids(pts, target)
+            assert got_c.tobytes() == want_c.tobytes() and got_e == want_e
+
+    # a unit-size cloud resolves its edge to adjacent floats in 57-61 steps
+    # and stops there (one far below its extent may need all 64)
+    counts = []
+    real = geometry._voxel_bin_count
+    monkeypatch.setattr(geometry, "_voxel_bin_count",
+                        lambda *args: counts.append(1) or real(*args))
+    binned_centroids(_downsample_clouds()[0], 100)
+    assert len(counts) <= 1 + 61
+
+
+def test_bisection_target_one_keeps_the_rounded_up_edge():
+    # the last midpoint rounds up onto the initial upper edge, where the one
+    # bin that holds every row sits; stopping before counting it would keep
+    # the edge one ulp lower, where the far row falls into a second bin
+    pts = np.array([[0.0, 0, 0], [2 * np.spacing(0.5578467243498518), 0, 0],
+                    [0.5578467243498518, 0, 0]])
+    centroids, _ = binned_centroids(pts, 1)
+    assert centroids.shape == (1, 3)
+    assert bin_downsample(PointCloud3(pts), 1).points.tobytes() == centroids.tobytes()
+
+
+# -- farthest_point_select ----------------------------------------------------
+
+
+_PYTHAGOREAN = [(5, 0), (-5, 0), (0, 5), (0, -5)] + [
+    (sx * a, sy * b) for a, b in ((3, 4), (4, 3)) for sx in (1, -1) for sy in (1, -1)]
+
+
+@st.composite
+def _fps_clouds(draw):
+    """(points, m): integer and decimal lattices, clouds of 1-4 repeated
+    points, equal-distance rings and uniform clouds, at scales from
+    subnormal gaps to 1e8."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 120))
+    kind = draw(st.sampled_from(["lattice", "decimal", "repeated", "ring", "uniform"]))
+    if kind == "lattice":
+        pts = rng.integers(-3, draw(st.integers(-2, 5)) + 4, size=(n, 3)).astype(float)
+    elif kind == "decimal":
+        pts = rng.integers(0, 7, size=(n, 3)) * 0.1
+    elif kind == "repeated":
+        base = rng.normal(size=(draw(st.integers(1, 4)), 3))
+        pts = base[rng.integers(0, base.shape[0], n)]
+    elif kind == "ring":
+        # rows on spheres of equal radius about a few centres: many exact ties
+        ring = np.array([(a, b, c) for a, b in _PYTHAGOREAN for c in (0, 5, -5)], float)
+        centres = rng.integers(-10, 11, size=(draw(st.integers(1, 3)), 3))
+        pts = ring[rng.integers(0, len(ring), n)] + centres[rng.integers(0, len(centres), n)]
+    else:
+        pts = rng.uniform(-1, 1, size=(n, 3))
+    scale = draw(st.sampled_from([5e-324, 1e-315, 1e-300, 1e-8, 1.0, 1e3, 1e8]))
+    offset = draw(st.sampled_from([0.0, 1.0, -1e6]))
+    return pts * scale + offset, draw(st.integers(1, n))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_fps_clouds())
+def test_farthest_point_select_matches_brute_oracle(case):
+    pts, m = case
+    got = farthest_point_select(pts, m)
+    assert got.tolist() == brute_farthest_point_select(pts, m).tolist()
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2000, 2000), (3000, 700)])
+def test_farthest_point_select_matches_brute_oracle_at_size(n, m):
+    # a jittered lattice (densify's centroids look like this) and pure ties
+    rng = np.random.default_rng(n)
+    side = int(round(n ** (1 / 3))) + 1
+    grid = np.stack(np.meshgrid(*[np.arange(side)] * 3), axis=-1).reshape(-1, 3)[:n]
+    for pts in (grid + rng.normal(scale=0.05, size=grid.shape), grid * 0.01):
+        got = farthest_point_select(pts, m)
+        assert got.tolist() == brute_farthest_point_select(pts, m).tolist()
 
 
 # -- normalize ---------------------------------------------------------------

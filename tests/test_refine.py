@@ -209,6 +209,32 @@ def test_member_leaving_frame_counts_until_refresh():
     assert trace.records[-1].culled == left.size
 
 
+def test_refresh_without_a_hull_keeps_progress():
+    # an edge rectangle reaching far past the left border drags members out
+    # of frame; refreshes cull them until fewer than 3 distinct pixels remain,
+    # and that refresh ends refinement instead of raising TooFewPoints
+    rig = _rig()
+    xs, ys = np.meshgrid(np.linspace(-0.96, -0.5, 6), np.linspace(-0.3, 0.3, 6))
+    pts = np.stack([xs.ravel(), ys.ravel(), np.full(36, 2.0)], axis=1)
+    pts[:, :2] += np.random.default_rng(0).uniform(-0.01, 0.01, size=(36, 2))
+    cloud = PointCloud3(pts)
+    edge_map = _rect_outline(-80.0, 25.0, 35.0, 65.0)
+    cfg = RefineConfig(max_iters=200, hull_refresh_period=5, initial_step=0.2,
+                       weights=LossWeights(1.0, 1.0, 0.0))
+    out, trace = refine(cloud, edge_map, rig, cfg)
+
+    last = trace.records[-1]
+    assert last.iteration < cfg.max_iters and last.iteration % cfg.hull_refresh_period == 0
+    assert last.hull_size == 3 and last.culled > 0
+    assert trace.accepted_steps() > 0
+    uv, index_map = project_cloud(out.points, rig)
+    with pytest.raises(TooFewPoints):  # the refresh that ended the run
+        concave_hull(uv, index_map=index_map, k=cfg.hull_k)
+    # the progress is returned, not lost: members moved and none crossed the
+    # near plane
+    assert np.any(out.points != cloud.points) and np.all(pinhole(out.points, rig)[1] > 0)
+
+
 def test_gs_only_descent_nonincreasing():
     rng = np.random.default_rng(0)
     angles = np.sort(rng.uniform(0, 2 * np.pi, 40))
