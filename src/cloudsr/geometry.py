@@ -114,6 +114,11 @@ class SpatialIndex:
         self._tree = cKDTree(arr, copy_data=False, balanced_tree=False)
 
     @property
+    def points(self) -> np.ndarray:
+        """Read-only (N, D) float64 copy of the indexed points."""
+        return self._points
+
+    @property
     def count(self) -> int:
         return self._points.shape[0]
 
@@ -179,8 +184,9 @@ class SpatialIndex:
 
 def nearest_both_ways(a, b):
     """Both directed nearest-neighbor passes, ((indices into b, squared
-    distances) per row of a, the same per row of b into a), behind every
-    Chamfer and Hausdorff set distance."""
+    distances) per row of a, the same per row of b into a), behind the
+    Chamfer and Hausdorff losses and eval; `combined_loss` makes the same
+    two passes with the edge map's index built once."""
     return SpatialIndex(b).nearest_batch(a), SpatialIndex(a).nearest_batch(b)
 
 

@@ -19,6 +19,8 @@ from .errors import DegenerateCollinear, HullFailed, TooFewPoints
 from .geometry import SpatialIndex, as_point_array, dedupe_rows, require_bounded
 
 _ON_EDGE_TOL = 1e-9
+_PAIR_BLOCK = 1 << 16  # segment pairs per vectorized pass: bounds memory
+_WALK_SLACK = 8  # walk rows asked beyond kk and the used rows the last step met
 
 
 @dataclass(frozen=True)
@@ -77,25 +79,35 @@ def polygon_is_simple(verts: np.ndarray) -> bool:
     """True iff no pair of non-adjacent edges of the closed polygon over the
     (H, 2) vertices intersects (touching counts).
 
-    Edge i is tested against all later non-adjacent edges at once, so the
-    work is O(H^2) but the memory O(H).
+    Every pair (i, j) with i < j - 1, less the adjacent pair (0, H - 1), is
+    tested with the same predicates, `_PAIR_BLOCK` pairs per vectorized
+    pass, so the work is O(H^2) and the memory O(H + _PAIR_BLOCK).
     """
     a = verts
     b = np.roll(a, -1, axis=0)
     n = a.shape[0]
-    for i in range(n - 2):
-        stop = n - 1 if i == 0 else n  # edges 0 and n-1 are adjacent
-        c, d = a[i + 2:stop], b[i + 2:stop]
-        d1 = orient(c, d, a[i])
-        d2 = orient(c, d, b[i])
-        d3 = orient(a[i], b[i], c)
-        d4 = orient(a[i], b[i], d)
+    if n < 4:
+        return True  # a triangle's edges are pairwise adjacent
+    # pairs in (i, j) order; row i holds j = i+2 .. n-1, and row 0 stops at
+    # n-2 because edges 0 and n-1 are adjacent
+    per_row = n - 2 - np.arange(n - 2)
+    per_row[0] -= 1
+    starts = np.concatenate([[0], np.cumsum(per_row)])
+    for lo in range(0, int(starts[-1]), _PAIR_BLOCK):
+        flat = np.arange(lo, min(lo + _PAIR_BLOCK, int(starts[-1])))
+        i = np.searchsorted(starts, flat, side="right") - 1
+        j = flat - starts[i] + i + 2
+        ai, bi, c, d = a[i], b[i], a[j], b[j]
+        d1 = orient(c, d, ai)
+        d2 = orient(c, d, bi)
+        d3 = orient(ai, bi, c)
+        d4 = orient(ai, bi, d)
         proper = _proper_crossing(d1, d2, d3, d4)
         touch = (
-            ((d1 == 0) & _on_segment(c, d, a[i]))
-            | ((d2 == 0) & _on_segment(c, d, b[i]))
-            | ((d3 == 0) & _on_segment(a[i], b[i], c))
-            | ((d4 == 0) & _on_segment(a[i], b[i], d))
+            ((d1 == 0) & _on_segment(c, d, ai))
+            | ((d2 == 0) & _on_segment(c, d, bi))
+            | ((d3 == 0) & _on_segment(ai, bi, c))
+            | ((d4 == 0) & _on_segment(ai, bi, d))
         )
         if np.any(proper | touch):
             return False
@@ -103,34 +115,61 @@ def polygon_is_simple(verts: np.ndarray) -> bool:
 
 
 def _points_in_polygon(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Inside-or-on test for each point (ray casting + on-edge tolerance)."""
-    n = verts.shape[0]
-    px, py = pts[:, 0], pts[:, 1]
-    inside = np.zeros(pts.shape[0], dtype=bool)
+    """Inside-or-on test for each point (ray casting + on-edge tolerance).
+
+    An edge can count for a point only if the point's v lies in the edge's
+    v-span (crossing) or within the on-edge tolerance of it, so each edge is
+    evaluated only on the points that `searchsorted` finds in its padded
+    v-band, `_PAIR_BLOCK` (edge, point) pairs per pass.
+    """
+    x1, y1 = verts[:, 0], verts[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    ex, ey = x2 - x1, y2 - y1
+    seg_len2 = ex * ex + ey * ey
+    # the closest point's v can leave the span by the rounding of y1 + t*ey,
+    # under 2 eps * max|v|, and the tolerance then reaches a little further
+    reach = float(np.max(np.abs(y1), initial=0.0))
+    pad = 2.0 * _ON_EDGE_TOL + 4.0 * np.finfo(np.float64).eps * reach
+    order = np.argsort(pts[:, 1], kind="stable")
+    first = np.searchsorted(pts[order, 1], np.minimum(y1, y2) - pad, side="left")
+    count = np.searchsorted(pts[order, 1], np.maximum(y1, y2) + pad, side="right") - first
+    ends = np.cumsum(count)
+
+    crossings = np.zeros(pts.shape[0], dtype=np.intp)
     on_edge = np.zeros(pts.shape[0], dtype=bool)
-    for i in range(n):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % n]
-        # distance from each point to this segment
-        ex, ey = x2 - x1, y2 - y1
-        seg_len2 = ex * ex + ey * ey
-        if seg_len2 == 0.0:
-            d2 = (px - x1) ** 2 + (py - y1) ** 2
-        else:
-            t = np.clip(((px - x1) * ex + (py - y1) * ey) / seg_len2, 0.0, 1.0)
-            d2 = (px - (x1 + t * ex)) ** 2 + (py - (y1 + t * ey)) ** 2
-        on_edge |= d2 <= _ON_EDGE_TOL * _ON_EDGE_TOL
-        # standard crossing-number rule
-        crosses = (y1 > py) != (y2 > py)
+    e_lo = 0
+    while e_lo < len(ends):
+        # whole edges per pass: one edge with more than a block runs alone
+        done = ends[e_lo - 1] if e_lo else 0
+        e_hi = max(e_lo + 1, int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")))
+        e = np.repeat(np.arange(e_lo, e_hi), count[e_lo:e_hi])
+        k = order[np.arange(e.size) - (ends[e] - count[e] - done) + first[e]]
+        e_lo = e_hi
+        px, py = pts[k, 0], pts[k, 1]
+        # distance from each point to its edge
+        zero = seg_len2[e] == 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            xint = x1 + (py - y1) * ex / (ey if ey != 0 else np.inf)
-        inside ^= crosses & (px < xint)
-    return inside | on_edge
+            t = np.clip(((px - x1[e]) * ex[e] + (py - y1[e]) * ey[e]) / seg_len2[e], 0.0, 1.0)
+        t[zero] = 0.0
+        d2 = (px - (x1[e] + t * ex[e])) ** 2 + (py - (y1[e] + t * ey[e])) ** 2
+        on_edge[k[d2 <= _ON_EDGE_TOL * _ON_EDGE_TOL]] = True
+        # standard crossing-number rule; a crossing edge has ey != 0
+        c = (y1[e] > py) != (y2[e] > py)
+        e, k, px, py = e[c], k[c], px[c], py[c]
+        hit = px < x1[e] + (py - y1[e]) * ex[e] / ey[e]
+        crossings += np.bincount(k[hit], minlength=pts.shape[0])
+    return (crossings % 2 == 1) | on_edge
 
 
 def contains_all(verts: np.ndarray, points) -> bool:
     """True iff every point lies inside or on the polygon over the (H, 2)
-    vertices."""
+    vertices.
+
+    Costs one sort of the points by v plus work proportional to the
+    (edge, point) pairs whose v-bands meet, about 2 per point for a
+    polygon that a horizontal line crosses twice; memory is
+    O(H + n + _PAIR_BLOCK).
+    """
     pts = as_point_array(points, 2)
     if pts.shape[0] == 0:
         return True
@@ -162,15 +201,26 @@ def _walk(pts: np.ndarray, index: SpatialIndex, kk: int) -> list[int] | None:
     used[start] = True
     cur = start
     prev_angle = np.pi
+    skipped = 0  # used rows in the last query; the next step meets about as many
 
     for _ in range(2 * n + 4):
         if len(hull) == 4:
             used[start] = False  # start point may close the hull from now on
 
-        # the kk nearest unused points (cur is used); used rows are hull
-        # members, so kk + len(hull) rows leave kk whenever that many exist
-        (near,), _ = index.knn_batch(pts[cur:cur + 1], min(n, kk + len(hull)))
-        cand = near[~used[near]][:kk]
+        # the kk nearest unused points (cur is used).  Used rows are hull
+        # members, so `full` rows leave kk whenever that many exist; the
+        # ranking's prefixes agree, so a narrower query that already holds
+        # kk unused rows gives the same candidates
+        full = min(n, kk + len(hull))
+        width = min(full, kk + skipped + _WALK_SLACK)
+        while True:
+            (near,), _ = index.knn_batch(pts[cur:cur + 1], width)
+            fresh = ~used[near]
+            cand = near[fresh][:kk]
+            if cand.size == kk or width == full:
+                break
+            width = min(full, 2 * width)
+        skipped = near.size - int(np.count_nonzero(fresh))
 
         # largest right-hand turn first: ascending clockwise angle from the
         # reversed previous edge direction

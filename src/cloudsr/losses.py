@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySet, TooFewVertices
-from .geometry import as_point_array, nearest_both_ways
+from .geometry import SpatialIndex, as_point_array, nearest_both_ways
 
 
 @dataclass(frozen=True)
@@ -110,21 +110,24 @@ def _gs_gradient(verts: np.ndarray) -> np.ndarray:
     return grad
 
 
-def combined_loss(r_edge, verts, w: LossWeights = LossWeights()) -> LossReport:
-    """All three losses on (edge set, ordered hull vertices) plus the total
-    gradient per vertex.
+def combined_loss(edges: SpatialIndex, verts, w: LossWeights = LossWeights()) -> LossReport:
+    """All three losses on (indexed edge set, ordered hull vertices) plus the
+    total gradient per vertex.
 
+    `edges` is the `SpatialIndex` of the (M, 2) edge map; the map is fixed
+    for a whole refinement, so it is indexed once and shared by every call.
     Chamfer contributes 2(b - a) per matched pair in both directions;
     Hausdorff contributes a unit-vector subgradient at its single argmax
     pair (edge->hull direction wins a tie between the directed maxima);
     the smoothness term is differentiated exactly.
     """
-    r = as_point_array(r_edge, 2)
-    _nonempty(r, "edge map")
+    r = edges.points
     p = as_point_array(verts, 2)
+    _nonempty(p, "hull vertices")
     n = p.shape[0]
 
-    (e2h, d2_e2h), (h2e, d2_h2e) = nearest_both_ways(r, p)
+    e2h, d2_e2h = SpatialIndex(p).nearest_batch(r)
+    h2e, d2_h2e = edges.nearest_batch(p)
 
     l_cd = float(np.sum(d2_e2h) + np.sum(d2_h2e))
     grad_cd = np.zeros((n, 2))

@@ -20,7 +20,7 @@ from .densify import DensifyConfig, densify
 from .edges import CannyParams, GrayImage, canny
 from .errors import (AllPointsCulled, DegenerateCollinear, EmptyEdgeMap, HullFailed,
                      TooFewPoints)
-from .geometry import PointCloud3
+from .geometry import PointCloud3, SpatialIndex
 from .hull import concave_hull
 from .losses import LossReport, LossWeights, combined_loss
 
@@ -96,7 +96,7 @@ def _hull_members(pts: np.ndarray, rig: CameraRig, hull_k: int) -> tuple[np.ndar
 
 
 def _member_loss(members: np.ndarray, rig: CameraRig, weights: LossWeights,
-                 edges: np.ndarray) -> LossReport | None:
+                 edges: SpatialIndex) -> LossReport | None:
     """Loss of the hull whose vertices are the (H, 3) member rows, or None
     if a member is at or behind the near plane."""
     uv, z = pinhole(members, rig)
@@ -116,6 +116,7 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
     """
     if len(edge_map) == 0:
         raise EmptyEdgeMap("cannot refine against an empty edge map")
+    edges = SpatialIndex(edge_map)
 
     pts = cloud.points.copy()
     trace = RefineTrace()
@@ -130,7 +131,7 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
                                  report.l_gs, step, len(members), culled))
 
     members, culled = _hull_members(pts, rig, cfg.hull_k)
-    report = _member_loss(pts[members], rig, cfg.weights, edge_map)
+    report = _member_loss(pts[members], rig, cfg.weights, edges)
     assert report is not None  # members came from a valid projection
     record(0, 0.0)
     window_start_total = report.total
@@ -145,7 +146,7 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
                 members, culled = _hull_members(pts, rig, cfg.hull_k)
             except (AllPointsCulled, TooFewPoints, DegenerateCollinear, HullFailed):
                 break  # members left the frame or collapsed: keep the progress
-            report = _member_loss(pts[members], rig, cfg.weights, edge_map)
+            report = _member_loss(pts[members], rig, cfg.weights, edges)
             if report is None:
                 break
             window_start_total = report.total
@@ -164,7 +165,7 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
         used_step = 0.0  # stays 0.0 when no step is accepted
         while step >= cfg.min_step:
             trial = cur - step * half_extent * direction
-            trial_report = _member_loss(trial, rig, cfg.weights, edge_map)
+            trial_report = _member_loss(trial, rig, cfg.weights, edges)
             if trial_report is not None and trial_report.total < report.total:
                 pts[members] = trial
                 report, used_step = trial_report, step

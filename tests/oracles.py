@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from cloudsr.hull import _crosses_any
+
 
 def _sqdist(p, q):
     total = 0.0
@@ -181,6 +183,50 @@ def brute_points_in_polygon(vertices, points, tol=1e-9):
                 inside = not inside
         out.append(inside or on_edge)
     return out
+
+
+def full_width_walk(pts, index, kk):
+    """The hull walk asking for `kk + len(hull)` neighbours at every step,
+    enough to leave kk unused rows without widening.  A copy of
+    `cloudsr.hull._walk` before its query width became adaptive; the
+    crossing test is the library's, unchanged."""
+    n = pts.shape[0]
+    start = int(np.lexsort((pts[:, 0], pts[:, 1]))[0])  # lowest v, then u
+    hull = [start]
+    used = np.zeros(n, dtype=bool)
+    used[start] = True
+    cur = start
+    prev_angle = np.pi
+
+    for _ in range(2 * n + 4):
+        if len(hull) == 4:
+            used[start] = False  # start point may close the hull from now on
+
+        (near,), _ = index.knn_batch(pts[cur:cur + 1], min(n, kk + len(hull)))
+        cand = near[~used[near]][:kk]
+
+        angles = np.arctan2(pts[cand, 1] - pts[cur, 1], pts[cand, 0] - pts[cur, 0])
+        diff = np.mod(prev_angle - angles, 2.0 * np.pi)
+        cand = cand[np.argsort(diff, kind="stable")]
+
+        e0 = pts[hull[:-1]]
+        e1 = pts[hull[1:]]
+        nxt = -1
+        for c in cand:
+            if not _crosses_any(pts[cur], pts[c], e0, e1):
+                nxt = int(c)
+                break
+        if nxt < 0:
+            return None
+        if nxt == start:
+            return hull
+        hull.append(nxt)
+        used[nxt] = True
+        prev_angle = float(
+            np.arctan2(pts[cur, 1] - pts[nxt, 1], pts[cur, 0] - pts[nxt, 0])
+        )
+        cur = nxt
+    return None
 
 
 def project_homogeneous(p, k_mat, e_rgb, e_tof):

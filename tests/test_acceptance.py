@@ -14,7 +14,7 @@ from cloudsr.camera import CameraRig, Extrinsics, Intrinsics, pinhole, projectio
 from cloudsr.cli import main as cli_main
 from cloudsr.densify import DensifyConfig, densify
 from cloudsr.edges import CannyParams, GrayImage, canny
-from cloudsr.geometry import PointCloud3, bin_downsample
+from cloudsr.geometry import PointCloud3, SpatialIndex, bin_downsample
 from cloudsr.hull import concave_hull, contains_all, polygon_is_simple
 from cloudsr.losses import LossWeights, chamfer_loss, combined_loss, hausdorff_loss
 from cloudsr.metrics import eval_metrics
@@ -103,15 +103,16 @@ def test_criterion_3_gradient_finite_differences():
             rng, int(rng.integers(4, 40)), int(rng.integers(4, 14)), margin=1e-4
         )
         w = LossWeights(*rng.uniform(0.05, 1.0, size=3))
-        rep = combined_loss(r, p, w)
+        edges = SpatialIndex(r)
+        rep = combined_loss(edges, p, w)
         fd = np.zeros_like(p)
         for i in range(p.shape[0]):
             for j in range(2):
                 hi = p.copy(); hi[i, j] += h
                 lo = p.copy(); lo[i, j] -= h
                 fd[i, j] = (
-                    combined_loss(r, hi, w).total
-                    - combined_loss(r, lo, w).total
+                    combined_loss(edges, hi, w).total
+                    - combined_loss(edges, lo, w).total
                 ) / (2 * h)
         err = np.max(np.abs(fd - rep.grad)) / max(np.max(np.abs(fd)), 1e-12)
         worst = max(worst, err)

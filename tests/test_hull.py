@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cloudsr import hull
 from cloudsr.errors import DegenerateCollinear, TooFewPoints
+from cloudsr.geometry import SpatialIndex
 from cloudsr.hull import concave_hull, contains_all, polygon_is_simple
 
-from oracles import brute_points_in_polygon, brute_polygon_is_simple, monotone_chain
+from oracles import (brute_points_in_polygon, brute_polygon_is_simple, full_width_walk,
+                     monotone_chain)
 
 
 def _signed_area(verts):
@@ -125,6 +128,58 @@ def test_polygon_is_simple_matches_pair_loop_lattice():
     assert outcomes == {True, False}
 
 
+def _circle(n):
+    t = 2 * np.pi * np.arange(n) / n
+    return np.stack([np.cos(t), np.sin(t)], axis=1)
+
+
+def _one_crossing(n, i):
+    """A regular n-gon with vertices i+1 and i+2 swapped: edges i and i+2
+    cross and no other pair meets.  The pair (i, i+2) is the first of
+    polygon_is_simple's row i, and (n-3, n-1) its last pair overall."""
+    verts = _circle(n)
+    a, b = (i + 1) % n, (i + 2) % n
+    verts[[a, b]] = verts[[b, a]]
+    return verts
+
+
+def _pair_offset(n, i):
+    """Index of pair (i, i+2) in polygon_is_simple's (i, j) enumeration."""
+    per_row = [n - 3] + [n - 2 - r for r in range(1, n - 2)]
+    return sum(per_row[:i])
+
+
+@pytest.mark.parametrize("block", [2, 7, 64])
+def test_polygon_is_simple_blocks_match_pair_loop(monkeypatch, block):
+    # 40 vertices make 740 pairs, so every block size here splits them,
+    # and the 38 crossings land at many positions within their blocks
+    monkeypatch.setattr(hull, "_PAIR_BLOCK", block)
+    n = 40
+    assert polygon_is_simple(_circle(n)) and brute_polygon_is_simple(_circle(n))
+    for i in range(n - 2):
+        verts = _one_crossing(n, i)
+        assert not brute_polygon_is_simple(verts)
+        assert not polygon_is_simple(verts)
+
+
+def test_polygon_is_simple_crossing_on_a_block_boundary(monkeypatch):
+    n, i = 40, 11
+    at = _pair_offset(n, i)
+    for block in (at, at + 1):   # the crossing opens a block, then closes one
+        monkeypatch.setattr(hull, "_PAIR_BLOCK", block)
+        assert not polygon_is_simple(_one_crossing(n, i))
+
+
+def test_polygon_is_simple_beyond_one_block():
+    # more pairs than one block holds; the only crossing is the last pair
+    n = 400
+    assert polygon_is_simple(_circle(n))
+    verts = _one_crossing(n, n - 3)
+    assert _pair_offset(n, n - 3) >= hull._PAIR_BLOCK
+    assert not brute_polygon_is_simple(verts)
+    assert not polygon_is_simple(verts)
+
+
 def test_contains_all_cases():
     verts = np.array([[0.0, 0], [4, 0], [4, 4], [0, 4]])
     assert contains_all(verts, verts)  # boundary counts as inside
@@ -145,28 +200,104 @@ def _hull_input(rng, kind):
     return grid[rng.choice(len(grid), n, replace=False)]
 
 
-@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+def _comb(rng):
+    """A counter-clockwise comb: horizontal tooth tops and notch floors, so
+    many vertices are local v extrema and many edges have a zero v-span."""
+    teeth = int(rng.integers(2, 7))
+    xs = np.concatenate([[0.0], np.cumsum(rng.integers(1, 4, size=2 * teeth - 1))])
+    tops = rng.integers(4, 9, size=teeth).astype(float)
+    floors = rng.integers(1, 4, size=teeth).astype(float)
+    verts = [[0.0, 0.0], [xs[-1], 0.0]]
+    for t in reversed(range(teeth)):
+        verts += [[xs[2 * t + 1], tops[t]], [xs[2 * t], tops[t]]]
+        if t:  # the notch left of tooth t
+            verts += [[xs[2 * t], floors[t]], [xs[2 * t - 1], floors[t]]]
+    return np.array(verts)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["random", "clustered", "lattice"]))
-def test_contains_all_matches_scalar_oracle(seed, kind):
+       kind=st.sampled_from(["random", "clustered", "lattice", "comb"]),
+       scale=st.sampled_from([1.0, 1e9]),
+       offset=st.sampled_from([0.0, -3e6, 1e9, 1e12]))
+def test_contains_all_matches_scalar_oracle(seed, kind, scale, offset):
     rng = np.random.default_rng(seed)
-    pts = _hull_input(rng, kind)
-    verts = concave_hull(pts, k=int(rng.integers(3, 12))).vertices
+    if kind == "comb":
+        pts = verts = _comb(rng) * scale + offset
+    else:
+        pts = _hull_input(rng, kind) * scale + offset
+        verts = concave_hull(pts, k=int(rng.integers(3, 12))).vertices
     lo, hi = pts.min(axis=0), pts.max(axis=0)
-    edges = np.roll(verts, -1, axis=0) - verts
+    nxt = np.roll(verts, -1, axis=0)
+    edges = nxt - verts
     mids = verts + 0.5 * edges
     along = verts + rng.uniform(0, 1, (len(verts), 1)) * edges
     # right-hand unit normals point out of a counter-clockwise polygon;
     # offsets of 0.5e-9 and 2e-9 straddle the 1e-9 on-edge tolerance
     outward = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
     outward /= np.hypot(edges[:, 0], edges[:, 1])[:, None]
+    # each edge's v-span ends, and just past them: a point the v-band of
+    # `contains_all` left out would read as outside
+    low = np.where((verts[:, 1] <= nxt[:, 1])[:, None], verts, nxt)
+    high = np.where((verts[:, 1] > nxt[:, 1])[:, None], verts, nxt)
+    beyond = [end + [0.0, off] for end, sign in ((low, -1), (high, 1))
+              for off in (sign * 0.5e-9, sign * 2e-9, -sign * 0.5e-9, -sign * 2e-9)]
+    # rows at exactly each vertex's v, and the far end of each edge as its
+    # own arithmetic (v1 + 1 * (v2 - v1)) rounds it
+    level = np.stack([rng.uniform(lo[0], hi[0], len(verts)), verts[:, 1]], axis=1)
+    near = [on + off * outward for on in (mids, along) for off in (0.5e-9, 2e-9)]
     queries = np.vstack([rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), (40, 2)),
-                         verts, mids, along]
-                        + [on + off * outward for on in (mids, along) for off in (0.5e-9, 2e-9)])
+                         verts, mids, along, level, verts + edges] + beyond + near)
     want = brute_points_in_polygon(verts, queries)
     assert [contains_all(verts, q[None]) for q in queries] == want
     assert contains_all(verts, queries) == all(want)
     assert True in want and False in want
+
+
+def _hull_bytes(poly):
+    return poly.vertices.tobytes(), poly.source_indices.tobytes(), poly.k_used
+
+
+# (246, lattice) and (124, clustered) widen the walk's query at the real
+# slack; with no slack it widens often.  Lattice sets at k = 3 escalate k
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "clustered", "lattice"]),
+       slack=st.sampled_from([hull._WALK_SLACK, 0]))
+@example(seed=246, kind="lattice", slack=hull._WALK_SLACK)
+@example(seed=124, kind="clustered", slack=hull._WALK_SLACK)
+def test_walk_width_matches_full_width_oracle(seed, kind, slack):
+    rng = np.random.default_rng(seed)
+    pts = _hull_input(rng, kind)
+    k = int(rng.integers(3, 12))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hull, "_WALK_SLACK", slack)
+        got = _hull_bytes(concave_hull(pts, k=k))
+        mp.setattr(hull, "_walk", full_width_walk)
+        want = _hull_bytes(concave_hull(pts, k=k))
+    assert got == want
+
+
+def test_walk_widens_when_used_rows_crowd_the_query(monkeypatch):
+    # a lattice subset whose hull escalates from k = 3 to 8: at some step
+    # the narrow query returns fewer than kk unused rows and is repeated
+    # wider at the same row
+    pts = _hull_input(np.random.default_rng(246), "lattice")
+    calls = []
+    knn_batch = SpatialIndex.knn_batch
+
+    def recording(self, queries, k):
+        calls.append((queries.tobytes(), k))
+        return knn_batch(self, queries, k)
+
+    monkeypatch.setattr(SpatialIndex, "knn_batch", recording)
+    poly = concave_hull(pts, k=3)
+    assert poly.k_used == 8
+    widened = [(a[1], b[1]) for a, b in zip(calls, calls[1:]) if a[0] == b[0]]
+    assert widened and all(wide > narrow for narrow, wide in widened)
+    monkeypatch.setattr(SpatialIndex, "knn_batch", knn_batch)
+    monkeypatch.setattr(hull, "_walk", full_width_walk)
+    assert _hull_bytes(concave_hull(pts, k=3)) == _hull_bytes(poly)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cloudsr.errors import EmptySet, TooFewVertices
+from cloudsr.geometry import SpatialIndex
 from cloudsr.losses import (
     LossWeights,
     chamfer_loss,
@@ -155,7 +156,7 @@ def test_gs_too_few_vertices():
 def test_combined_zero_when_hull_equals_edges_regular():
     # collinear-regular vertex ring subset: CD = HD = 0 and their gradients 0
     verts = np.array([[0.0, 0], [1, 0], [2, 0], [2, 1]])
-    rep = combined_loss(verts, verts, LossWeights(1.0, 1.0, 0.0))
+    rep = combined_loss(SpatialIndex(verts), verts, LossWeights(1.0, 1.0, 0.0))
     assert rep.l_cd == 0.0
     assert rep.l_hd == 0.0
     np.testing.assert_array_equal(rep.grad, 0.0)
@@ -165,7 +166,7 @@ def test_combined_weight_masking():
     rng = np.random.default_rng(8)
     r = rng.uniform(size=(20, 2))
     p = rng.uniform(size=(6, 2))
-    rep = combined_loss(r, p, LossWeights(1.0, 0.0, 0.0))
+    rep = combined_loss(SpatialIndex(r), p, LossWeights(1.0, 0.0, 0.0))
     assert rep.total == rep.l_cd
     assert rep.l_cd == pytest.approx(chamfer_loss(r, p), rel=1e-15)
 
@@ -175,7 +176,7 @@ def test_combined_total_composition():
     r = rng.uniform(size=(15, 2))
     p = rng.uniform(size=(5, 2))
     w = LossWeights(1e-5, 1e-2, 1e-2)
-    rep = combined_loss(r, p, w)
+    rep = combined_loss(SpatialIndex(r), p, w)
     assert rep.total == pytest.approx(
         w.alpha * rep.l_cd + w.beta * rep.l_hd + w.gamma * rep.l_gs, abs=1e-12
     )
@@ -190,7 +191,8 @@ def test_combined_gradient_matches_finite_differences():
         n_hull = int(rng.integers(4, 12))
         r, p = sample_far_from_ties(rng, n_edge, n_hull)
         w = LossWeights(*rng.uniform(0.05, 1.0, size=3))
-        rep = combined_loss(r, p, w)
+        edges = SpatialIndex(r)
+        rep = combined_loss(edges, p, w)
 
         fd = np.zeros_like(p)
         for i in range(p.shape[0]):
@@ -200,13 +202,14 @@ def test_combined_gradient_matches_finite_differences():
                 lo = p.copy()
                 lo[i, j] -= h
                 fd[i, j] = (
-                    combined_loss(r, hi, w).total
-                    - combined_loss(r, lo, w).total
+                    combined_loss(edges, hi, w).total
+                    - combined_loss(edges, lo, w).total
                 ) / (2 * h)
         denom = max(np.max(np.abs(fd)), 1e-12)
         assert np.max(np.abs(fd - rep.grad)) / denom < 1e-4
 
 
 def test_combined_propagates_empty():
+    # an empty edge map cannot be indexed, so the vertices are the set checked
     with pytest.raises(EmptySet):
-        combined_loss(np.zeros((0, 2)), np.eye(3, 2) + [[0], [1], [2]])
+        combined_loss(SpatialIndex(np.eye(3, 2)), np.zeros((0, 2)))

@@ -7,7 +7,7 @@ from cloudsr.camera import CameraRig, pinhole, project_cloud
 from cloudsr.densify import DensifyConfig
 from cloudsr.edges import GrayImage
 from cloudsr.errors import EmptyEdgeMap, TooFewPoints
-from cloudsr.geometry import PointCloud3
+from cloudsr.geometry import PointCloud3, SpatialIndex
 from cloudsr.hull import concave_hull
 from cloudsr.losses import LossWeights, combined_loss
 from cloudsr.refine import RefineConfig, RefineTrace, TraceRecord, refine, superres
@@ -201,7 +201,8 @@ def test_member_leaving_frame_counts_until_refresh():
     proj, imap = project_cloud(cloud.points, rig)
     members = concave_hull(proj, index_map=imap, k=cfg.hull_k).source_indices
     assert set(left) <= set(members)
-    in_loss = combined_loss(edge_map, pinhole(out.points[members], rig)[0], cfg.weights)
+    in_loss = combined_loss(SpatialIndex(edge_map), pinhole(out.points[members], rig)[0],
+                            cfg.weights)
     assert trace.records[-1].total == in_loss.total
 
     _, trace = refine(cloud, edge_map, rig, replace(cfg, max_iters=6))
