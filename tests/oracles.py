@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from cloudsr.geometry import DEDUPE_TOL
 from cloudsr.hull import _crosses_any
 
 
@@ -317,3 +318,34 @@ def brute_farthest_point_select(pts, m):
         chosen.append(nxt)
         dmin = np.minimum(dmin, np.sum((pts - pts[nxt]) ** 2, axis=1))
     return np.array(chosen, dtype=np.intp)
+
+
+def lexsort_voxel_bin_count(pts, origin, edge):
+    """Occupied-voxel count by a `lexsort` of the float key rows: the form the
+    library's folded one-key count must reproduce."""
+    # float keys: at the bisection's smallest edge an index can exceed int64
+    keys = np.floor((pts - origin) / edge)
+    keys = keys[np.lexsort(keys.T)]
+    return 1 + int(np.count_nonzero(np.any(keys[1:] != keys[:-1], axis=1)))
+
+
+def unique_voxel_centroids(pts, origin, edge):
+    """Centroid of each occupied voxel, ordered by voxel key, grouped by
+    `np.unique(axis=0)` of the float key rows."""
+    keys = np.floor((pts - origin) / edge)
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    sums = np.zeros((uniq.shape[0], pts.shape[1]))
+    np.add.at(sums, inverse, pts)
+    counts = np.bincount(inverse, minlength=uniq.shape[0]).astype(np.float64)
+    return sums / counts[:, None]
+
+
+def unique_dedupe_rows(arr):
+    """Ascending indices of the first row of each `DEDUPE_TOL` grid cell, by
+    `np.unique(axis=0, return_index=True)` of the snapped rows."""
+    if arr.shape[0] == 0:
+        return np.arange(0, dtype=np.intp)
+    # float keys: an int64 cast would wrap beyond about 9.2e9
+    keys = np.round(arr / DEDUPE_TOL)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    return np.sort(first)

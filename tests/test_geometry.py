@@ -7,6 +7,7 @@ from cloudsr import geometry
 from cloudsr.errors import EmptyInput, InsufficientPoints, InvalidTarget
 from cloudsr.geometry import (
     COORD_LIMIT,
+    DEDUPE_TOL,
     PointCloud3,
     SpatialIndex,
     bin_downsample,
@@ -17,7 +18,8 @@ from cloudsr.geometry import (
     normalize_to_unit,
 )
 
-from oracles import brute_farthest_point_select, flat_knn, linear_knn, linear_nn
+from oracles import (brute_farthest_point_select, flat_knn, lexsort_voxel_bin_count, linear_knn,
+                     linear_nn, unique_dedupe_rows, unique_voxel_centroids)
 
 
 def test_cloud_is_immutable_and_ordered():
@@ -359,9 +361,9 @@ def test_downsample_subnormal_gap_keeps_keys_finite(gap, far):
     assert out.points.shape == (4, 3) and np.all(np.isfinite(out.points))
 
 
-def _bisect_64_steps(pts, target):
-    """`binned_centroids` as it was before its bisection stopped early: all
-    64 steps, every one counting the bins."""
+def _edge_bounds(pts):
+    """(origin, smallest separating edge, initial upper edge) as
+    `binned_centroids` computes them, or None when all rows are identical."""
     origin = pts.min(axis=0)
     extent = pts.max(axis=0) - origin
     gaps = []
@@ -371,19 +373,29 @@ def _bisect_64_steps(pts, target):
         if diffs.size:
             gaps.append(diffs.min())
     if not gaps:
-        return pts[:1].copy(), 1.0
+        return None
     lo = max(min(gaps) / 2.0, float(extent.max()) / 1e300,
              np.finfo(np.float64).smallest_subnormal)
-    hi = float(np.linalg.norm(extent)) + lo
-    if geometry._voxel_bin_count(pts, origin, lo) < target:
-        return geometry._voxel_centroids(pts, origin, lo), lo
+    return origin, lo, float(np.linalg.norm(extent)) + lo
+
+
+def _bisect_64_steps(pts, target):
+    """`binned_centroids` as it was before its bisection stopped early and
+    before its counts were folded: all 64 steps, every one counting the bins
+    with the `lexsort` oracle."""
+    bounds = _edge_bounds(pts)
+    if bounds is None:
+        return pts[:1].copy(), 1.0
+    origin, lo, hi = bounds
+    if lexsort_voxel_bin_count(pts, origin, lo) < target:
+        return unique_voxel_centroids(pts, origin, lo), lo
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        if geometry._voxel_bin_count(pts, origin, mid) >= target:
+        if lexsort_voxel_bin_count(pts, origin, mid) >= target:
             lo = mid
         else:
             hi = mid
-    return geometry._voxel_centroids(pts, origin, lo), lo
+    return unique_voxel_centroids(pts, origin, lo), lo
 
 
 def _downsample_clouds():
@@ -419,6 +431,92 @@ def test_bisection_stops_early_with_the_64_step_result(monkeypatch):
                         lambda *args: counts.append(1) or real(*args))
     binned_centroids(_downsample_clouds()[0], 100)
     assert len(counts) <= 1 + 61
+
+
+def test_voxel_counts_take_the_lexsort_fallback_at_most_once(monkeypatch):
+    # on a unit-size cloud only the first probe, at the smallest separating
+    # edge, has a grid of 2^63 cells or more; every other count is folded
+    folded = []
+    real = geometry._fold_voxel_keys
+    monkeypatch.setattr(geometry, "_fold_voxel_keys",
+                        lambda keys: folded.append(real(keys)) or folded[-1])
+    binned_centroids(_downsample_clouds()[0], 100)
+    assert len(folded) > 50
+    assert sum(f is None for f in folded) <= 1
+
+
+def _grid_corner_cloud(spans, rng):
+    """Integer rows in [0, span) per axis holding both grid corners, so edge
+    1.0 at origin 0 gives exactly these spans."""
+    spans = np.array(spans, dtype=np.float64)
+    inner = np.floor(rng.uniform(0, 1, size=(40, spans.size)) * spans)
+    return np.vstack([np.zeros(spans.size), spans - 1, inner, inner[:5]])
+
+
+@st.composite
+def _voxel_cases(draw):
+    """(points, origin, edge): uniform, integer-lattice, planar, 2-column,
+    subnormal-gap, signed-zero-key and grid-corner clouds, edges drawn from
+    the smallest separating edge up to the extent."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 150))
+    kind = draw(st.sampled_from(["uniform", "lattice", "planar", "two-column", "subnormal",
+                                 "signed-zero", "grid-corner"]))
+    if kind == "uniform":
+        pts = rng.uniform(-1, 1, size=(n, 3)) * draw(st.sampled_from([1e-300, 1e-6, 1.0, 1e10]))
+    elif kind == "lattice":
+        pts = rng.integers(-4, draw(st.integers(-3, 6)) + 5, size=(n, 3)) * 0.5
+    elif kind == "planar":
+        pts = rng.uniform(0, 1, size=(n, 3))
+        pts[:, draw(st.integers(0, 2))] = draw(st.sampled_from([0.0, 0.25, -7.0]))
+    elif kind == "two-column":
+        pts = rng.integers(0, 9, size=(n, 2)) * draw(st.sampled_from([0.1, 1.0, 3e7]))
+    elif kind == "subnormal":
+        gap, far = draw(st.sampled_from([(5e-324, 3.0), (1e-310, 1e10), (1e-320, 1.0)]))
+        pts = np.vstack([[[0, 0, 0], [gap, 0, 0], [1, 1, 1], [2, 2, 2], [far, 1, 0]],
+                         rng.integers(0, 4, size=(n, 3)) * gap])
+    elif kind == "signed-zero":
+        # rows within half a DEDUPE_TOL of zero snap to -0.0 or +0.0 keys
+        pts = rng.integers(-2, 3, size=(n, 3)) * DEDUPE_TOL
+        pts += rng.choice([-0.4, -0.1, 0.0, 0.1, 0.4], size=pts.shape) * DEDUPE_TOL
+        pts[rng.random(pts.shape) < 0.2] = -0.0
+    else:
+        spans = draw(st.sampled_from([(2**32, 2**31 - 1), (2**32, 2**31), (2**21, 2**21, 2**21 - 1),
+                                      (2**21, 2**21, 2**21), (3, 2**61), (4, 2**61), (1e200, 1e200, 1e200)]))
+        pts = _grid_corner_cloud(spans, rng)
+        return pts, np.zeros(pts.shape[1]), 1.0
+    bounds = _edge_bounds(pts)
+    if bounds is None:
+        return pts, pts.min(axis=0), 1.0
+    origin, lo, hi = bounds
+    u = draw(st.sampled_from([0.0, 1.0, None]))
+    if u is None:
+        u = draw(st.floats(0.0, 1.0))
+    return pts, origin, min(lo * (hi / lo) ** u, hi)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_voxel_cases())
+def test_voxel_binning_and_dedupe_match_oracles_byte_for_byte(case):
+    _assert_voxels_match_oracles(*case)
+
+
+def _assert_voxels_match_oracles(pts, origin, edge):
+    assert geometry._voxel_bin_count(pts, origin, edge) == lexsort_voxel_bin_count(pts, origin, edge)
+    got = geometry._voxel_centroids(pts, origin, edge)
+    assert got.tobytes() == unique_voxel_centroids(pts, origin, edge).tobytes()
+    assert dedupe_rows(pts).tolist() == unique_dedupe_rows(pts).tolist()
+
+
+@pytest.mark.parametrize("spans,fits", [
+    ((2**32, 2**31 - 1), True), ((2**32, 2**31), False),
+    ((2**21, 2**21, 2**21 - 1), True), ((2**21, 2**21, 2**21), False),
+    ((1e200, 1e200, 1e200), False),
+], ids=["2col-below", "2col-at", "3col-below", "3col-at", "float-overflow"])
+def test_fold_switches_to_lexsort_at_two_to_the_63(spans, fits):
+    pts = _grid_corner_cloud(spans, np.random.default_rng(1))
+    assert (geometry._fold_voxel_keys(pts) is not None) == fits
+    _assert_voxels_match_oracles(pts, np.zeros(pts.shape[1]), 1.0)
 
 
 def test_bisection_target_one_keeps_the_rounded_up_edge():
