@@ -84,19 +84,11 @@ class Extrinsics:
         return Extrinsics(out)
 
     @classmethod
-    def identity(cls) -> "Extrinsics":
-        return cls(np.eye(4))
-
-    @classmethod
     def from_rt(cls, rotation, translation) -> "Extrinsics":
         m = np.eye(4)
         m[:3, :3] = np.asarray(rotation, dtype=np.float64)
         m[:3, 3] = np.asarray(translation, dtype=np.float64)
         return cls(m)
-
-    @classmethod
-    def from_translation(cls, x: float, y: float, z: float) -> "Extrinsics":
-        return cls.from_rt(np.eye(3), [x, y, z])
 
     def __repr__(self) -> str:
         return f"Extrinsics({self._m.tolist()})"
@@ -119,32 +111,16 @@ class CameraRig:
         self.width = int(width)
         self.height = int(height)
         chain = e_rgb.inverse().matrix @ e_tof.matrix
-        self._rot = np.ascontiguousarray(chain[:3, :3])
-        self._trans = np.ascontiguousarray(chain[:3, 3])
-        self._rot.setflags(write=False)
-        self._trans.setflags(write=False)
-
-    @property
-    def rotation(self) -> np.ndarray:
-        """Read-only rotation block of the depth-to-RGB transform."""
-        return self._rot
-
-    @property
-    def translation(self) -> np.ndarray:
-        """Read-only translation of the depth-to-RGB transform."""
-        return self._trans
-
-    @classmethod
-    def identity(cls, fx: float, fy: float, cx: float, cy: float,
-                 width: int, height: int) -> "CameraRig":
-        """Rig with identity extrinsics; handy for synthetic scenes."""
-        return cls(Intrinsics(fx, fy, cx, cy), Extrinsics.identity(),
-                   Extrinsics.identity(), width, height)
+        # read-only rotation block and translation of the depth-to-RGB transform
+        self.rotation = np.ascontiguousarray(chain[:3, :3])
+        self.translation = np.ascontiguousarray(chain[:3, 3])
+        self.rotation.setflags(write=False)
+        self.translation.setflags(write=False)
 
 
 def _rgb_frame(points: np.ndarray, rig: CameraRig) -> np.ndarray:
     """(N, 3) depth-frame points expressed in the RGB camera frame."""
-    return points @ rig._rot.T + rig._trans
+    return points @ rig.rotation.T + rig.translation
 
 
 def pinhole(points: np.ndarray, rig: CameraRig) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +172,7 @@ def projection_jacobians(points: np.ndarray, rig: CameraRig) -> np.ndarray:
     persp[:, 1, 1] = k.fy / z
     persp[:, 0, 2] = -k.fx * xyz[:, 0] / (z * z)
     persp[:, 1, 2] = -k.fy * xyz[:, 1] / (z * z)
-    return persp @ rig._rot
+    return persp @ rig.rotation
 
 
 def rig_from_dict(data: dict) -> CameraRig:

@@ -64,6 +64,8 @@ class CannyParams:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
+        if not math.isfinite(self.sigma):
+            raise ValueError("sigma must be finite")
         if not (0.0 < self.low < self.high):
             raise ValueError("thresholds must satisfy 0 < low < high")
 
@@ -76,14 +78,8 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def gaussian_smooth(img: GrayImage, sigma: float) -> GrayImage:
-    """Separable Gaussian blur with edge-clamp border replication."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    return GrayImage(np.clip(_smoothed_array(img.pixels, sigma), 0.0, 1.0))
-
-
 def _smoothed_array(pixels: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur with edge-clamp border replication."""
     k = gaussian_kernel(sigma)
     out = ndimage.correlate1d(pixels, k, axis=0, mode="nearest")
     return ndimage.correlate1d(out, k, axis=1, mode="nearest")
@@ -138,10 +134,19 @@ def canny(img: GrayImage, params: CannyParams = CannyParams()) -> np.ndarray:
     float64 array.
 
     Output points are (u=column, v=row) in row-major scan order.  A border
-    band of ceil(3*sigma)+1 pixels is excluded to avoid clamp artifacts.
+    band of ceil(3*sigma)+1 pixels is excluded to avoid clamp artifacts, so
+    a sigma whose band covers the image finds no edges.
     """
     if img.width < 3 or img.height < 3:
         raise ImageTooSmall("canny needs at least a 3x3 image")
+    # compared in floating point before the ceil, which overflows for a huge
+    # sigma (whose kernel would not fit in memory either)
+    side = min(img.width, img.height)
+    if 3.0 * params.sigma >= side:
+        return _NO_EDGES
+    band = math.ceil(3.0 * params.sigma) + 1
+    if 2 * band >= side:
+        return _NO_EDGES
 
     mag, theta = gradient(_smoothed_array(img.pixels, params.sigma))
     gmax = mag.max()
@@ -158,7 +163,6 @@ def canny(img: GrayImage, params: CannyParams = CannyParams()) -> np.ndarray:
     good = np.unique(labels[strong])
     edges = weak & np.isin(labels, good)
 
-    band = math.ceil(3.0 * params.sigma) + 1
     edges[:band, :] = False
     edges[-band:, :] = False
     edges[:, :band] = False

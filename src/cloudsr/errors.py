@@ -69,6 +69,10 @@ class EmptyEdgeMap(CloudSRError):
     """Refinement received an edge map with no points to align to."""
 
 
+class NonFiniteLoss(CloudSRError):
+    """The refinement loss or its gradient overflowed float64."""
+
+
 # -- file formats -----------------------------------------------------------
 
 class MalformedHeader(CloudSRError):

@@ -218,8 +218,9 @@ def _fold_voxel_keys(keys: np.ndarray) -> np.ndarray | None:
     return folded
 
 
-def _voxel_bin_count(pts: np.ndarray, origin: np.ndarray, edge: float) -> int:
-    """Number of occupied voxels of edge `edge` anchored at `origin`.
+def _voxel_bin_count(rel: np.ndarray, edge: float) -> int:
+    """Number of occupied voxels of edge `edge` over rows `rel` taken
+    relative to the voxel origin.
 
     Sorts the folded one-column key and counts unequal neighbours; a grid of
     2^63 cells or more (on the bench inputs, only the bisection's first,
@@ -228,7 +229,7 @@ def _voxel_bin_count(pts: np.ndarray, origin: np.ndarray, edge: float) -> int:
     `lexsort`.
     """
     # float keys: at the bisection's smallest edge an index can exceed int64
-    keys = np.floor((pts - origin) / edge)
+    keys = np.floor(rel / edge)
     folded = _fold_voxel_keys(keys)
     if folded is None:
         keys = keys[np.lexsort(keys.T)]
@@ -237,15 +238,16 @@ def _voxel_bin_count(pts: np.ndarray, origin: np.ndarray, edge: float) -> int:
     return 1 + int(np.count_nonzero(folded[1:] != folded[:-1]))
 
 
-def _voxel_centroids(pts: np.ndarray, origin: np.ndarray, edge: float) -> np.ndarray:
-    """Centroid of each occupied voxel, ordered by voxel key (column 0 most
+def _voxel_centroids(pts: np.ndarray, rel: np.ndarray, edge: float) -> np.ndarray:
+    """Centroid of each occupied voxel of `pts`, binned by `rel` (the rows
+    relative to the voxel origin) and ordered by voxel key (column 0 most
     significant).
 
     `np.unique` of the folded key orders the voxels as `np.unique(axis=0)`
     of the key rows, the fallback for grids of 2^63 cells or more, so the
     groups, their order and the summation order are the same on both paths.
     """
-    keys = np.floor((pts - origin) / edge)
+    keys = np.floor(rel / edge)
     folded = _fold_voxel_keys(keys)
     if folded is None:
         uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
@@ -302,6 +304,7 @@ def binned_centroids(pts: np.ndarray, target: int) -> tuple[np.ndarray, float]:
     """
     origin = pts.min(axis=0)
     extent = pts.max(axis=0) - origin
+    rel = pts - origin  # once: every bisection step bins these rows
 
     # smallest separating edge: below the smallest positive per-axis gap,
     # every pair of distinct rows lands in different bins
@@ -319,14 +322,14 @@ def binned_centroids(pts: np.ndarray, target: int) -> tuple[np.ndarray, float]:
              np.finfo(np.float64).smallest_subnormal)
     hi = float(np.linalg.norm(extent)) + lo
 
-    if _voxel_bin_count(pts, origin, lo) < target:
+    if _voxel_bin_count(rel, lo) < target:
         # fewer distinct rows than requested; return what exists
-        return _voxel_centroids(pts, origin, lo), lo
+        return _voxel_centroids(pts, rel, lo), lo
 
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         inside = lo < mid < hi
-        if _voxel_bin_count(pts, origin, mid) >= target:
+        if _voxel_bin_count(rel, mid) >= target:
             lo = mid
         else:
             hi = mid
@@ -335,7 +338,7 @@ def binned_centroids(pts: np.ndarray, target: int) -> tuple[np.ndarray, float]:
             # step (lo counts >= target, a mid == hi that counts < target
             # stays hi) and the remaining steps would repeat this one
             break
-    return _voxel_centroids(pts, origin, lo), lo
+    return _voxel_centroids(pts, rel, lo), lo
 
 
 def bin_downsample(cloud: PointCloud3, target_count: int) -> PointCloud3:
@@ -367,7 +370,7 @@ def normalize_to_unit(points: np.ndarray) -> tuple[np.ndarray, float, np.ndarray
     """Center (N, 3) points on their bounding-box midpoint and scale to unit size.
 
     Returns (normalized points, scale, (3,) offset) with max |coordinate| == 1
-    after the transform; `denormalize` inverts it exactly up to float
+    after the transform; `norm * scale + offset` inverts it up to float
     rounding.  A zero-extent set keeps scale 1.
     """
     lo = points.min(axis=0)
@@ -377,8 +380,3 @@ def normalize_to_unit(points: np.ndarray) -> tuple[np.ndarray, float, np.ndarray
     if scale == 0.0:
         scale = 1.0
     return (points - offset) / scale, scale, offset
-
-
-def denormalize(points: np.ndarray, scale: float, offset: np.ndarray) -> np.ndarray:
-    """Invert `normalize_to_unit`."""
-    return points * scale + offset

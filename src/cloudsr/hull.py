@@ -272,7 +272,8 @@ def concave_hull(points, index_map=None, k: int = 20) -> HullPolygon:
         index_map = np.asarray(index_map, dtype=np.intp)
         if index_map.shape != (raw.shape[0],):
             raise ValueError("index_map must map every input point")
-        if np.unique(index_map).size != index_map.size:
+        ordered = np.sort(index_map)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("index_map entries must be distinct")
 
     keep = dedupe_rows(raw)

@@ -13,6 +13,7 @@ are locally constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ class LossWeights:
         w = (self.alpha, self.beta, self.gamma)
         if any(x < 0 for x in w):
             raise ValueError("loss weights must be nonnegative")
+        if not all(math.isfinite(x) for x in w):
+            raise ValueError("loss weights must be finite")
         if not any(x > 0 for x in w):
             raise ValueError("at least one loss weight must be positive")
 

@@ -9,7 +9,7 @@ jointly rescaled by the ground truth's unit transform first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,18 +23,9 @@ class EvalReport:
     normalized: bool
     pred_count: int
     gt_count: int
-    scale: float  # normalization scale applied (1.0 when not normalized)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "cd": self.cd,
-                "hd": self.hd,
-                "normalized": self.normalized,
-                "pred_count": self.pred_count,
-                "gt_count": self.gt_count,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def eval_metrics(pred: PointCloud3, gt: PointCloud3,
@@ -43,7 +34,6 @@ def eval_metrics(pred: PointCloud3, gt: PointCloud3,
     a predicted cloud and the ground truth."""
     p = pred.points
     g = gt.points
-    scale = 1.0
     if normalize:
         g, scale, offset = normalize_to_unit(g)
         p = (p - offset) / scale
@@ -52,4 +42,4 @@ def eval_metrics(pred: PointCloud3, gt: PointCloud3,
     cd = float((np.sum(d2_pg) + np.sum(d2_gp)) / (len(pred) + len(gt)))
     hd = float(max(np.sqrt(np.max(d2_pg)), np.sqrt(np.max(d2_gp))))
     return EvalReport(cd=cd, hd=hd, normalized=normalize,
-                      pred_count=len(pred), gt_count=len(gt), scale=scale)
+                      pred_count=len(pred), gt_count=len(gt))

@@ -11,6 +11,7 @@ every hull-fixed window.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -19,8 +20,8 @@ from .camera import CameraRig, EPS_Z, pinhole, project_cloud, projection_jacobia
 from .densify import DensifyConfig, densify
 from .edges import CannyParams, GrayImage, canny
 from .errors import (AllPointsCulled, DegenerateCollinear, EmptyEdgeMap, HullFailed,
-                     TooFewPoints)
-from .geometry import PointCloud3, SpatialIndex
+                     NonFiniteLoss, TooFewPoints)
+from .geometry import COORD_LIMIT, PointCloud3, SpatialIndex
 from .hull import concave_hull
 from .losses import LossReport, LossWeights, combined_loss
 
@@ -45,6 +46,8 @@ class RefineConfig:
             raise ValueError("hull_refresh_period must be positive")
         if not self.initial_step > 0 or not self.min_step > 0:
             raise ValueError("step sizes must be positive")
+        if not (math.isfinite(self.initial_step) and math.isfinite(self.min_step)):
+            raise ValueError("step sizes must be finite")
         if not (0.0 < self.backtrack_factor < 1.0):
             raise ValueError("backtrack_factor must be in (0, 1)")
         if self.hull_k < 3:
@@ -74,12 +77,6 @@ class RefineTrace:
     def __init__(self):
         self.records: list[TraceRecord] = []
 
-    def append(self, rec: TraceRecord) -> None:
-        self.records.append(rec)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
     def accepted_steps(self) -> int:
         return sum(1 for r in self.records if r.step > 0.0)
 
@@ -98,19 +95,29 @@ def _hull_members(pts: np.ndarray, rig: CameraRig, hull_k: int) -> tuple[np.ndar
 def _member_loss(members: np.ndarray, rig: CameraRig, weights: LossWeights,
                  edges: SpatialIndex) -> LossReport | None:
     """Loss of the hull whose vertices are the (H, 3) member rows, or None
-    if a member is at or behind the near plane."""
+    if a member is at or behind the near plane or projects past COORD_LIMIT."""
     uv, z = pinhole(members, rig)
-    if np.any(z <= EPS_Z):
+    if np.any(z <= EPS_Z) or not np.all(np.abs(uv) <= COORD_LIMIT):  # NaN fails too
         return None
     return combined_loss(edges, uv, weights)
 
 
+def _require_finite(*values: float) -> None:
+    """Raise NonFiniteLoss unless the loss and gradient values are finite."""
+    if not all(math.isfinite(v) for v in values):
+        raise NonFiniteLoss("the loss or its gradient overflows; lower the loss weights")
+
+
+# huge weights or steps overflow quietly: `_require_finite` and `_member_loss`
+# turn the inf and NaN they leave into an error or a rejected trial
+@np.errstate(over="ignore", invalid="ignore")
 def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
            cfg: RefineConfig = RefineConfig()) -> tuple[PointCloud3, RefineTrace]:
     """Iteratively move hull-member points so the projected hull tracks the
     edge map.  Non-member points are never touched.  The initial hull must
     build; a later refresh that cannot (members left the frame or collapsed)
-    ends refinement with the points reached so far.
+    ends refinement with the points reached so far.  A loss or gradient that
+    is not finite (loss weights too large) raises NonFiniteLoss.
 
     Returns the refined cloud (same size and order) and the trace.
     """
@@ -127,12 +134,13 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
 
     # the one trace site; it reads `report`, `members` and `culled` when called
     def record(iteration: int, step: float) -> None:
-        trace.append(TraceRecord(iteration, report.total, report.l_cd, report.l_hd,
-                                 report.l_gs, step, len(members), culled))
+        trace.records.append(TraceRecord(iteration, report.total, report.l_cd, report.l_hd,
+                                         report.l_gs, step, len(members), culled))
 
     members, culled = _hull_members(pts, rig, cfg.hull_k)
     report = _member_loss(pts[members], rig, cfg.weights, edges)
     assert report is not None  # members came from a valid projection
+    _require_finite(report.total)
     record(0, 0.0)
     window_start_total = report.total
 
@@ -157,6 +165,7 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
         if cfg.constant_depth:
             grad3[:, 2] = 0.0
         gnorm = float(np.linalg.norm(grad3))
+        _require_finite(report.total, gnorm)  # a refresh may have replaced `report`
         if gnorm == 0.0:
             break  # stationary point
         direction = grad3 / gnorm

@@ -220,9 +220,10 @@ def test_criterion_6_canny_localization():
 
 def _square_scene_stage(tmp_path):
     """Criterion 7 inputs written as files: sparse PLY, silhouette PGM, calib."""
-    rig = CameraRig.identity(800.0, 800.0, 320.0, 240.0, 640, 480)
+    rig = CameraRig(Intrinsics(800.0, 800.0, 320.0, 240.0), Extrinsics(np.eye(4)),
+                    Extrinsics(np.eye(4)), 640, 480)
     spec = SceneSpec(shape="square-plane",
-                     pose=Extrinsics.from_translation(0.0, 0.0, 2.0),
+                     pose=Extrinsics.from_rt(np.eye(3), [0.0, 0.0, 2.0]),
                      extent=0.5, density=4e4)
     gt, img = synth_scene(spec, rig)
     sparse = bin_downsample(gt, 512)

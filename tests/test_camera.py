@@ -22,8 +22,8 @@ def _rig(fx=100.0, fy=100.0, cx=50.0, cy=50.0, w=100, h=100,
          e_rgb=None, e_tof=None):
     return CameraRig(
         Intrinsics(fx, fy, cx, cy),
-        e_rgb or Extrinsics.identity(),
-        e_tof or Extrinsics.identity(),
+        e_rgb or Extrinsics(np.eye(4)),
+        e_tof or Extrinsics(np.eye(4)),
         w, h,
     )
 
@@ -85,7 +85,7 @@ def test_frame_transform_identity():
 
 
 def test_frame_transform_translation():
-    rig = _rig(e_tof=Extrinsics.from_translation(1.0, 0.0, 0.0))
+    rig = _rig(e_tof=Extrinsics.from_rt(np.eye(3), [1.0, 0.0, 0.0]))
     assert np.array_equal(_to_rgb([0.0, 0.0, 5.0], rig), [1.0, 0.0, 5.0])
 
 
@@ -279,7 +279,7 @@ def _calib_dict():
     return {
         "k_rgb": {"fx": 525.0, "fy": 525.0, "cx": 319.5, "cy": 239.5},
         "e_rgb": list(np.eye(4).ravel()),
-        "e_tof": list(Extrinsics.from_translation(0.05, 0.0, 0.0).matrix.ravel()),
+        "e_tof": list(Extrinsics.from_rt(np.eye(3), [0.05, 0.0, 0.0]).matrix.ravel()),
         "width": 640,
         "height": 480,
     }

@@ -48,7 +48,7 @@ def scene(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps({
         "shape": "square-plane",
-        "pose": list(Extrinsics.from_translation(0, 0, 2.0).matrix.ravel()),
+        "pose": list(Extrinsics.from_rt(np.eye(3), [0, 0, 2.0]).matrix.ravel()),
         "extent": 0.5,
         "density": 4e4,
         "fg": 1.0,
@@ -88,8 +88,20 @@ _SUPERRES = ["superres", "{ply}", "{pgm}", "{calib}", "{out}"]
     (_SUPERRES + ["--alpha", "-1"], "loss weights must be nonnegative"),
     (["densify", "{ply}", "{out}", "--target", "0"],
      "argument --target: must be a positive integer, got 0"),
+    (["edges", "{pgm}", "{out}", "--sigma", "inf"], "sigma must be finite"),
+    (["edges", "{pgm}", "{out}", "--sigma", "nan"], "sigma must be positive"),
+    (_SUPERRES + ["--sigma", "inf"], "sigma must be finite"),
+    (_SUPERRES + ["--step", "inf"], "step sizes must be finite"),
+    (_SUPERRES + ["--min-step", "inf"], "step sizes must be finite"),
+    (_SUPERRES + ["--step", "nan"], "step sizes must be positive"),
+    (_SUPERRES + ["--alpha", "nan"], "loss weights must be finite"),
+    (_SUPERRES + ["--beta", "inf"], "loss weights must be finite"),
+    (_SUPERRES + ["--gamma", "inf"], "loss weights must be finite"),
 ], ids=["densify-rate", "densify-k-interp", "hull-k", "edges-sigma",
-        "superres-thresholds", "superres-backtrack", "superres-weight", "densify-target"])
+        "superres-thresholds", "superres-backtrack", "superres-weight", "densify-target",
+        "edges-sigma-inf", "edges-sigma-nan", "superres-sigma-inf", "superres-step-inf",
+        "superres-min-step-inf", "superres-step-nan", "superres-alpha-nan",
+        "superres-beta-inf", "superres-gamma-inf"])
 def test_invalid_flag_value_is_usage_error(tmp_path, calib, capsys, argv, message):
     files = {"ply": tmp_path / "in.ply", "csv": tmp_path / "pts.csv",
              "pgm": tmp_path / "img.pgm", "calib": calib, "out": tmp_path / "out"}
@@ -99,6 +111,54 @@ def test_invalid_flag_value_is_usage_error(tmp_path, calib, capsys, argv, messag
     code = main([a.format(**files) for a in argv])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+
+
+@pytest.mark.parametrize("sigma", ["10.5", "1e12", "1e308"])
+def test_edges_sigma_whose_border_band_covers_the_image_finds_none(tmp_path, capsys,
+                                                                   monkeypatch, sigma):
+    def kernel_built(sigma):
+        raise AssertionError("a Gaussian kernel was built for a band covering the image")
+    monkeypatch.setattr("cloudsr.edges.gaussian_kernel", kernel_built)
+    img = np.zeros((64, 64))
+    img[20:44, 20:44] = 1.0
+    pgm, out = tmp_path / "img.pgm", tmp_path / "edges.csv"
+    write_pixmap(GrayImage(img), pgm)
+    assert main(["edges", str(pgm), str(out), "--sigma", sigma]) == 0
+    assert out.read_text() == "u,v\n"
+    assert capsys.readouterr().err == ""
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("flags,code", [
+    (["--beta", "1e308"], 2), (["--beta", "1e308", "--max-iters", "0"], 2),
+    (["--alpha", "1e308"], 2), (["--beta", "1e200"], 2), (["--step", "1e308"], 0),
+], ids=["beta", "beta-no-iterations", "alpha", "beta-gradient-only", "step"])
+def test_overflowing_refine_flags_exit_cleanly(tmp_path, calib, scene, capsys, flags, code):
+    # weights this large overflow the loss, or at 1e200 only its gradient
+    # norm (exit 2); a step this large is backtracked (exit 0); a trace
+    # written either way is strict JSON
+    if flags[0] == "--step":
+        # a 5 m square: step * half-extent overflows, so trial points are inf or NaN
+        spec = json.loads(scene.read_text())
+        spec.update(extent=5.0, density=1600.0,
+                    pose=list(Extrinsics.from_rt(np.eye(3), [0, 0, 20.0]).matrix.ravel()))
+        scene.write_text(json.dumps(spec))
+    gt_ply, pgm, sparse = tmp_path / "gt.ply", tmp_path / "scene.pgm", tmp_path / "sparse.ply"
+    assert main(["synth", str(scene), str(calib), str(gt_ply), str(pgm)]) == 0
+    assert main(["densify", str(gt_ply), str(sparse), "--target", "128", "--rate", "2"]) == 0
+    capsys.readouterr()
+    trace = tmp_path / "trace.jsonl"
+    assert main(["superres", str(sparse), str(pgm), str(calib), str(tmp_path / "out.ply"),
+                 "--max-iters", "6", "--trace", str(trace)] + flags) == code
+    err = capsys.readouterr().err.splitlines()
+    assert err == ([] if code == 0 else
+                   ["error: the loss or its gradient overflows; lower the loss weights"])
+    if trace.exists():
+        for line in trace.read_text().splitlines():
+            json.loads(line, parse_constant=_reject_constant)
 
 
 def test_densify_target_beyond_cloud_is_data_error(tmp_path, capsys):
@@ -159,7 +219,10 @@ def test_eval_identical_clouds(tmp_path, capsys):
     ply = tmp_path / "a.ply"
     write_ply(cloud, ply)
     assert main(["eval", str(ply), str(ply)]) == 0
-    data = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out == ('{"cd": 0.0, "hd": 0.0, "normalized": false, "pred_count": 20, '
+                   '"gt_count": 20}\n')
+    data = json.loads(out)
     assert data == {"cd": 0.0, "hd": 0.0, "normalized": False,
                     "pred_count": 20, "gt_count": 20}
 

@@ -29,8 +29,9 @@ def test_non_finite_points_rejected_at_entry(pts):
 
 def test_duplicate_index_map_rejected_at_entry():
     pts = np.array([[0.0, 0], [1, 0], [0, 1], [1, 1]])
-    with pytest.raises(ValueError, match="index_map entries must be distinct"):
-        concave_hull(pts, index_map=[5, 6, 7, 5])
+    for index_map in ([5, 6, 7, 5], [5, 6, 6, 7]):  # apart and adjacent
+        with pytest.raises(ValueError, match="index_map entries must be distinct"):
+            concave_hull(pts, index_map=index_map)
 
 
 def test_triangle_input():

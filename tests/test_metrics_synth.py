@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from cloudsr.camera import CameraRig, Extrinsics, project_cloud
+from cloudsr.camera import CameraRig, Extrinsics, Intrinsics, project_cloud
 from cloudsr.edges import CannyParams, canny
 from cloudsr.errors import ShapeOutOfFrame
-from cloudsr.geometry import PointCloud3
+from cloudsr.geometry import PointCloud3, normalize_to_unit
 from cloudsr.metrics import eval_metrics
 from cloudsr.synth import SceneSpec, synth_scene
 
@@ -14,7 +14,8 @@ from oracles import brute_chamfer, brute_hausdorff
 
 
 def _rig(fx=800.0, w=640, h=480):
-    return CameraRig.identity(fx, fx, w / 2.0, h / 2.0, w, h)
+    return CameraRig(Intrinsics(fx, fx, w / 2.0, h / 2.0), Extrinsics(np.eye(4)),
+                     Extrinsics(np.eye(4)), w, h)
 
 
 # -- eval_metrics -----------------------------------------------------------------
@@ -54,10 +55,11 @@ def test_eval_normalized_uses_gt_transform():
     pred = gt + 0.1
     r_plain = eval_metrics(PointCloud3(pred), PointCloud3(gt))
     r_norm = eval_metrics(PointCloud3(pred), PointCloud3(gt), normalize=True)
+    _, scale, _ = normalize_to_unit(gt)
     assert r_norm.normalized
-    assert r_norm.scale > 1.0
-    assert r_norm.hd == pytest.approx(r_plain.hd / r_norm.scale, rel=1e-12)
-    assert r_norm.cd == pytest.approx(r_plain.cd / r_norm.scale**2, rel=1e-12)
+    assert scale > 1.0
+    assert r_norm.hd == pytest.approx(r_plain.hd / scale, rel=1e-12)
+    assert r_norm.cd == pytest.approx(r_plain.cd / scale**2, rel=1e-12)
 
 
 def test_eval_json_schema():
@@ -72,7 +74,7 @@ def test_eval_json_schema():
 def _plane_spec(extent=0.5, density=4e4, z=2.0):
     return SceneSpec(
         shape="square-plane",
-        pose=Extrinsics.from_translation(0.0, 0.0, z),
+        pose=Extrinsics.from_rt(np.eye(3), [0.0, 0.0, z]),
         extent=extent,
         density=density,
     )
@@ -81,7 +83,7 @@ def _plane_spec(extent=0.5, density=4e4, z=2.0):
 def test_plane_grid_counts_and_depth():
     spec = SceneSpec(
         shape="square-plane",
-        pose=Extrinsics.from_translation(0.0, 0.0, 2.0),
+        pose=Extrinsics.from_rt(np.eye(3), [0.0, 0.0, 2.0]),
         extent=1.0,
         density=1e4,
     )
@@ -114,7 +116,7 @@ def test_plane_silhouette_edges_near_analytic_boundary():
 def test_sphere_points_on_radius():
     spec = SceneSpec(
         shape="sphere",
-        pose=Extrinsics.from_translation(0.0, 0.0, 2.0),
+        pose=Extrinsics.from_rt(np.eye(3), [0.0, 0.0, 2.0]),
         extent=0.4,
         density=2e4,
     )
@@ -127,7 +129,7 @@ def test_sphere_points_on_radius():
 def test_box_visible_faces_project_in_frame():
     spec = SceneSpec(
         shape="box",
-        pose=Extrinsics.from_translation(0.0, 0.0, 2.0),
+        pose=Extrinsics.from_rt(np.eye(3), [0.0, 0.0, 2.0]),
         extent=0.4,
         density=1e4,
     )
@@ -142,7 +144,7 @@ def test_box_visible_faces_project_in_frame():
 def test_out_of_frame_raises():
     spec = SceneSpec(
         shape="square-plane",
-        pose=Extrinsics.from_translation(0.0, 0.0, 0.3),  # too close: overflows
+        pose=Extrinsics.from_rt(np.eye(3), [0.0, 0.0, 0.3]),  # too close: overflows
         extent=0.5,
         density=1e4,
     )
@@ -152,6 +154,6 @@ def test_out_of_frame_raises():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        SceneSpec(shape="torus", pose=Extrinsics.identity())
+        SceneSpec(shape="torus", pose=Extrinsics(np.eye(4)))
     with pytest.raises(ValueError):
-        SceneSpec(shape="box", pose=Extrinsics.identity(), fg=0.5, bg=0.5)
+        SceneSpec(shape="box", pose=Extrinsics(np.eye(4)), fg=0.5, bg=0.5)

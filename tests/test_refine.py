@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cloudsr.camera import CameraRig, pinhole, project_cloud
+from cloudsr.camera import CameraRig, Extrinsics, Intrinsics, pinhole, project_cloud
 from cloudsr.densify import DensifyConfig
 from cloudsr.edges import GrayImage
 from cloudsr.errors import EmptyEdgeMap, TooFewPoints
@@ -14,7 +14,8 @@ from cloudsr.refine import RefineConfig, RefineTrace, TraceRecord, refine, super
 
 
 def _rig():
-    return CameraRig.identity(100.0, 100.0, 50.0, 50.0, 100, 100)
+    return CameraRig(Intrinsics(100.0, 100.0, 50.0, 50.0), Extrinsics(np.eye(4)),
+                     Extrinsics(np.eye(4)), 100, 100)
 
 
 def _grid_cloud(n=20, extent=0.8, z=2.0, jitter=0.0, seed=0):
@@ -105,7 +106,7 @@ def test_max_iters_zero_is_identity():
     out, trace = refine(cloud, _square_outline(20, 80), _rig(),
                         RefineConfig(max_iters=0))
     np.testing.assert_array_equal(out.points, cloud.points)
-    assert len(trace) == 1  # baseline record only
+    assert len(trace.records) == 1  # baseline record only
 
 
 def test_offset_square_loss_decreases():
@@ -197,7 +198,7 @@ def test_member_leaving_frame_counts_until_refresh():
     uv, _ = pinhole(out.points, rig)
     left = np.nonzero(uv[:, 0] < 0.0)[0]
     assert left.size > 0
-    assert [r.culled for r in trace.records] == [0] * len(trace)
+    assert [r.culled for r in trace.records] == [0] * len(trace.records)
     proj, imap = project_cloud(cloud.points, rig)
     members = concave_hull(proj, index_map=imap, k=cfg.hull_k).source_indices
     assert set(left) <= set(members)
@@ -265,7 +266,7 @@ def test_refine_deterministic():
 
 def test_trace_jsonl_schema():
     trace = RefineTrace()
-    trace.append(TraceRecord(0, 1.0, 2.0, 3.0, 4.0, 0.5, 10, 2))
+    trace.records.append(TraceRecord(0, 1.0, 2.0, 3.0, 4.0, 0.5, 10, 2))
     line = trace.to_jsonl().strip()
     import json
 
@@ -294,4 +295,4 @@ def test_superres_end_to_end_counts():
     # members, hence never moved
     interior = 3 * 8 + 3  # row 3, col 3 of the 8x8 grid
     np.testing.assert_array_equal(out.points[interior], sparse.points[interior])
-    assert len(trace) >= 1
+    assert len(trace.records) >= 1
