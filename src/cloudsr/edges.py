@@ -149,7 +149,9 @@ def canny(img: GrayImage, params: CannyParams = CannyParams()) -> np.ndarray:
         return _NO_EDGES
 
     mag, theta = gradient(_smoothed_array(img.pixels, params.sigma))
-    gmax = mag.max()
+    # a Python float: a threshold product past the float range becomes inf
+    # quietly, where a numpy scalar product warns
+    gmax = float(mag.max())
     if gmax == 0.0:
         return _NO_EDGES
 

@@ -51,13 +51,16 @@ def orient(a, b, c):
     ) * (c[..., 0] - a[..., 0])
 
 
+def _strictly_apart(d1, d2):
+    """Two orientations of strictly opposite sign: a zero never counts."""
+    return ((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))
+
+
 def _proper_crossing(d1, d2, d3, d4):
     """Segments a-b and c-d cross properly, from d1 = orient(c, d, a),
     d2 = orient(c, d, b), d3 = orient(a, b, c), d4 = orient(a, b, d): strict
     opposite signs on both, so a zero orientation (a touch) never counts."""
-    return (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
-        ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
-    )
+    return _strictly_apart(d1, d2) & _strictly_apart(d3, d4)
 
 
 def _crosses_any(p, q, e0: np.ndarray, e1: np.ndarray) -> bool:
@@ -65,9 +68,14 @@ def _crosses_any(p, q, e0: np.ndarray, e1: np.ndarray) -> bool:
 
     Shared endpoints do not count (an orientation is zero there), which is
     exactly what the walk needs when testing against adjacent hull edges.
+    Only the edges whose line strictly separates p from q can cross, so the
+    orientations against p-q are taken on those alone.
     """
-    return bool(np.any(_proper_crossing(
-        orient(e0, e1, p), orient(e0, e1, q), orient(p, q, e0), orient(p, q, e1))))
+    split = _strictly_apart(orient(e0, e1, p), orient(e0, e1, q))
+    if not split.any():
+        return False
+    e0, e1 = e0[split], e1[split]
+    return bool(np.any(_strictly_apart(orient(p, q, e0), orient(p, q, e1))))
 
 
 def _on_segment(a, b, c):
@@ -192,9 +200,18 @@ def monotone_chain(pts: np.ndarray) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
-def _walk(pts: np.ndarray, index: SpatialIndex, kk: int) -> list[int] | None:
-    """One Moreira-Santos boundary walk; None when it cannot close."""
+def _walk(pts: np.ndarray, index: SpatialIndex, kk: int, warm: np.ndarray) -> list[int] | None:
+    """One Moreira-Santos boundary walk; None when it cannot close.
+
+    The distinct rows `warm` are ranked in one batched query before the walk
+    starts; a step from one of them reads its candidates from that table and
+    any other step queries its own row.  Both are prefixes of the same
+    (d², index) ranking, so `warm` changes the cost, never the walk.
+    """
     n = pts.shape[0]
+    slot = np.full(n, -1, dtype=np.intp)  # row of `table` ranked from each warm row
+    slot[warm] = np.arange(warm.size)
+    table = index.knn_batch(pts[warm], min(n, kk + _WALK_SLACK))[0] if warm.size else None
     start = int(np.lexsort((pts[:, 0], pts[:, 1]))[0])  # lowest v, then u
     hull = [start]
     used = np.zeros(n, dtype=bool)
@@ -209,17 +226,22 @@ def _walk(pts: np.ndarray, index: SpatialIndex, kk: int) -> list[int] | None:
 
         # the kk nearest unused points (cur is used).  Used rows are hull
         # members, so `full` rows leave kk whenever that many exist; the
-        # ranking's prefixes agree, so a narrower query that already holds
-        # kk unused rows gives the same candidates
+        # ranking's prefixes agree, so a narrower query, or a table row, that
+        # already holds kk unused rows gives the same candidates
         full = min(n, kk + len(hull))
-        width = min(full, kk + skipped + _WALK_SLACK)
-        while True:
+        if slot[cur] >= 0:
+            near = table[slot[cur]]
+            width = near.size
+        else:
+            width = min(full, kk + skipped + _WALK_SLACK)
             (near,), _ = index.knn_batch(pts[cur:cur + 1], width)
+        while True:
             fresh = ~used[near]
             cand = near[fresh][:kk]
-            if cand.size == kk or width == full:
+            if cand.size == kk or width >= full:
                 break
             width = min(full, 2 * width)
+            (near,), _ = index.knn_batch(pts[cur:cur + 1], width)
         skipped = near.size - int(np.count_nonzero(fresh))
 
         # largest right-hand turn first: ascending clockwise angle from the
@@ -254,13 +276,16 @@ def _oriented_ccw(order: list[int], pts: np.ndarray) -> list[int]:
     return order
 
 
-def concave_hull(points, index_map=None, k: int = 20) -> HullPolygon:
+def concave_hull(points, index_map=None, k: int = 20, likely=None) -> HullPolygon:
     """Concave hull of a 2D point set with 3D source back-references.
 
     `index_map[i]` is the 3D source index of input point i (identity when
     omitted).  `k` is the starting neighbor count; it escalates on failure.
-    Points beyond `geometry.COORD_LIMIT` or non-finite, and a repeated
-    `index_map` entry, raise ValueError before any arithmetic.
+    `likely` holds source indices expected to be hull vertices, such as the
+    previous hull's; each walk ranks their points in one batched query.  It
+    only changes the cost: ids that are wrong, repeated or not in `index_map`
+    give the same hull.  Points beyond `geometry.COORD_LIMIT` or non-finite,
+    and a repeated `index_map` entry, raise ValueError before any arithmetic.
     """
     if k < 3:
         raise ValueError("k must be at least 3")
@@ -290,8 +315,9 @@ def concave_hull(points, index_map=None, k: int = 20) -> HullPolygon:
         return HullPolygon(pts[order], sources[order], min(k, n - 1))
 
     index = SpatialIndex(pts)
+    warm = np.flatnonzero(np.isin(sources, [] if likely is None else likely))
     for kk in range(min(k, n - 1), n):
-        order = _walk(pts, index, kk)
+        order = _walk(pts, index, kk, warm)
         if order is None:
             continue
         order = _oriented_ccw(order, pts)

@@ -106,10 +106,11 @@ def _gs_gradient(verts: np.ndarray) -> np.ndarray:
     safe = norms > _GS_KINK_EPS
     unit = np.zeros_like(delta)
     unit[safe] = delta[safe] / norms[safe, None]
-    idx = np.arange(n - 2)
-    np.add.at(grad, idx, unit)
-    np.add.at(grad, idx + 1, -2.0 * unit)
-    np.add.at(grad, idx + 2, unit)
+    # each add touches distinct rows, so per row the additions run in the
+    # same order as three scatter-adds would
+    grad[:-2] += unit
+    grad[1:-1] += -2.0 * unit
+    grad[2:] += unit
     return grad
 
 

@@ -84,11 +84,13 @@ class RefineTrace:
         return "".join(json.dumps(asdict(r)) + "\n" for r in self.records)
 
 
-def _hull_members(pts: np.ndarray, rig: CameraRig, hull_k: int) -> tuple[np.ndarray, int]:
+def _hull_members(pts: np.ndarray, rig: CameraRig, hull_k: int,
+                  likely: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """(members, culled): the rows of `pts` that are hull vertices, in
-    vertex order, and how many rows the projection culled."""
+    vertex order, and how many rows the projection culled.  `likely` (the
+    previous members) only speeds up the hull walk."""
     uv, index_map = project_cloud(pts, rig)
-    poly = concave_hull(uv, index_map=index_map, k=hull_k)
+    poly = concave_hull(uv, index_map=index_map, k=hull_k, likely=likely)
     return poly.source_indices, pts.shape[0] - len(uv)
 
 
@@ -151,7 +153,7 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
             if improvement < _REL_IMPROVEMENT_STOP * max(abs(window_start_total), 1e-30):
                 break
             try:
-                members, culled = _hull_members(pts, rig, cfg.hull_k)
+                members, culled = _hull_members(pts, rig, cfg.hull_k, members)
             except (AllPointsCulled, TooFewPoints, DegenerateCollinear, HullFailed):
                 break  # members left the frame or collapsed: keep the progress
             report = _member_loss(pts[members], rig, cfg.weights, edges)
@@ -165,6 +167,10 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
         if cfg.constant_depth:
             grad3[:, 2] = 0.0
         gnorm = float(np.linalg.norm(grad3))
+        if math.isinf(gnorm) and np.all(np.isfinite(grad3)):
+            # the sum of squares overflowed, not the gradient: rescale first
+            s = float(np.max(np.abs(grad3)))
+            gnorm = s * float(np.linalg.norm(grad3 / s))
         _require_finite(report.total, gnorm)  # a refresh may have replaced `report`
         if gnorm == 0.0:
             break  # stationary point

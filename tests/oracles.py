@@ -9,7 +9,8 @@ import math
 import numpy as np
 
 from cloudsr.geometry import DEDUPE_TOL
-from cloudsr.hull import _crosses_any
+from cloudsr.hull import _crosses_any, _proper_crossing, orient
+from cloudsr.losses import _GS_KINK_EPS
 
 
 def _sqdist(p, q):
@@ -186,11 +187,19 @@ def brute_points_in_polygon(vertices, points, tol=1e-9):
     return out
 
 
-def full_width_walk(pts, index, kk):
+def all_edges_crosses_any(p, q, e0, e1):
+    """The walk's crossing test taking all four orientations on every edge:
+    True if open segment p-q properly crosses any segment e0[i]-e1[i]."""
+    return bool(np.any(_proper_crossing(
+        orient(e0, e1, p), orient(e0, e1, q), orient(p, q, e0), orient(p, q, e1))))
+
+
+def full_width_walk(pts, index, kk, warm=None):
     """The hull walk asking for `kk + len(hull)` neighbours at every step,
     enough to leave kk unused rows without widening.  A copy of
-    `cloudsr.hull._walk` before its query width became adaptive; the
-    crossing test is the library's, unchanged."""
+    `cloudsr.hull._walk` before its query width became adaptive and before it
+    ranked the `warm` rows ahead (ignored here); the crossing test is the
+    library's, unchanged."""
     n = pts.shape[0]
     start = int(np.lexsort((pts[:, 0], pts[:, 1]))[0])  # lowest v, then u
     hull = [start]
@@ -349,3 +358,20 @@ def unique_dedupe_rows(arr):
     keys = np.round(arr / DEDUPE_TOL)
     _, first = np.unique(keys, axis=0, return_index=True)
     return np.sort(first)
+
+
+def add_at_gs_gradient(verts):
+    """Gradient of the second-difference smoothness sum scattered with
+    `np.add.at`, the form the library's three slice adds must reproduce."""
+    n = verts.shape[0]
+    grad = np.zeros((n, 2))
+    delta = verts[2:] - 2.0 * verts[1:-1] + verts[:-2]
+    norms = np.hypot(delta[:, 0], delta[:, 1])
+    safe = norms > _GS_KINK_EPS
+    unit = np.zeros_like(delta)
+    unit[safe] = delta[safe] / norms[safe, None]
+    idx = np.arange(n - 2)
+    np.add.at(grad, idx, unit)
+    np.add.at(grad, idx + 1, -2.0 * unit)
+    np.add.at(grad, idx + 2, unit)
+    return grad

@@ -128,18 +128,35 @@ def test_edges_sigma_whose_border_band_covers_the_image_finds_none(tmp_path, cap
     assert capsys.readouterr().err == ""
 
 
+def test_high_threshold_past_the_float_range_finds_no_edges(tmp_path, calib, scene, capsys):
+    # high * max gradient overflows to inf without a warning: no pixel is strong
+    gt_ply, pgm, sparse = tmp_path / "gt.ply", tmp_path / "scene.pgm", tmp_path / "sparse.ply"
+    assert main(["synth", str(scene), str(calib), str(gt_ply), str(pgm)]) == 0
+    assert main(["densify", str(gt_ply), str(sparse), "--target", "128", "--rate", "2"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "edges.csv"
+    assert main(["edges", str(pgm), str(out), "--high", "1e308"]) == 0
+    assert out.read_text() == "u,v\n"
+    assert capsys.readouterr().err == ""
+    assert main(["superres", str(sparse), str(pgm), str(calib), str(tmp_path / "out.ply"),
+                 "--high", "1e308"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
 @pytest.mark.parametrize("flags,code", [
     (["--beta", "1e308"], 2), (["--beta", "1e308", "--max-iters", "0"], 2),
-    (["--alpha", "1e308"], 2), (["--beta", "1e200"], 2), (["--step", "1e308"], 0),
+    (["--alpha", "1e308"], 2), (["--beta", "1e200"], 0), (["--step", "1e308"], 0),
 ], ids=["beta", "beta-no-iterations", "alpha", "beta-gradient-only", "step"])
 def test_overflowing_refine_flags_exit_cleanly(tmp_path, calib, scene, capsys, flags, code):
-    # weights this large overflow the loss, or at 1e200 only its gradient
-    # norm (exit 2); a step this large is backtracked (exit 0); a trace
-    # written either way is strict JSON
+    # weights this large overflow the loss (exit 2); at 1e200 only the sum of
+    # squares in the gradient norm overflows, and the rescaled norm carries
+    # on, as a step this large is backtracked (exit 0); a trace written
+    # either way is strict JSON
     if flags[0] == "--step":
         # a 5 m square: step * half-extent overflows, so trial points are inf or NaN
         spec = json.loads(scene.read_text())

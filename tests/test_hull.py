@@ -8,8 +8,8 @@ from cloudsr.errors import DegenerateCollinear, TooFewPoints
 from cloudsr.geometry import SpatialIndex
 from cloudsr.hull import concave_hull, contains_all, polygon_is_simple
 
-from oracles import (brute_points_in_polygon, brute_polygon_is_simple, full_width_walk,
-                     monotone_chain)
+from oracles import (all_edges_crosses_any, brute_points_in_polygon,
+                     brute_polygon_is_simple, full_width_walk, monotone_chain)
 
 
 def _signed_area(verts):
@@ -189,6 +189,29 @@ def test_contains_all_cases():
     assert contains_all(verts, np.array([[2.0, 0.0], [4.0, 2.0]]))  # on edges
 
 
+_GRID_POINT = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+# a 5x5 grid makes touches, shared endpoints and collinear overlaps common;
+# the scales round the orientations differently
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(p=_GRID_POINT, q=_GRID_POINT, edges=st.lists(st.tuples(_GRID_POINT, _GRID_POINT),
+                                                    max_size=10),
+       scale=st.sampled_from([1.0, 0.1, 1e-3]))
+@example(p=(0, 0), q=(2, 0), edges=[((1, -1), (1, 1))], scale=1.0)  # a crossing
+@example(p=(0, 0), q=(2, 0), edges=[((1, 0), (1, 1))], scale=1.0)   # edge end on p-q
+@example(p=(0, 0), q=(2, 0), edges=[((1, -1), (1, 0))], scale=0.1)  # edge end on p-q
+@example(p=(1, 0), q=(1, 2), edges=[((0, 0), (2, 0))], scale=1.0)   # p on the edge
+@example(p=(0, 0), q=(2, 0), edges=[((1, 0), (3, 0))], scale=1.0)   # collinear overlap
+@example(p=(0, 0), q=(2, 0), edges=[((2, 0), (3, 1)), ((0, 1), (4, -1))],
+         scale=1.0)  # a shared endpoint, then a crossing
+def test_crosses_any_matches_all_edges_oracle(p, q, edges, scale):
+    p, q = np.array(p, dtype=float) * scale, np.array(q, dtype=float) * scale
+    segs = np.array(edges, dtype=float).reshape(-1, 2, 2) * scale
+    e0, e1 = segs[:, 0], segs[:, 1]
+    assert hull._crosses_any(p, q, e0, e1) == all_edges_crosses_any(p, q, e0, e1)
+
+
 def _hull_input(rng, kind):
     n = int(rng.integers(8, 60))
     if kind == "random":
@@ -259,31 +282,49 @@ def _hull_bytes(poly):
     return poly.vertices.tobytes(), poly.source_indices.tobytes(), poly.k_used
 
 
+def _likely_ids(rng, hint, index_map, hull_sources):
+    """Source ids for `concave_hull(likely=...)`: right, partial or wrong."""
+    if hint == "none":
+        return None
+    if hint == "hull":
+        return hull_sources
+    if hint == "subset":  # hull and interior ids alike, any size
+        return rng.choice(index_map, int(rng.integers(0, len(index_map) + 1)), replace=False)
+    # ids no point has, repeats of real ones, and the extremes of the dtype
+    info = np.iinfo(np.intp)
+    return rng.permutation(np.concatenate([
+        -rng.integers(1, 10**6, 4), rng.integers(2000, 10**12, 4),
+        np.repeat(rng.choice(index_map, 3), 3), [info.min, info.max, -1]]))
+
+
 # (246, lattice) and (124, clustered) widen the walk's query at the real
 # slack; with no slack it widens often.  Lattice sets at k = 3 escalate k
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["random", "clustered", "lattice"]),
-       slack=st.sampled_from([hull._WALK_SLACK, 0]))
-@example(seed=246, kind="lattice", slack=hull._WALK_SLACK)
-@example(seed=124, kind="clustered", slack=hull._WALK_SLACK)
-def test_walk_width_matches_full_width_oracle(seed, kind, slack):
+       slack=st.sampled_from([hull._WALK_SLACK, 0]),
+       hint=st.sampled_from(["none", "hull", "subset", "foreign"]))
+@example(seed=246, kind="lattice", slack=hull._WALK_SLACK, hint="none")
+@example(seed=246, kind="lattice", slack=hull._WALK_SLACK, hint="hull")
+@example(seed=124, kind="clustered", slack=hull._WALK_SLACK, hint="hull")
+@example(seed=124, kind="clustered", slack=0, hint="foreign")
+def test_walk_width_matches_full_width_oracle(seed, kind, slack, hint):
     rng = np.random.default_rng(seed)
     pts = _hull_input(rng, kind)
     k = int(rng.integers(3, 12))
+    index_map = 1000 + rng.permutation(len(pts))  # source ids are not rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hull, "_walk", full_width_walk)
+        want = concave_hull(pts, index_map, k)
+    likely = _likely_ids(rng, hint, index_map, want.source_indices)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hull, "_WALK_SLACK", slack)
-        got = _hull_bytes(concave_hull(pts, k=k))
-        mp.setattr(hull, "_walk", full_width_walk)
-        want = _hull_bytes(concave_hull(pts, k=k))
-    assert got == want
+        got = concave_hull(pts, index_map, k, likely=likely)
+    assert _hull_bytes(got) == _hull_bytes(want)
 
 
-def test_walk_widens_when_used_rows_crowd_the_query(monkeypatch):
-    # a lattice subset whose hull escalates from k = 3 to 8: at some step
-    # the narrow query returns fewer than kk unused rows and is repeated
-    # wider at the same row
-    pts = _hull_input(np.random.default_rng(246), "lattice")
+def _recording_knn_batch(monkeypatch):
+    """Record (query bytes, k) of every `SpatialIndex.knn_batch` call."""
     calls = []
     knn_batch = SpatialIndex.knn_batch
 
@@ -292,11 +333,34 @@ def test_walk_widens_when_used_rows_crowd_the_query(monkeypatch):
         return knn_batch(self, queries, k)
 
     monkeypatch.setattr(SpatialIndex, "knn_batch", recording)
+    return calls
+
+
+def test_walk_warmed_with_its_own_hull_makes_one_query(monkeypatch):
+    # every step starts from a hull vertex, so every step reads the table,
+    # and no step meets more used rows than the table's slack
+    pts = np.random.default_rng(3).uniform(0, 100, size=(400, 2))
+    index_map = np.arange(400) * 7
+    cold = concave_hull(pts, index_map, k=10)
+    assert cold.k_used == 10
+    calls = _recording_knn_batch(monkeypatch)
+    warm = concave_hull(pts, index_map, k=10, likely=cold.source_indices)
+    rows = np.sort(cold.source_indices // 7)
+    assert calls == [(pts[rows].tobytes(), 10 + hull._WALK_SLACK)]
+    assert _hull_bytes(warm) == _hull_bytes(cold)
+
+
+def test_walk_widens_when_used_rows_crowd_the_query(monkeypatch):
+    # a lattice subset whose hull escalates from k = 3 to 8: at some step
+    # the narrow query returns fewer than kk unused rows and is repeated
+    # wider at the same row
+    pts = _hull_input(np.random.default_rng(246), "lattice")
+    calls = _recording_knn_batch(monkeypatch)
     poly = concave_hull(pts, k=3)
     assert poly.k_used == 8
     widened = [(a[1], b[1]) for a, b in zip(calls, calls[1:]) if a[0] == b[0]]
     assert widened and all(wide > narrow for narrow, wide in widened)
-    monkeypatch.setattr(SpatialIndex, "knn_batch", knn_batch)
+    monkeypatch.undo()
     monkeypatch.setattr(hull, "_walk", full_width_walk)
     assert _hull_bytes(concave_hull(pts, k=3)) == _hull_bytes(poly)
 

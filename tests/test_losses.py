@@ -5,13 +5,14 @@ from cloudsr.errors import EmptySet, TooFewVertices
 from cloudsr.geometry import SpatialIndex
 from cloudsr.losses import (
     LossWeights,
+    _gs_gradient,
     chamfer_loss,
     combined_loss,
     gradient_smooth_loss,
     hausdorff_loss,
 )
 
-from oracles import brute_chamfer, brute_hausdorff, sample_far_from_ties
+from oracles import add_at_gs_gradient, brute_chamfer, brute_hausdorff, sample_far_from_ties
 
 
 # -- weights -------------------------------------------------------------------
@@ -121,6 +122,20 @@ def test_hausdorff_dominates_chamfer_entries():
 
 def test_gs_collinear_zero():
     assert gradient_smooth_loss([[0, 0], [1, 0], [2, 0], [3, 0]]) == 0.0
+
+
+def test_gs_gradient_matches_scatter_add_oracle():
+    # random lists, and kinked ones: collinear runs and repeated vertices
+    # whose second differences fall under the kink cutoff
+    rng = np.random.default_rng(17)
+    for trial in range(300):
+        n = int(rng.integers(3, 40))
+        verts = rng.uniform(-50, 50, size=(n, 2))
+        if trial % 2:
+            verts = np.round(verts / 10) * 10
+            verts[rng.integers(0, n, n // 3)] = verts[0]
+            verts[: n // 2, 1] = verts[0, 1]
+        assert _gs_gradient(verts).tobytes() == add_at_gs_gradient(verts).tobytes()
 
 
 def test_gs_unit_square():

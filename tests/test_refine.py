@@ -181,6 +181,30 @@ def test_constant_depth_moves_members_laterally_only():
     assert np.any(out.points[:, :2] != cloud.points[:, :2])
 
 
+def test_each_refresh_is_warmed_with_the_previous_members(monkeypatch):
+    calls = []
+
+    def recording(points, index_map=None, k=20, likely=None):
+        poly = concave_hull(points, index_map, k, likely=likely)
+        calls.append((likely, poly.source_indices))
+        return poly
+
+    monkeypatch.setattr("cloudsr.refine.concave_hull", recording)
+    cloud = _grid_cloud(20, jitter=0.01)
+    cfg = RefineConfig(max_iters=40, hull_refresh_period=5)
+    out, trace = refine(cloud, _square_outline(27.0, 73.0), _rig(), cfg)
+    assert len(calls) == 8 and trace.records[-1].iteration == 40
+    assert calls[0][0] is None  # the initial hull has no previous one
+    for (_, previous), (likely, _) in zip(calls, calls[1:]):
+        assert likely is previous
+    # the hint changes no byte of the result
+    monkeypatch.setattr("cloudsr.refine.concave_hull",
+                        lambda points, index_map, k, likely: concave_hull(points, index_map, k))
+    cold_out, cold_trace = refine(cloud, _square_outline(27.0, 73.0), _rig(), cfg)
+    assert out.points.tobytes() == cold_out.points.tobytes()
+    assert trace.to_jsonl() == cold_trace.to_jsonl()
+
+
 def test_member_leaving_frame_counts_until_refresh():
     # today's behaviour, pinned until ROADMAP item 5 decides it: a member whose
     # pixel leaves the frame inside a hull-fixed window stays in the loss, and
