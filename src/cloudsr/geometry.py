@@ -8,6 +8,7 @@ point sets (edge maps, projections, hull vertices) are plain (N, 2) arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ COORD_LIMIT = 1e150
 _RANK_SLACK = 4  # candidates beyond k asked of the tree, so most ties settle at once
 _RANK_BLOCK = 1 << 18  # candidate entries per tree query: bounds memory when ties widen it
 _TINY = np.finfo(np.float64).tiny  # absolute margin for distances that underflow
+_FPS_BATCH = 32  # most picks one farthest-point round may take
 
 
 def require_bounded(arr, what):
@@ -267,24 +269,49 @@ def farthest_point_select(pts: np.ndarray, m: int) -> np.ndarray:
 
     Each pick updates only the rows it can change.  A row's `dmin` drops only
     if its distance to the new pick is below that `dmin`, which is at most
-    `dmin[nxt]`, the global maximum; so a k-d tree ball of radius
-    sqrt(dmin[nxt]) around the pick, padded for the tree's last-ulp rounding
+    the pick's own `dmin`, the global maximum; so a k-d tree ball of radius
+    sqrt(dmin[pick]) around the pick, padded for the tree's last-ulp rounding
     as in `SpatialIndex._rank`, holds every such row.  Those rows are
-    recomputed with the exhaustive scan's expression, so the pick sequence
-    is bit-identical to updating every row.  On a shared 2-vCPU VM, ordering
-    30k uniform random points takes 0.67 s (22.7 s updating every row).
+    recomputed with the exhaustive scan's expression.
+
+    Picks are taken in rounds.  The candidates of a round are the rows of
+    the top `_FPS_BATCH` + 1 whose `dmin` is strictly above the last one's,
+    ordered by (-dmin, index): `dmin` only falls, so no other row can catch
+    up with them.  The round takes the longest prefix in which no candidate
+    lies within an earlier one's padded reach, so no pick lowers a later
+    one and each is the argmax at its turn; a tie across the cut leaves no
+    candidate, and the round takes `np.argmax(dmin)` alone.  The prefix's
+    balls come from one tree query and their rows are lowered with one
+    `np.minimum.at`; `min` is exact in any order, so `dmin` and the pick
+    sequence are bit-identical to updating every row after every pick.  On
+    a shared 2-vCPU VM, ordering 30k uniform random points takes 0.56-0.67 s
+    in 1,149 rounds, against 1.15-1.22 s one pick at a time.
     """
+    n = pts.shape[0]
     d0 = np.sum((pts - pts.mean(axis=0)) ** 2, axis=1)
     chosen = [int(np.argmax(d0))]
     dmin = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
     tree = cKDTree(pts, balanced_tree=False)
     while len(chosen) < m:
-        nxt = int(np.argmax(dmin))
-        chosen.append(nxt)
-        reach = np.sqrt(dmin[nxt] * (1 + 1e-12) + _TINY)
-        rows = np.asarray(tree.query_ball_point(pts[nxt], reach, return_sorted=False),
-                          dtype=np.intp)
-        dmin[rows] = np.minimum(dmin[rows], np.sum((pts[rows] - pts[nxt]) ** 2, axis=1))
+        b = min(_FPS_BATCH, m - len(chosen), n - 1)
+        # top[b] holds the cut.  Selecting the smallest of -dmin: numpy's
+        # introselect on dmin itself slows 30-fold once most rows are 0
+        top = np.argpartition(-dmin, b)[:b + 1]
+        cand = top[dmin[top] > dmin[top[b]]]
+        if cand.size:
+            cand = cand[np.lexsort((cand, -dmin[cand]))]
+            reach2 = dmin[cand] * (1 + 1e-12) + _TINY
+            d2 = np.sum((pts[cand, None] - pts[cand]) ** 2, axis=2)
+            clash = np.triu(d2 <= reach2[:, None], 1).any(axis=0)
+            picks = cand[:int(np.argmax(clash)) if clash.any() else cand.size]
+        else:
+            picks = np.array([np.argmax(dmin)], dtype=np.intp)
+        chosen.extend(picks.tolist())
+        balls = tree.query_ball_point(pts[picks], np.sqrt(dmin[picks] * (1 + 1e-12) + _TINY),
+                                      return_sorted=False)
+        rows = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp)
+        src = np.repeat(picks, [len(ball) for ball in balls])
+        np.minimum.at(dmin, rows, np.sum((pts[rows] - pts[src]) ** 2, axis=1))
     return np.array(chosen, dtype=np.intp)
 
 

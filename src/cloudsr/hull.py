@@ -214,6 +214,8 @@ def _walk(pts: np.ndarray, index: SpatialIndex, kk: int, warm: np.ndarray) -> li
     table = index.knn_batch(pts[warm], min(n, kk + _WALK_SLACK))[0] if warm.size else None
     start = int(np.lexsort((pts[:, 0], pts[:, 1]))[0])  # lowest v, then u
     hull = [start]
+    verts = np.empty((n + 1, 2))  # verts[:len(hull)] are pts[hull]: edges without copies
+    verts[0] = pts[start]
     used = np.zeros(n, dtype=bool)
     used[start] = True
     cur = start
@@ -250,8 +252,8 @@ def _walk(pts: np.ndarray, index: SpatialIndex, kk: int, warm: np.ndarray) -> li
         diff = np.mod(prev_angle - angles, 2.0 * np.pi)
         cand = cand[np.argsort(diff, kind="stable")]
 
-        e0 = pts[hull[:-1]]
-        e1 = pts[hull[1:]]
+        e0 = verts[:len(hull) - 1]
+        e1 = verts[1:len(hull)]
         nxt = -1
         for c in cand:
             if not _crosses_any(pts[cur], pts[c], e0, e1):
@@ -261,6 +263,7 @@ def _walk(pts: np.ndarray, index: SpatialIndex, kk: int, warm: np.ndarray) -> li
             return None
         if nxt == start:
             return hull
+        verts[len(hull)] = pts[nxt]
         hull.append(nxt)
         used[nxt] = True
         prev_angle = float(

@@ -239,6 +239,13 @@ def full_width_walk(pts, index, kk, warm=None):
     return None
 
 
+def numpy_scalar_ply_body(points):
+    """The ASCII PLY vertex lines formatted from numpy float64 scalars, as
+    `write_ply` formatted them before it converted rows to Python floats."""
+    lines = ["%.17g %.17g %.17g" % (x, y, z) for x, y, z in points]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 def project_homogeneous(p, k_mat, e_rgb, e_tof):
     """Projection via direct homogeneous-matrix evaluation.
 

@@ -583,6 +583,73 @@ def test_farthest_point_select_matches_brute_oracle_at_size(n, m):
         assert got.tolist() == brute_farthest_point_select(pts, m).tolist()
 
 
+def _ring_around_first_pick(seed):
+    """Several hundred integer rows, shuffled: a far row that is the first
+    pick, 72 rows at exactly equal squared distance from it that are the
+    farthest from it, and nearer filler."""
+    far = np.array([[-1000.0, 0.0, 0.0]])
+    n2 = 5**2 * 13**2 * 17  # 72 integer (y, z) with y^2 + z^2 == n2
+    r = int(np.sqrt(n2))
+    ring = np.array([(0.0, y, z) for y in range(-r, r + 1) for z in range(-r, r + 1)
+                     if y * y + z * z == n2])
+    rng = np.random.default_rng(seed)
+    filler = np.column_stack([rng.integers(-900, -100, 300), rng.integers(-50, 51, (300, 2))])
+    pts = np.concatenate([far, ring, filler.astype(float)])
+    order = rng.permutation(len(pts))
+    return pts[order], int(np.flatnonzero(order == 0)[0]), ring.shape[0]
+
+
+# at seeds 12 and 17 (numpy 2.4) the first round's `argpartition` leaves
+# the lowest-index tied row out of the top rows
+@pytest.mark.parametrize("seed", [0, 1, 12, 17])
+def test_farthest_point_select_tie_straddling_the_batch_cut(seed):
+    pts, first, tied = _ring_around_first_pick(seed)
+    assert tied > geometry._FPS_BATCH + 1
+    dmin = np.sum((pts - pts[first]) ** 2, axis=1)
+    assert np.count_nonzero(dmin == dmin.max()) == tied
+    got = farthest_point_select(pts, len(pts))
+    assert got[0] == first
+    assert got.tolist() == brute_farthest_point_select(pts, len(pts)).tolist()
+
+
+def test_farthest_point_select_duplicate_heavy_cloud_to_the_end():
+    # m = n: once every distinct row is picked, the tail picks rows whose
+    # dmin is 0, and ties among them go to the lowest index
+    rng = np.random.default_rng(8)
+    pts = rng.normal(size=(6, 3))[rng.integers(0, 6, 300)]
+    got = farthest_point_select(pts, 300)
+    assert got.tolist() == brute_farthest_point_select(pts, 300).tolist()
+
+
+@pytest.mark.parametrize("m", [2, 5, geometry._FPS_BATCH - 1, geometry._FPS_BATCH + 1,
+                               3 * geometry._FPS_BATCH + 7, 399])
+def test_farthest_point_select_counts_off_the_batch_width(m):
+    rng = np.random.default_rng(m)
+    for pts in (rng.uniform(-1, 1, size=(400, 3)),
+                rng.integers(0, 4, size=(400, 3)).astype(float)):
+        got = farthest_point_select(pts, m)
+        assert got.tolist() == brute_farthest_point_select(pts, m).tolist()
+
+
+def test_farthest_point_select_takes_many_picks_per_tree_query(monkeypatch):
+    # a jittered lattice like densify's centroids: one pick per round would
+    # make one ball query per pick
+    calls = []
+
+    class CountingTree(geometry.cKDTree):
+        def query_ball_point(self, *args, **kwargs):
+            calls.append(1)
+            return super().query_ball_point(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "cKDTree", CountingTree)
+    rng = np.random.default_rng(7500)
+    grid = np.stack(np.meshgrid(*[np.arange(20)] * 3), axis=-1).reshape(-1, 3)[:7500]
+    pts = grid + rng.normal(scale=0.05, size=grid.shape)
+    got = farthest_point_select(pts, 7500)
+    assert 0 < len(calls) <= 7500 / 8
+    assert got.tolist() == brute_farthest_point_select(pts, 7500).tolist()
+
+
 # -- normalize ---------------------------------------------------------------
 
 

@@ -12,6 +12,8 @@ from cloudsr.geometry import PointCloud3
 from cloudsr.pixmap import read_pixmap, write_pixmap
 from cloudsr.ply_io import read_ply, write_ply
 
+from oracles import numpy_scalar_ply_body
+
 
 # -- PLY ------------------------------------------------------------------------
 
@@ -24,6 +26,21 @@ def test_ply_ascii_f64_round_trip(tmp_path):
     write_ply(cloud, path, fmt="ascii", double=True)
     back = read_ply(path)
     np.testing.assert_array_equal(back.points, pts)  # 17 digits: exact
+
+
+def test_ply_ascii_bytes_match_numpy_scalar_formatting(tmp_path):
+    rng = np.random.default_rng(3)
+    tiny = np.finfo(np.float64).tiny
+    special = [[-0.0, 0.0, 5e-324], [-5e-324, tiny, -tiny / 3],
+               [1e150, -1e150, 1e150 / 3], [0.1, -2.5, 1 / 3]]
+    pts = np.concatenate([special] + [rng.normal(scale=s, size=(40, 3))
+                                      for s in (1e-310, 1e-300, 1e-8, 1.0, 1e8, 1e149)])
+    path = tmp_path / "c.ply"
+    write_ply(PointCloud3(pts), path, fmt="ascii", double=True)
+    data = path.read_bytes()
+    cut = data.index(b"end_header\n") + len(b"end_header\n")
+    assert data[cut:] == numpy_scalar_ply_body(pts)
+    np.testing.assert_array_equal(read_ply(path).points, pts)
 
 
 def test_ply_binary_f64_round_trip(tmp_path):
