@@ -118,8 +118,9 @@ class CameraRig:
         self.translation.setflags(write=False)
 
 
-def _rgb_frame(points: np.ndarray, rig: CameraRig) -> np.ndarray:
-    """(N, 3) depth-frame points expressed in the RGB camera frame."""
+def rgb_frame(points: np.ndarray, rig: CameraRig) -> np.ndarray:
+    """(N, 3) depth-frame points, or one (3,) point, expressed in the RGB
+    camera frame."""
     return points @ rig.rotation.T + rig.translation
 
 
@@ -130,7 +131,7 @@ def pinhole(points: np.ndarray, rig: CameraRig) -> tuple[np.ndarray, np.ndarray]
     culled and nothing raises: pixels of points with z <= EPS_Z are
     meaningless (possibly inf/NaN), and callers decide what to drop.
     """
-    xyz = _rgb_frame(points, rig)
+    xyz = rgb_frame(points, rig)
     z = xyz[:, 2]
     k = rig.k_rgb
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -161,7 +162,7 @@ def projection_jacobians(points: np.ndarray, rig: CameraRig) -> np.ndarray:
     rotation (translation has zero derivative).  Raises BehindCamera unless
     every depth clears EPS_Z.
     """
-    xyz = _rgb_frame(points, rig)
+    xyz = rgb_frame(points, rig)
     z = xyz[:, 2]
     if np.any(z <= EPS_Z):
         raise BehindCamera("a point is at or behind the near plane")

@@ -87,6 +87,5 @@ def densify(cloud: PointCloud3, cfg: DensifyConfig = DensifyConfig()) -> PointCl
     elif generated.shape[0] < extra:
         # degenerate duplicate-heavy input: cycle what exists
         base = generated if generated.shape[0] else pool
-        reps = -(-extra // base.shape[0])
-        generated = np.tile(base, (reps, 1))[:extra]
+        generated = np.resize(base, (extra, base.shape[1]))
     return PointCloud3(np.vstack([originals, generated]))

@@ -74,7 +74,12 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     """Normalized discrete Gaussian of radius ceil(3*sigma)."""
     radius = math.ceil(3.0 * sigma)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
+    # below sigma ~ 1e-154, 2*sigma^2 is tiny or 0: the off-centre taps go to
+    # exp(-inf) = 0 and the centre tap can be 0/0, so it is set to the exact
+    # exp(-0) = 1.0 that every sigma gives it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        k = np.exp(-(offsets * offsets) / (2.0 * sigma * sigma))
+    k[radius] = 1.0
     return k / k.sum()
 
 

@@ -192,14 +192,6 @@ class SpatialIndex:
         return idx[:, 0], sqd[:, 0]
 
 
-def nearest_both_ways(a, b):
-    """Both directed nearest-neighbor passes, ((indices into b, squared
-    distances) per row of a, the same per row of b into a), behind the
-    Chamfer and Hausdorff losses and eval; `combined_loss` makes the same
-    two passes with the edge map's index built once."""
-    return SpatialIndex(b).nearest_batch(a), SpatialIndex(a).nearest_batch(b)
-
-
 def _fold_voxel_keys(keys: np.ndarray) -> np.ndarray | None:
     """One int64 key per row of non-negative integral float voxel keys, or
     None when the grid has 2^63 cells or more.
@@ -388,8 +380,7 @@ def bin_downsample(cloud: PointCloud3, target_count: int) -> PointCloud3:
     out = centroids[farthest_point_select(centroids, m)]
     if out.shape[0] < target_count:
         # degenerate duplicate-heavy cloud: cycle selected centroids
-        reps = -(-target_count // out.shape[0])
-        out = np.tile(out, (reps, 1))[:target_count]
+        out = np.resize(out, (target_count, out.shape[1]))
     return PointCloud3(out)
 
 

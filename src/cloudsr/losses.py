@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySet, TooFewVertices
-from .geometry import SpatialIndex, as_point_array, nearest_both_ways
+from .geometry import SpatialIndex, as_point_array
 
 
 @dataclass(frozen=True)
@@ -50,32 +50,6 @@ class LossReport:
     l_gs: float
     total: float
     grad: np.ndarray              # (N, 2) d total / d (u, v)
-
-
-def _nonempty(arr: np.ndarray, name: str) -> None:
-    if arr.shape[0] == 0:
-        raise EmptySet(f"{name} must not be empty")
-
-
-def _squared_nn_both_ways(r_set, p_set):
-    r = as_point_array(r_set, 2)
-    p = as_point_array(p_set, 2)
-    _nonempty(r, "first point set")
-    _nonempty(p, "second point set")
-    (_, rp), (_, pr) = nearest_both_ways(r, p)
-    return rp, pr
-
-
-def chamfer_loss(r_set, p_set) -> float:
-    """Symmetric sum of squared nearest-neighbor distances."""
-    rp, pr = _squared_nn_both_ways(r_set, p_set)
-    return float(np.sum(rp) + np.sum(pr))
-
-
-def hausdorff_loss(r_set, p_set) -> float:
-    """Max over both directed maxima of unsquared nearest-neighbor distances."""
-    rp, pr = _squared_nn_both_ways(r_set, p_set)
-    return float(max(np.sqrt(np.max(rp)), np.sqrt(np.max(pr))))
 
 
 def gradient_smooth_loss(verts) -> float:
@@ -127,8 +101,9 @@ def combined_loss(edges: SpatialIndex, verts, w: LossWeights = LossWeights()) ->
     """
     r = edges.points
     p = as_point_array(verts, 2)
-    _nonempty(p, "hull vertices")
     n = p.shape[0]
+    if n == 0:
+        raise EmptySet("hull vertices must not be empty")
 
     e2h, d2_e2h = SpatialIndex(p).nearest_batch(r)
     h2e, d2_h2e = edges.nearest_batch(p)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import PointCloud3, nearest_both_ways, normalize_to_unit
+from .geometry import PointCloud3, SpatialIndex, normalize_to_unit
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,8 @@ def eval_metrics(pred: PointCloud3, gt: PointCloud3,
         g, scale, offset = normalize_to_unit(g)
         p = (p - offset) / scale
 
-    (_, d2_pg), (_, d2_gp) = nearest_both_ways(p, g)
+    _, d2_pg = SpatialIndex(g).nearest_batch(p)
+    _, d2_gp = SpatialIndex(p).nearest_batch(g)
     cd = float((np.sum(d2_pg) + np.sum(d2_gp)) / (len(pred) + len(gt)))
     hd = float(max(np.sqrt(np.max(d2_pg)), np.sqrt(np.max(d2_gp))))
     return EvalReport(cd=cd, hd=hd, normalized=normalize,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraRig, Extrinsics, pinhole, project_cloud
+from .camera import CameraRig, Extrinsics, pinhole, project_cloud, rgb_frame
 from .edges import GrayImage
 from .errors import FrameTooLarge, ShapeOutOfFrame
 from .geometry import PointCloud3
@@ -161,7 +161,7 @@ def _convex_silhouette_mask(rig: CameraRig, tof_pts: np.ndarray) -> np.ndarray:
 
 def _sphere_silhouette_mask(rig: CameraRig, center_tof: np.ndarray,
                             radius: float) -> np.ndarray:
-    c = rig.rotation @ center_tof + rig.translation
+    c = rgb_frame(center_tof, rig)
     if c[2] <= radius:
         raise ShapeOutOfFrame("sphere extends behind the camera")
     rays = _pixel_rays(rig)

@@ -16,7 +16,7 @@ from cloudsr.densify import DensifyConfig, densify
 from cloudsr.edges import CannyParams, GrayImage, canny
 from cloudsr.geometry import PointCloud3, SpatialIndex, bin_downsample
 from cloudsr.hull import concave_hull, contains_all, polygon_is_simple
-from cloudsr.losses import LossWeights, chamfer_loss, combined_loss, hausdorff_loss
+from cloudsr.losses import LossWeights, combined_loss
 from cloudsr.metrics import eval_metrics
 from cloudsr.pixmap import read_pixmap, write_pixmap
 from cloudsr.ply_io import read_ply, write_ply
@@ -53,12 +53,13 @@ def test_criterion_1_loss_oracle_equivalence():
     for trial in range(200):
         dim = 2 if trial % 2 == 0 else 3
         a = rng.uniform(-4, 4, size=(int(rng.integers(2, 257)), dim))
-        b = rng.uniform(-4, 4, size=(int(rng.integers(2, 257)), dim))
+        b = rng.uniform(-4, 4, size=(int(rng.integers(3, 257)), dim))
         want_cd = matrix_chamfer(a, b)
         want_hd = matrix_hausdorff(a, b)
         if dim == 2:
-            got_cd = chamfer_loss(a, b)
-            got_hd = hausdorff_loss(a, b)
+            # the terms refinement optimises: edge map a, hull vertices b
+            rep = combined_loss(SpatialIndex(a), b)
+            got_cd, got_hd = rep.l_cd, rep.l_hd
         else:
             rep = eval_metrics(PointCloud3(a), PointCloud3(b))
             got_cd = rep.cd * (len(a) + len(b))  # undo count normalization
@@ -79,13 +80,18 @@ def test_criterion_2_hausdorff_metric_axioms():
     t0 = time.time()
     rng = np.random.default_rng(102)
     ok = True
+
+    def hd(edges, hull):  # combined_loss's Hausdorff term
+        return combined_loss(SpatialIndex(edges), hull).l_hd
+
     for _ in range(100):
-        a = rng.uniform(0, 10, size=(int(rng.integers(1, 40)), 2))
-        b = rng.uniform(0, 10, size=(int(rng.integers(1, 40)), 2))
-        c = rng.uniform(0, 10, size=(int(rng.integers(1, 40)), 2))
-        ok &= hausdorff_loss(a, a) == 0.0
-        ok &= hausdorff_loss(a, b) == hausdorff_loss(b, a)
-        ok &= hausdorff_loss(a, c) <= hausdorff_loss(a, b) + hausdorff_loss(b, c) + 1e-12
+        # every set serves as hull vertices somewhere, so each has >= 3 rows
+        a = rng.uniform(0, 10, size=(int(rng.integers(3, 40)), 2))
+        b = rng.uniform(0, 10, size=(int(rng.integers(3, 40)), 2))
+        c = rng.uniform(0, 10, size=(int(rng.integers(3, 40)), 2))
+        ok &= hd(a, a) == 0.0
+        ok &= hd(a, b) == hd(b, a)
+        ok &= hd(a, c) <= hd(a, b) + hd(b, c) + 1e-12
     _elapsed_ok(2, t0, 2.0, ok,
                 "identity, exact symmetry, triangle inequality on 100 triples")
 

@@ -128,6 +128,22 @@ def test_edges_sigma_whose_border_band_covers_the_image_finds_none(tmp_path, cap
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("sigma", ["1e-160", "1e-300", "5e-324"])
+def test_edges_sigma_whose_square_underflows_blurs_nothing(tmp_path, capsys, sigma):
+    # 2*sigma^2 overflows its reciprocal or underflows to 0; the kernel is
+    # still the unit impulse that every sigma far below a pixel gives
+    img = np.zeros((40, 50))
+    img[10:30, 15:35] = 1.0
+    pgm, ref, out = tmp_path / "sq.pgm", tmp_path / "ref.csv", tmp_path / "out.csv"
+    write_pixmap(GrayImage(img), pgm)
+    assert main(["edges", str(pgm), str(ref), "--sigma", "1e-5"]) == 0
+    assert len(ref.read_text().splitlines()) > 1
+    capsys.readouterr()
+    assert main(["edges", str(pgm), str(out), "--sigma", sigma]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_bytes() == ref.read_bytes()
+
+
 def test_high_threshold_past_the_float_range_finds_no_edges(tmp_path, calib, scene, capsys):
     # high * max gradient overflows to inf without a warning: no pixel is strong
     gt_ply, pgm, sparse = tmp_path / "gt.ply", tmp_path / "scene.pgm", tmp_path / "sparse.ply"

@@ -6,10 +6,8 @@ from cloudsr.geometry import SpatialIndex
 from cloudsr.losses import (
     LossWeights,
     _gs_gradient,
-    chamfer_loss,
     combined_loss,
     gradient_smooth_loss,
-    hausdorff_loss,
 )
 
 from oracles import add_at_gs_gradient, brute_chamfer, brute_hausdorff, sample_far_from_ties
@@ -30,26 +28,32 @@ def test_weights_validation():
         LossWeights(alpha=0.0, beta=0.0, gamma=0.0)
 
 
-# -- chamfer ---------------------------------------------------------------------
+# -- chamfer and hausdorff: the terms refinement optimises -----------------------
+
+
+def _cd_hd(edges, hull):
+    """`combined_loss`'s Chamfer and Hausdorff terms; the hull side needs at
+    least 3 rows for the smoothness term."""
+    rep = combined_loss(SpatialIndex(edges), hull)
+    return rep.l_cd, rep.l_hd
 
 
 def test_chamfer_identical_sets_zero():
     a = np.array([[0.0, 0], [1, 2], [3, 4]])
-    assert chamfer_loss(a, a) == 0.0
+    assert _cd_hd(a, a)[0] == 0.0
 
 
 def test_chamfer_hand_example():
-    assert chamfer_loss(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])) == 50.0
+    # 25 from the edge to any copy, plus 25 from each of the three copies
+    assert _cd_hd(np.array([[0.0, 0.0]]), np.tile([[3.0, 4.0]], (3, 1)))[0] == 100.0
 
 
 def test_chamfer_matches_brute_force():
     rng = np.random.default_rng(0)
     for _ in range(20):
         a = rng.uniform(-5, 5, size=(int(rng.integers(1, 200)), 2))
-        b = rng.uniform(-5, 5, size=(int(rng.integers(1, 200)), 2))
-        got = chamfer_loss(a, b)
-        want = brute_chamfer(a, b)
-        assert got == pytest.approx(want, rel=1e-12)
+        b = rng.uniform(-5, 5, size=(int(rng.integers(3, 200)), 2))
+        assert _cd_hd(a, b)[0] == pytest.approx(brute_chamfer(a, b), rel=1e-12)
 
 
 def test_chamfer_symmetry_and_nonnegative():
@@ -57,53 +61,43 @@ def test_chamfer_symmetry_and_nonnegative():
     for _ in range(10):
         a = rng.normal(size=(17, 2))
         b = rng.normal(size=(9, 2))
-        assert chamfer_loss(a, b) == chamfer_loss(b, a)
-        assert chamfer_loss(a, b) >= 0.0
-
-
-def test_chamfer_empty_raises():
-    with pytest.raises(EmptySet):
-        chamfer_loss(np.zeros((0, 2)), np.array([[0.0, 0.0]]))
-
-
-# -- hausdorff --------------------------------------------------------------------
+        assert _cd_hd(a, b)[0] == _cd_hd(b, a)[0]
+        assert _cd_hd(a, b)[0] >= 0.0
 
 
 def test_hausdorff_identical_zero():
-    a = np.array([[0.0, 0], [5, 5]])
-    assert hausdorff_loss(a, a) == 0.0
+    a = np.array([[0.0, 0], [5, 5], [5, 0]])
+    assert _cd_hd(a, a)[1] == 0.0
 
 
 def test_hausdorff_hand_example():
     r = np.array([[0.0, 0.0], [1.0, 0.0]])
-    p = np.array([[0.0, 0.0]])
-    assert hausdorff_loss(r, p) == 1.0
+    assert _cd_hd(r, np.zeros((3, 2)))[1] == 1.0
+    assert _cd_hd(np.array([[0.0, 0.0]]), np.tile([[3.0, 4.0]], (3, 1)))[1] == 5.0
 
 
 def test_hausdorff_matches_brute_force():
     rng = np.random.default_rng(2)
     for _ in range(20):
         a = rng.uniform(-5, 5, size=(int(rng.integers(1, 150)), 2))
-        b = rng.uniform(-5, 5, size=(int(rng.integers(1, 150)), 2))
-        assert hausdorff_loss(a, b) == pytest.approx(brute_hausdorff(a, b), rel=1e-12)
+        b = rng.uniform(-5, 5, size=(int(rng.integers(3, 150)), 2))
+        assert _cd_hd(a, b)[1] == pytest.approx(brute_hausdorff(a, b), rel=1e-12)
 
 
 def test_hausdorff_symmetry():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(31, 2))
     b = rng.normal(size=(12, 2))
-    assert hausdorff_loss(a, b) == hausdorff_loss(b, a)
+    assert _cd_hd(a, b)[1] == _cd_hd(b, a)[1]
 
 
 def test_hausdorff_triangle_inequality():
     rng = np.random.default_rng(4)
     for _ in range(100):
-        a = rng.uniform(0, 10, size=(int(rng.integers(1, 30)), 2))
-        b = rng.uniform(0, 10, size=(int(rng.integers(1, 30)), 2))
-        c = rng.uniform(0, 10, size=(int(rng.integers(1, 30)), 2))
-        assert hausdorff_loss(a, c) <= (
-            hausdorff_loss(a, b) + hausdorff_loss(b, c) + 1e-12
-        )
+        a = rng.uniform(0, 10, size=(int(rng.integers(3, 30)), 2))
+        b = rng.uniform(0, 10, size=(int(rng.integers(3, 30)), 2))
+        c = rng.uniform(0, 10, size=(int(rng.integers(3, 30)), 2))
+        assert _cd_hd(a, c)[1] <= _cd_hd(a, b)[1] + _cd_hd(b, c)[1] + 1e-12
 
 
 def test_hausdorff_dominates_chamfer_entries():
@@ -111,10 +105,20 @@ def test_hausdorff_dominates_chamfer_entries():
     rng = np.random.default_rng(5)
     a = rng.uniform(0, 10, size=(25, 2))
     b = rng.uniform(0, 10, size=(40, 2))
-    hd = hausdorff_loss(a, b)
+    hd = _cd_hd(a, b)[1]
     d = np.sqrt(((a[:, None] - b[None]) ** 2).sum(-1))
     assert hd >= np.max(np.min(d, axis=1)) - 1e-12
     assert hd >= np.max(np.min(d, axis=0)) - 1e-12
+
+
+def test_hausdorff_tie_takes_the_edge_to_hull_maximum():
+    # both directed maxima are 3: edge 0 -> vertex 1, and vertex 0 -> edge 1;
+    # the edge->hull pair gets the subgradient
+    edges = np.array([[0.0, 0.0], [100.0, 0.0]])
+    hull = np.array([[100.0, -3.0], [0.0, 3.0], [100.0, 0.0]])
+    rep = combined_loss(SpatialIndex(edges), hull, LossWeights(0.0, 1.0, 0.0))
+    assert rep.l_hd == 3.0
+    np.testing.assert_array_equal(rep.grad, [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 
 # -- gradient smooth ---------------------------------------------------------------
@@ -183,7 +187,7 @@ def test_combined_weight_masking():
     p = rng.uniform(size=(6, 2))
     rep = combined_loss(SpatialIndex(r), p, LossWeights(1.0, 0.0, 0.0))
     assert rep.total == rep.l_cd
-    assert rep.l_cd == pytest.approx(chamfer_loss(r, p), rel=1e-15)
+    assert rep.l_cd == pytest.approx(brute_chamfer(r, p), rel=1e-12)
 
 
 def test_combined_total_composition():
@@ -226,5 +230,5 @@ def test_combined_gradient_matches_finite_differences():
 
 def test_combined_propagates_empty():
     # an empty edge map cannot be indexed, so the vertices are the set checked
-    with pytest.raises(EmptySet):
+    with pytest.raises(EmptySet, match="hull vertices must not be empty"):
         combined_loss(SpatialIndex(np.eye(3, 2)), np.zeros((0, 2)))
