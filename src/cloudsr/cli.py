@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import inspect
 import json
 import sys
@@ -87,7 +88,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# every default is read from the config it fills, so each has one source
+# every default is read from the config it fills, and every `dest` is the
+# name of the field it fills (see `_config`), so each has one source
 def _add_canny_flags(p):
     p.add_argument("--sigma", type=float, default=CannyParams.sigma,
                    help="Gaussian sigma in pixels (default %(default)s)")
@@ -116,12 +118,15 @@ def _add_refine_flags(p):
                    help="gradient-smooth weight (default %(default)s)")
     p.add_argument("--max-iters", type=int, default=RefineConfig.max_iters,
                    help="refinement iterations (default %(default)s)")
-    p.add_argument("--refresh", type=int, default=RefineConfig.hull_refresh_period,
+    p.add_argument("--refresh", dest="hull_refresh_period", metavar="REFRESH", type=int,
+                   default=RefineConfig.hull_refresh_period,
                    help="hull refresh period in iterations (default %(default)s)")
-    p.add_argument("--step", type=float, default=RefineConfig.initial_step,
+    p.add_argument("--step", dest="initial_step", metavar="STEP", type=float,
+                   default=RefineConfig.initial_step,
                    help="initial step as a fraction of cloud half-extent "
                         "(default %(default)s)")
-    p.add_argument("--backtrack", type=float, default=RefineConfig.backtrack_factor,
+    p.add_argument("--backtrack", dest="backtrack_factor", metavar="BACKTRACK", type=float,
+                   default=RefineConfig.backtrack_factor,
                    help="line search shrink factor (default %(default)s)")
     p.add_argument("--min-step", type=float, default=RefineConfig.min_step,
                    help="step underflow threshold (default %(default)s)")
@@ -188,7 +193,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_edges(args) -> int:
-    params = _canny_params(args)
+    params = _config(CannyParams, args)
     img = read_pixmap(args.image)
     edge_map = canny(img, params)
     write_points_csv(edge_map, args.output)
@@ -213,7 +218,7 @@ def _cmd_hull(args) -> int:
 
 
 def _cmd_densify(args) -> int:
-    cfg = _densify_config(args)
+    cfg = _config(DensifyConfig, args)
     cloud = read_ply(args.cloud)
     if args.target is not None:
         cloud = bin_downsample(cloud, args.target)
@@ -222,32 +227,21 @@ def _cmd_densify(args) -> int:
     return 0
 
 
-def _canny_params(args) -> CannyParams:
+def _config(cls, args, **given):
+    """A `cls` config whose fields not in `given` take the value of the flag
+    whose `dest` is the field's name."""
     with _flag_values():
-        return CannyParams(sigma=args.sigma, low=args.low, high=args.high)
-
-
-def _densify_config(args) -> DensifyConfig:
-    with _flag_values():
-        return DensifyConfig(rate=args.rate, k_interp=args.k_interp)
+        return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+                      if f.name not in given}, **given)
 
 
 def _refine_config(args) -> RefineConfig:
-    with _flag_values():
-        return RefineConfig(
-            max_iters=args.max_iters,
-            hull_refresh_period=args.refresh,
-            initial_step=args.step,
-            backtrack_factor=args.backtrack,
-            min_step=args.min_step,
-            weights=LossWeights(args.alpha, args.beta, args.gamma),
-            hull_k=args.hull_k,
-            constant_depth=args.constant_depth,
-        )
+    return _config(RefineConfig, args, weights=_config(LossWeights, args))
 
 
 def _cmd_superres(args) -> int:
-    dcfg, rcfg, ccfg = _densify_config(args), _refine_config(args), _canny_params(args)
+    dcfg, rcfg = _config(DensifyConfig, args), _refine_config(args)
+    ccfg = _config(CannyParams, args)
     cloud = read_ply(args.cloud)
     img = read_pixmap(args.image)
     rig = load_rig(args.calib)

@@ -192,61 +192,54 @@ class SpatialIndex:
         return idx[:, 0], sqd[:, 0]
 
 
-def _fold_voxel_keys(keys: np.ndarray) -> np.ndarray | None:
-    """One int64 key per row of non-negative integral float voxel keys, or
-    None when the grid has 2^63 cells or more.
+def _voxel_keys(rel: np.ndarray, edge: float) -> np.ndarray:
+    """One int64 key per row of `rel` (rows relative to the voxel origin)
+    for voxels of edge `edge`: equal exactly for rows in the same voxel, and
+    ordered as a lexicographic sort of the voxel index rows, column 0 most
+    significant.
 
-    With per-axis spans s_d = max key + 1, the fold (k0*s1 + k1)*s2 + k2
-    (column 0 most significant) is injective and orders rows exactly as a
-    lexicographic sort of the key rows.  The cell count is a Python integer
-    product: a float one overflows at the bisection's smallest edges.
+    With per-axis spans s_d = max index + 1, a grid of fewer than 2^63 cells
+    folds the indices to (k0*s1 + k1)*s2 + k2.  A larger grid (on the bench
+    inputs, only the bisection's first, smallest edge) keys each row by its
+    rank among the distinct index rows instead, by one `lexsort`.  The cell
+    count is a Python integer product: a float one overflows at the
+    bisection's smallest edges.
     """
+    # float indices: at the bisection's smallest edge one can exceed int64
+    keys = np.floor(rel / edge)
     # a max per column: numpy's axis-0 max over three columns is ~8x slower
     spans = [int(keys[:, d].max()) + 1 for d in range(keys.shape[1])]
-    if math.prod(spans) >= 1 << 63:
-        return None
-    ints = keys.astype(np.int64)
-    folded = ints[:, 0]
-    for d in range(1, ints.shape[1]):
-        folded = folded * spans[d] + ints[:, d]
-    return folded
+    if math.prod(spans) < 1 << 63:
+        ints = keys.astype(np.int64)
+        folded = ints[:, 0]
+        for d in range(1, ints.shape[1]):
+            folded = folded * spans[d] + ints[:, d]
+        return folded
+    # lexsort's last key is its primary one, so reverse the columns
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    ranks = np.empty(keys.shape[0], dtype=np.int64)
+    ranks[order] = np.cumsum(np.r_[False, np.any(ordered[1:] != ordered[:-1], axis=1)])
+    return ranks
 
 
 def _voxel_bin_count(rel: np.ndarray, edge: float) -> int:
     """Number of occupied voxels of edge `edge` over rows `rel` taken
-    relative to the voxel origin.
-
-    Sorts the folded one-column key and counts unequal neighbours; a grid of
-    2^63 cells or more (on the bench inputs, only the bisection's first,
-    smallest edge) falls back to a `lexsort` of the float key columns.  On a
-    2-vCPU VM, one count over 300k rows takes 0.03 s folded and 0.2 s by
-    `lexsort`.
+    relative to the voxel origin: a sort of the `_voxel_keys` and a count of
+    unequal neighbours.  On a 2-vCPU VM, one count over 300k rows takes
+    0.03 s on folded keys and 0.2 s on rank keys.
     """
-    # float keys: at the bisection's smallest edge an index can exceed int64
-    keys = np.floor(rel / edge)
-    folded = _fold_voxel_keys(keys)
-    if folded is None:
-        keys = keys[np.lexsort(keys.T)]
-        return 1 + int(np.count_nonzero(np.any(keys[1:] != keys[:-1], axis=1)))
-    folded.sort()
-    return 1 + int(np.count_nonzero(folded[1:] != folded[:-1]))
+    keys = _voxel_keys(rel, edge)
+    keys.sort()
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 def _voxel_centroids(pts: np.ndarray, rel: np.ndarray, edge: float) -> np.ndarray:
     """Centroid of each occupied voxel of `pts`, binned by `rel` (the rows
     relative to the voxel origin) and ordered by voxel key (column 0 most
-    significant).
-
-    `np.unique` of the folded key orders the voxels as `np.unique(axis=0)`
-    of the key rows, the fallback for grids of 2^63 cells or more, so the
-    groups, their order and the summation order are the same on both paths.
+    significant), as `np.unique(axis=0)` of the voxel index rows orders them.
     """
-    keys = np.floor(rel / edge)
-    folded = _fold_voxel_keys(keys)
-    if folded is None:
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    else:
-        uniq, inverse = np.unique(folded, return_inverse=True)
+    uniq, inverse = np.unique(_voxel_keys(rel, edge), return_inverse=True)
     sums = np.zeros((uniq.shape[0], pts.shape[1]))
     np.add.at(sums, inverse, pts)
     counts = np.bincount(inverse, minlength=uniq.shape[0]).astype(np.float64)
@@ -318,8 +311,8 @@ def binned_centroids(pts: np.ndarray, target: int) -> tuple[np.ndarray, float]:
 
     Each of the 57-64 steps is one `_voxel_bin_count`, a sort of one int64
     key per row; only grids of 2^63 cells or more, on the bench inputs just
-    the first probe at the smallest separating edge, take its `lexsort`
-    fallback.
+    the first probe at the smallest separating edge, rank their rows by
+    `lexsort` to get that key.
     """
     origin = pts.min(axis=0)
     extent = pts.max(axis=0) - origin

@@ -84,16 +84,6 @@ class RefineTrace:
         return "".join(json.dumps(asdict(r)) + "\n" for r in self.records)
 
 
-def _hull_members(pts: np.ndarray, rig: CameraRig, hull_k: int,
-                  likely: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """(members, culled): the rows of `pts` that are hull vertices, in
-    vertex order, and how many rows the projection culled.  `likely` (the
-    previous members) only speeds up the hull walk."""
-    uv, index_map = project_cloud(pts, rig)
-    poly = concave_hull(uv, index_map=index_map, k=hull_k, likely=likely)
-    return poly.source_indices, pts.shape[0] - len(uv)
-
-
 def _member_loss(members: np.ndarray, rig: CameraRig, weights: LossWeights,
                  edges: SpatialIndex) -> LossReport | None:
     """Loss of the hull whose vertices are the (H, 3) member rows, or None
@@ -108,6 +98,19 @@ def _require_finite(*values: float) -> None:
     """Raise NonFiniteLoss unless the loss and gradient values are finite."""
     if not all(math.isfinite(v) for v in values):
         raise NonFiniteLoss("the loss or its gradient overflows; lower the loss weights")
+
+
+def _refresh(pts: np.ndarray, rig: CameraRig, cfg: RefineConfig, edges: SpatialIndex,
+             likely: np.ndarray | None = None) -> tuple[np.ndarray, int, LossReport]:
+    """(members, culled, report): the rows of `pts` that are hull vertices,
+    in vertex order, how many rows the projection culled, and the loss of
+    the hull's pixels.  `likely` (the previous members) only speeds up the
+    hull walk.  Raises NonFiniteLoss unless the loss is finite."""
+    uv, index_map = project_cloud(pts, rig)
+    poly = concave_hull(uv, index_map=index_map, k=cfg.hull_k, likely=likely)
+    report = combined_loss(edges, poly.vertices, cfg.weights)
+    _require_finite(report.total)
+    return poly.source_indices, pts.shape[0] - len(uv), report
 
 
 # huge weights or steps overflow quietly: `_require_finite` and `_member_loss`
@@ -139,10 +142,7 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
         trace.records.append(TraceRecord(iteration, report.total, report.l_cd, report.l_hd,
                                          report.l_gs, step, len(members), culled))
 
-    members, culled = _hull_members(pts, rig, cfg.hull_k)
-    report = _member_loss(pts[members], rig, cfg.weights, edges)
-    assert report is not None  # members came from a valid projection
-    _require_finite(report.total)
+    members, culled, report = _refresh(pts, rig, cfg, edges)
     record(0, 0.0)
     window_start_total = report.total
 
@@ -153,12 +153,9 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
             if improvement < _REL_IMPROVEMENT_STOP * max(abs(window_start_total), 1e-30):
                 break
             try:
-                members, culled = _hull_members(pts, rig, cfg.hull_k, members)
+                members, culled, report = _refresh(pts, rig, cfg, edges, members)
             except (AllPointsCulled, TooFewPoints, DegenerateCollinear, HullFailed):
                 break  # members left the frame or collapsed: keep the progress
-            report = _member_loss(pts[members], rig, cfg.weights, edges)
-            if report is None:
-                break
             window_start_total = report.total
 
         cur = pts[members]
@@ -171,7 +168,7 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
             # the sum of squares overflowed, not the gradient: rescale first
             s = float(np.max(np.abs(grad3)))
             gnorm = s * float(np.linalg.norm(grad3 / s))
-        _require_finite(report.total, gnorm)  # a refresh may have replaced `report`
+        _require_finite(gnorm)
         if gnorm == 0.0:
             break  # stationary point
         direction = grad3 / gnorm

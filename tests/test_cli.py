@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,14 +12,14 @@ from cloudsr import geometry
 from cloudsr.camera import Extrinsics
 from cloudsr.cli import (
     _build_parser,
-    _canny_params,
-    _densify_config,
+    _config,
     _refine_config,
     main,
     read_points_csv,
 )
 from cloudsr.densify import MAX_MIDPOINT_ROWS, DensifyConfig
 from cloudsr.edges import CannyParams, GrayImage
+from cloudsr.losses import LossWeights
 from cloudsr.geometry import PointCloud3, SpatialIndex
 from cloudsr.pixmap import write_pixmap
 from cloudsr.ply_io import read_ply, write_ply
@@ -69,10 +70,49 @@ def test_unknown_command_exit_1():
 def test_flag_defaults_are_the_config_defaults():
     args = _build_parser().parse_args(["superres", "a", "b", "c", "d"])
     assert _refine_config(args) == RefineConfig()
-    assert _canny_params(args) == CannyParams()
-    assert _densify_config(args) == DensifyConfig()
+    assert _config(CannyParams, args) == CannyParams()
+    assert _config(DensifyConfig, args) == DensifyConfig()
     args = _build_parser().parse_args(["densify", "a", "b"])
-    assert _densify_config(args) == DensifyConfig()
+    assert _config(DensifyConfig, args) == DensifyConfig()
+
+
+@pytest.mark.parametrize("flag,value,config,field", [
+    ("--sigma", 2.5, CannyParams, "sigma"),
+    ("--low", 0.15, CannyParams, "low"),
+    ("--high", 0.3, CannyParams, "high"),
+    ("--rate", 3, DensifyConfig, "rate"),
+    ("--k-interp", 6, DensifyConfig, "k_interp"),
+    ("--hull-k", 12, RefineConfig, "hull_k"),
+    ("--alpha", 0.5, LossWeights, "alpha"),
+    ("--beta", 0.25, LossWeights, "beta"),
+    ("--gamma", 0.125, LossWeights, "gamma"),
+    ("--max-iters", 7, RefineConfig, "max_iters"),
+    ("--refresh", 3, RefineConfig, "hull_refresh_period"),
+    ("--step", 0.02, RefineConfig, "initial_step"),
+    ("--backtrack", 0.25, RefineConfig, "backtrack_factor"),
+    ("--min-step", 1e-6, RefineConfig, "min_step"),
+    ("--constant-depth", True, RefineConfig, "constant_depth"),
+])
+def test_each_superres_flag_fills_its_config_field(flag, value, config, field):
+    assert getattr(config(), field) != value
+    argv = ["superres", "a", "b", "c", "d", flag] + ([] if value is True else [str(value)])
+    args = _build_parser().parse_args(argv)
+    want = {CannyParams: CannyParams(), DensifyConfig: DensifyConfig(),
+            RefineConfig: RefineConfig()}
+    if config is LossWeights:
+        want[RefineConfig] = RefineConfig(weights=LossWeights(**{field: value}))
+    else:
+        want[config] = replace(want[config], **{field: value})
+    got = (_config(CannyParams, args), _config(DensifyConfig, args), _refine_config(args))
+    assert got == tuple(want.values())
+
+
+def test_flags_named_apart_from_their_field_keep_their_help(capsys):
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args(["superres", "--help"])
+    out = capsys.readouterr().out
+    for shown in ("--refresh REFRESH", "--step STEP", "--backtrack BACKTRACK"):
+        assert shown in out
 
 
 _SUPERRES = ["superres", "{ply}", "{pgm}", "{calib}", "{out}"]

@@ -88,6 +88,18 @@ def test_duplicate_heavy_input_still_exact():
     assert _rows(PointCloud3(pts)) <= _rows(out)
 
 
+@pytest.mark.parametrize("pts,want", [
+    ([[1.0, 2, 3]] * 5, [[1.0, 2, 3]] * 10),
+    # one midpoint survives the dedupe, then rounds stall; it is cycled
+    ([[0.0, 0, 0], [2e-9, 0, 0]], [[0.0, 0, 0], [2e-9, 0, 0], [1e-9, 0, 0], [1e-9, 0, 0]]),
+    # no midpoint survives, so the deduped originals are cycled
+    ([[0.0, 0, 0], [1e-9, 0, 0]], [[0.0, 0, 0], [1e-9, 0, 0], [0.0, 0, 0], [1e-9, 0, 0]]),
+], ids=["one-distinct-row", "one-midpoint", "no-midpoint"])
+def test_stalled_rounds_cycle_what_exists(pts, want):
+    out = densify(PointCloud3(np.array(pts)), DensifyConfig(rate=2))
+    assert out.points.tobytes() == np.array(want).tobytes()
+
+
 class _RoundStarted(Exception):
     pass
 

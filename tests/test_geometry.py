@@ -434,14 +434,16 @@ def test_bisection_stops_early_with_the_64_step_result(monkeypatch):
 
 def test_voxel_counts_take_the_lexsort_fallback_at_most_once(monkeypatch):
     # on a unit-size cloud only the first probe, at the smallest separating
-    # edge, has a grid of 2^63 cells or more; every other count is folded
-    folded = []
-    real = geometry._fold_voxel_keys
-    monkeypatch.setattr(geometry, "_fold_voxel_keys",
-                        lambda keys: folded.append(real(keys)) or folded[-1])
+    # edge, has a grid of 2^63 cells or more; every other key is folded.
+    # Inside `binned_centroids` only the rank keys call `np.lexsort`
+    keyings, ranked = [], []
+    real_keys, real_lexsort = geometry._voxel_keys, np.lexsort
+    monkeypatch.setattr(geometry, "_voxel_keys",
+                        lambda *args: keyings.append(1) or real_keys(*args))
+    monkeypatch.setattr(np, "lexsort", lambda *args: ranked.append(1) or real_lexsort(*args))
     binned_centroids(_downsample_clouds()[0], 100)
-    assert len(folded) > 50
-    assert sum(f is None for f in folded) <= 1
+    assert len(keyings) > 50
+    assert len(ranked) <= 1
 
 
 def _grid_corner_cloud(spans, rng):
@@ -514,8 +516,17 @@ def _assert_voxels_match_oracles(pts, origin, edge):
     ((1e200, 1e200, 1e200), False),
 ], ids=["2col-below", "2col-at", "3col-below", "3col-at", "float-overflow"])
 def test_fold_switches_to_lexsort_at_two_to_the_63(spans, fits):
+    # below 2^63 cells the key is the fold (k0*s1 + k1)*s2 + k2; at 2^63 or
+    # more it is each row's rank among the distinct rows
     pts = _grid_corner_cloud(spans, np.random.default_rng(1))
-    assert (geometry._fold_voxel_keys(pts) is not None) == fits
+    keys = geometry._voxel_keys(pts, 1.0)
+    if fits:
+        folded = pts[:, 0].astype(np.int64)
+        for d in range(1, pts.shape[1]):
+            folded = folded * int(spans[d]) + pts[:, d].astype(np.int64)
+        assert keys.tolist() == folded.tolist()
+    else:
+        assert keys.tolist() == np.unique(pts, axis=0, return_inverse=True)[1].tolist()
     _assert_voxels_match_oracles(pts, np.zeros(pts.shape[1]), 1.0)
 
 

@@ -181,6 +181,25 @@ def test_constant_depth_moves_members_laterally_only():
     assert np.any(out.points[:, :2] != cloud.points[:, :2])
 
 
+def test_window_stall_stops_at_the_refresh(monkeypatch):
+    # the scene of test_offset_square_loss_decreases: unpatched it runs to
+    # max_iters; demanding a 90% gain per window stops it at the first
+    # window boundary, before that refresh builds a hull
+    cloud = _grid_cloud(20, jitter=0.01)
+    edge_map = _square_outline(27.0, 73.0)
+    cfg = RefineConfig(max_iters=80)
+    _, trace = refine(cloud, edge_map, _rig(), cfg)
+    assert trace.records[-1].iteration == 80
+
+    hulls = []
+    monkeypatch.setattr("cloudsr.refine.concave_hull",
+                        lambda *args, **kw: hulls.append(1) or concave_hull(*args, **kw))
+    monkeypatch.setattr("cloudsr.refine._REL_IMPROVEMENT_STOP", 0.9)
+    _, trace = refine(cloud, edge_map, _rig(), cfg)
+    assert trace.records[-1].iteration == cfg.hull_refresh_period
+    assert len(hulls) == 1
+
+
 def test_each_refresh_is_warmed_with_the_previous_members(monkeypatch):
     calls = []
 
