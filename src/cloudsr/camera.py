@@ -119,8 +119,7 @@ class CameraRig:
 
 
 def rgb_frame(points: np.ndarray, rig: CameraRig) -> np.ndarray:
-    """(N, 3) depth-frame points, or one (3,) point, expressed in the RGB
-    camera frame."""
+    """(N, 3) depth-frame points expressed in the RGB camera frame."""
     return points @ rig.rotation.T + rig.translation
 
 

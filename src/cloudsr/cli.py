@@ -273,6 +273,9 @@ def _cmd_synth(args) -> int:
             raise CloudSRError(f"scene file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise CloudSRError("bad scene spec: expected a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(SceneSpec)})
+    if unknown:
+        raise CloudSRError(f"bad scene spec: unknown keys {unknown}")
     try:
         pose = Extrinsics(np.array(raw.get("pose", np.eye(4).ravel().tolist()),
                                    dtype=np.float64).reshape(4, 4))

@@ -1,8 +1,9 @@
 """Synthetic test scenes: a sampled surface plus its rendered silhouette.
 
 The ground-truth cloud samples the camera-visible surface on a uniform
-grid; the image is a hard-edged silhouette (foreground inside the projected
-shape), so edge detection recovers the shape boundary.
+grid; the image is a hard-edged silhouette (foreground where the ray through
+a pixel center hits the shape), so edge detection recovers the shape
+boundary.
 """
 
 from __future__ import annotations
@@ -11,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraRig, Extrinsics, pinhole, project_cloud, rgb_frame
+from .camera import CameraRig, Extrinsics, project_cloud
 from .edges import GrayImage
-from .errors import FrameTooLarge, ShapeOutOfFrame
+from .errors import AllPointsCulled, FrameTooLarge, ShapeOutOfFrame
 from .geometry import PointCloud3
-from .hull import monotone_chain, orient
 
 SHAPES = ("square-plane", "box", "sphere")
 
@@ -133,42 +133,33 @@ def _sphere_local(extent: float, density: float, cam_local: np.ndarray) -> np.nd
     return np.vstack([p.reshape(-1, 3) for p in pts])
 
 
-def _pixel_rays(rig: CameraRig):
-    """Unnormalized RGB-frame ray directions through every pixel center."""
+def _silhouette(spec: SceneSpec, rig: CameraRig, cam_local: np.ndarray) -> np.ndarray:
+    """(H, W) mask of the pixels whose center ray hits the shape.
+
+    Works in the shape's frame: every ray starts at the camera center
+    cam_local.  The sphere is hit when the ray's closest approach lies ahead
+    of the camera and within the radius; square and box are slab tests, the
+    square being a box of zero depth.  Boundaries count as hits.
+    """
     k = rig.k_rgb
-    us, vs = np.meshgrid(np.arange(rig.width), np.arange(rig.height))
-    return np.stack(
-        [(us - k.cx) / k.fx, (vs - k.cy) / k.fy, np.ones_like(us, dtype=float)],
-        axis=2,
-    )
-
-
-def _convex_silhouette_mask(rig: CameraRig, tof_pts: np.ndarray) -> np.ndarray:
-    """Pixels whose centers fall inside the convex hull of projected points."""
-    proj, z = pinhole(tof_pts, rig)
-    if np.any(z <= 0):
-        raise ShapeOutOfFrame("shape extends behind the camera")
-    hull = proj[monotone_chain(proj)]
-
-    us, vs = np.meshgrid(np.arange(rig.width, dtype=float),
-                         np.arange(rig.height, dtype=float))
-    pixels = np.stack([us, vs], axis=-1)
-    inside = np.ones(us.shape, dtype=bool)
-    for a, b in zip(hull, np.roll(hull, -1, axis=0)):
-        inside &= orient(a, b, pixels) >= 0.0  # CCW hull: inside is left of every edge
-    return inside
-
-
-def _sphere_silhouette_mask(rig: CameraRig, center_tof: np.ndarray,
-                            radius: float) -> np.ndarray:
-    c = rgb_frame(center_tof, rig)
-    if c[2] <= radius:
-        raise ShapeOutOfFrame("sphere extends behind the camera")
-    rays = _pixel_rays(rig)
-    norms = np.linalg.norm(rays, axis=2)
-    along = rays @ c / norms
-    perp2 = float(c @ c) - along**2
-    return (along > 0) & (perp2 <= radius * radius)
+    a = (np.arange(rig.width) - k.cx) / k.fx
+    b = ((np.arange(rig.height) - k.cy) / k.fy)[:, None]
+    m = spec.pose.rotation.T @ rig.rotation.T
+    d = [m[i, 0] * a + m[i, 1] * b + m[i, 2] for i in range(3)]
+    o = cam_local
+    h = spec.extent / 2.0
+    if spec.shape == "sphere":
+        od = o[0] * d[0] + o[1] * d[1] + o[2] * d[2]
+        dd = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+        return (od < 0) & (od * od >= dd * (o @ o - h * h))
+    half = (h, h, 0.0 if spec.shape == "square-plane" else h)
+    near, far = 0.0, np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for oi, di, hi in zip(o, d, half):
+            t1, t2 = (-hi - oi) / di, (hi - oi) / di
+            near = np.maximum(near, np.minimum(t1, t2))
+            far = np.minimum(far, np.maximum(t1, t2))
+    return near <= far
 
 
 def synth_scene(spec: SceneSpec, rig: CameraRig):
@@ -194,26 +185,14 @@ def synth_scene(spec: SceneSpec, rig: CameraRig):
     world = local @ pose_r.T + pose_t
     cloud = PointCloud3(world)
 
-    _, index_map = project_cloud(world, rig)
+    try:
+        _, index_map = project_cloud(world, rig)
+    except AllPointsCulled as exc:
+        raise ShapeOutOfFrame("no surface sample projects in frame") from exc
     if index_map.size != len(world):
         raise ShapeOutOfFrame("some surface samples project out of frame")
 
-    if spec.shape == "sphere":
-        mask = _sphere_silhouette_mask(rig, pose_t, spec.extent / 2.0)
-    else:
-        h = spec.extent / 2.0
-        if spec.shape == "square-plane":
-            corners_local = np.array(
-                [[-h, -h, 0.0], [h, -h, 0.0], [h, h, 0.0], [-h, h, 0.0]]
-            )
-        else:
-            corners_local = np.array(
-                [[sx * h, sy * h, sz * h]
-                 for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
-            )
-        corners = corners_local @ pose_r.T + pose_t
-        mask = _convex_silhouette_mask(rig, corners)
-
+    mask = _silhouette(spec, rig, cam_local)
     if (mask[0, :].any() or mask[-1, :].any()
             or mask[:, 0].any() or mask[:, -1].any()):
         raise ShapeOutOfFrame("silhouette touches the image border")

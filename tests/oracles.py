@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from cloudsr.camera import pinhole
 from cloudsr.geometry import DEDUPE_TOL
 from cloudsr.hull import _crosses_any, _proper_crossing, orient
 from cloudsr.losses import _GS_KINK_EPS
@@ -382,3 +383,50 @@ def add_at_gs_gradient(verts):
     np.add.at(grad, idx + 1, -2.0 * unit)
     np.add.at(grad, idx + 2, unit)
     return grad
+
+
+def convex_silhouette_mask(rig, tof_pts):
+    """Pixels whose centers fall inside the convex hull of projected points,
+    edges included: the silhouette `synth` drew for square and box before it
+    cast one ray per pixel."""
+    proj, z = pinhole(tof_pts, rig)
+    assert np.all(z > 0), "every point must lie in front of the camera"
+    hull = proj[monotone_chain(proj)]
+    us, vs = np.meshgrid(np.arange(rig.width, dtype=float),
+                         np.arange(rig.height, dtype=float))
+    pixels = np.stack([us, vs], axis=-1)
+    inside = np.ones(us.shape, dtype=bool)
+    for a, b in zip(hull, np.roll(hull, -1, axis=0)):
+        inside &= orient(a, b, pixels) >= 0.0  # CCW hull: inside is left of every edge
+    return inside
+
+
+def sphere_silhouette_mask(rig, center_tof, radius):
+    """Pixels whose center ray passes within `radius` of the sphere center,
+    ahead of the camera: the sphere silhouette `synth` drew before it cast
+    one ray per pixel for every shape."""
+    c = center_tof @ rig.rotation.T + rig.translation
+    assert c[2] > radius, "the sphere must lie in front of the camera"
+    k = rig.k_rgb
+    us, vs = np.meshgrid(np.arange(rig.width), np.arange(rig.height))
+    rays = np.stack(
+        [(us - k.cx) / k.fx, (vs - k.cy) / k.fy, np.ones_like(us, dtype=float)],
+        axis=2,
+    )
+    along = rays @ c / np.linalg.norm(rays, axis=2)
+    perp2 = float(c @ c) - along**2
+    return (along > 0) & (perp2 <= radius * radius)
+
+
+def silhouette_mask(spec, rig):
+    """The silhouette of a synth scene by the two forms above: the sphere
+    form for a sphere, else the convex hull of the shape's projected corners."""
+    h = spec.extent / 2.0
+    if spec.shape == "sphere":
+        return sphere_silhouette_mask(rig, spec.pose.translation, h)
+    if spec.shape == "square-plane":
+        corners = np.array([[-h, -h, 0.0], [h, -h, 0.0], [h, h, 0.0], [-h, h, 0.0]])
+    else:
+        corners = np.array([[sx * h, sy * h, sz * h]
+                            for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
+    return convex_silhouette_mask(rig, corners @ spec.pose.rotation.T + spec.pose.translation)

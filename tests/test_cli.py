@@ -454,13 +454,16 @@ _BIN_PLY = (b"ply\nformat binary_little_endian 1.0\n%b"
     ("densify", "in.ply", _PLY_HEAD + "0 0 1\n1e300 0 1\n1 1 1\n"),
     ("hull", "pts.csv", "u,v\n0,0\n1e200,0\n0,1e200\n"),
     ("edges", "img.pgm", "P2\n2 2\n255\n%s 0 0 0\n" % ("9" * 400)),
+    ("synth", "scene.json", json.dumps({  # a valid scene but for the misspelt key
+        "shape": "square-plane", "extnt": 0.2,
+        "pose": list(Extrinsics.from_rt(np.eye(3), [0, 0, 2.0]).matrix.ravel())})),
 ], ids=["hull-bad-row", "hull-nan", "synth-bad-json", "synth-json-list", "densify-nan",
         "hull-non-ascii", "synth-non-utf8", "calib-non-utf8", "calib-width-overflow",
         "calib-zero-width", "synth-density-overflow", "synth-density-huge",
         "synth-int-overflow", "calib-digit-limit",
         "ply-binary-negative-count", "ply-binary-false-count",
         "ply-ascii-negative-count", "ply-bare-property", "ply-huge-coordinate",
-        "hull-huge-coordinate", "pnm-int-overflow"])
+        "hull-huge-coordinate", "pnm-int-overflow", "synth-unknown-key"])
 def test_malformed_input_exit_2_without_traceback(tmp_path, calib, cmd, name, text):
     bad = tmp_path / name
     bad.write_bytes(text if isinstance(text, bytes) else text.encode("ascii"))

@@ -10,7 +10,16 @@ from cloudsr.geometry import PointCloud3, normalize_to_unit
 from cloudsr.metrics import eval_metrics
 from cloudsr.synth import SceneSpec, synth_scene
 
-from oracles import brute_chamfer, brute_hausdorff
+from oracles import brute_chamfer, brute_hausdorff, random_rotation, silhouette_mask
+
+
+def _rot(axis, deg):
+    """Rotation by deg about the x or z axis."""
+    c, s = np.cos(np.radians(deg)), np.sin(np.radians(deg))
+    i, j = (1, 2) if axis == "x" else (0, 1)
+    r = np.eye(3)
+    r[i, i], r[i, j], r[j, i], r[j, j] = c, -s, s, c
+    return r
 
 
 def _rig(fx=800.0, w=640, h=480):
@@ -148,6 +157,48 @@ def test_out_of_frame_raises():
         extent=0.5,
         density=1e4,
     )
+    with pytest.raises(ShapeOutOfFrame):
+        synth_scene(spec, _rig())
+
+
+@pytest.mark.parametrize("shape", ["square-plane", "box", "sphere"])
+def test_silhouette_matches_replaced_forms(shape):
+    """The ray-cast silhouette equals, bit for bit, the forms it replaced:
+    the convex hull of projected corners (square, box), the per-pixel
+    sphere test (sphere)."""
+    rng = np.random.default_rng(["square-plane", "box", "sphere"].index(shape))
+    for _ in range(100):
+        e_tof = Extrinsics.from_rt(_rot("z", rng.uniform(-5, 5)), rng.uniform(-0.03, 0.03, 3))
+        rig = CameraRig(Intrinsics(300.0, 300.0, 160.0, 120.0), Extrinsics(np.eye(4)),
+                        e_tof, 320, 240)
+        pose = Extrinsics.from_rt(random_rotation(rng),
+                                  [*rng.uniform(-0.1, 0.1, 2), rng.uniform(2.0, 3.0)])
+        spec = SceneSpec(shape, pose, extent=rng.uniform(0.2, 0.6), density=2e3)
+        _, img = synth_scene(spec, rig)
+        np.testing.assert_array_equal(img.pixels, silhouette_mask(spec, rig).astype(float))
+
+
+def test_silhouette_outline_on_pixel_centers():
+    spec = _plane_spec()  # outline at u, v = 320 +- 100 and 240 +- 100
+    rig = _rig()
+    _, img = synth_scene(spec, rig)
+    np.testing.assert_array_equal(img.pixels, silhouette_mask(spec, rig).astype(float))
+    assert img.pixels[240, [219, 220, 420, 421]].tolist() == [0.0, 1.0, 1.0, 0.0]
+    assert img.pixels[[139, 140, 340, 341], 320].tolist() == [0.0, 1.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("shape,rot_x_deg,t,extent,density", [
+    ("square-plane", 80.0, [0.0, 0.0, 0.5], 2.0, 4e4),
+    ("square-plane", 80.0, [0.0, 0.0, 0.5], 2.0, 0.25),  # one sample, in frame
+    ("box", 30.0, [0.3, 0.0, 0.05], 0.4, 1e4),
+    ("sphere", 0.0, [0.09, 0.0, 0.24], 0.5, 1e4),
+    ("sphere", 0.0, [0.0, 0.0, -3.0], 0.5, 1e4),  # wholly behind: no sample projects
+], ids=["square", "square-one-sample", "box", "sphere", "sphere-behind"])
+def test_shape_not_wholly_in_front_raises(shape, rot_x_deg, t, extent, density):
+    """A shape across the camera's z = 0 plane, or behind it, is out of frame."""
+    spec = SceneSpec(shape, Extrinsics.from_rt(_rot("x", rot_x_deg), t), extent, density)
+    if extent * np.sqrt(density) == 1.0:  # the one sample sits at the pose origin
+        assert len(project_cloud(np.array([t]), _rig())[1]) == 1
     with pytest.raises(ShapeOutOfFrame):
         synth_scene(spec, _rig())
 
