@@ -191,6 +191,43 @@ class SpatialIndex:
         idx, sqd = self._rank(queries, 1)
         return idx[:, 0], sqd[:, 0]
 
+    def candidates(self, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each query row's k nearest points, in ascending index order, and
+        the squared distance of its (k+1)-th nearest, which no other point
+        is below; with k points or fewer, every point and +inf."""
+        Q = as_point_array(queries, self.dim)
+        if self.count <= k:
+            require_bounded(Q, "query coordinates")
+            every = np.broadcast_to(np.arange(self.count), (Q.shape[0], self.count))
+            return every, np.full(Q.shape[0], np.inf)
+        idx, sqd = self.knn_batch(Q, k + 1)
+        return np.sort(idx[:, :k], axis=1), sqd[:, k]
+
+
+def nearest_candidate(points: np.ndarray, queries: np.ndarray, cand: np.ndarray,
+                      bound2: np.ndarray, drift2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indices, squared distances, settled): the nearest of each query
+    row's candidate rows of `points`, ranked as `SpatialIndex._rank` ranks,
+    and whether it is provably the nearest of all rows.
+
+    `cand` (M, C) holds each query's candidates in ascending index order, as
+    `SpatialIndex.candidates` returns them, and `bound2` (M,) the squared
+    distance every other row had from the query then.  `drift2` (scalar or
+    (M,)) bounds the square of how far the query and any other row have
+    moved relative to each other since.  By the triangle inequality no
+    other row can tie or win once sqrt(best) + drift < sqrt(bound2); both
+    sides are padded as in `_rank`, so a settled row equals the exhaustive
+    scan's.  Unsettled rows need a full query.
+    """
+    d2 = SpatialIndex._sq_dists(points[cand], queries[:, None, :])
+    # candidates ascend by index, so the first minimum is the lowest index
+    col = np.argmin(d2, axis=1)
+    at = np.arange(cand.shape[0])
+    best = d2[at, col]
+    reach = np.sqrt(best * (1 + 1e-12) + _TINY) + np.sqrt(drift2 * (1 + 1e-12) + _TINY)
+    settled = reach < np.sqrt(np.maximum(bound2 * (1 - 1e-12) - _TINY, 0.0))
+    return cand[at, col], best, settled
+
 
 def _voxel_keys(rel: np.ndarray, edge: float) -> np.ndarray:
     """One int64 key per row of `rel` (rows relative to the voxel origin)

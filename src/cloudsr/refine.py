@@ -5,7 +5,10 @@ cloud; its gradient is chained through the projection Jacobian to 3D
 displacements of the hull-member points only.  Hull membership and vertex
 order are frozen between periodic refreshes, and each iteration takes a
 backtracking line-search step, so accepted losses are nonincreasing within
-every hull-fixed window.
+every hull-fixed window.  Each refresh ranks one `MatchTable` of
+nearest-neighbor candidates from its hull pixels; every loss evaluation in
+the window ranks its matches from that table, and a match the vertices'
+drift leaves unproven gets a full index query.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import (AllPointsCulled, DegenerateCollinear, EmptyEdgeMap, HullFai
                      NonFiniteLoss, TooFewPoints)
 from .geometry import COORD_LIMIT, PointCloud3, SpatialIndex
 from .hull import concave_hull
-from .losses import LossReport, LossWeights, combined_loss
+from .losses import LossReport, LossWeights, MatchTable, combined_loss
 
 
 @dataclass(frozen=True)
@@ -85,13 +88,14 @@ class RefineTrace:
 
 
 def _member_loss(members: np.ndarray, rig: CameraRig, weights: LossWeights,
-                 edges: SpatialIndex) -> LossReport | None:
-    """Loss of the hull whose vertices are the (H, 3) member rows, or None
-    if a member is at or behind the near plane or projects past COORD_LIMIT."""
+                 edges: SpatialIndex, table: MatchTable) -> LossReport | None:
+    """Loss of the hull whose vertices are the (H, 3) member rows, matched
+    from the window's `table`, or None if a member is at or behind the near
+    plane or projects past COORD_LIMIT."""
     uv, z = pinhole(members, rig)
     if np.any(z <= EPS_Z) or not np.all(np.abs(uv) <= COORD_LIMIT):  # NaN fails too
         return None
-    return combined_loss(edges, uv, weights)
+    return combined_loss(edges, uv, weights, table)
 
 
 def _require_finite(*values: float) -> None:
@@ -101,16 +105,19 @@ def _require_finite(*values: float) -> None:
 
 
 def _refresh(pts: np.ndarray, rig: CameraRig, cfg: RefineConfig, edges: SpatialIndex,
-             likely: np.ndarray | None = None) -> tuple[np.ndarray, int, LossReport]:
-    """(members, culled, report): the rows of `pts` that are hull vertices,
-    in vertex order, how many rows the projection culled, and the loss of
-    the hull's pixels.  `likely` (the previous members) only speeds up the
+             likely: np.ndarray | None = None
+             ) -> tuple[np.ndarray, int, MatchTable, LossReport]:
+    """(members, culled, table, report): the rows of `pts` that are hull
+    vertices, in vertex order, how many rows the projection culled, the
+    window's match candidates ranked from the hull's pixels, and the loss
+    of those pixels.  `likely` (the previous members) only speeds up the
     hull walk.  Raises NonFiniteLoss unless the loss is finite."""
     uv, index_map = project_cloud(pts, rig)
     poly = concave_hull(uv, index_map=index_map, k=cfg.hull_k, likely=likely)
-    report = combined_loss(edges, poly.vertices, cfg.weights)
+    table = MatchTable.build(edges, poly.vertices)
+    report = combined_loss(edges, poly.vertices, cfg.weights, table)
     _require_finite(report.total)
-    return poly.source_indices, pts.shape[0] - len(uv), report
+    return poly.source_indices, pts.shape[0] - len(uv), table, report
 
 
 # huge weights or steps overflow quietly: `_require_finite` and `_member_loss`
@@ -142,7 +149,7 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
         trace.records.append(TraceRecord(iteration, report.total, report.l_cd, report.l_hd,
                                          report.l_gs, step, len(members), culled))
 
-    members, culled, report = _refresh(pts, rig, cfg, edges)
+    members, culled, table, report = _refresh(pts, rig, cfg, edges)
     record(0, 0.0)
     window_start_total = report.total
 
@@ -153,7 +160,7 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
             if improvement < _REL_IMPROVEMENT_STOP * max(abs(window_start_total), 1e-30):
                 break
             try:
-                members, culled, report = _refresh(pts, rig, cfg, edges, members)
+                members, culled, table, report = _refresh(pts, rig, cfg, edges, members)
             except (AllPointsCulled, TooFewPoints, DegenerateCollinear, HullFailed):
                 break  # members left the frame or collapsed: keep the progress
             window_start_total = report.total
@@ -177,7 +184,7 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
         used_step = 0.0  # stays 0.0 when no step is accepted
         while step >= cfg.min_step:
             trial = cur - step * half_extent * direction
-            trial_report = _member_loss(trial, rig, cfg.weights, edges)
+            trial_report = _member_loss(trial, rig, cfg.weights, edges, table)
             if trial_report is not None and trial_report.total < report.total:
                 pts[members] = trial
                 report, used_step = trial_report, step

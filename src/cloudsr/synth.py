@@ -96,8 +96,8 @@ def _box_local(extent: float, density: float, cam_local: np.ndarray):
         center = normal * h
         if np.dot(normal, cam_local - center) > 0:
             visible.append(pts)
-    if not visible:
-        raise ShapeOutOfFrame("no box face is camera-visible")
+    if not visible:  # only a camera inside the box faces no face
+        raise ShapeOutOfFrame("the camera is inside the box")
     return np.vstack(visible)
 
 

@@ -9,9 +9,10 @@ import math
 import numpy as np
 
 from cloudsr.camera import pinhole
-from cloudsr.geometry import DEDUPE_TOL
+from cloudsr.geometry import DEDUPE_TOL, SpatialIndex
 from cloudsr.hull import _crosses_any, _proper_crossing, orient
-from cloudsr.losses import _GS_KINK_EPS
+from cloudsr.losses import (_GS_KINK_EPS, LossReport, LossWeights, _gs_gradient,
+                            gradient_smooth_loss)
 
 
 def _sqdist(p, q):
@@ -383,6 +384,49 @@ def add_at_gs_gradient(verts):
     np.add.at(grad, idx + 1, -2.0 * unit)
     np.add.at(grad, idx + 2, unit)
     return grad
+
+
+def add_at_cd_gradient(p, r, e2h, h2e):
+    """Chamfer gradient scattered with `np.add.at`, the form the library's
+    per-column `bincount` must reproduce."""
+    grad = np.zeros((p.shape[0], 2))
+    np.add.at(grad, e2h, 2.0 * (p[e2h] - r))
+    grad += 2.0 * (p - r[h2e])
+    return grad
+
+
+def two_index_combined_loss(edges, verts, w=LossWeights(), table=None):
+    """`cloudsr.losses.combined_loss` as it was before a hull window shared
+    one table of match candidates: it ignores `table`, indexes the vertices
+    anew and queries both index sets in full on every call."""
+    r = edges.points
+    p = np.asarray(verts, dtype=np.float64)
+    n = p.shape[0]
+
+    e2h, d2_e2h = SpatialIndex(p).nearest_batch(r)
+    h2e, d2_h2e = edges.nearest_batch(p)
+
+    l_cd = float(np.sum(d2_e2h) + np.sum(d2_h2e))
+    grad_cd = add_at_cd_gradient(p, r, e2h, h2e)
+
+    i_e = int(np.argmax(d2_e2h))
+    i_h = int(np.argmax(d2_h2e))
+    d_e2h = float(np.sqrt(d2_e2h[i_e]))
+    d_h2e = float(np.sqrt(d2_h2e[i_h]))
+    grad_hd = np.zeros((n, 2))
+    if d_e2h >= d_h2e:
+        l_hd = d_e2h
+        if d_e2h > 0.0:
+            grad_hd[e2h[i_e]] = (p[e2h[i_e]] - r[i_e]) / d_e2h
+    else:
+        l_hd = d_h2e
+        if d_h2e > 0.0:
+            grad_hd[i_h] = (p[i_h] - r[h2e[i_h]]) / d_h2e
+
+    l_gs = gradient_smooth_loss(p)
+    total = w.alpha * l_cd + w.beta * l_hd + w.gamma * l_gs
+    grad = w.alpha * grad_cd + w.beta * grad_hd + w.gamma * _gs_gradient(p)
+    return LossReport(l_cd=l_cd, l_hd=l_hd, l_gs=l_gs, total=total, grad=grad)
 
 
 def convex_silhouette_mask(rig, tof_pts):

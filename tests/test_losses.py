@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudsr.errors import EmptySet, TooFewVertices
-from cloudsr.geometry import SpatialIndex
+from cloudsr.geometry import COORD_LIMIT, SpatialIndex, nearest_candidate
 from cloudsr.losses import (
+    MATCH_K,
     LossWeights,
+    MatchTable,
+    _cd_gradient,
     _gs_gradient,
     combined_loss,
     gradient_smooth_loss,
 )
 
-from oracles import add_at_gs_gradient, brute_chamfer, brute_hausdorff, sample_far_from_ties
+from oracles import (add_at_cd_gradient, add_at_gs_gradient, brute_chamfer, brute_hausdorff,
+                     flat_knn, sample_far_from_ties)
 
 
 # -- weights -------------------------------------------------------------------
@@ -119,6 +125,81 @@ def test_hausdorff_tie_takes_the_edge_to_hull_maximum():
     rep = combined_loss(SpatialIndex(edges), hull, LossWeights(0.0, 1.0, 0.0))
     assert rep.l_hd == 3.0
     np.testing.assert_array_equal(rep.grad, [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
+
+def test_cd_gradient_matches_scatter_add_oracle():
+    # signed zeros and values near the float64 extremes, where a sum that
+    # added in another order would round differently
+    rng = np.random.default_rng(18)
+    special = np.array([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 1.0, 3.0])
+    for trial in range(500):
+        n, m = int(rng.integers(1, 30)), int(rng.integers(1, 60))
+        p, r = (rng.normal(size=(k, 2)) * 10.0 ** rng.integers(-5, 6) for k in (n, m))
+        if trial % 2:
+            p.flat[rng.integers(0, p.size, p.size // 2)] = rng.choice(special, p.size // 2)
+            r.flat[rng.integers(0, r.size, r.size // 2)] = rng.choice(special, r.size // 2)
+        e2h, h2e = rng.integers(0, n, m), rng.integers(0, m, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _cd_gradient(p, r, e2h, h2e), add_at_cd_gradient(p, r, e2h, h2e)
+        assert got.tobytes() == want.tobytes()
+
+
+# -- match candidates ---------------------------------------------------------------
+
+
+@st.composite
+def _match_cases(draw):
+    """(edge pixels, vertices at the refresh, vertices now, drift): lattices
+    with exact ties and uniform sets, either side at most MATCH_K rows or
+    more, scaled up to near COORD_LIMIT; the vertices stay put, move a
+    little, or one moves farther than the whole set spans."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, h = draw(st.integers(1, 3 * MATCH_K)), draw(st.integers(1, 3 * MATCH_K))
+    lattice = draw(st.booleans())
+    if lattice:
+        span = draw(st.integers(1, 8))
+        r, p0 = (rng.integers(0, span, size=(k, 2)).astype(float) for k in (m, h))
+    else:
+        r, p0 = (rng.uniform(0, 10, size=(k, 2)) for k in (m, h))
+    drift = draw(st.sampled_from(["none", "small", "far"]))
+    p = p0.copy()
+    if drift == "small":
+        p += rng.integers(-1, 2, size=(h, 2)) if lattice else rng.normal(scale=0.2, size=(h, 2))
+    elif drift == "far":
+        p[rng.integers(0, h)] += 100.0
+    scale = draw(st.sampled_from([1.0, 1e-3, COORD_LIMIT / 200]))
+    offset = draw(st.sampled_from([0.0, 0.4 * COORD_LIMIT])) if scale > 1.0 else 0.0
+    return r * scale + offset, p0 * scale + offset, p * scale + offset, drift
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_match_cases())
+def test_match_table_matches_flat_scan_oracle(case):
+    r, p0, p, drift = case
+    edges = SpatialIndex(r)
+    table = MatchTable.build(edges, p0)
+    e2h, d2_e2h, h2e, d2_h2e = table.matches(edges, p)
+    moved2 = np.sum((p - p0) ** 2, axis=1)
+    for points, queries, cand, bound2, drift2, got in [
+            (p, r, table.edge_cand, table.edge_bound2, moved2.max(), (e2h, d2_e2h)),
+            (r, p, table.vert_cand, table.vert_bound2, moved2, (h2e, d2_h2e))]:
+        want_i, want_d2 = (a[:, 0] for a in flat_knn(points, queries, 1))
+        # every row, settled by its candidates or answered in full
+        np.testing.assert_array_equal(got[0], want_i)
+        assert got[1].tobytes() == want_d2.tobytes()
+        idx, d2, settled = nearest_candidate(points, queries, cand, bound2, drift2)
+        np.testing.assert_array_equal(idx[settled], want_i[settled])
+        assert d2[settled].tobytes() == want_d2[settled].tobytes()
+        assert np.isinf(bound2).all() == (points.shape[0] <= MATCH_K)
+        if drift == "far" and np.isfinite(bound2).all():
+            assert not settled.all()  # a far move must send rows to the full query
+
+
+def test_match_table_rejects_another_hull():
+    edges = SpatialIndex(np.eye(3, 2))
+    table = MatchTable.build(edges, np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="do not match"):
+        combined_loss(edges, np.zeros((5, 2)), table=table)
 
 
 # -- gradient smooth ---------------------------------------------------------------

@@ -203,6 +203,12 @@ def test_shape_not_wholly_in_front_raises(shape, rot_x_deg, t, extent, density):
         synth_scene(spec, _rig())
 
 
+def test_camera_inside_box_is_named():
+    spec = SceneSpec("box", Extrinsics.from_rt(np.eye(3), [0.0, 0.0, 0.1]), 0.5, 1e4)
+    with pytest.raises(ShapeOutOfFrame, match="the camera is inside the box"):
+        synth_scene(spec, _rig())
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         SceneSpec(shape="torus", pose=Extrinsics(np.eye(4)))

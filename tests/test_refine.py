@@ -5,12 +5,15 @@ import pytest
 
 from cloudsr.camera import CameraRig, Extrinsics, Intrinsics, pinhole, project_cloud
 from cloudsr.densify import DensifyConfig
-from cloudsr.edges import GrayImage
+from cloudsr.edges import GrayImage, canny
 from cloudsr.errors import EmptyEdgeMap, TooFewPoints
-from cloudsr.geometry import PointCloud3, SpatialIndex
+from cloudsr.geometry import PointCloud3, SpatialIndex, bin_downsample
 from cloudsr.hull import concave_hull
 from cloudsr.losses import LossWeights, combined_loss
 from cloudsr.refine import RefineConfig, RefineTrace, TraceRecord, refine, superres
+from cloudsr.synth import SceneSpec, synth_scene
+
+from oracles import random_rotation, two_index_combined_loss
 
 
 def _rig():
@@ -222,6 +225,45 @@ def test_each_refresh_is_warmed_with_the_previous_members(monkeypatch):
     cold_out, cold_trace = refine(cloud, _square_outline(27.0, 73.0), _rig(), cfg)
     assert out.points.tobytes() == cold_out.points.tobytes()
     assert trace.to_jsonl() == cold_trace.to_jsonl()
+
+
+def _synth_case(shape, seed):
+    """(sparse cloud, edge map, rig) of a synth scene at a random pose."""
+    rng = np.random.default_rng(seed)
+    rig = CameraRig(Intrinsics(300.0, 300.0, 160.0, 120.0), Extrinsics(np.eye(4)),
+                    Extrinsics(np.eye(4)), 320, 240)
+    pose = Extrinsics.from_rt(random_rotation(rng),
+                              [*rng.uniform(-0.1, 0.1, 2), rng.uniform(2.0, 2.5)])
+    gt, img = synth_scene(SceneSpec(shape, pose, extent=0.5, density=4e3), rig)
+    return bin_downsample(gt, 300), canny(img), rig
+
+
+@pytest.mark.parametrize("scene", ["grid-square", "grid-square-long-steps"] + [
+    f"{shape}-{seed}" for shape in ("sphere", "box") for seed in range(3)])
+def test_window_match_table_changes_no_byte(monkeypatch, scene):
+    # refine ranks each loss call's matches from its window's candidate
+    # table; the loss that indexes the vertices anew on every call gives the
+    # same cloud and trace.  Long steps move vertices past what the table
+    # can settle, so rows fall back to full queries
+    cfg = RefineConfig(max_iters=60)
+    if scene.startswith("grid-square"):
+        cloud, edge_map, rig = _grid_cloud(20, jitter=0.01), _square_outline(27.0, 73.0), _rig()
+        if scene.endswith("long-steps"):
+            cfg = replace(cfg, initial_step=0.2)
+    else:
+        shape, seed = scene.split("-")
+        cloud, edge_map, rig = _synth_case(shape, int(seed))
+    full_queries = []
+    nearest_batch = SpatialIndex.nearest_batch
+    monkeypatch.setattr(SpatialIndex, "nearest_batch",
+                        lambda self, q: full_queries.append(1) or nearest_batch(self, q))
+    out, trace = refine(cloud, edge_map, rig, cfg)
+    assert trace.accepted_steps() > 0
+    assert bool(full_queries) == scene.endswith("long-steps")
+    monkeypatch.setattr("cloudsr.refine.combined_loss", two_index_combined_loss)
+    want_out, want_trace = refine(cloud, edge_map, rig, cfg)
+    assert out.points.tobytes() == want_out.points.tobytes()
+    assert trace.to_jsonl() == want_trace.to_jsonl()
 
 
 def test_member_leaving_frame_counts_until_refresh():
