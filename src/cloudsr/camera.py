@@ -175,19 +175,36 @@ def projection_jacobians(points: np.ndarray, rig: CameraRig) -> np.ndarray:
     return persp @ rig.rotation
 
 
+def json_number(value, what: str) -> float:
+    """A number read from JSON, as a float.  Booleans and strings are not
+    numbers, whatever they would convert to."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{what} must be a number, got {type(value).__name__}")
+    return float(value)
+
+
+def json_matrix(value, what: str) -> np.ndarray:
+    """A JSON array of 16 numbers, flat or nested, as a row-major 4x4."""
+    cells = np.array(value, dtype=object).ravel()
+    return np.array([json_number(x, what) for x in cells]).reshape(4, 4)
+
+
 def rig_from_dict(data: dict) -> CameraRig:
     """Build a rig from the calibration JSON schema.
 
     Expected keys: k_rgb {fx, fy, cx, cy}, e_rgb and e_tof as row-major
-    16-element arrays, width, height.
+    16-element arrays, width, height.  Every value must be a JSON number,
+    and width and height integral ones.
     """
     try:
         kd = data["k_rgb"]
-        intr = Intrinsics(float(kd["fx"]), float(kd["fy"]),
-                          float(kd["cx"]), float(kd["cy"]))
-        e_rgb = Extrinsics(np.array(data["e_rgb"], dtype=np.float64).reshape(4, 4))
-        e_tof = Extrinsics(np.array(data["e_tof"], dtype=np.float64).reshape(4, 4))
-        return CameraRig(intr, e_rgb, e_tof, int(data["width"]), int(data["height"]))
+        intr = Intrinsics(*(json_number(kd[key], key) for key in ("fx", "fy", "cx", "cy")))
+        e_rgb = Extrinsics(json_matrix(data["e_rgb"], "e_rgb"))
+        e_tof = Extrinsics(json_matrix(data["e_tof"], "e_tof"))
+        width, height = (json_number(data[key], key) for key in ("width", "height"))
+        if not (width.is_integer() and height.is_integer()):
+            raise ValueError("width and height must be integers")
+        return CameraRig(intr, e_rgb, e_tof, int(width), int(height))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CalibrationError(f"bad calibration data: {exc}") from exc
 

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .camera import Extrinsics, load_rig, project_cloud
+from .camera import Extrinsics, json_matrix, json_number, load_rig, project_cloud
 from .densify import DensifyConfig, densify
 from .edges import CannyParams, canny
 from .errors import CloudSRError
@@ -250,11 +250,13 @@ def _cmd_superres(args) -> int:
             f"calibration says {rig.width}x{rig.height} pixels "
             f"but the pixmap is {img.width}x{img.height}"
         )
-    out, trace = superres(cloud, img, rig, dcfg, rcfg, ccfg)
-    write_ply(out, args.output, fmt=args.ply_format)
-    if args.trace:
-        with open(args.trace, "w", encoding="ascii") as fh:
-            fh.write(trace.to_jsonl())
+    # opened first: an unwritable trace path fails before any work or output
+    with (open(args.trace, "w", encoding="ascii") if args.trace
+          else contextlib.nullcontext()) as trace_fh:
+        out, trace = superres(cloud, img, rig, dcfg, rcfg, ccfg)
+        write_ply(out, args.output, fmt=args.ply_format)
+        if trace_fh is not None:
+            trace_fh.write(trace.to_jsonl())
     return 0
 
 
@@ -276,18 +278,14 @@ def _cmd_synth(args) -> int:
     unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(SceneSpec)})
     if unknown:
         raise CloudSRError(f"bad scene spec: unknown keys {unknown}")
+    given = dict(raw)  # fields the file leaves out keep SceneSpec's defaults
     try:
-        pose = Extrinsics(np.array(raw.get("pose", np.eye(4).ravel().tolist()),
-                                   dtype=np.float64).reshape(4, 4))
-        spec = SceneSpec(
-            shape=raw["shape"],
-            pose=pose,
-            extent=float(raw.get("extent", SceneSpec.extent)),
-            density=float(raw.get("density", SceneSpec.density)),
-            fg=float(raw.get("fg", SceneSpec.fg)),
-            bg=float(raw.get("bg", SceneSpec.bg)),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        for key in sorted(given.keys() - {"shape", "pose"}):
+            given[key] = json_number(given[key], key)
+        if "pose" in given:
+            given["pose"] = Extrinsics(json_matrix(given["pose"], "pose"))
+        spec = SceneSpec(**given)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CloudSRError(f"bad scene spec: {exc}") from exc
     rig = load_rig(args.calib)
     cloud, img = synth_scene(spec, rig)

@@ -26,6 +26,17 @@ _TINY = np.finfo(np.float64).tiny  # absolute margin for distances that underflo
 _FPS_BATCH = 32  # most picks one farthest-point round may take
 
 
+# a squared distance moved up or down, clear of the k-d tree's last-ulp
+# rounding and of underflow; every comparison that decides which rows the
+# tree may have left out pads its sides with these two
+def _pad_up(x):
+    return x * (1 + 1e-12) + _TINY
+
+
+def _pad_down(x):
+    return x * (1 - 1e-12) - _TINY
+
+
 def require_bounded(arr, what):
     """Raise ValueError unless every entry is finite and within COORD_LIMIT."""
     if not np.all(np.abs(arr) <= COORD_LIMIT):  # NaN fails the comparison too
@@ -96,10 +107,7 @@ class SpatialIndex:
     `_sq_dists` and ranked by (distance, index), and a query is widened until
     no point the tree left out can tie with or beat the k-th candidate.  So
     results, including the lowest-index tie rule, are bit-identical to an
-    exhaustive linear scan.  On a shared 2-vCPU VM, densifying a 2.5k-point
-    box to 10k points spends about 0.03 s in `knn_batch` and evaluating the
-    result 0.04 s in `nearest_batch` (6.4 s and 4.4 s with the flat scan it
-    replaced); CD/HD evaluation of 300k against 300k points takes about 4 s.
+    exhaustive linear scan.
     """
 
     @staticmethod
@@ -164,7 +172,7 @@ class SpatialIndex:
                 # ulps, so a row is settled only when its k-th distance is
                 # clearly below the last candidate's, hence below every
                 # point the tree left out
-                settled = (width == n) | (d2[:, k - 1] < d2[:, -1] * (1 - 1e-12) - _TINY)
+                settled = (width == n) | (d2[:, k - 1] < _pad_down(d2[:, -1]))
                 retry.append(rows[~settled])
             todo = np.concatenate(retry)
             width = min(n, 2 * width)
@@ -195,13 +203,9 @@ class SpatialIndex:
         """Each query row's k nearest points, in ascending index order, and
         the squared distance of its (k+1)-th nearest, which no other point
         is below; with k points or fewer, every point and +inf."""
-        Q = as_point_array(queries, self.dim)
-        if self.count <= k:
-            require_bounded(Q, "query coordinates")
-            every = np.broadcast_to(np.arange(self.count), (Q.shape[0], self.count))
-            return every, np.full(Q.shape[0], np.inf)
-        idx, sqd = self.knn_batch(Q, k + 1)
-        return np.sort(idx[:, :k], axis=1), sqd[:, k]
+        idx, sqd = self.knn_batch(queries, min(k + 1, self.count))
+        bound2 = sqd[:, k] if k < self.count else np.full(sqd.shape[0], np.inf)
+        return np.sort(idx[:, :k], axis=1), bound2
 
 
 def nearest_candidate(points: np.ndarray, queries: np.ndarray, cand: np.ndarray,
@@ -216,16 +220,16 @@ def nearest_candidate(points: np.ndarray, queries: np.ndarray, cand: np.ndarray,
     (M,)) bounds the square of how far the query and any other row have
     moved relative to each other since.  By the triangle inequality no
     other row can tie or win once sqrt(best) + drift < sqrt(bound2); both
-    sides are padded as in `_rank`, so a settled row equals the exhaustive
-    scan's.  Unsettled rows need a full query.
+    sides are padded by `_pad_up` and `_pad_down`, so a settled row equals
+    the exhaustive scan's.  Unsettled rows need a full query.
     """
     d2 = SpatialIndex._sq_dists(points[cand], queries[:, None, :])
     # candidates ascend by index, so the first minimum is the lowest index
     col = np.argmin(d2, axis=1)
     at = np.arange(cand.shape[0])
     best = d2[at, col]
-    reach = np.sqrt(best * (1 + 1e-12) + _TINY) + np.sqrt(drift2 * (1 + 1e-12) + _TINY)
-    settled = reach < np.sqrt(np.maximum(bound2 * (1 - 1e-12) - _TINY, 0.0))
+    reach = np.sqrt(_pad_up(best)) + np.sqrt(_pad_up(drift2))
+    settled = reach < np.sqrt(np.maximum(_pad_down(bound2), 0.0))
     return cand[at, col], best, settled
 
 
@@ -292,9 +296,8 @@ def farthest_point_select(pts: np.ndarray, m: int) -> np.ndarray:
     Each pick updates only the rows it can change.  A row's `dmin` drops only
     if its distance to the new pick is below that `dmin`, which is at most
     the pick's own `dmin`, the global maximum; so a k-d tree ball of radius
-    sqrt(dmin[pick]) around the pick, padded for the tree's last-ulp rounding
-    as in `SpatialIndex._rank`, holds every such row.  Those rows are
-    recomputed with the exhaustive scan's expression.
+    sqrt(dmin[pick]) around the pick, padded by `_pad_up`, holds every such
+    row.  Those rows are recomputed with the exhaustive scan's expression.
 
     Picks are taken in rounds.  The candidates of a round are the rows of
     the top `_FPS_BATCH` + 1 whose `dmin` is strictly above the last one's,
@@ -305,9 +308,7 @@ def farthest_point_select(pts: np.ndarray, m: int) -> np.ndarray:
     candidate, and the round takes `np.argmax(dmin)` alone.  The prefix's
     balls come from one tree query and their rows are lowered with one
     `np.minimum.at`; `min` is exact in any order, so `dmin` and the pick
-    sequence are bit-identical to updating every row after every pick.  On
-    a shared 2-vCPU VM, ordering 30k uniform random points takes 0.56-0.67 s
-    in 1,149 rounds, against 1.15-1.22 s one pick at a time.
+    sequence are bit-identical to updating every row after every pick.
     """
     n = pts.shape[0]
     d0 = np.sum((pts - pts.mean(axis=0)) ** 2, axis=1)
@@ -322,14 +323,14 @@ def farthest_point_select(pts: np.ndarray, m: int) -> np.ndarray:
         cand = top[dmin[top] > dmin[top[b]]]
         if cand.size:
             cand = cand[np.lexsort((cand, -dmin[cand]))]
-            reach2 = dmin[cand] * (1 + 1e-12) + _TINY
+            reach2 = _pad_up(dmin[cand])
             d2 = np.sum((pts[cand, None] - pts[cand]) ** 2, axis=2)
             clash = np.triu(d2 <= reach2[:, None], 1).any(axis=0)
             picks = cand[:int(np.argmax(clash)) if clash.any() else cand.size]
         else:
             picks = np.array([np.argmax(dmin)], dtype=np.intp)
         chosen.extend(picks.tolist())
-        balls = tree.query_ball_point(pts[picks], np.sqrt(dmin[picks] * (1 + 1e-12) + _TINY),
+        balls = tree.query_ball_point(pts[picks], np.sqrt(_pad_up(dmin[picks])),
                                       return_sorted=False)
         rows = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp)
         src = np.repeat(picks, [len(ball) for ball in balls])
@@ -337,12 +338,12 @@ def farthest_point_select(pts: np.ndarray, m: int) -> np.ndarray:
     return np.array(chosen, dtype=np.intp)
 
 
-def binned_centroids(pts: np.ndarray, target: int) -> tuple[np.ndarray, float]:
+def binned_centroids(pts: np.ndarray, target: int) -> np.ndarray:
     """Voxel-bin a point array so that at least `target` bins are occupied.
 
     Bisects the voxel edge length until the occupied-bin count brackets the
     target as tightly as the bisection resolves, then returns the centroids
-    of the occupied bins and the edge length used.  When the input has fewer
+    of the occupied bins at the edge length found.  When the input has fewer
     than `target` distinct rows no edge length can reach the target; the
     distinct rows themselves are returned.
 
@@ -364,7 +365,7 @@ def binned_centroids(pts: np.ndarray, target: int) -> tuple[np.ndarray, float]:
         if diffs.size:
             gaps.append(diffs.min())
     if not gaps:  # all rows identical
-        return pts[:1].copy(), 1.0
+        return pts[:1].copy()
     # ...but no finer than extent / 1e300 and never zero: the voxel keys of
     # finer bins overflow, so rows a subnormal gap apart may share a bin
     lo = max(min(gaps) / 2.0, float(extent.max()) / 1e300,
@@ -373,7 +374,7 @@ def binned_centroids(pts: np.ndarray, target: int) -> tuple[np.ndarray, float]:
 
     if _voxel_bin_count(rel, lo) < target:
         # fewer distinct rows than requested; return what exists
-        return _voxel_centroids(pts, rel, lo), lo
+        return _voxel_centroids(pts, rel, lo)
 
     for _ in range(64):
         mid = 0.5 * (lo + hi)
@@ -387,7 +388,7 @@ def binned_centroids(pts: np.ndarray, target: int) -> tuple[np.ndarray, float]:
             # step (lo counts >= target, a mid == hi that counts < target
             # stays hi) and the remaining steps would repeat this one
             break
-    return _voxel_centroids(pts, rel, lo), lo
+    return _voxel_centroids(pts, rel, lo)
 
 
 def bin_downsample(cloud: PointCloud3, target_count: int) -> PointCloud3:
@@ -405,7 +406,7 @@ def bin_downsample(cloud: PointCloud3, target_count: int) -> PointCloud3:
     if target_count == n:
         return cloud
 
-    centroids, _ = binned_centroids(cloud.points, target_count)
+    centroids = binned_centroids(cloud.points, target_count)
     m = min(target_count, centroids.shape[0])
     out = centroids[farthest_point_select(centroids, m)]
     if out.shape[0] < target_count:

@@ -83,6 +83,18 @@ def _on_segment(a, b, c):
     return np.all((np.minimum(a, b) <= c) & (c <= np.maximum(a, b)), axis=-1)
 
 
+def _pairs(counts: np.ndarray):
+    """Every (row, offset) with 0 <= offset < counts[row], in row-major
+    order, as index arrays of at most `_PAIR_BLOCK` pairs each: one block
+    per vectorized pass, so memory stays O(rows + _PAIR_BLOCK)."""
+    ends = np.cumsum(counts)
+    total = int(np.sum(counts))
+    for lo in range(0, total, _PAIR_BLOCK):
+        flat = np.arange(lo, min(lo + _PAIR_BLOCK, total))
+        row = np.searchsorted(ends, flat, side="right")
+        yield row, flat - (ends[row] - counts[row])
+
+
 def polygon_is_simple(verts: np.ndarray) -> bool:
     """True iff no pair of non-adjacent edges of the closed polygon over the
     (H, 2) vertices intersects (touching counts).
@@ -96,15 +108,12 @@ def polygon_is_simple(verts: np.ndarray) -> bool:
     n = a.shape[0]
     if n < 4:
         return True  # a triangle's edges are pairwise adjacent
-    # pairs in (i, j) order; row i holds j = i+2 .. n-1, and row 0 stops at
-    # n-2 because edges 0 and n-1 are adjacent
+    # row i holds j = i+2 .. n-1, and row 0 stops at n-2 because edges 0
+    # and n-1 are adjacent
     per_row = n - 2 - np.arange(n - 2)
     per_row[0] -= 1
-    starts = np.concatenate([[0], np.cumsum(per_row)])
-    for lo in range(0, int(starts[-1]), _PAIR_BLOCK):
-        flat = np.arange(lo, min(lo + _PAIR_BLOCK, int(starts[-1])))
-        i = np.searchsorted(starts, flat, side="right") - 1
-        j = flat - starts[i] + i + 2
+    for i, offset in _pairs(per_row):
+        j = i + 2 + offset
         ai, bi, c, d = a[i], b[i], a[j], b[j]
         d1 = orient(c, d, ai)
         d2 = orient(c, d, bi)
@@ -141,18 +150,13 @@ def _points_in_polygon(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
     order = np.argsort(pts[:, 1], kind="stable")
     first = np.searchsorted(pts[order, 1], np.minimum(y1, y2) - pad, side="left")
     count = np.searchsorted(pts[order, 1], np.maximum(y1, y2) + pad, side="right") - first
-    ends = np.cumsum(count)
 
+    # both results are order-free (a flag OR and integer counts), so an
+    # edge's band may span blocks
     crossings = np.zeros(pts.shape[0], dtype=np.intp)
     on_edge = np.zeros(pts.shape[0], dtype=bool)
-    e_lo = 0
-    while e_lo < len(ends):
-        # whole edges per pass: one edge with more than a block runs alone
-        done = ends[e_lo - 1] if e_lo else 0
-        e_hi = max(e_lo + 1, int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")))
-        e = np.repeat(np.arange(e_lo, e_hi), count[e_lo:e_hi])
-        k = order[np.arange(e.size) - (ends[e] - count[e] - done) + first[e]]
-        e_lo = e_hi
+    for e, offset in _pairs(count):
+        k = order[first[e] + offset]
         px, py = pts[k, 0], pts[k, 1]
         # distance from each point to its edge
         zero = seg_len2[e] == 0.0

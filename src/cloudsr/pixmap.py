@@ -1,4 +1,4 @@
-"""Portable pixmap/graymap codec (P2/P3 plain, P5/P6 raw).
+"""Portable pixmap/graymap reader (P2/P3 plain, P5/P6 raw) and P5 writer.
 
 Color images are converted to gray with the 0.299/0.587/0.114 luminance
 weights; intensities are scaled to [0, 1] by the file's maxval.
@@ -93,16 +93,9 @@ def read_pixmap(path) -> GrayImage:
     return GrayImage(np.clip(gray, 0.0, 1.0))
 
 
-def write_pixmap(img: GrayImage, path, fmt: str = "P5") -> None:
-    """Write a grayscale image as P2 (plain) or P5 (raw), maxval 255."""
-    if fmt not in ("P2", "P5"):
-        raise ValueError(f"unsupported output format {fmt!r}")
+def write_pixmap(img: GrayImage, path) -> None:
+    """Write a grayscale image as a raw graymap (P5), maxval 255."""
     quant = np.rint(img.pixels * 255).astype(np.uint8)
-    header = f"{fmt}\n{img.width} {img.height}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
-        fh.write(header)
-        if fmt == "P5":
-            fh.write(quant.tobytes())
-        else:
-            lines = [" ".join(str(v) for v in row) for row in quant]
-            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        fh.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
+        fh.write(quant.tobytes())

@@ -1,8 +1,8 @@
 """PLY point cloud reader/writer (ASCII and binary little-endian).
 
 Only the vertex x/y/z properties are interpreted; other scalar properties
-are parsed and skipped.  ASCII float64 output uses 17 significant digits so
-write -> read round-trips are lossless.
+are parsed and skipped.  The writer emits float64 vertices, in ASCII with
+17 significant digits, so write -> read round-trips are lossless.
 """
 
 from __future__ import annotations
@@ -203,19 +203,17 @@ def read_ply(path) -> PointCloud3:
         raise CloudSRError(f"bad vertex data: {exc}") from exc
 
 
-def write_ply(cloud: PointCloud3, path, fmt: str = "ascii",
-              double: bool = True) -> None:
-    """Write a cloud as PLY; fmt is 'ascii' or 'binary-little-endian'."""
+def write_ply(cloud: PointCloud3, path, fmt: str = "ascii") -> None:
+    """Write a cloud as float64 PLY; fmt is 'ascii' or 'binary-little-endian'."""
     if fmt not in ("ascii", "binary-little-endian"):
         raise ValueError(f"unsupported PLY format {fmt!r}")
-    ptype = "double" if double else "float"
     header = [
         "ply",
         "format ascii 1.0" if fmt == "ascii" else "format binary_little_endian 1.0",
         f"element vertex {len(cloud)}",
-        f"property {ptype} x",
-        f"property {ptype} y",
-        f"property {ptype} z",
+        "property double x",
+        "property double y",
+        "property double z",
         "end_header",
     ]
     with open(path, "wb") as fh:
@@ -225,5 +223,4 @@ def write_ply(cloud: PointCloud3, path, fmt: str = "ascii",
             lines = ["%.17g %.17g %.17g" % tuple(row) for row in cloud.points.tolist()]
             fh.write(("\n".join(lines) + "\n").encode("ascii"))
         else:
-            arr = cloud.points.astype("<f8" if double else "<f4")
-            fh.write(arr.tobytes())
+            fh.write(cloud.points.astype("<f8").tobytes())

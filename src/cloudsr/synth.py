@@ -31,12 +31,13 @@ MAX_PIXELS = 1 << 23
 class SceneSpec:
     """A single shape posed in the depth-camera frame.
 
-    extent is the side length for square-plane/box and the diameter for
-    sphere; density is surface samples per square meter.
+    pose defaults to the identity; extent is the side length for
+    square-plane/box and the diameter for sphere; density is surface
+    samples per square meter.
     """
 
     shape: str
-    pose: Extrinsics
+    pose: Extrinsics = Extrinsics(np.eye(4))
     extent: float = 0.5
     density: float = 4e4
     fg: float = 1.0
@@ -64,38 +65,23 @@ def _camera_center_in_tof(rig: CameraRig) -> np.ndarray:
     return -rig.rotation.T @ rig.translation
 
 
-def _grid(n: int) -> np.ndarray:
-    """n uniform cell-center offsets in (-0.5, 0.5)."""
-    return (np.arange(n) + 0.5) / n - 0.5
-
-
-def _square_local(extent: float, density: float) -> np.ndarray:
+def _square_local(extent: float, density: float, axis: int, at: float) -> np.ndarray:
+    """Cell-centered samples of the square of side `extent` normal to `axis`
+    at coordinate `at`; the other two axes, in order, take the column and
+    row ticks of an n x n grid of cell centers."""
     n = max(1, round(extent * np.sqrt(density)))
-    ticks = _grid(n) * extent
-    xs, ys = np.meshgrid(ticks, ticks)
-    return np.stack([xs.ravel(), ys.ravel(), np.zeros(n * n)], axis=1)
+    ticks = ((np.arange(n) + 0.5) / n - 0.5) * extent
+    a, b = np.meshgrid(ticks, ticks)
+    return np.insert(np.stack([a.ravel(), b.ravel()], axis=1), axis, at, axis=1)
 
 
 def _box_local(extent: float, density: float, cam_local: np.ndarray):
-    """Cell-centered samples of the camera-facing faces of a cube."""
-    n = max(1, round(extent * np.sqrt(density)))
-    ticks = _grid(n) * extent
-    a, b = np.meshgrid(ticks, ticks)
-    a, b = a.ravel(), b.ravel()
+    """Cell-centered samples of the camera-facing faces of a cube, in the
+    order z-, z+, y-, y+, x-, x+."""
     h = extent / 2.0
-    faces = [
-        (np.stack([a, b, np.full_like(a, -h)], 1), np.array([0.0, 0, -1])),
-        (np.stack([a, b, np.full_like(a, h)], 1), np.array([0.0, 0, 1])),
-        (np.stack([a, np.full_like(a, -h), b], 1), np.array([0.0, -1, 0])),
-        (np.stack([a, np.full_like(a, h), b], 1), np.array([0.0, 1, 0])),
-        (np.stack([np.full_like(a, -h), a, b], 1), np.array([-1.0, 0, 0])),
-        (np.stack([np.full_like(a, h), a, b], 1), np.array([1.0, 0, 0])),
-    ]
-    visible = []
-    for pts, normal in faces:
-        center = normal * h
-        if np.dot(normal, cam_local - center) > 0:
-            visible.append(pts)
+    visible = [_square_local(extent, density, axis, sign * h)
+               for axis in (2, 1, 0) for sign in (-1.0, 1.0)
+               if sign * (cam_local[axis] - sign * h) > 0]
     if not visible:  # only a camera inside the box faces no face
         raise ShapeOutOfFrame("the camera is inside the box")
     return np.vstack(visible)
@@ -177,7 +163,7 @@ def synth_scene(spec: SceneSpec, rig: CameraRig):
     cam_local = pose_r.T @ (cam_tof - pose_t)
 
     if spec.shape == "square-plane":
-        local = _square_local(spec.extent, spec.density)
+        local = _square_local(spec.extent, spec.density, 2, 0.0)
     elif spec.shape == "box":
         local = _box_local(spec.extent, spec.density, cam_local)
     else:

@@ -248,6 +248,24 @@ def numpy_scalar_ply_body(points):
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def float32_binary_ply(points):
+    """A binary little-endian PLY of float32 vertices: the reader takes
+    them, though `write_ply` writes float64 only."""
+    pts = np.asarray(points, dtype="<f4")
+    header = ("ply\nformat binary_little_endian 1.0\nelement vertex %d\n"
+              "property float x\nproperty float y\nproperty float z\nend_header\n"
+              % pts.shape[0])
+    return header.encode("ascii") + pts.tobytes()
+
+
+def plain_graymap(pixels):
+    """A plain (P2) graymap of [0, 1] pixels at maxval 255: the reader takes
+    it, though `write_pixmap` writes raw P5 only."""
+    quant = np.rint(np.asarray(pixels) * 255).astype(np.uint8)
+    rows = "\n".join(" ".join(str(v) for v in row) for row in quant)
+    return ("P2\n%d %d\n255\n%s\n" % (quant.shape[1], quant.shape[0], rows)).encode("ascii")
+
+
 def project_homogeneous(p, k_mat, e_rgb, e_tof):
     """Projection via direct homogeneous-matrix evaluation.
 
@@ -427,6 +445,40 @@ def two_index_combined_loss(edges, verts, w=LossWeights(), table=None):
     total = w.alpha * l_cd + w.beta * l_hd + w.gamma * l_gs
     grad = w.alpha * grad_cd + w.beta * grad_hd + w.gamma * _gs_gradient(p)
     return LossReport(l_cd=l_cd, l_hd=l_hd, l_gs=l_gs, total=total, grad=grad)
+
+
+def _cell_centers(n):
+    return (np.arange(n) + 0.5) / n - 0.5
+
+
+def square_samples(extent, density):
+    """Cell-centered grid samples of a square at z = 0, written out apart
+    from the box's faces."""
+    n = max(1, round(extent * np.sqrt(density)))
+    ticks = _cell_centers(n) * extent
+    xs, ys = np.meshgrid(ticks, ticks)
+    return np.stack([xs.ravel(), ys.ravel(), np.zeros(n * n)], axis=1)
+
+
+def six_face_box_samples(extent, density, cam_local):
+    """Cell-centered samples of the cube faces that face `cam_local`, each
+    of the six faces and its outward normal written out by hand, in the
+    order z-, z+, y-, y+, x-, x+."""
+    n = max(1, round(extent * np.sqrt(density)))
+    ticks = _cell_centers(n) * extent
+    a, b = np.meshgrid(ticks, ticks)
+    a, b = a.ravel(), b.ravel()
+    h = extent / 2.0
+    faces = [
+        (np.stack([a, b, np.full_like(a, -h)], 1), np.array([0.0, 0, -1])),
+        (np.stack([a, b, np.full_like(a, h)], 1), np.array([0.0, 0, 1])),
+        (np.stack([a, np.full_like(a, -h), b], 1), np.array([0.0, -1, 0])),
+        (np.stack([a, np.full_like(a, h), b], 1), np.array([0.0, 1, 0])),
+        (np.stack([np.full_like(a, -h), a, b], 1), np.array([-1.0, 0, 0])),
+        (np.stack([np.full_like(a, h), a, b], 1), np.array([1.0, 0, 0])),
+    ]
+    visible = [pts for pts, normal in faces if np.dot(normal, cam_local - normal * h) > 0]
+    return np.vstack(visible)
 
 
 def convex_silhouette_mask(rig, tof_pts):

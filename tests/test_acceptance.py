@@ -24,9 +24,11 @@ from cloudsr.refine import RefineConfig, refine
 from cloudsr.synth import SceneSpec, synth_scene
 
 from oracles import (
+    float32_binary_ply,
     matrix_chamfer,
     matrix_hausdorff,
     monotone_chain,
+    plain_graymap,
     project_homogeneous,
     random_rotation,
     sample_far_from_ties,
@@ -314,23 +316,25 @@ def test_criterion_9_codec_round_trips(tmp_path):
         pts = rng.normal(scale=5.0, size=(int(rng.integers(1, 60)), 3))
 
         p = tmp_path / f"a{i}.ply"
-        write_ply(PointCloud3(pts), p, fmt="ascii", double=True)
+        write_ply(PointCloud3(pts), p, fmt="ascii")
         ok &= np.array_equal(read_ply(p).points, pts)
 
         p = tmp_path / f"b{i}.ply"
-        write_ply(PointCloud3(pts), p, fmt="binary-little-endian", double=True)
+        write_ply(PointCloud3(pts), p, fmt="binary-little-endian")
         ok &= np.array_equal(read_ply(p).points, pts)
 
         f32 = pts.astype(np.float32).astype(np.float64)
         p = tmp_path / f"c{i}.ply"
-        write_ply(PointCloud3(f32), p, fmt="binary-little-endian", double=False)
+        p.write_bytes(float32_binary_ply(f32))
         ok &= np.array_equal(read_ply(p).points, f32)
 
         img = GrayImage(rng.integers(0, 256, size=(7, 9)) / 255.0)
-        for fmt in ("P2", "P5"):
-            q = tmp_path / f"i{i}.{fmt}.pgm"
-            write_pixmap(img, q, fmt=fmt)
-            ok &= np.array_equal(read_pixmap(q).pixels, img.pixels)
+        q = tmp_path / f"i{i}.pgm"
+        write_pixmap(img, q)
+        ok &= np.array_equal(read_pixmap(q).pixels, img.pixels)
+        q = tmp_path / f"j{i}.pgm"
+        q.write_bytes(plain_graymap(img.pixels))
+        ok &= np.array_equal(read_pixmap(q).pixels, img.pixels)
     _elapsed_ok(9, t0, 2.0, ok,
                 "20 fixtures: PLY ascii-f64 / binary f32+f64 and pixmap P2/P5 "
                 "round-trip losslessly")

@@ -294,6 +294,16 @@ def test_load_rig_round_trip(tmp_path):
     np.testing.assert_allclose(rig.e_tof.translation, [0.05, 0.0, 0.0])
 
 
+def test_load_rig_takes_integral_floats_and_nested_int_matrices(tmp_path):
+    data = _calib_dict()
+    data.update(width=640.0, height=480.0, e_rgb=np.eye(4, dtype=int).tolist())
+    path = tmp_path / "calib.json"
+    path.write_text(json.dumps(data))
+    rig = load_rig(path)
+    assert (rig.width, rig.height) == (640, 480) and type(rig.width) is int
+    assert rig.e_rgb.matrix.tobytes() == np.eye(4).tobytes()
+
+
 def test_load_rig_rejects_bad_rotation(tmp_path):
     data = _calib_dict()
     bad = np.eye(4)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cloudsr import geometry
+from cloudsr import cli, geometry
 from cloudsr.camera import Extrinsics
 from cloudsr.cli import (
     _build_parser,
@@ -44,17 +44,20 @@ def calib(tmp_path):
     return path
 
 
+_SCENE = json.dumps({
+    "shape": "square-plane",
+    "pose": list(Extrinsics.from_rt(np.eye(3), [0, 0, 2.0]).matrix.ravel()),
+    "extent": 0.5,
+    "density": 4e4,
+    "fg": 1.0,
+    "bg": 0.0,
+})
+
+
 @pytest.fixture
 def scene(tmp_path):
     path = tmp_path / "scene.json"
-    path.write_text(json.dumps({
-        "shape": "square-plane",
-        "pose": list(Extrinsics.from_rt(np.eye(3), [0, 0, 2.0]).matrix.ravel()),
-        "extent": 0.5,
-        "density": 4e4,
-        "fg": 1.0,
-        "bg": 0.0,
-    }))
+    path.write_text(_SCENE)
     return path
 
 
@@ -357,6 +360,20 @@ def test_superres_dimension_mismatch_exit_2(tmp_path, calib, capsys):
     assert "640x480" in err and "320x240" in err
 
 
+def test_superres_unopenable_trace_fails_before_any_work(tmp_path, calib, capsys,
+                                                         monkeypatch):
+    pgm, ply, out = tmp_path / "img.pgm", tmp_path / "in.ply", tmp_path / "out.ply"
+    write_pixmap(GrayImage(np.zeros((480, 640))), pgm)
+    write_ply(PointCloud3([[0.0, 0, 2], [0.1, 0, 2]]), ply)
+    calls = []
+    monkeypatch.setattr(cli, "superres", lambda *args: calls.append(args))
+    code = main(["superres", str(ply), str(pgm), str(calib), str(out),
+                 "--trace", str(tmp_path / "missing" / "trace.jsonl")])
+    assert code == 2 and not calls and not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_synth_superres_eval_chain(tmp_path, calib, scene):
     gt_ply = tmp_path / "gt.ply"
     pgm = tmp_path / "scene.pgm"
@@ -457,13 +474,24 @@ _BIN_PLY = (b"ply\nformat binary_little_endian 1.0\n%b"
     ("synth", "scene.json", json.dumps({  # a valid scene but for the misspelt key
         "shape": "square-plane", "extnt": 0.2,
         "pose": list(Extrinsics.from_rt(np.eye(3), [0, 0, 2.0]).matrix.ravel())})),
+    ("project", "rig.json", _CALIB.replace('"width": 640', '"width": 640.9')),
+    ("project", "rig.json",  # one pixel wide, at the column the points project to
+     _CALIB.replace('"width": 640', '"width": true').replace('"cx": 320.0', '"cx": 0.0')),
+    ("project", "rig.json", _CALIB.replace('"fx": 800.0', '"fx": "800"')),
+    ("project", "rig.json", _CALIB.replace('"e_rgb": [1.0', '"e_rgb": ["1.0"')),
+    ("synth", "scene.json", _SCENE.replace('"extent": 0.5', '"extent": "0.5"')),
+    ("synth", "scene.json", _SCENE.replace('"fg": 1.0', '"fg": true')),
+    ("synth", "scene.json", _SCENE.replace('"pose": [1.0', '"pose": ["1.0"')),
 ], ids=["hull-bad-row", "hull-nan", "synth-bad-json", "synth-json-list", "densify-nan",
         "hull-non-ascii", "synth-non-utf8", "calib-non-utf8", "calib-width-overflow",
         "calib-zero-width", "synth-density-overflow", "synth-density-huge",
         "synth-int-overflow", "calib-digit-limit",
         "ply-binary-negative-count", "ply-binary-false-count",
         "ply-ascii-negative-count", "ply-bare-property", "ply-huge-coordinate",
-        "hull-huge-coordinate", "pnm-int-overflow", "synth-unknown-key"])
+        "hull-huge-coordinate", "pnm-int-overflow", "synth-unknown-key",
+        "calib-fractional-width", "calib-bool-width", "calib-string-fx",
+        "calib-string-matrix-entry", "synth-string-extent", "synth-bool-fg",
+        "synth-string-pose-entry"])
 def test_malformed_input_exit_2_without_traceback(tmp_path, calib, cmd, name, text):
     bad = tmp_path / name
     bad.write_bytes(text if isinstance(text, bytes) else text.encode("ascii"))
@@ -482,4 +510,5 @@ def test_malformed_input_exit_2_without_traceback(tmp_path, calib, cmd, name, te
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert any(line.startswith("error: ") for line in proc.stderr.splitlines())
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

@@ -308,7 +308,7 @@ def test_downsample_counts_and_voxel_bound():
     # voxel-grid oracle: recompute the bisected binning independently and
     # check each output point is one of those centroids, hence within one
     # voxel diagonal of an input point
-    centroids, edge = binned_centroids(pts, 100)
+    centroids, edge = _bisect_64_steps(pts, 100)
     cset = {tuple(np.round(c, 12)) for c in centroids}
     for p in out.points:
         assert tuple(np.round(p, 12)) in cset
@@ -418,9 +418,8 @@ def test_bisection_stops_early_with_the_64_step_result(monkeypatch):
     for pts in _downsample_clouds():
         n = pts.shape[0]
         for target in sorted({1, 2, 3, min(13, n), min(49, n), min(100, n)}):
-            want_c, want_e = _bisect_64_steps(pts, target)
-            got_c, got_e = binned_centroids(pts, target)
-            assert got_c.tobytes() == want_c.tobytes() and got_e == want_e
+            want_c, _ = _bisect_64_steps(pts, target)
+            assert binned_centroids(pts, target).tobytes() == want_c.tobytes()
 
     # a unit-size cloud resolves its edge to adjacent floats in 57-61 steps
     # and stops there (one far below its extent may need all 64)
@@ -536,7 +535,7 @@ def test_bisection_target_one_keeps_the_rounded_up_edge():
     # the edge one ulp lower, where the far row falls into a second bin
     pts = np.array([[0.0, 0, 0], [2 * np.spacing(0.5578467243498518), 0, 0],
                     [0.5578467243498518, 0, 0]])
-    centroids, _ = binned_centroids(pts, 1)
+    centroids = binned_centroids(pts, 1)
     assert centroids.shape == (1, 3)
     assert bin_downsample(PointCloud3(pts), 1).points.tobytes() == centroids.tobytes()
 

@@ -181,6 +181,28 @@ def test_polygon_is_simple_beyond_one_block():
     assert not polygon_is_simple(verts)
 
 
+@pytest.mark.parametrize("block", [2, 7, 64])
+def test_contains_all_blocks_match_point_loop(monkeypatch, block):
+    # the square's two vertical edges each hold about 200 of the 300 random
+    # points in their v-band, more than any block here, so those bands span
+    # blocks; the dented polygon is concave, with rows on its vertices and
+    # edge midpoints
+    monkeypatch.setattr(hull, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(block)
+    dented = _circle(40)
+    dented[::3] *= 0.6
+    for verts in (np.array([[0.0, 0], [4, 0], [4, 4], [0, 4]]), dented):
+        lo, hi = verts.min(axis=0), verts.max(axis=0)
+        mids = 0.5 * (verts + np.roll(verts, -1, axis=0))
+        queries = np.vstack([rng.uniform(1.25 * lo - 0.25 * hi, 1.25 * hi - 0.25 * lo,
+                                         (300, 2)), verts, mids])
+        want = brute_points_in_polygon(verts, queries)
+        assert hull._points_in_polygon(verts, queries).tolist() == want
+        assert contains_all(verts, queries[want])
+        assert contains_all(verts, queries) == all(want)
+        assert True in want and False in want
+
+
 def test_contains_all_cases():
     verts = np.array([[0.0, 0], [4, 0], [4, 4], [0, 4]])
     assert contains_all(verts, verts)  # boundary counts as inside

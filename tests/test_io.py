@@ -12,7 +12,7 @@ from cloudsr.geometry import PointCloud3
 from cloudsr.pixmap import read_pixmap, write_pixmap
 from cloudsr.ply_io import read_ply, write_ply
 
-from oracles import numpy_scalar_ply_body
+from oracles import float32_binary_ply, numpy_scalar_ply_body, plain_graymap
 
 
 # -- PLY ------------------------------------------------------------------------
@@ -23,7 +23,7 @@ def test_ply_ascii_f64_round_trip(tmp_path):
     pts = rng.normal(scale=3.0, size=(100, 3))
     cloud = PointCloud3(pts)
     path = tmp_path / "c.ply"
-    write_ply(cloud, path, fmt="ascii", double=True)
+    write_ply(cloud, path, fmt="ascii")
     back = read_ply(path)
     np.testing.assert_array_equal(back.points, pts)  # 17 digits: exact
 
@@ -36,7 +36,7 @@ def test_ply_ascii_bytes_match_numpy_scalar_formatting(tmp_path):
     pts = np.concatenate([special] + [rng.normal(scale=s, size=(40, 3))
                                       for s in (1e-310, 1e-300, 1e-8, 1.0, 1e8, 1e149)])
     path = tmp_path / "c.ply"
-    write_ply(PointCloud3(pts), path, fmt="ascii", double=True)
+    write_ply(PointCloud3(pts), path, fmt="ascii")
     data = path.read_bytes()
     cut = data.index(b"end_header\n") + len(b"end_header\n")
     assert data[cut:] == numpy_scalar_ply_body(pts)
@@ -47,7 +47,7 @@ def test_ply_binary_f64_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(57, 3))
     path = tmp_path / "c.ply"
-    write_ply(PointCloud3(pts), path, fmt="binary-little-endian", double=True)
+    write_ply(PointCloud3(pts), path, fmt="binary-little-endian")
     np.testing.assert_array_equal(read_ply(path).points, pts)
 
 
@@ -55,7 +55,7 @@ def test_ply_binary_f32_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(33, 3)).astype(np.float32).astype(np.float64)
     path = tmp_path / "c.ply"
-    write_ply(PointCloud3(pts), path, fmt="binary-little-endian", double=False)
+    path.write_bytes(float32_binary_ply(pts))
     np.testing.assert_array_equal(read_ply(path).points, pts)
 
 
@@ -225,8 +225,9 @@ def test_pixmap_malformed(tmp_path):
 def test_pixmap_write_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     img = GrayImage(rng.integers(0, 256, size=(9, 6)) / 255.0)
-    for fmt in ("P2", "P5"):
-        path = tmp_path / f"w.{fmt}.pgm"
-        write_pixmap(img, path, fmt=fmt)
-        back = read_pixmap(path)
-        np.testing.assert_array_equal(back.pixels, img.pixels)
+    raw, plain = tmp_path / "w.pgm", tmp_path / "p.pgm"
+    write_pixmap(img, raw)
+    assert raw.read_bytes().startswith(b"P5\n6 9\n255\n")
+    plain.write_bytes(plain_graymap(img.pixels))
+    for path in (raw, plain):
+        np.testing.assert_array_equal(read_pixmap(path).pixels, img.pixels)

@@ -195,6 +195,21 @@ def test_match_table_matches_flat_scan_oracle(case):
             assert not settled.all()  # a far move must send rows to the full query
 
 
+@pytest.mark.parametrize("n", [MATCH_K - 1, MATCH_K, MATCH_K + 1])
+@pytest.mark.parametrize("m", [0, 1, 30])
+def test_candidates_match_flat_scan_oracle(n, m):
+    # lattice rows tie often; with n <= MATCH_K every row is a candidate
+    rng = np.random.default_rng(100 * n + m)
+    for points in (rng.integers(0, 3, (n, 2)).astype(float), rng.uniform(0, 10, (n, 2))):
+        queries = rng.uniform(-1, 4, (m, 2))
+        cand, bound2 = SpatialIndex(points).candidates(queries, MATCH_K)
+        idx, d2 = flat_knn(points, queries, n)
+        assert cand.shape == (m, min(n, MATCH_K)) and bound2.shape == (m,)
+        np.testing.assert_array_equal(cand, np.sort(idx[:, :MATCH_K], axis=1))
+        want = d2[:, MATCH_K] if n > MATCH_K else np.full(m, np.inf)
+        assert bound2.tobytes() == want.tobytes()
+
+
 def test_match_table_rejects_another_hull():
     edges = SpatialIndex(np.eye(3, 2))
     table = MatchTable.build(edges, np.zeros((4, 2)))

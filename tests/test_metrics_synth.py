@@ -8,9 +8,10 @@ from cloudsr.edges import CannyParams, canny
 from cloudsr.errors import ShapeOutOfFrame
 from cloudsr.geometry import PointCloud3, normalize_to_unit
 from cloudsr.metrics import eval_metrics
-from cloudsr.synth import SceneSpec, synth_scene
+from cloudsr.synth import SceneSpec, _camera_center_in_tof, synth_scene
 
-from oracles import brute_chamfer, brute_hausdorff, random_rotation, silhouette_mask
+from oracles import (brute_chamfer, brute_hausdorff, random_rotation, silhouette_mask,
+                     six_face_box_samples, square_samples)
 
 
 def _rot(axis, deg):
@@ -176,6 +177,35 @@ def test_silhouette_matches_replaced_forms(shape):
         spec = SceneSpec(shape, pose, extent=rng.uniform(0.2, 0.6), density=2e3)
         _, img = synth_scene(spec, rig)
         np.testing.assert_array_equal(img.pixels, silhouette_mask(spec, rig).astype(float))
+
+
+@pytest.mark.parametrize("shape", ["square-plane", "box"])
+def test_samples_match_hand_written_faces(shape):
+    """Square and box samples equal, bit for bit, the square and the six
+    box faces written out one by one, with the camera on both sides of
+    every face."""
+    rng = np.random.default_rng(["square-plane", "box"].index(shape))
+    sides = set()
+    for _ in range(200):
+        e_tof = Extrinsics.from_rt(_rot("z", rng.uniform(-5, 5)), rng.uniform(-0.03, 0.03, 3))
+        rig = CameraRig(Intrinsics(300.0, 300.0, 160.0, 120.0), Extrinsics(np.eye(4)),
+                        e_tof, 320, 240)
+        pose = Extrinsics.from_rt(random_rotation(rng),
+                                  [*rng.uniform(-0.1, 0.1, 2), rng.uniform(2.0, 3.0)])
+        spec = SceneSpec(shape, pose, extent=rng.uniform(0.2, 0.6), density=2e3)
+        cloud, _ = synth_scene(spec, rig)
+        cam_local = pose.rotation.T @ (_camera_center_in_tof(rig) - pose.translation)
+        if shape == "box":
+            local = six_face_box_samples(spec.extent, spec.density, cam_local)
+        else:
+            local = square_samples(spec.extent, spec.density)
+        want = local @ pose.rotation.T + pose.translation
+        assert cloud.points.tobytes() == want.tobytes()
+        # (axis, face, camera outside it) for all six faces
+        h = spec.extent / 2.0
+        sides |= {(axis, sign, bool(sign * cam_local[axis] > h))
+                  for axis in range(3) for sign in (-1, 1)}
+    assert len(sides) == 12
 
 
 def test_silhouette_outline_on_pixel_centers():
