@@ -11,6 +11,7 @@ import contextlib
 import dataclasses
 import inspect
 import json
+import os
 import sys
 
 import numpy as np
@@ -217,13 +218,33 @@ def _cmd_hull(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Create or truncate each output path before the work, so an
+    unwritable path fails at once; if the command then fails, remove the
+    files this created (files that existed before are left truncated)."""
+    created = []
+    try:
+        for path in paths:
+            existed = os.path.exists(path)
+            open(path, "wb").close()
+            if not existed:
+                created.append(path)
+        yield
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _cmd_densify(args) -> int:
     cfg = _config(DensifyConfig, args)
     cloud = read_ply(args.cloud)
-    if args.target is not None:
-        cloud = bin_downsample(cloud, args.target)
-    out = densify(cloud, cfg)
-    write_ply(out, args.output)
+    with _outputs(args.output):
+        if args.target is not None:
+            cloud = bin_downsample(cloud, args.target)
+        write_ply(densify(cloud, cfg), args.output)
     return 0
 
 
@@ -250,13 +271,12 @@ def _cmd_superres(args) -> int:
             f"calibration says {rig.width}x{rig.height} pixels "
             f"but the pixmap is {img.width}x{img.height}"
         )
-    # opened first: an unwritable trace path fails before any work or output
-    with (open(args.trace, "w", encoding="ascii") if args.trace
-          else contextlib.nullcontext()) as trace_fh:
+    with _outputs(args.output, *([args.trace] if args.trace else [])):
         out, trace = superres(cloud, img, rig, dcfg, rcfg, ccfg)
         write_ply(out, args.output, fmt=args.ply_format)
-        if trace_fh is not None:
-            trace_fh.write(trace.to_jsonl())
+        if args.trace:
+            with open(args.trace, "w", encoding="ascii") as fh:
+                fh.write(trace.to_jsonl())
     return 0
 
 

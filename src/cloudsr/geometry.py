@@ -24,6 +24,7 @@ _RANK_SLACK = 4  # candidates beyond k asked of the tree, so most ties settle at
 _RANK_BLOCK = 1 << 18  # candidate entries per tree query: bounds memory when ties widen it
 _TINY = np.finfo(np.float64).tiny  # absolute margin for distances that underflow
 _FPS_BATCH = 32  # most picks one farthest-point round may take
+_FOLD_CELLS = 1 << 63  # a grid of this many cells or more cannot fold into int64 keys
 
 
 # a squared distance moved up or down, clear of the k-d tree's last-ulp
@@ -73,19 +74,47 @@ def dedupe_rows(arr: np.ndarray) -> np.ndarray:
 
     Rows are snapped to a grid of pitch `DEDUPE_TOL`; rows sharing a grid
     cell are considered duplicates and the lowest index wins.  A stable
-    `lexsort` of the snapped keys groups each cell's rows in index order, so
-    the first row of each group is its lowest index (`-0.0` and `+0.0` keys
-    compare equal and share a cell).
+    `lexsort` of the `_dedupe_sort_keys` groups each cell's rows in index
+    order, so the first row of each group is its lowest index (`-0.0` and
+    `+0.0` keys compare equal and share a cell).
     """
     if arr.shape[0] == 0:
         return np.arange(0, dtype=np.intp)
-    # float keys: an int64 cast would wrap beyond about 9.2e9
-    keys = np.round(arr / DEDUPE_TOL)
-    order = np.lexsort(keys.T)
-    sk = keys[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = np.any(sk[1:] != sk[:-1], axis=1)
-    return np.sort(order[first])
+    keys = _dedupe_sort_keys(np.round(arr / DEDUPE_TOL))
+    order = np.lexsort(keys)
+    changed = np.zeros(order.size - 1, dtype=bool)
+    for key in keys:
+        sk = key[order]
+        changed |= sk[1:] != sk[:-1]
+    return np.sort(order[np.r_[True, changed]])
+
+
+def _dedupe_sort_keys(snapped: np.ndarray) -> list[np.ndarray]:
+    """Sort keys of the snapped rows, least significant first as `lexsort`
+    takes them, equal exactly where the rows are.
+
+    When every snapped value casts to int64 exactly and the spans (max -
+    min + 1) of the first two columns multiply to fewer than 2^63 cells,
+    those two columns fold into one int64 key, the primary one, and a third
+    column follows as its int64 cast.  Otherwise the float columns are the
+    keys: an int64 cast would wrap beyond about 9.2e9 (in units of the
+    grid pitch, 9.2e18).
+    """
+    cols = range(snapped.shape[1])
+    lows = [snapped[:, d].min() for d in cols]
+    highs = [snapped[:, d].max() for d in cols]
+    # NaN fails both comparisons, and 2.0**63 itself does not cast
+    if not all(lo >= -2.0**63 and hi < 2.0**63 for lo, hi in zip(lows, highs)):
+        return list(snapped.T)
+    lead = [int(lo) for lo in lows[:2]]
+    spans = [int(hi) - lo + 1 for hi, lo in zip(highs, lead)]
+    if math.prod(spans) >= _FOLD_CELLS:
+        return list(snapped.T)
+    ints = snapped.astype(np.int64)
+    folded = ints[:, 0] - lead[0]
+    if len(spans) > 1:
+        folded = folded * spans[1] + (ints[:, 1] - lead[1])
+    return [ints[:, d] for d in reversed(cols[2:])] + [folded]
 
 
 def as_point_array(points, dim: int | None = None) -> np.ndarray:
@@ -233,24 +262,36 @@ def nearest_candidate(points: np.ndarray, queries: np.ndarray, cand: np.ndarray,
     return cand[at, col], best, settled
 
 
-def _voxel_keys(rel: np.ndarray, edge: float) -> np.ndarray:
+def _voxel_spans(extent, edge: float) -> list[int]:
+    """Per-axis spans (max voxel index + 1) at edge `edge` of rows whose
+    per-axis maxima relative to the voxel origin are `extent`.  Division and
+    `floor` are monotone, so the max index is the index of the max row, and
+    the spans at an edge bound every row's indices at any larger edge.  A
+    Python-integer list: a float product overflows at the smallest edges.
+    """
+    return [math.floor(e / edge) + 1 for e in extent]
+
+
+def _voxel_keys(rel: np.ndarray, edge: float, spans=None) -> np.ndarray:
     """One int64 key per row of `rel` (rows relative to the voxel origin)
     for voxels of edge `edge`: equal exactly for rows in the same voxel, and
     ordered as a lexicographic sort of the voxel index rows, column 0 most
     significant.
 
-    With per-axis spans s_d = max index + 1, a grid of fewer than 2^63 cells
-    folds the indices to (k0*s1 + k1)*s2 + k2.  A larger grid (on the bench
-    inputs, only the bisection's first, smallest edge) keys each row by its
-    rank among the distinct index rows instead, by one `lexsort`.  The cell
-    count is a Python integer product: a float one overflows at the
-    bisection's smallest edges.
+    With per-axis spans s_d (by default the rows' own, max index + 1), a
+    grid of fewer than 2^63 cells folds the indices to (k0*s1 + k1)*s2 + k2;
+    spans taken at a smaller edge (`_voxel_spans`) make the keys of any rows
+    at any edge from there up comparable.  A larger grid keys each row by
+    its rank among the distinct index rows instead, by one `lexsort`; in
+    `binned_centroids` only the smallest edge can need it, and on the bench
+    inputs its count is skipped.
     """
     # float indices: at the bisection's smallest edge one can exceed int64
     keys = np.floor(rel / edge)
-    # a max per column: numpy's axis-0 max over three columns is ~8x slower
-    spans = [int(keys[:, d].max()) + 1 for d in range(keys.shape[1])]
-    if math.prod(spans) < 1 << 63:
+    if spans is None:
+        # a max per column: numpy's axis-0 max over three columns is ~8x slower
+        spans = [int(keys[:, d].max()) + 1 for d in range(keys.shape[1])]
+    if math.prod(spans) < _FOLD_CELLS:
         ints = keys.astype(np.int64)
         folded = ints[:, 0]
         for d in range(1, ints.shape[1]):
@@ -264,15 +305,64 @@ def _voxel_keys(rel: np.ndarray, edge: float) -> np.ndarray:
     return ranks
 
 
-def _voxel_bin_count(rel: np.ndarray, edge: float) -> int:
+def _voxel_bin_count(rel: np.ndarray, edge: float, spans=None) -> int:
     """Number of occupied voxels of edge `edge` over rows `rel` taken
     relative to the voxel origin: a sort of the `_voxel_keys` and a count of
-    unequal neighbours.  On a 2-vCPU VM, one count over 300k rows takes
-    0.03 s on folded keys and 0.2 s on rank keys.
+    unequal neighbours.  On a 2-vCPU VM, one count over 714k uniform rows
+    takes 0.02 s on folded keys and 0.57 s on rank keys.
     """
-    keys = _voxel_keys(rel, edge)
+    keys = _voxel_keys(rel, edge, spans)
     keys.sort()
     return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+
+def _absent(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of the `keys` that the ascending array `sorted_keys` lacks."""
+    pos = np.searchsorted(sorted_keys, keys)
+    absent = pos == sorted_keys.size
+    absent[~absent] = sorted_keys[pos[~absent]] != keys[~absent]
+    return absent
+
+
+class _MovingRows:
+    """Occupied-voxel counts at edges inside a bracket [lo, hi] that key
+    only the rows whose voxel can still change.
+
+    A row whose voxel index rows at lo and hi are equal keeps them at every
+    edge between (division and `floor` are monotone).  Keys folded with
+    `spans`, the spans at lo, are comparable at every such edge, so the
+    settled rows are keyed once into the ascending distinct array
+    `settled`, and a count keys only the moving rows and adds their distinct
+    keys that `settled` lacks.  `narrow` moves one bracket end to the edge
+    last counted and retires the rows that settle.
+    """
+
+    def __init__(self, rel: np.ndarray, lo: float, hi: float, spans: list[int]):
+        at_lo, at_hi = _voxel_keys(rel, lo, spans), _voxel_keys(rel, hi, spans)
+        still = at_lo == at_hi
+        self.spans = spans
+        self.settled = np.unique(at_lo[still])
+        self.rows = rel[~still]
+        self.at_lo, self.at_hi = at_lo[~still], at_hi[~still]
+        self.at_mid = None  # the moving rows' keys at the edge last counted
+
+    def count(self, edge: float) -> int:
+        self.at_mid = _voxel_keys(self.rows, edge, self.spans)
+        uniq = np.unique(self.at_mid)
+        return self.settled.size + int(np.count_nonzero(_absent(self.settled, uniq)))
+
+    def narrow(self, to_lo: bool) -> None:
+        if to_lo:
+            self.at_lo = self.at_mid
+        else:
+            self.at_hi = self.at_mid
+        done = self.at_lo == self.at_hi
+        if done.any():
+            new = np.unique(self.at_lo[done])
+            new = new[_absent(self.settled, new)]
+            self.settled = np.insert(self.settled, np.searchsorted(self.settled, new), new)
+            keep = ~done
+            self.rows, self.at_lo, self.at_hi = self.rows[keep], self.at_lo[keep], self.at_hi[keep]
 
 
 def _voxel_centroids(pts: np.ndarray, rel: np.ndarray, edge: float) -> np.ndarray:
@@ -347,10 +437,17 @@ def binned_centroids(pts: np.ndarray, target: int) -> np.ndarray:
     than `target` distinct rows no edge length can reach the target; the
     distinct rows themselves are returned.
 
-    Each of the 57-64 steps is one `_voxel_bin_count`, a sort of one int64
-    key per row; only grids of 2^63 cells or more, on the bench inputs just
-    the first probe at the smallest separating edge, rank their rows by
-    `lexsort` to get that key.
+    Every count is exact, so the bisection takes the path of one
+    `_voxel_bin_count` per step, but most steps read few rows:
+
+    - at the smallest edge, the distinct indices of one axis (counted on the
+      sorted columns) bound the count from below, so the full count, often
+      a `lexsort` of rank keys there, runs only when no axis reaches the
+      target;
+    - the product of the spans at an edge bounds its count from above, so
+      an edge whose grid has fewer than `target` cells is decided unread;
+    - once the bracket is narrow enough that most rows keep their voxel
+      across it, `_MovingRows` keys only the rows that can still move.
     """
     origin = pts.min(axis=0)
     extent = pts.max(axis=0) - origin
@@ -358,12 +455,14 @@ def binned_centroids(pts: np.ndarray, target: int) -> np.ndarray:
 
     # smallest separating edge: below the smallest positive per-axis gap,
     # every pair of distinct rows lands in different bins
-    gaps = []
+    gaps, columns = [], []
     for d in range(pts.shape[1]):
-        diffs = np.diff(np.sort(pts[:, d]))
+        col = np.sort(pts[:, d])
+        diffs = np.diff(col)
         diffs = diffs[diffs > 0]
         if diffs.size:
             gaps.append(diffs.min())
+        columns.append(col - origin[d])  # rel[:, d], sorted: subtraction is monotone
     if not gaps:  # all rows identical
         return pts[:1].copy()
     # ...but no finer than extent / 1e300 and never zero: the voxel keys of
@@ -372,14 +471,25 @@ def binned_centroids(pts: np.ndarray, target: int) -> np.ndarray:
              np.finfo(np.float64).smallest_subnormal)
     hi = float(np.linalg.norm(extent)) + lo
 
-    if _voxel_bin_count(rel, lo) < target:
+    axis_bins = max(1 + int(np.count_nonzero(np.diff(np.floor(col / lo)))) for col in columns)
+    del columns
+    if axis_bins < target and _voxel_bin_count(rel, lo) < target:
         # fewer distinct rows than requested; return what exists
         return _voxel_centroids(pts, rel, lo)
 
+    moving = None
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         inside = lo < mid < hi
-        if _voxel_bin_count(rel, mid) >= target:
+        spans = _voxel_spans(extent, mid)
+        if math.prod(spans) < target:
+            up = False
+        elif moving is not None:
+            up = moving.count(mid) >= target
+            moving.narrow(up)
+        else:
+            up = _voxel_bin_count(rel, mid, spans) >= target
+        if up:
             lo = mid
         else:
             hi = mid
@@ -388,6 +498,13 @@ def binned_centroids(pts: np.ndarray, target: int) -> np.ndarray:
             # step (lo counts >= target, a mid == hi that counts < target
             # stays hi) and the remaining steps would repeat this one
             break
+        # across the bracket, a row's index on an axis changes at most
+        # about x/lo - x/hi times, at most the farthest row's; below a half
+        # summed over the axes, most rows have settled
+        if moving is None and float(np.sum(extent / lo - extent / hi)) < 0.5:
+            lo_spans = _voxel_spans(extent, lo)
+            if math.prod(lo_spans) < _FOLD_CELLS:
+                moving = _MovingRows(rel, lo, hi, lo_spans)
     return _voxel_centroids(pts, rel, lo)
 
 

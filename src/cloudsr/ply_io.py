@@ -219,8 +219,9 @@ def write_ply(cloud: PointCloud3, path, fmt: str = "ascii") -> None:
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         if fmt == "ascii":
-            # Python floats print the same text as numpy scalars, faster
-            lines = ["%.17g %.17g %.17g" % tuple(row) for row in cloud.points.tolist()]
-            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+            # Python floats print the same text as numpy scalars, faster,
+            # and one `%` over every row is faster than one per row
+            body = ("%.17g %.17g %.17g\n" * len(cloud)) % tuple(cloud.points.ravel().tolist())
+            fh.write(body.encode("ascii"))
         else:
             fh.write(cloud.points.astype("<f8").tobytes())

@@ -374,6 +374,43 @@ def test_superres_unopenable_trace_fails_before_any_work(tmp_path, calib, capsys
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("cmd", ["superres", "densify"])
+def test_unwritable_output_fails_before_any_work(tmp_path, calib, capsys, monkeypatch, cmd):
+    pgm, ply, trace = tmp_path / "img.pgm", tmp_path / "in.ply", tmp_path / "t.jsonl"
+    write_pixmap(GrayImage(np.zeros((480, 640))), pgm)
+    write_ply(PointCloud3([[0.0, 0, 2], [0.1, 0, 2], [0, 0.1, 2]]), ply)
+    calls = []
+    monkeypatch.setattr(cli, cmd, lambda *args: calls.append(args))
+    out = str(tmp_path / "missing" / "out.ply")
+    if cmd == "superres":
+        argv = ["superres", str(ply), str(pgm), str(calib), out, "--trace", str(trace)]
+    else:
+        argv = ["densify", str(ply), out, "--target", "2"]
+    assert main(argv) == 2 and not calls and not trace.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("cmd", ["superres", "densify"])
+def test_failed_run_leaves_no_output_or_trace(tmp_path, calib, capsys, cmd):
+    pgm, ply = tmp_path / "img.pgm", tmp_path / "in.ply"
+    out, trace = tmp_path / "out.ply", tmp_path / "t.jsonl"
+    img = np.zeros((480, 640))
+    img[140:340, 220:420] = 1.0  # edges exist, so superres reaches the projection
+    write_pixmap(GrayImage(img), pgm)
+    # behind the camera: no point projects inside the frame
+    write_ply(PointCloud3(np.random.default_rng(4).uniform(-0.2, 0.2, size=(64, 3))
+                          - [0.0, 0.0, 2.0]), ply)
+    if cmd == "superres":
+        argv = ["superres", str(ply), str(pgm), str(calib), str(out), "--trace", str(trace)]
+    else:
+        argv = ["densify", str(ply), str(out), "--target", "65"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists() and not trace.exists()
+
+
 def test_synth_superres_eval_chain(tmp_path, calib, scene):
     gt_ply = tmp_path / "gt.ply"
     pgm = tmp_path / "scene.pgm"

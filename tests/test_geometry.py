@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cloudsr import geometry
@@ -434,15 +434,21 @@ def test_bisection_stops_early_with_the_64_step_result(monkeypatch):
 def test_voxel_counts_take_the_lexsort_fallback_at_most_once(monkeypatch):
     # on a unit-size cloud only the first probe, at the smallest separating
     # edge, has a grid of 2^63 cells or more; every other key is folded.
-    # Inside `binned_centroids` only the rank keys call `np.lexsort`
-    keyings, ranked = [], []
-    real_keys, real_lexsort = geometry._voxel_keys, np.lexsort
-    monkeypatch.setattr(geometry, "_voxel_keys",
-                        lambda *args: keyings.append(1) or real_keys(*args))
+    # Inside `binned_centroids` only the rank keys call `np.lexsort`.  Once
+    # the bracket is narrow, the counts key only the rows that still move
+    ranked, moving = [], []
+    real_lexsort, real_count = np.lexsort, geometry._MovingRows.count
     monkeypatch.setattr(np, "lexsort", lambda *args: ranked.append(1) or real_lexsort(*args))
+
+    def count(self, edge):
+        moving.append(self.rows.shape[0])
+        return real_count(self, edge)
+
+    monkeypatch.setattr(geometry._MovingRows, "count", count)
     binned_centroids(_downsample_clouds()[0], 100)
-    assert len(keyings) > 50
     assert len(ranked) <= 1
+    # most of the ~60 steps count on moving rows, and those are few
+    assert len(moving) > 30 and max(moving) < 500 and moving[-1] < 10
 
 
 def _grid_corner_cloud(spans, rng):
@@ -453,6 +459,16 @@ def _grid_corner_cloud(spans, rng):
     return np.vstack([np.zeros(spans.size), spans - 1, inner, inner[:5]])
 
 
+def _span_limit_cloud(rng, n):
+    """Integer rows whose last bisection brackets hold edge 1.0, where the
+    grid is 2^21 * 2^21 * 2^21 cells, and the next float above it, where it
+    is one column of 2^42 cells fewer: the rows (0, 0, 0) and (1, 0, 0)
+    share a voxel at every edge above 1, and no two rows do at or below."""
+    far = 2**21 - 1
+    inner = rng.integers(0, far, size=(n, 3)).astype(np.float64)
+    return np.vstack([[0, 0, 0], [1, 0, 0], [far, far + 0.5, far + 0.5], inner])
+
+
 @st.composite
 def _voxel_cases(draw):
     """(points, origin, edge): uniform, integer-lattice, planar, 2-column,
@@ -461,7 +477,7 @@ def _voxel_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 150))
     kind = draw(st.sampled_from(["uniform", "lattice", "planar", "two-column", "subnormal",
-                                 "signed-zero", "grid-corner"]))
+                                 "signed-zero", "grid-corner", "span-limit"]))
     if kind == "uniform":
         pts = rng.uniform(-1, 1, size=(n, 3)) * draw(st.sampled_from([1e-300, 1e-6, 1.0, 1e10]))
     elif kind == "lattice":
@@ -480,6 +496,8 @@ def _voxel_cases(draw):
         pts = rng.integers(-2, 3, size=(n, 3)) * DEDUPE_TOL
         pts += rng.choice([-0.4, -0.1, 0.0, 0.1, 0.4], size=pts.shape) * DEDUPE_TOL
         pts[rng.random(pts.shape) < 0.2] = -0.0
+    elif kind == "span-limit":
+        pts = _span_limit_cloud(rng, n)
     else:
         spans = draw(st.sampled_from([(2**32, 2**31 - 1), (2**32, 2**31), (2**21, 2**21, 2**21 - 1),
                                       (2**21, 2**21, 2**21), (3, 2**61), (4, 2**61), (1e200, 1e200, 1e200)]))
@@ -499,6 +517,45 @@ def _voxel_cases(draw):
 @given(_voxel_cases())
 def test_voxel_binning_and_dedupe_match_oracles_byte_for_byte(case):
     _assert_voxels_match_oracles(*case)
+
+
+@st.composite
+def _bisection_cases(draw):
+    """(points, target): the `_voxel_cases` clouds with targets from 1 to
+    one past the row count, and more often the distinct row count, which
+    resolves the edge to the rows' smallest separation."""
+    pts, _, _ = draw(_voxel_cases())
+    # PointCloud3 bounds what reaches the bisection: past it the extent's
+    # norm, the initial upper edge, overflows
+    assume(np.all(np.abs(pts) <= COORD_LIMIT))
+    distinct = np.unique(pts, axis=0).shape[0]
+    target = draw(st.one_of(st.integers(1, pts.shape[0] + 1), st.just(distinct)))
+    return pts, target
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_bisection_cases())
+def test_binned_centroids_match_the_64_step_oracle(case):
+    pts, target = case
+    want, _ = _bisect_64_steps(pts, target)
+    assert binned_centroids(pts, target).tobytes() == want.tobytes()
+
+
+def test_bisection_never_folds_with_the_spans_at_hi(monkeypatch):
+    # the bisection brackets edge 1.0 from here on, so every late bracket
+    # holds 2^63 cells at lo and fewer at hi, where keys folded with hi's
+    # spans would collide at edges below hi
+    made, real = [], geometry._MovingRows
+    monkeypatch.setattr(geometry, "_MovingRows", lambda *args: made.append(1) or real(*args))
+    pts = _span_limit_cloud(np.random.default_rng(5), 40)
+    extent = pts.max(axis=0) - pts.min(axis=0)
+    assert geometry._voxel_spans(extent, 1.0) == [2**21] * 3
+    assert geometry._voxel_spans(extent, np.nextafter(1.0, 2.0)) == [2**21 - 1, 2**21, 2**21]
+    target = np.unique(pts, axis=0).shape[0]
+    want, edge = _bisect_64_steps(pts, target)
+    assert 1.0 - 1e-12 < edge <= 1.0
+    assert binned_centroids(pts, target).tobytes() == want.tobytes()
+    assert not made
 
 
 def _assert_voxels_match_oracles(pts, origin, edge):
@@ -527,6 +584,65 @@ def test_fold_switches_to_lexsort_at_two_to_the_63(spans, fits):
     else:
         assert keys.tolist() == np.unique(pts, axis=0, return_inverse=True)[1].tolist()
     _assert_voxels_match_oracles(pts, np.zeros(pts.shape[1]), 1.0)
+
+
+def _snapped_grid(spans, rng):
+    """A `_grid_corner_cloud` whose rows snap to exactly its integer rows."""
+    return _grid_corner_cloud(spans, rng) * DEDUPE_TOL
+
+
+@st.composite
+def _dedupe_cases(draw):
+    """Hull pixels (2 columns, with exact and sub-pitch duplicates), small
+    integer lattices at the grid pitch, rows near COORD_LIMIT and near the
+    int64 cast limit (the float fallback), and grids whose first two
+    snapped spans multiply to just under or at 2^63."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 120))
+    kind = draw(st.sampled_from(["pixels", "lattice", "coord-limit", "cast-limit", "fold-limit"]))
+    if kind == "lattice":
+        # a few cells per axis: rows in neighbouring cells are common, so a
+        # fold that maps two cells to one key shows
+        pts = rng.integers(-2, draw(st.integers(-1, 4)), size=(n, draw(st.sampled_from([2, 3]))))
+        pts = pts * DEDUPE_TOL
+    elif kind == "pixels":
+        pts = rng.uniform(0, 640, size=(n, 2))
+        pts = np.vstack([pts, pts[rng.integers(0, n, size=n // 2)]])
+        pts[rng.random(pts.shape[0]) < 0.3] += rng.uniform(-0.4, 0.4, size=2) * DEDUPE_TOL
+    elif kind == "coord-limit":
+        pts = rng.integers(-3, 4, size=(n, 3)) * (COORD_LIMIT / 3)
+    elif kind == "cast-limit":
+        # snapped values a few ulps inside, or also outside, +-2^63
+        limit = draw(st.sampled_from([-1.0, 1.0])) * 2.0**63 * DEDUPE_TOL
+        ulps = rng.integers(-4, draw(st.sampled_from([0, 4])), size=(n, draw(st.sampled_from([2, 3]))))
+        pts = limit * (1 + ulps * 2.0**-52)
+    else:
+        spans = draw(st.sampled_from([(2**32, 2**31 - 1), (2**32, 2**31), (2**32, 2**31 - 1, 5),
+                                      (2**32, 2**31, 5), (3, 2**61), (4, 2**61)]))
+        pts = _snapped_grid(spans, rng)
+    return pts[rng.permutation(pts.shape[0])]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_dedupe_cases())
+def test_dedupe_rows_matches_the_unique_oracle(pts):
+    assert dedupe_rows(pts).tolist() == unique_dedupe_rows(pts).tolist()
+
+
+@pytest.mark.parametrize("spans,keys", [
+    ((2**32, 2**31 - 1), 1), ((2**32, 2**31), 2),
+    ((2**32, 2**31 - 1, 5), 2), ((2**32, 2**31, 5), 3),
+], ids=["2col-below", "2col-at", "3col-below", "3col-at"])
+def test_dedupe_folds_two_columns_below_two_to_the_63(spans, keys):
+    # below 2^63 cells the first two snapped columns fold into one int64 key
+    # and a third follows it; at 2^63 every column stays a float key
+    pts = _snapped_grid(spans, np.random.default_rng(2))
+    snapped = np.round(pts / DEDUPE_TOL)
+    assert [int(v) for v in snapped.max(axis=0) - snapped.min(axis=0) + 1] == list(spans)
+    sort_keys = geometry._dedupe_sort_keys(snapped)
+    assert len(sort_keys) == keys
+    assert all(k.dtype == (np.int64 if keys < len(spans) else np.float64) for k in sort_keys)
+    assert dedupe_rows(pts).tolist() == unique_dedupe_rows(pts).tolist()
 
 
 def test_bisection_target_one_keeps_the_rounded_up_edge():

@@ -8,7 +8,7 @@ from cloudsr.errors import (
     UnsupportedMagic,
 )
 from cloudsr.edges import GrayImage
-from cloudsr.geometry import PointCloud3
+from cloudsr.geometry import COORD_LIMIT, PointCloud3
 from cloudsr.pixmap import read_pixmap, write_pixmap
 from cloudsr.ply_io import read_ply, write_ply
 
@@ -33,14 +33,19 @@ def test_ply_ascii_bytes_match_numpy_scalar_formatting(tmp_path):
     tiny = np.finfo(np.float64).tiny
     special = [[-0.0, 0.0, 5e-324], [-5e-324, tiny, -tiny / 3],
                [1e150, -1e150, 1e150 / 3], [0.1, -2.5, 1 / 3]]
-    pts = np.concatenate([special] + [rng.normal(scale=s, size=(40, 3))
-                                      for s in (1e-310, 1e-300, 1e-8, 1.0, 1e8, 1e149)])
+    mixed = np.concatenate([special] + [rng.normal(scale=s, size=(40, 3))
+                                        for s in (1e-310, 1e-300, 1e-8, 1.0, 1e8, 1e149)])
+    # PointCloud3 refuses magnitudes past COORD_LIMIT (1e150), so no larger
+    # value such as 1e300 can reach the writer
+    one_row = [[-0.0, -0.0, -0.0], [5e-324, -tiny / 3, -5e-324],
+               [COORD_LIMIT, -COORD_LIMIT, -COORD_LIMIT / 7], [0.1, -2.5, 1 / 3]]
     path = tmp_path / "c.ply"
-    write_ply(PointCloud3(pts), path, fmt="ascii")
-    data = path.read_bytes()
-    cut = data.index(b"end_header\n") + len(b"end_header\n")
-    assert data[cut:] == numpy_scalar_ply_body(pts)
-    np.testing.assert_array_equal(read_ply(path).points, pts)
+    for pts in [mixed] + [np.array([row]) for row in one_row]:
+        write_ply(PointCloud3(pts), path, fmt="ascii")
+        data = path.read_bytes()
+        cut = data.index(b"end_header\n") + len(b"end_header\n")
+        assert data[cut:] == numpy_scalar_ply_body(pts)
+        assert read_ply(path).points.tobytes() == pts.tobytes()  # -0.0 keeps its sign
 
 
 def test_ply_binary_f64_round_trip(tmp_path):
