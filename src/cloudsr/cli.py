@@ -196,38 +196,41 @@ def _build_parser() -> _Parser:
 def _cmd_edges(args) -> int:
     params = _config(CannyParams, args)
     img = read_pixmap(args.image)
-    edge_map = canny(img, params)
-    write_points_csv(edge_map, args.output)
+    with _outputs(args.output):
+        write_points_csv(canny(img, params), args.output)
     return 0
 
 
 def _cmd_project(args) -> int:
     cloud = read_ply(args.cloud)
     rig = load_rig(args.calib)
-    uv, _ = project_cloud(cloud.points, rig)
-    print(f"culled {len(cloud) - len(uv)} of {len(cloud)} points", file=sys.stderr)
-    write_points_csv(uv, args.output)
+    with _outputs(args.output):
+        uv, _ = project_cloud(cloud.points, rig)
+        print(f"culled {len(cloud) - len(uv)} of {len(cloud)} points", file=sys.stderr)
+        write_points_csv(uv, args.output)
     return 0
 
 
 def _cmd_hull(args) -> int:
     pts = read_points_csv(args.points)
-    with _flag_values():  # concave_hull checks k before it reads the points
-        poly = concave_hull(pts, k=args.k)
-    write_points_csv(poly.vertices, args.output)
+    with _outputs(args.output):
+        with _flag_values():  # concave_hull checks k before it reads the points
+            poly = concave_hull(pts, k=args.k)
+        write_points_csv(poly.vertices, args.output)
     return 0
 
 
 @contextlib.contextmanager
 def _outputs(*paths):
-    """Create or truncate each output path before the work, so an
+    """Open each output path for appending before the work, so an
     unwritable path fails at once; if the command then fails, remove the
-    files this created (files that existed before are left truncated)."""
+    files this created (files that existed before keep their bytes
+    unless the command was writing them)."""
     created = []
     try:
         for path in paths:
             existed = os.path.exists(path)
-            open(path, "wb").close()
+            open(path, "ab").close()
             if not existed:
                 created.append(path)
         yield
@@ -308,9 +311,10 @@ def _cmd_synth(args) -> int:
     except (TypeError, ValueError, OverflowError) as exc:
         raise CloudSRError(f"bad scene spec: {exc}") from exc
     rig = load_rig(args.calib)
-    cloud, img = synth_scene(spec, rig)
-    write_ply(cloud, args.cloud_out)
-    write_pixmap(img, args.image_out)
+    with _outputs(args.cloud_out, args.image_out):
+        cloud, img = synth_scene(spec, rig)
+        write_ply(cloud, args.cloud_out)
+        write_pixmap(img, args.image_out)
     return 0
 
 

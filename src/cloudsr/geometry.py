@@ -20,7 +20,9 @@ DEDUPE_TOL = 1e-9  # grid pitch below which two rows are one point, everywhere
 #: largest coordinate magnitude accepted: beyond it squared distances and
 #: orientation products overflow float64
 COORD_LIMIT = 1e150
-_RANK_SLACK = 4  # candidates beyond k asked of the tree, so most ties settle at once
+#: candidates beyond k asked of the tree, so most ties settle at once; a
+#: nearest query asks for 2 first, and for 1 + this only on the rows 2 leave open
+_RANK_SLACK = 4
 _RANK_BLOCK = 1 << 18  # candidate entries per tree query: bounds memory when ties widen it
 _TINY = np.finfo(np.float64).tiny  # absolute margin for distances that underflow
 _FPS_BATCH = 32  # most picks one farthest-point round may take
@@ -175,7 +177,14 @@ class SpatialIndex:
 
     def _rank(self, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(M, k) indices and squared distances of the k nearest points to
-        each query row, each row sorted by (squared distance, index)."""
+        each query row, each row sorted by (squared distance, index).
+
+        Each round asks the tree for `width` candidates of every unsettled
+        row: k + `_RANK_SLACK` first, then double that, and so on up to n.
+        A nearest query (k = 1) asks for 2 first, which settles every row
+        whose nearest point is strictly closer than its second, and goes on
+        to 5, 10, ... for the rest.  The widths change only the work, never
+        a result."""
         Q = as_point_array(queries, self.dim)
         # the tree refuses non-finite queries, and past the bound it loses
         # neighbors whose squared distance overflows
@@ -184,7 +193,7 @@ class SpatialIndex:
         idx = np.empty((Q.shape[0], k), dtype=np.intp)
         sqd = np.empty((Q.shape[0], k), dtype=np.float64)
         todo = np.arange(Q.shape[0])
-        width = min(n, k + _RANK_SLACK)
+        width = min(n, 2 if k == 1 else k + _RANK_SLACK)
         while todo.size:
             retry = []
             step = max(1, _RANK_BLOCK // width)
@@ -204,7 +213,7 @@ class SpatialIndex:
                 settled = (width == n) | (d2[:, k - 1] < _pad_down(d2[:, -1]))
                 retry.append(rows[~settled])
             todo = np.concatenate(retry)
-            width = min(n, 2 * width)
+            width = min(n, max(k + _RANK_SLACK, 2 * width))
         return idx, sqd
 
     def knn_batch(self, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +232,9 @@ class SpatialIndex:
         """Nearest neighbor for each query row.
 
         Returns (indices, squared distances), ties broken by lowest index
-        exactly as `knn_batch`.
+        exactly as `knn_batch`.  The tree is asked for 2 candidates per row,
+        then 5, 10, ... only for the rows whose nearest point ties with (or
+        lies within the tree's rounding of) the last candidate.
         """
         idx, sqd = self._rank(queries, 1)
         return idx[:, 0], sqd[:, 0]
@@ -371,9 +382,12 @@ def _voxel_centroids(pts: np.ndarray, rel: np.ndarray, edge: float) -> np.ndarra
     significant), as `np.unique(axis=0)` of the voxel index rows orders them.
     """
     uniq, inverse = np.unique(_voxel_keys(rel, edge), return_inverse=True)
-    sums = np.zeros((uniq.shape[0], pts.shape[1]))
-    np.add.at(sums, inverse, pts)
-    counts = np.bincount(inverse, minlength=uniq.shape[0]).astype(np.float64)
+    m = uniq.shape[0]
+    # one `bincount` per column adds each voxel's rows in input order from
+    # 0.0, as `np.add.at` would, several times faster
+    sums = np.stack([np.bincount(inverse, weights=pts[:, d], minlength=m)
+                     for d in range(pts.shape[1])], axis=1)
+    counts = np.bincount(inverse, minlength=m).astype(np.float64)
     return sums / counts[:, None]
 
 

@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import PointCloud3, SpatialIndex, normalize_to_unit
+from .errors import CloudSRError
+from .geometry import PointCloud3, SpatialIndex, normalize_to_unit, require_bounded
 
 
 @dataclass(frozen=True)
@@ -31,12 +32,22 @@ class EvalReport:
 def eval_metrics(pred: PointCloud3, gt: PointCloud3,
                  normalize: bool = False) -> EvalReport:
     """Chamfer (count-normalized, squared) and Hausdorff (unsquared) between
-    a predicted cloud and the ground truth."""
+    a predicted cloud and the ground truth.
+
+    Raises `CloudSRError` when normalizing by a ground truth far smaller
+    than the prediction's spread takes the prediction past `COORD_LIMIT`.
+    """
     p = pred.points
     g = gt.points
     if normalize:
         g, scale, offset = normalize_to_unit(g)
-        p = (p - offset) / scale
+        with np.errstate(over="ignore"):  # an overflow to inf fails the check below
+            p = (p - offset) / scale
+        try:
+            require_bounded(p, "normalized prediction coordinates")
+        except ValueError as exc:
+            raise CloudSRError(f"{exc}: the ground truth is too small to "
+                               "normalize by") from exc
 
     _, d2_pg = SpatialIndex(g).nearest_batch(p)
     _, d2_gp = SpatialIndex(p).nearest_batch(g)

@@ -367,7 +367,8 @@ def lexsort_voxel_bin_count(pts, origin, edge):
 
 def unique_voxel_centroids(pts, origin, edge):
     """Centroid of each occupied voxel, ordered by voxel key, grouped by
-    `np.unique(axis=0)` of the float key rows."""
+    `np.unique(axis=0)` of the float key rows and summed with `np.add.at`,
+    the form the library's per-column `bincount` must reproduce."""
     keys = np.floor((pts - origin) / edge)
     uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
     sums = np.zeros((uniq.shape[0], pts.shape[1]))

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -374,41 +375,84 @@ def test_superres_unopenable_trace_fails_before_any_work(tmp_path, calib, capsys
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
-@pytest.mark.parametrize("cmd", ["superres", "densify"])
-def test_unwritable_output_fails_before_any_work(tmp_path, calib, capsys, monkeypatch, cmd):
-    pgm, ply, trace = tmp_path / "img.pgm", tmp_path / "in.ply", tmp_path / "t.jsonl"
-    write_pixmap(GrayImage(np.zeros((480, 640))), pgm)
-    write_ply(PointCloud3([[0.0, 0, 2], [0.1, 0, 2], [0, 0.1, 2]]), ply)
+def _writing_argv(cmd, inputs, calib, scene, out, other):
+    """argv of a writing subcommand on the `inputs` dict's files, writing
+    `out` and, for superres (its trace) and synth (its pixmap), `other`."""
+    return [str(a) for a in {
+        "superres": ["superres", inputs["ply"], inputs["pgm"], calib, out, "--trace", other],
+        "densify": ["densify", inputs["ply"], out, "--target", "2"],
+        "edges": ["edges", inputs["pgm"], out],
+        "project": ["project", inputs["ply"], calib, out],
+        "hull": ["hull", inputs["csv"], out],
+        "synth": ["synth", scene, calib, out, other],
+    }[cmd]]
+
+
+@pytest.mark.parametrize("cmd,work,bad", [
+    ("superres", "superres", 0), ("densify", "densify", 0), ("edges", "canny", 0),
+    ("project", "project_cloud", 0), ("hull", "concave_hull", 0),
+    ("synth", "synth_scene", 0), ("synth", "synth_scene", 1),
+], ids=["superres", "densify", "edges", "project", "hull", "synth-cloud", "synth-image"])
+def test_unwritable_output_fails_before_any_work(tmp_path, calib, scene, capsys, monkeypatch,
+                                                 cmd, work, bad):
+    inputs = {"pgm": tmp_path / "img.pgm", "ply": tmp_path / "in.ply",
+              "csv": tmp_path / "pts.csv"}
+    write_pixmap(GrayImage(np.zeros((480, 640))), inputs["pgm"])
+    write_ply(PointCloud3([[0.0, 0, 2], [0.1, 0, 2], [0, 0.1, 2]]), inputs["ply"])
+    inputs["csv"].write_text("u,v\n0,0\n1,0\n0,1\n")
     calls = []
-    monkeypatch.setattr(cli, cmd, lambda *args: calls.append(args))
-    out = str(tmp_path / "missing" / "out.ply")
-    if cmd == "superres":
-        argv = ["superres", str(ply), str(pgm), str(calib), out, "--trace", str(trace)]
-    else:
-        argv = ["densify", str(ply), out, "--target", "2"]
-    assert main(argv) == 2 and not calls and not trace.exists()
+    # wrapped, so the signature the hull parser reads its --k default from stays
+    monkeypatch.setattr(cli, work, functools.wraps(getattr(cli, work))(
+        lambda *args, **kwargs: calls.append(args)))
+    outs = [tmp_path / "out-a", tmp_path / "out-b"]
+    outs[bad] = tmp_path / "missing" / outs[bad].name
+    assert main(_writing_argv(cmd, inputs, calib, scene, *outs)) == 2 and not calls
+    # no output is left behind, the writable one included
+    assert not any(path.exists() for path in outs)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
-@pytest.mark.parametrize("cmd", ["superres", "densify"])
-def test_failed_run_leaves_no_output_or_trace(tmp_path, calib, capsys, cmd):
-    pgm, ply = tmp_path / "img.pgm", tmp_path / "in.ply"
-    out, trace = tmp_path / "out.ply", tmp_path / "t.jsonl"
+def _failing_argv(cmd, tmp_path, calib, out, other):
+    """argv of a writing subcommand that opens its outputs, then fails with
+    a data error in its work."""
+    inputs = {"pgm": tmp_path / "img.pgm", "ply": tmp_path / "in.ply",
+              "csv": tmp_path / "pts.csv"}
     img = np.zeros((480, 640))
     img[140:340, 220:420] = 1.0  # edges exist, so superres reaches the projection
-    write_pixmap(GrayImage(img), pgm)
-    # behind the camera: no point projects inside the frame
+    # edges: canny refuses an image smaller than 3x3
+    write_pixmap(GrayImage(img if cmd != "edges" else np.zeros((2, 2))), inputs["pgm"])
+    # superres and project: behind the camera, no point projects inside the frame
     write_ply(PointCloud3(np.random.default_rng(4).uniform(-0.2, 0.2, size=(64, 3))
-                          - [0.0, 0.0, 2.0]), ply)
-    if cmd == "superres":
-        argv = ["superres", str(ply), str(pgm), str(calib), str(out), "--trace", str(trace)]
-    else:
-        argv = ["densify", str(ply), str(out), "--target", "65"]
-    assert main(argv) == 2
+                          - [0.0, 0.0, 2.0]), inputs["ply"])
+    inputs["csv"].write_text("u,v\n0,0\n1,1\n2,2\n")  # hull: collinear
+    scene = tmp_path / "scene.json"  # synth: the square overfills the frame
+    scene.write_text(_SCENE.replace('"extent": 0.5', '"extent": 5.0'))
+    argv = _writing_argv(cmd, inputs, calib, scene, out, other)
+    if cmd == "densify":
+        argv[-1] = "65"  # more than the 64 input rows
+    return argv
+
+
+_WRITING_COMMANDS = ["superres", "densify", "edges", "project", "hull", "synth"]
+
+
+@pytest.mark.parametrize("cmd", _WRITING_COMMANDS)
+def test_failed_run_leaves_no_output_or_trace(tmp_path, calib, capsys, cmd):
+    out, other = tmp_path / "out-a", tmp_path / "out-b"
+    assert main(_failing_argv(cmd, tmp_path, calib, out, other)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert not out.exists() and not trace.exists()
+    assert not out.exists() and not other.exists()
+
+
+@pytest.mark.parametrize("cmd", _WRITING_COMMANDS)
+def test_failed_run_keeps_existing_outputs(tmp_path, calib, cmd):
+    out, other = tmp_path / "out-a", tmp_path / "out-b"
+    for path in (out, other):
+        path.write_bytes(b"earlier run")
+    assert main(_failing_argv(cmd, tmp_path, calib, out, other)) == 2
+    assert out.read_bytes() == other.read_bytes() == b"earlier run"
 
 
 def test_synth_superres_eval_chain(tmp_path, calib, scene):
@@ -519,6 +563,10 @@ _BIN_PLY = (b"ply\nformat binary_little_endian 1.0\n%b"
     ("synth", "scene.json", _SCENE.replace('"extent": 0.5', '"extent": "0.5"')),
     ("synth", "scene.json", _SCENE.replace('"fg": 1.0', '"fg": true')),
     ("synth", "scene.json", _SCENE.replace('"pose": [1.0', '"pose": ["1.0"')),
+    # normalized by a ground truth of extent 1e-149, the row at 100 lands past
+    # COORD_LIMIT; by one of extent 5e-324, division overflows to inf
+    ("eval", "pred-1e-149.ply", _PLY_HEAD + "0 0 0\n100 0 0\n0 1e-149 0\n"),
+    ("eval", "pred-5e-324.ply", _PLY_HEAD + "0 0 0\n100 0 0\n0 1e-149 0\n"),
 ], ids=["hull-bad-row", "hull-nan", "synth-bad-json", "synth-json-list", "densify-nan",
         "hull-non-ascii", "synth-non-utf8", "calib-non-utf8", "calib-width-overflow",
         "calib-zero-width", "synth-density-overflow", "synth-density-huge",
@@ -528,7 +576,8 @@ _BIN_PLY = (b"ply\nformat binary_little_endian 1.0\n%b"
         "hull-huge-coordinate", "pnm-int-overflow", "synth-unknown-key",
         "calib-fractional-width", "calib-bool-width", "calib-string-fx",
         "calib-string-matrix-entry", "synth-string-extent", "synth-bool-fg",
-        "synth-string-pose-entry"])
+        "synth-string-pose-entry", "eval-normalized-past-limit",
+        "eval-normalized-overflow"])
 def test_malformed_input_exit_2_without_traceback(tmp_path, calib, cmd, name, text):
     bad = tmp_path / name
     bad.write_bytes(text if isinstance(text, bytes) else text.encode("ascii"))
@@ -538,6 +587,11 @@ def test_malformed_input_exit_2_without_traceback(tmp_path, calib, cmd, name, te
         cloud = tmp_path / "in.ply"
         cloud.write_text(_PLY_HEAD + "0 0 1\n1 0 1\n1 1 1\n")
         args = [cloud, bad, tmp_path / "out"]
+    elif cmd == "eval":  # the prediction is valid, the ground truth's extent is in its name
+        extent = name[len("pred-"):-len(".ply")]
+        gt = tmp_path / "gt.ply"
+        gt.write_text(_PLY_HEAD + f"0 0 0\n{extent} 0 0\n0 {extent} 0\n")
+        args = [bad, gt, "--normalize"]
     else:
         args = [bad, tmp_path / "out"]
     argv = [cmd] + [str(p) for p in args]

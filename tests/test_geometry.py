@@ -219,14 +219,97 @@ def test_index_matches_flat_scan_oracle(case):
 
 
 class _CountingTree:
-    """Records the width of every query passed to the wrapped tree."""
+    """Records the width and row count of every query passed to the wrapped
+    tree."""
 
     def __init__(self, tree):
-        self.tree, self.widths = tree, []
+        self.tree, self.widths, self.rows = tree, [], []
 
     def query(self, x, k):
         self.widths.append(k)
+        self.rows.append(len(x))
         return self.tree.query(x, k=k)
+
+
+def _counted(pts):
+    idx = SpatialIndex(pts)
+    idx._tree = _CountingTree(idx._tree)
+    return idx
+
+
+@pytest.mark.parametrize("k,width", [(1, 2), (2, 6), (5, 9), (20, 24)])
+def test_generic_queries_ask_the_tree_for_one_width(k, width):
+    # in general position every row settles in the first round: a nearest
+    # query asks for 2 rows, a k-nearest one for k + 4 as it always has
+    rng = np.random.default_rng(20)
+    pts, queries = rng.uniform(-1, 1, size=(300, 3)), rng.uniform(-1, 1, size=(60, 3))
+    idx = _counted(pts)
+    got = idx.nearest_batch(queries) if k == 1 else idx.knn_batch(queries, k)
+    assert idx._tree.widths == [width] and idx._tree.rows == [60]
+    want = flat_knn(pts, queries, k)
+    assert got[1].tobytes() == want[1].reshape(got[1].shape).tobytes()
+
+
+def _settle_round(group, n):
+    """The tree round (1-based) in which a nearest query settles when
+    `group` of the n points tie for nearest: the first of widths 2, 5, 10,
+    20, ... that holds a point beyond the group, or every point."""
+    width, rounds = min(n, 2), 1
+    while width <= group and width < n:
+        width, rounds = min(n, max(5, 2 * width)), rounds + 1
+    return rounds
+
+
+@st.composite
+def _nearest_cases(draw):
+    """(points, queries, rounds) for nearest queries.
+
+    Lattice cases: a full 2D or 3D integer lattice, each point repeated up
+    to three times in shuffled order, in units of a power of two from 2^-500
+    up to 2^496 (coordinates near COORD_LIMIT), so every squared distance is
+    exact.  Each query sits near a lattice point (one nearest point), on an
+    edge midpoint (two tie), a face centre (four) or a 3D cell centre
+    (eight), and `rounds` holds the round each row settles in.  Random
+    cases: uniform rows with duplicates, at unit scale or near COORD_LIMIT,
+    and uniform queries; their `rounds` is None."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([2, 3]))
+    copies = draw(st.sampled_from([1, 1, 2, 3]))
+    m = draw(st.integers(1, 30))
+    if draw(st.sampled_from(["lattice", "lattice", "random"])) == "random":
+        base = rng.uniform(-1, 1, size=(draw(st.integers(1, 40)), dim))
+        pts = np.repeat(base, copies, axis=0)[rng.permutation(base.shape[0] * copies)]
+        scale = draw(st.sampled_from([1.0, COORD_LIMIT]))
+        return pts * scale, rng.uniform(-1, 1, size=(m, dim)) * scale, None
+    sizes = np.array([draw(st.integers(2, 5)) for _ in range(dim)])
+    unit = draw(st.sampled_from([2.0**-500, 2.0**-20, 1.0, 2.0**40, 2.0**496]))
+    shift = draw(st.sampled_from([0, -3] if unit == 2.0**496 else [0, -3, 2**30]))
+    grid = np.stack(np.meshgrid(*map(np.arange, sizes), indexing="ij"), axis=-1).reshape(-1, dim)
+    pts = np.repeat(grid, copies, axis=0)[rng.permutation(grid.shape[0] * copies)]
+    corner = rng.integers(0, sizes - 1, size=(m, dim))
+    halves = rng.integers(0, dim + 1, size=m)  # axes each query sits halfway along
+    frac = np.where(rng.random((m, dim)) < 0.5, 0.0, 0.25)
+    for row, h in enumerate(halves):
+        frac[row, rng.permutation(dim)[:h]] = 0.5
+    queries = corner + frac
+    rounds = [_settle_round(copies * 2**int(h), pts.shape[0]) for h in halves]
+    return (pts + shift) * unit, (queries + shift) * unit, rounds
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_nearest_cases())
+def test_nearest_batch_settles_each_tie_in_its_round(case):
+    pts, queries, rounds = case
+    assert np.all(np.abs(pts) <= COORD_LIMIT) and np.all(np.abs(queries) <= COORD_LIMIT)
+    idx = _counted(pts)
+    got = idx.nearest_batch(queries)
+    want = flat_knn(pts, queries, 1)
+    assert got[0].tolist() == want[0][:, 0].tolist()
+    assert got[1].tobytes() == want[1][:, 0].tobytes()
+    if rounds is not None:
+        # round r queries the rows that settle in round r or later
+        assert idx._tree.rows == [sum(r >= i for r in rounds)
+                                  for i in range(1, max(rounds) + 1)]
 
 
 @pytest.mark.parametrize("k", [1, 3, 11])
@@ -239,8 +322,7 @@ def test_index_widens_queries_inside_a_tie(k):
     grid = [(x, y) for x in range(20, 30) for y in range(20, 30)]
     pts = np.array(grid[:50] + ring + [(40.0, 40.0)] * 40 + grid[50:], dtype=float)
     queries = np.array([[0.0, 0.0], [40.0, 40.0]])
-    idx = SpatialIndex(pts)
-    idx._tree = _CountingTree(idx._tree)
+    idx = _counted(pts)
     got = idx.knn_batch(queries, k)
     want = flat_knn(pts, queries, k)
     np.testing.assert_array_equal(got[0], want[0])
@@ -272,6 +354,20 @@ def test_index_widens_past_near_ties():
     idx._tree = _SkewedTree(pts, 0, 2.0**-48)
     got = idx.knn_batch(np.zeros((1, 2)), 1)
     assert got[0].tolist() == [[0]] and got[1].tolist() == [[1.0]]
+
+
+def test_nearest_settles_only_below_the_padded_last_candidate():
+    # the nearest candidate's squared distance, 1, equals the second's
+    # padded down exactly; the tree reads point 0, which ties with it, as
+    # farther than both.  A row whose nearest is not strictly below the
+    # padded last candidate is not settled, so the next round finds point 0
+    far = 1 + 2.0**-52 * 0x8CC  # 0x1.00000000008ccp+0
+    assert geometry._pad_down(far * far) == 1.0
+    pts = np.array([[0.0, 1.0], [1.0, 0.0], [far, 0.0], [3.0, 0], [0, 3.0], [-3.0, 0]])
+    idx = SpatialIndex(pts)
+    idx._tree = _SkewedTree(pts, 0, 2.0**-30)
+    got = idx.nearest_batch(np.zeros((1, 2)))
+    assert got[0].tolist() == [0] and got[1].tolist() == [1.0]
 
 
 def test_index_rejects_unbounded_queries():
@@ -564,6 +660,20 @@ def _assert_voxels_match_oracles(pts, origin, edge):
     got = geometry._voxel_centroids(pts, rel, edge)
     assert got.tobytes() == unique_voxel_centroids(pts, origin, edge).tobytes()
     assert dedupe_rows(pts).tolist() == unique_dedupe_rows(pts).tolist()
+
+
+@pytest.mark.parametrize("scale", [1.0, COORD_LIMIT])
+def test_voxel_centroids_add_in_input_order(scale):
+    # signed zeros, and rows whose sums cancel or round differently in any
+    # other order: +-scale beside 1 and 1e-300 in the same voxel
+    rng = np.random.default_rng(7)
+    special = np.array([0.0, -0.0, scale, -scale, scale / 3, 1.0, -1.0, 1e-300])
+    for _ in range(300):
+        pts = rng.choice(special, size=(int(rng.integers(1, 40)), 3))
+        origin = pts.min(axis=0)
+        extent = float((pts.max(axis=0) - origin).max()) or 1.0
+        edge = extent * rng.choice([0.1, 0.4, 2.0])  # 2.0: one voxel holds every row
+        _assert_voxels_match_oracles(pts, origin, edge)
 
 
 @pytest.mark.parametrize("spans,fits", [
