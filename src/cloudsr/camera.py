@@ -175,6 +175,26 @@ def projection_jacobians(points: np.ndarray, rig: CameraRig) -> np.ndarray:
     return persp @ rig.rotation
 
 
+def load_json(path, what: str, error):
+    """The decoded UTF-8 JSON file at `path`.  Bad JSON, bad UTF-8 and an
+    integer past Python's digit limit raise `error`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise error(f"{what} file is not valid JSON: {exc}") from exc
+
+
+def json_object(value, keys, what: str) -> dict:
+    """`value`, which must be a JSON object with no key outside `keys`."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must hold a JSON object, got {type(value).__name__}")
+    unknown = sorted(value.keys() - set(keys))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in {what}")
+    return value
+
+
 def json_number(value, what: str) -> float:
     """A number read from JSON, as a float.  Booleans and strings are not
     numbers, whatever they would convert to."""
@@ -192,13 +212,14 @@ def json_matrix(value, what: str) -> np.ndarray:
 def rig_from_dict(data: dict) -> CameraRig:
     """Build a rig from the calibration JSON schema.
 
-    Expected keys: k_rgb {fx, fy, cx, cy}, e_rgb and e_tof as row-major
-    16-element arrays, width, height.  Every value must be a JSON number,
-    and width and height integral ones.
+    An object of exactly the keys k_rgb {fx, fy, cx, cy}, e_rgb and e_tof as
+    row-major 16-element arrays, width, height.  Every value must be a JSON
+    number, and width and height integral ones.
     """
     try:
-        kd = data["k_rgb"]
-        intr = Intrinsics(*(json_number(kd[key], key) for key in ("fx", "fy", "cx", "cy")))
+        data = json_object(data, ("k_rgb", "e_rgb", "e_tof", "width", "height"), "the file")
+        kd = json_object(data["k_rgb"], ("fx", "fy", "cx", "cy"), "k_rgb")
+        intr = Intrinsics(**{key: json_number(value, key) for key, value in kd.items()})
         e_rgb = Extrinsics(json_matrix(data["e_rgb"], "e_rgb"))
         e_tof = Extrinsics(json_matrix(data["e_tof"], "e_tof"))
         width, height = (json_number(data[key], key) for key in ("width", "height"))
@@ -211,9 +232,4 @@ def rig_from_dict(data: dict) -> CameraRig:
 
 def load_rig(path) -> CameraRig:
     """Load a calibration JSON file (see rig_from_dict)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # bad JSON or UTF-8, or an integer past the digit limit
-            raise CalibrationError(f"calibration file is not valid JSON: {exc}") from exc
-    return rig_from_dict(data)
+    return rig_from_dict(load_json(path, "calibration", CalibrationError))

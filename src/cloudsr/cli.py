@@ -9,25 +9,23 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import inspect
-import json
 import os
 import sys
 
 import numpy as np
 
-from .camera import Extrinsics, json_matrix, json_number, load_rig, project_cloud
+from .camera import load_rig, project_cloud
 from .densify import DensifyConfig, densify
 from .edges import CannyParams, canny
 from .errors import CloudSRError
 from .geometry import COORD_LIMIT, bin_downsample
-from .hull import concave_hull
+from .hull import START_K, concave_hull
 from .losses import LossWeights
 from .metrics import eval_metrics
 from .pixmap import read_pixmap, write_pixmap
 from .ply_io import read_ply, write_ply
 from .refine import RefineConfig, superres
-from .synth import SceneSpec, synth_scene
+from .synth import load_scene, synth_scene
 
 _CSV_HEADER = "u,v"
 
@@ -153,8 +151,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("hull", help="concave hull of a u,v CSV point set")
     p.add_argument("points")
     p.add_argument("output")
-    p.add_argument("--k", type=int,
-                   default=inspect.signature(concave_hull).parameters["k"].default,
+    p.add_argument("--k", type=int, default=START_K,
                    help="starting neighbor count (default %(default)s)")
 
     p = sub.add_parser("densify", help="midpoint-upsample a PLY cloud")
@@ -291,25 +288,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.scene, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as exc:  # bad JSON or UTF-8, or an integer past the digit limit
-            raise CloudSRError(f"scene file is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise CloudSRError("bad scene spec: expected a JSON object")
-    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(SceneSpec)})
-    if unknown:
-        raise CloudSRError(f"bad scene spec: unknown keys {unknown}")
-    given = dict(raw)  # fields the file leaves out keep SceneSpec's defaults
-    try:
-        for key in sorted(given.keys() - {"shape", "pose"}):
-            given[key] = json_number(given[key], key)
-        if "pose" in given:
-            given["pose"] = Extrinsics(json_matrix(given["pose"], "pose"))
-        spec = SceneSpec(**given)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CloudSRError(f"bad scene spec: {exc}") from exc
+    spec = load_scene(args.scene)
     rig = load_rig(args.calib)
     with _outputs(args.cloud_out, args.image_out):
         cloud, img = synth_scene(spec, rig)

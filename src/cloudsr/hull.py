@@ -18,6 +18,9 @@ import numpy as np
 from .errors import DegenerateCollinear, HullFailed, TooFewPoints
 from .geometry import SpatialIndex, as_point_array, dedupe_rows, require_bounded
 
+#: concave_hull's starting neighbor count, also refine's and the CLI's default
+START_K = 20
+
 _ON_EDGE_TOL = 1e-9
 _PAIR_BLOCK = 1 << 16  # segment pairs per vectorized pass: bounds memory
 _WALK_SLACK = 8  # walk rows asked beyond kk and the used rows the last step met
@@ -283,7 +286,7 @@ def _oriented_ccw(order: list[int], pts: np.ndarray) -> list[int]:
     return order
 
 
-def concave_hull(points, index_map=None, k: int = 20, likely=None) -> HullPolygon:
+def concave_hull(points, index_map=None, k: int = START_K, likely=None) -> HullPolygon:
     """Concave hull of a 2D point set with 3D source back-references.
 
     `index_map[i]` is the 3D source index of input point i (identity when

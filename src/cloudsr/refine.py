@@ -25,7 +25,7 @@ from .edges import CannyParams, GrayImage, canny
 from .errors import (AllPointsCulled, DegenerateCollinear, EmptyEdgeMap, HullFailed,
                      NonFiniteLoss, TooFewPoints)
 from .geometry import COORD_LIMIT, PointCloud3, SpatialIndex
-from .hull import concave_hull
+from .hull import START_K, concave_hull
 from .losses import LossReport, LossWeights, MatchTable, combined_loss
 
 
@@ -39,7 +39,7 @@ class RefineConfig:
     backtrack_factor: float = 0.5
     min_step: float = 1e-8
     weights: LossWeights = field(default_factory=LossWeights)
-    hull_k: int = 20
+    hull_k: int = START_K
     constant_depth: bool = False   # ablation: freeze z, move points laterally
 
     def __post_init__(self):

@@ -8,13 +8,14 @@ boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .camera import CameraRig, Extrinsics, project_cloud
+from .camera import (CameraRig, Extrinsics, json_matrix, json_number, json_object,
+                     load_json, project_cloud)
 from .edges import GrayImage
-from .errors import AllPointsCulled, FrameTooLarge, ShapeOutOfFrame
+from .errors import AllPointsCulled, CloudSRError, FrameTooLarge, ShapeOutOfFrame
 from .geometry import PointCloud3
 
 SHAPES = ("square-plane", "box", "sphere")
@@ -58,6 +59,25 @@ class SceneSpec:
                 raise ValueError("intensities must lie in [0, 1]")
         if self.fg == self.bg:
             raise ValueError("foreground and background must differ")
+
+
+def scene_from_dict(data: dict) -> SceneSpec:
+    """Build a scene from the scene JSON schema: SceneSpec's fields by name,
+    shape required, pose a row-major 16-element array, the rest numbers."""
+    try:
+        given = dict(json_object(data, [f.name for f in fields(SceneSpec)], "the file"))
+        for key in sorted(given.keys() - {"shape", "pose"}):
+            given[key] = json_number(given[key], key)
+        if "pose" in given:
+            given["pose"] = Extrinsics(json_matrix(given["pose"], "pose"))
+        return SceneSpec(**given)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CloudSRError(f"bad scene spec: {exc}") from exc
+
+
+def load_scene(path) -> SceneSpec:
+    """Load a scene JSON file (see scene_from_dict)."""
+    return scene_from_dict(load_json(path, "scene", CloudSRError))
 
 
 def _camera_center_in_tof(rig: CameraRig) -> np.ndarray:

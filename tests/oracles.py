@@ -282,17 +282,6 @@ def project_homogeneous(p, k_mat, e_rgb, e_tof):
     return img[0] / img[2], img[1] / img[2], rgb[2]
 
 
-def central_difference(f, x, h=1e-6):
-    """Central finite-difference gradient of scalar f at flat vector x."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
-
-
 def random_rotation(rng):
     """Uniform-ish random rotation matrix with determinant +1."""
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))

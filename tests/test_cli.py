@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import subprocess
@@ -401,9 +400,7 @@ def test_unwritable_output_fails_before_any_work(tmp_path, calib, scene, capsys,
     write_ply(PointCloud3([[0.0, 0, 2], [0.1, 0, 2], [0, 0.1, 2]]), inputs["ply"])
     inputs["csv"].write_text("u,v\n0,0\n1,0\n0,1\n")
     calls = []
-    # wrapped, so the signature the hull parser reads its --k default from stays
-    monkeypatch.setattr(cli, work, functools.wraps(getattr(cli, work))(
-        lambda *args, **kwargs: calls.append(args)))
+    monkeypatch.setattr(cli, work, lambda *args, **kwargs: calls.append(args))
     outs = [tmp_path / "out-a", tmp_path / "out-b"]
     outs[bad] = tmp_path / "missing" / outs[bad].name
     assert main(_writing_argv(cmd, inputs, calib, scene, *outs)) == 2 and not calls
@@ -567,6 +564,13 @@ _BIN_PLY = (b"ply\nformat binary_little_endian 1.0\n%b"
     # COORD_LIMIT; by one of extent 5e-324, division overflows to inf
     ("eval", "pred-1e-149.ply", _PLY_HEAD + "0 0 0\n100 0 0\n0 1e-149 0\n"),
     ("eval", "pred-5e-324.ply", _PLY_HEAD + "0 0 0\n100 0 0\n0 1e-149 0\n"),
+    ("project", "rig.json", "[1, 2]"),
+    ("project", "rig.json", "null"),
+    ("project", "rig.json", '"x"'),
+    ("project", "rig.json", _CALIB.replace('"width": 640', '"distortion": [0.1], "width": 640')),
+    ("project", "rig.json", _CALIB.replace('"cy": 240.0', '"cy": 240.0, "k1": 0.1')),
+    ("project", "rig.json", _CALIB.replace(
+        '{"fx": 800.0, "fy": 800.0, "cx": 320.0, "cy": 240.0}', "[800.0, 800.0, 320.0, 240.0]")),
 ], ids=["hull-bad-row", "hull-nan", "synth-bad-json", "synth-json-list", "densify-nan",
         "hull-non-ascii", "synth-non-utf8", "calib-non-utf8", "calib-width-overflow",
         "calib-zero-width", "synth-density-overflow", "synth-density-huge",
@@ -577,7 +581,9 @@ _BIN_PLY = (b"ply\nformat binary_little_endian 1.0\n%b"
         "calib-fractional-width", "calib-bool-width", "calib-string-fx",
         "calib-string-matrix-entry", "synth-string-extent", "synth-bool-fg",
         "synth-string-pose-entry", "eval-normalized-past-limit",
-        "eval-normalized-overflow"])
+        "eval-normalized-overflow", "calib-json-list", "calib-json-null",
+        "calib-json-string", "calib-unknown-key", "calib-unknown-intrinsic",
+        "calib-intrinsics-list"])
 def test_malformed_input_exit_2_without_traceback(tmp_path, calib, cmd, name, text):
     bad = tmp_path / name
     bad.write_bytes(text if isinstance(text, bytes) else text.encode("ascii"))
@@ -603,3 +609,5 @@ def test_malformed_input_exit_2_without_traceback(tmp_path, calib, cmd, name, te
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    if name == "rig.json" and text in ("[1, 2]", "null", '"x"'):
+        assert "the file must hold a JSON object" in lines[0], lines[0]
