@@ -8,7 +8,7 @@ point sets (edge maps, projections, hull vertices) are plain (N, 2) arrays.
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 
 import numpy as np
@@ -25,7 +25,6 @@ COORD_LIMIT = 1e150
 _RANK_SLACK = 4
 _RANK_BLOCK = 1 << 18  # candidate entries per tree query: bounds memory when ties widen it
 _TINY = np.finfo(np.float64).tiny  # absolute margin for distances that underflow
-_FPS_BATCH = 32  # most picks one farthest-point round may take
 _FOLD_CELLS = 1 << 63  # a grid of this many cells or more cannot fold into int64 keys
 
 
@@ -391,55 +390,52 @@ def _voxel_centroids(pts: np.ndarray, rel: np.ndarray, edge: float) -> np.ndarra
     return sums / counts[:, None]
 
 
-def farthest_point_select(pts: np.ndarray, m: int) -> np.ndarray:
-    """Indices of m points chosen by farthest-point (max-min) selection.
+def drop_closest(pts: np.ndarray, m: int) -> np.ndarray:
+    """Ascending indices of the m rows left after repeatedly dropping the
+    higher-index row of the closest remaining pair, pairs ordered by
+    (squared distance, lower index, higher index).
 
-    Deterministic: starts from the point farthest from the mean and breaks
-    ties by lowest index (np.argmax returns the first maximum).
-
-    Each pick updates only the rows it can change.  A row's `dmin` drops only
-    if its distance to the new pick is below that `dmin`, which is at most
-    the pick's own `dmin`, the global maximum; so a k-d tree ball of radius
-    sqrt(dmin[pick]) around the pick, padded by `_pad_up`, holds every such
-    row.  Those rows are recomputed with the exhaustive scan's expression.
-
-    Picks are taken in rounds.  The candidates of a round are the rows of
-    the top `_FPS_BATCH` + 1 whose `dmin` is strictly above the last one's,
-    ordered by (-dmin, index): `dmin` only falls, so no other row can catch
-    up with them.  The round takes the longest prefix in which no candidate
-    lies within an earlier one's padded reach, so no pick lowers a later
-    one and each is the argmax at its turn; a tie across the cut leaves no
-    candidate, and the round takes `np.argmax(dmin)` alone.  The prefix's
-    balls come from one tree query and their rows are lowered with one
-    `np.minimum.at`; `min` is exact in any order, so `dmin` and the pick
-    sequence are bit-identical to updating every row after every pick.
+    A live row's key is its pair with its nearest other live row, ranked by
+    `SpatialIndex` (lowest index on ties), so the smallest key is the
+    closest pair.  Keys only grow as rows drop, so a heap of them stays a
+    lower bound: a top key whose partner is gone is stale, and only its row
+    is ranked again, by a `knn_batch` of its 8 nearest rows, doubled until
+    one of them lives, which its later re-keys read first.
     """
     n = pts.shape[0]
-    d0 = np.sum((pts - pts.mean(axis=0)) ** 2, axis=1)
-    chosen = [int(np.argmax(d0))]
-    dmin = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
-    tree = cKDTree(pts, balanced_tree=False)
-    while len(chosen) < m:
-        b = min(_FPS_BATCH, m - len(chosen), n - 1)
-        # top[b] holds the cut.  Selecting the smallest of -dmin: numpy's
-        # introselect on dmin itself slows 30-fold once most rows are 0
-        top = np.argpartition(-dmin, b)[:b + 1]
-        cand = top[dmin[top] > dmin[top[b]]]
-        if cand.size:
-            cand = cand[np.lexsort((cand, -dmin[cand]))]
-            reach2 = _pad_up(dmin[cand])
-            d2 = np.sum((pts[cand, None] - pts[cand]) ** 2, axis=2)
-            clash = np.triu(d2 <= reach2[:, None], 1).any(axis=0)
-            picks = cand[:int(np.argmax(clash)) if clash.any() else cand.size]
-        else:
-            picks = np.array([np.argmax(dmin)], dtype=np.intp)
-        chosen.extend(picks.tolist())
-        balls = tree.query_ball_point(pts[picks], np.sqrt(_pad_up(dmin[picks])),
-                                      return_sorted=False)
-        rows = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp)
-        src = np.repeat(picks, [len(ball) for ball in balls])
-        np.minimum.at(dmin, rows, np.sum((pts[rows] - pts[src]) ** 2, axis=1))
-    return np.array(chosen, dtype=np.intp)
+    index = SpatialIndex(pts)
+    alive = np.ones(n, dtype=bool)
+    rows = np.arange(n)
+    idx, d2 = index.knn_batch(pts, 2)
+    # column 0 is the row itself unless a lower-index duplicate ranks first
+    col = (idx[:, 0] == rows).astype(np.intp)
+    near = idx[rows, col]
+    # (squared distance, lower index, higher index, owner row)
+    heap = list(zip(d2[rows, col].tolist(), np.minimum(rows, near).tolist(),
+                    np.maximum(rows, near).tolist(), rows.tolist()))
+    heapq.heapify(heap)
+    ranked = {}
+
+    def rekey(i):
+        idx, d2 = ranked.get(i, (rows[:0], None))
+        while not (live := alive[idx] & (idx != i)).any():
+            (idx,), (d2,) = index.knn_batch(pts[i:i + 1], min(n, max(8, 2 * idx.size)))
+            ranked[i] = idx, d2
+        at = int(np.argmax(live))
+        j = int(idx[at])
+        return float(d2[at]), min(i, j), max(i, j), i
+
+    for _ in range(n - m):
+        _, lo, hi, i = heap[0]
+        while not (alive[i] and alive[lo + hi - i]):
+            if alive[i]:
+                heapq.heapreplace(heap, rekey(i))
+            else:
+                heapq.heappop(heap)
+            _, lo, hi, i = heap[0]
+        # the top stays: a dropped owner is skipped, a kept one goes stale
+        alive[hi] = False
+    return np.flatnonzero(alive)
 
 
 def binned_centroids(pts: np.ndarray, target: int) -> np.ndarray:
@@ -526,8 +522,10 @@ def bin_downsample(cloud: PointCloud3, target_count: int) -> PointCloud3:
     """Downsample a cloud to exactly `target_count` voxel-bin centroids.
 
     Voxel edge length is bisected until the occupied bins bracket the
-    target, then farthest-point selection among the bin centroids hits the
-    count exactly.  Asking for the input size returns the input unchanged.
+    target.  The centroids come in voxel-key order: when the bisection
+    hits the count they are the output; an overshoot is cut back by
+    `drop_closest`; too few distinct rows are cycled with `np.resize`.
+    Asking for the input size returns the input unchanged.
     """
     if target_count <= 0:
         raise InvalidTarget("target_count must be positive")
@@ -537,11 +535,11 @@ def bin_downsample(cloud: PointCloud3, target_count: int) -> PointCloud3:
     if target_count == n:
         return cloud
 
-    centroids = binned_centroids(cloud.points, target_count)
-    m = min(target_count, centroids.shape[0])
-    out = centroids[farthest_point_select(centroids, m)]
-    if out.shape[0] < target_count:
-        # degenerate duplicate-heavy cloud: cycle selected centroids
+    out = binned_centroids(cloud.points, target_count)
+    if out.shape[0] > target_count:
+        out = out[drop_closest(out, target_count)]
+    elif out.shape[0] < target_count:
+        # degenerate duplicate-heavy cloud: cycle the centroids
         out = np.resize(out, (target_count, out.shape[1]))
     return PointCloud3(out)
 

@@ -331,18 +331,26 @@ def sample_far_from_ties(rng, n_edge, n_hull, margin=1e-3, span=20.0):
             return r, p
 
 
-def brute_farthest_point_select(pts, m):
-    """Farthest-point (max-min) selection that updates every row's distance
-    to the chosen set after each pick: the exhaustive O(n * m) form the
-    library's tree-pruned selection must reproduce index for index."""
-    d0 = np.sum((pts - pts.mean(axis=0)) ** 2, axis=1)
-    chosen = [int(np.argmax(d0))]
-    dmin = np.sum((pts - pts[chosen[0]]) ** 2, axis=1)
-    while len(chosen) < m:
-        nxt = int(np.argmax(dmin))
-        chosen.append(nxt)
-        dmin = np.minimum(dmin, np.sum((pts - pts[nxt]) ** 2, axis=1))
-    return np.array(chosen, dtype=np.intp)
+def brute_drop_closest(pts, m):
+    """Ascending indices of the m rows left after repeatedly dropping the
+    higher-index row of the closest remaining pair, found by `argmin` over
+    the full pair matrix: the O(n^2) form the library's heap must reproduce.
+    Squared distances use the library's per-coordinate left fold."""
+    n = pts.shape[0]
+    diff = pts[:, None, 0] - pts[None, :, 0]
+    d2 = diff * diff
+    for axis in range(1, pts.shape[1]):
+        diff = pts[:, None, axis] - pts[None, :, axis]
+        d2 = d2 + diff * diff
+    # only pairs (i, j) with i < j; row-major argmin takes the lowest i, then j
+    d2[np.tril_indices(n)] = np.inf
+    alive = np.ones(n, dtype=bool)
+    for _ in range(n - m):
+        _, hi = np.unravel_index(np.argmin(d2), d2.shape)
+        alive[hi] = False
+        d2[hi, :] = np.inf
+        d2[:, hi] = np.inf
+    return np.flatnonzero(alive)
 
 
 def lexsort_voxel_bin_count(pts, origin, edge):

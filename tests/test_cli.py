@@ -26,7 +26,7 @@ from cloudsr.ply_io import read_ply, write_ply
 from cloudsr.refine import RefineConfig
 from cloudsr.synth import MAX_PIXELS
 
-from oracles import brute_farthest_point_select, flat_knn
+from oracles import brute_drop_closest, flat_knn
 
 _CALIB = json.dumps({
     "k_rgb": {"fx": 800.0, "fy": 800.0, "cx": 320.0, "cy": 240.0},
@@ -507,13 +507,25 @@ def test_outputs_match_flat_scan_oracle(tmp_path, calib, scene, monkeypatch):
     assert run("flat") == shipped
 
 
-def test_outputs_match_brute_farthest_point_oracle(tmp_path, calib, scene, monkeypatch):
-    # the same bytes whether downsampling orders its centroids with the
-    # tree-pruned selection or by updating every row after each pick
+def test_outputs_match_brute_drop_closest_oracle(tmp_path, calib, scene, monkeypatch):
+    # the same bytes whether an overshooting downsample is trimmed by the
+    # heap or by the pair-matrix oracle; all three downsamples (the target,
+    # densify's and superres's) overshoot on this square
+    trims = []
+
+    def counted(trim):
+        def counting(pts, m):
+            trims.append((pts.shape[0], m))
+            return trim(pts, m)
+        return counting
+
     run = _pipeline_bytes(tmp_path, calib, scene)
-    shipped = run("pruned")
-    monkeypatch.setattr(geometry, "farthest_point_select", brute_farthest_point_select)
+    monkeypatch.setattr(geometry, "drop_closest", counted(geometry.drop_closest))
+    shipped = run("heap")
+    assert len(trims) == 3 and all(n > m for n, m in trims)
+    monkeypatch.setattr(geometry, "drop_closest", counted(brute_drop_closest))
     assert run("brute") == shipped
+    assert trims[3:] == trims[:3]
 
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")

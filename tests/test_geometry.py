@@ -13,11 +13,11 @@ from cloudsr.geometry import (
     bin_downsample,
     binned_centroids,
     dedupe_rows,
-    farthest_point_select,
+    drop_closest,
     normalize_to_unit,
 )
 
-from oracles import (brute_farthest_point_select, flat_knn, lexsort_voxel_bin_count, linear_knn,
+from oracles import (brute_drop_closest, flat_knn, lexsort_voxel_bin_count, linear_knn,
                      linear_nn, unique_dedupe_rows, unique_voxel_centroids)
 
 
@@ -766,63 +766,107 @@ def test_bisection_target_one_keeps_the_rounded_up_edge():
     assert bin_downsample(PointCloud3(pts), 1).points.tobytes() == centroids.tobytes()
 
 
-# -- farthest_point_select ----------------------------------------------------
+def test_downsample_exact_hit_keeps_voxel_key_order():
+    # when the bisection hits the target the centroids are the output, byte
+    # for byte; an overshoot is trimmed, keeping voxel-key order.  Normal
+    # clouds hit the target; integer lattices, whose voxel counts jump,
+    # overshoot it
+    rng = np.random.default_rng(3)
+    hits = trims = 0
+    for trial in range(30):
+        if trial % 2:
+            side = int(rng.integers(4, 9))
+            grid = np.stack(np.meshgrid(*[np.arange(float(side))] * 3), axis=-1).reshape(-1, 3)
+            pts = grid[rng.permutation(len(grid))[:int(rng.integers(len(grid) // 2, len(grid)))]]
+        else:
+            pts = rng.normal(size=(int(rng.integers(20, 300)), 3))
+        target = int(rng.integers(1, pts.shape[0]))
+        centroids = binned_centroids(pts, target)
+        got = bin_downsample(PointCloud3(pts), target).points
+        if centroids.shape[0] == target:
+            hits += 1
+            assert got.tobytes() == centroids.tobytes()
+        else:
+            trims += 1
+            want = centroids[brute_drop_closest(centroids, target)]
+            assert got.tobytes() == want.tobytes()
+    assert hits >= 10 and trims >= 10
 
 
-_PYTHAGOREAN = [(5, 0), (-5, 0), (0, 5), (0, -5)] + [
-    (sx * a, sy * b) for a, b in ((3, 4), (4, 3)) for sx in (1, -1) for sy in (1, -1)]
+def test_downsample_fewer_distinct_rows_cycles_the_centroids():
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(5, 3))[rng.integers(0, 5, 40)]
+    centroids = binned_centroids(pts, 12)
+    assert centroids.shape[0] == 5
+    got = bin_downsample(PointCloud3(pts), 12).points
+    assert got.tobytes() == np.resize(centroids, (12, 3)).tobytes()
+
+
+# -- drop_closest -------------------------------------------------------------
 
 
 @st.composite
-def _fps_clouds(draw):
-    """(points, m): integer and decimal lattices, clouds of 1-4 repeated
-    points, equal-distance rings and uniform clouds, at scales from
-    subnormal gaps to 1e8."""
+def _trim_clouds(draw):
+    """(points, m): 2D and 3D integer lattices (equal-distance ties and
+    repeated rows), rows drawn with repeats from a few base rows (so a row
+    can have lower-index duplicates), and uniform clouds, at scales from
+    1e-3 to 1e5, trimmed by 1 up to n - 2 rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 120))
-    kind = draw(st.sampled_from(["lattice", "decimal", "repeated", "ring", "uniform"]))
+    n = draw(st.integers(3, 120))
+    dim = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["lattice", "repeated", "uniform"]))
     if kind == "lattice":
-        pts = rng.integers(-3, draw(st.integers(-2, 5)) + 4, size=(n, 3)).astype(float)
-    elif kind == "decimal":
-        pts = rng.integers(0, 7, size=(n, 3)) * 0.1
+        pts = rng.integers(0, draw(st.integers(2, 8)), size=(n, dim)).astype(float)
     elif kind == "repeated":
-        base = rng.normal(size=(draw(st.integers(1, 4)), 3))
+        base = rng.normal(size=(draw(st.integers(2, 12)), dim))
         pts = base[rng.integers(0, base.shape[0], n)]
-    elif kind == "ring":
-        # rows on spheres of equal radius about a few centres: many exact ties
-        ring = np.array([(a, b, c) for a, b in _PYTHAGOREAN for c in (0, 5, -5)], float)
-        centres = rng.integers(-10, 11, size=(draw(st.integers(1, 3)), 3))
-        pts = ring[rng.integers(0, len(ring), n)] + centres[rng.integers(0, len(centres), n)]
     else:
-        pts = rng.uniform(-1, 1, size=(n, 3))
-    scale = draw(st.sampled_from([5e-324, 1e-315, 1e-300, 1e-8, 1.0, 1e3, 1e8]))
-    offset = draw(st.sampled_from([0.0, 1.0, -1e6]))
-    return pts * scale + offset, draw(st.integers(1, n))
+        pts = rng.uniform(-1, 1, size=(n, dim))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e5]))
+    return pts * scale, draw(st.integers(2, n - 1))
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
-@given(_fps_clouds())
-def test_farthest_point_select_matches_brute_oracle(case):
+@given(_trim_clouds())
+def test_drop_closest_matches_brute_oracle(case):
     pts, m = case
-    got = farthest_point_select(pts, m)
-    assert got.tolist() == brute_farthest_point_select(pts, m).tolist()
+    assert drop_closest(pts, m).tolist() == brute_drop_closest(pts, m).tolist()
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (2000, 2000), (3000, 700)])
-def test_farthest_point_select_matches_brute_oracle_at_size(n, m):
-    # a jittered lattice (densify's centroids look like this) and pure ties
-    rng = np.random.default_rng(n)
+def test_drop_closest_takes_the_nearest_other_row_past_a_duplicate():
+    # row 1 repeats row 0, so column 1 of its 2 nearest rows is itself
+    pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [3.0, 0, 0], [3.5, 0, 0], [9.0, 0, 0]])
+    idx, _ = SpatialIndex(pts).knn_batch(pts[1:2], 2)
+    assert idx[0].tolist() == [0, 1]
+    for m in range(1, 5):
+        assert drop_closest(pts, m).tolist() == brute_drop_closest(pts, m).tolist()
+    assert drop_closest(pts, 3).tolist() == [0, 2, 4]
+
+
+def _jittered_lattice(n, rng):
     side = int(round(n ** (1 / 3))) + 1
     grid = np.stack(np.meshgrid(*[np.arange(side)] * 3), axis=-1).reshape(-1, 3)[:n]
-    for pts in (grid + rng.normal(scale=0.05, size=grid.shape), grid * 0.01):
-        got = farthest_point_select(pts, m)
-        assert got.tolist() == brute_farthest_point_select(pts, m).tolist()
+    return grid + rng.normal(scale=0.05, size=grid.shape), grid * 0.01
 
 
-def _ring_around_first_pick(seed):
-    """Several hundred integer rows, shuffled: a far row that is the first
-    pick, 72 rows at exactly equal squared distance from it that are the
-    farthest from it, and nearer filler."""
+@pytest.mark.parametrize("n,m", [(2, 1), (300, 2), (2000, 1800)])
+def test_drop_closest_matches_brute_oracle_at_size(n, m):
+    # a jittered lattice (densify's centroids look like this) and pure ties
+    for pts in _jittered_lattice(n, np.random.default_rng(n)):
+        assert drop_closest(pts, m).tolist() == brute_drop_closest(pts, m).tolist()
+
+
+@pytest.mark.parametrize("m", [2, 5, 31, 33, 103, 399])
+def test_drop_closest_matches_brute_oracle_at_count(m):
+    rng = np.random.default_rng(m)
+    for pts in (rng.uniform(-1, 1, size=(400, 3)),
+                rng.integers(0, 4, size=(400, 3)).astype(float)):
+        assert drop_closest(pts, m).tolist() == brute_drop_closest(pts, m).tolist()
+
+
+def _integer_ring(seed):
+    """Several hundred integer rows, shuffled: a far row, 72 rows at exactly
+    equal squared distance from it, and nearer filler."""
     far = np.array([[-1000.0, 0.0, 0.0]])
     n2 = 5**2 * 13**2 * 17  # 72 integer (y, z) with y^2 + z^2 == n2
     r = int(np.sqrt(n2))
@@ -831,59 +875,50 @@ def _ring_around_first_pick(seed):
     rng = np.random.default_rng(seed)
     filler = np.column_stack([rng.integers(-900, -100, 300), rng.integers(-50, 51, (300, 2))])
     pts = np.concatenate([far, ring, filler.astype(float)])
-    order = rng.permutation(len(pts))
-    return pts[order], int(np.flatnonzero(order == 0)[0]), ring.shape[0]
+    return pts[rng.permutation(len(pts))]
 
 
-# at seeds 12 and 17 (numpy 2.4) the first round's `argpartition` leaves
-# the lowest-index tied row out of the top rows
 @pytest.mark.parametrize("seed", [0, 1, 12, 17])
-def test_farthest_point_select_tie_straddling_the_batch_cut(seed):
-    pts, first, tied = _ring_around_first_pick(seed)
-    assert tied > geometry._FPS_BATCH + 1
-    dmin = np.sum((pts - pts[first]) ** 2, axis=1)
-    assert np.count_nonzero(dmin == dmin.max()) == tied
-    got = farthest_point_select(pts, len(pts))
-    assert got[0] == first
-    assert got.tolist() == brute_farthest_point_select(pts, len(pts)).tolist()
+def test_drop_closest_matches_brute_oracle_on_an_integer_ring(seed):
+    pts = _integer_ring(seed)
+    for m in (len(pts) - 1, 200, 2):
+        assert drop_closest(pts, m).tolist() == brute_drop_closest(pts, m).tolist()
 
 
-def test_farthest_point_select_duplicate_heavy_cloud_to_the_end():
-    # m = n: once every distinct row is picked, the tail picks rows whose
-    # dmin is 0, and ties among them go to the lowest index
+def test_drop_closest_duplicate_heavy_cloud():
+    # 300 copies of 6 rows: every duplicate goes first, then real pairs
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(6, 3))[rng.integers(0, 6, 300)]
-    got = farthest_point_select(pts, 300)
-    assert got.tolist() == brute_farthest_point_select(pts, 300).tolist()
+    for m in (6, 3):
+        assert drop_closest(pts, m).tolist() == brute_drop_closest(pts, m).tolist()
+    assert np.unique(pts[drop_closest(pts, 6)], axis=0).shape[0] == 6
 
 
-@pytest.mark.parametrize("m", [2, 5, geometry._FPS_BATCH - 1, geometry._FPS_BATCH + 1,
-                               3 * geometry._FPS_BATCH + 7, 399])
-def test_farthest_point_select_counts_off_the_batch_width(m):
-    rng = np.random.default_rng(m)
-    for pts in (rng.uniform(-1, 1, size=(400, 3)),
-                rng.integers(0, 4, size=(400, 3)).astype(float)):
-        got = farthest_point_select(pts, m)
-        assert got.tolist() == brute_farthest_point_select(pts, m).tolist()
+def test_drop_closest_lattice_overshoot(monkeypatch):
+    # a 30^3 grid at 70% bins to a 27^3 lattice of centroids, 783 over the
+    # target, where each dropped row leaves its near-equidistant neighbours
+    # stale
+    grid = np.stack(np.meshgrid(*[np.arange(30.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    centroids = binned_centroids(grid, 18900)
+    assert centroids.shape[0] == 18900 + 783
 
+    # the oracle's pair matrix does not fit this size: check a slab of it
+    slab = centroids[:2000]
+    assert drop_closest(slab, 1920).tolist() == brute_drop_closest(slab, 1920).tolist()
 
-def test_farthest_point_select_takes_many_picks_per_tree_query(monkeypatch):
-    # a jittered lattice like densify's centroids: one pick per round would
-    # make one ball query per pick
     calls = []
+    knn_batch = SpatialIndex.knn_batch
 
-    class CountingTree(geometry.cKDTree):
-        def query_ball_point(self, *args, **kwargs):
-            calls.append(1)
-            return super().query_ball_point(*args, **kwargs)
+    def counting(self, queries, k):
+        calls.append(k)
+        return knn_batch(self, queries, k)
 
-    monkeypatch.setattr(geometry, "cKDTree", CountingTree)
-    rng = np.random.default_rng(7500)
-    grid = np.stack(np.meshgrid(*[np.arange(20)] * 3), axis=-1).reshape(-1, 3)[:7500]
-    pts = grid + rng.normal(scale=0.05, size=grid.shape)
-    got = farthest_point_select(pts, 7500)
-    assert 0 < len(calls) <= 7500 / 8
-    assert got.tolist() == brute_farthest_point_select(pts, 7500).tolist()
+    monkeypatch.setattr(SpatialIndex, "knn_batch", counting)
+    keep = drop_closest(centroids, 18900)
+    assert keep.size == 18900 and np.all(np.diff(keep) > 0)
+    # one query ranks every row's 2 nearest; a stale row ranks its 8 nearest
+    # once, and again only when all of them are gone
+    assert calls[0] == 2 and len(calls) <= 2 * 783
 
 
 # -- normalize ---------------------------------------------------------------
