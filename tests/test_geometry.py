@@ -857,7 +857,10 @@ def test_drop_closest_matches_brute_oracle_at_size(n, m):
 
 
 @pytest.mark.parametrize("m", [2, 5, 31, 33, 103, 399])
-def test_drop_closest_matches_brute_oracle_at_count(m):
+def test_farthest_point_select_counts_off_the_batch_width(m):
+    # named for the farthest-point selection that drop_closest replaced in
+    # bin_downsample: the same clouds and counts (once around its batch
+    # width of 32) now gate the trim against its oracle
     rng = np.random.default_rng(m)
     for pts in (rng.uniform(-1, 1, size=(400, 3)),
                 rng.integers(0, 4, size=(400, 3)).astype(float)):
