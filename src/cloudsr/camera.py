@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllPointsCulled, BehindCamera, CalibrationError
+from .errors import AllPointsCulled, CloudSRError
 
 #: near-plane cutoff in meters; points at or behind it have no projection
 EPS_Z = 1e-6
@@ -49,17 +49,17 @@ class Extrinsics:
     def __init__(self, matrix):
         m = np.array(matrix, dtype=np.float64).reshape(4, 4)
         if not np.all(np.isfinite(m)):
-            raise CalibrationError("extrinsic matrix must be finite")
+            raise CloudSRError("extrinsic matrix must be finite")
         if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > _ORTHO_TOL:
-            raise CalibrationError("extrinsic bottom row must be [0, 0, 0, 1]")
+            raise CloudSRError("extrinsic bottom row must be [0, 0, 0, 1]")
         r = m[:3, :3]
         # an orthonormal block has no entry beyond 1, and the bound keeps the
         # product below from overflowing on absurd input
         if (np.max(np.abs(r)) > 1.0 + _ORTHO_TOL
                 or np.max(np.abs(r.T @ r - np.eye(3))) > _ORTHO_TOL):
-            raise CalibrationError("rotation block fails orthonormality tolerance")
+            raise CloudSRError("rotation block fails orthonormality tolerance")
         if np.linalg.det(r) < 0:
-            raise CalibrationError("rotation block must have determinant +1")
+            raise CloudSRError("rotation block must have determinant +1")
         m.setflags(write=False)
         self._m = m
 
@@ -158,13 +158,13 @@ def projection_jacobians(points: np.ndarray, rig: CameraRig) -> np.ndarray:
     """Batched (N, 2, 3) Jacobians d(u, v)/d(x, y, z) of the full chain.
 
     Perspective Jacobian at each RGB-frame point, composed with the rigid
-    rotation (translation has zero derivative).  Raises BehindCamera unless
+    rotation (translation has zero derivative).  Raises CloudSRError unless
     every depth clears EPS_Z.
     """
     xyz = rgb_frame(points, rig)
     z = xyz[:, 2]
     if np.any(z <= EPS_Z):
-        raise BehindCamera("a point is at or behind the near plane")
+        raise CloudSRError("a point is at or behind the near plane")
     k = rig.k_rgb
     n = points.shape[0]
     persp = np.zeros((n, 2, 3))
@@ -175,14 +175,14 @@ def projection_jacobians(points: np.ndarray, rig: CameraRig) -> np.ndarray:
     return persp @ rig.rotation
 
 
-def load_json(path, what: str, error):
+def load_json(path, what: str):
     """The decoded UTF-8 JSON file at `path`.  Bad JSON, bad UTF-8 and an
-    integer past Python's digit limit raise `error`."""
+    integer past Python's digit limit raise CloudSRError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:
-            raise error(f"{what} file is not valid JSON: {exc}") from exc
+            raise CloudSRError(f"{what} file is not valid JSON: {exc}") from exc
 
 
 def json_object(value, keys, what: str) -> dict:
@@ -227,9 +227,9 @@ def rig_from_dict(data: dict) -> CameraRig:
             raise ValueError("width and height must be integers")
         return CameraRig(intr, e_rgb, e_tof, int(width), int(height))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CalibrationError(f"bad calibration data: {exc}") from exc
+        raise CloudSRError(f"bad calibration data: {exc}") from exc
 
 
 def load_rig(path) -> CameraRig:
     """Load a calibration JSON file (see rig_from_dict)."""
-    return rig_from_dict(load_json(path, "calibration", CalibrationError))
+    return rig_from_dict(load_json(path, "calibration"))

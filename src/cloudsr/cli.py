@@ -220,16 +220,19 @@ def _cmd_hull(args) -> int:
 @contextlib.contextmanager
 def _outputs(*paths):
     """Open each output path for appending before the work, so an
-    unwritable path fails at once; if the command then fails, remove the
-    files this created (files that existed before keep their bytes
-    unless the command was writing them)."""
+    unwritable path, or two paths that name one file, fail at once; if the
+    command then fails, remove the files this created (files that existed
+    before keep their bytes unless the command was writing them)."""
     created = []
     try:
-        for path in paths:
+        for i, path in enumerate(paths):
             existed = os.path.exists(path)
             open(path, "ab").close()
             if not existed:
                 created.append(path)
+            for earlier in paths[:i]:
+                if os.path.samefile(earlier, path):
+                    raise CloudSRError(f"outputs {earlier} and {path} are the same file")
         yield
     except BaseException:
         for path in created:

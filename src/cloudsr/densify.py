@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTarget, TooFewPoints
+from .errors import CloudSRError
 from .geometry import PointCloud3, SpatialIndex, bin_downsample, dedupe_rows
 
 #: bound on target * min(k_interp + 1, target), which exceeds the rows the
@@ -57,12 +57,12 @@ def densify(cloud: PointCloud3, cfg: DensifyConfig = DensifyConfig()) -> PointCl
     """
     n_in = len(cloud)
     if n_in < 2:
-        raise TooFewPoints("densification needs at least 2 points")
+        raise CloudSRError("densification needs at least 2 points")
     target = cfg.rate * n_in
     # every round's pool is smaller than the target, and _midpoint_round
     # ranks min(k_interp + 1, pool) neighbors per pool row
     if target * min(cfg.k_interp + 1, target) > MAX_MIDPOINT_ROWS:
-        raise InvalidTarget(
+        raise CloudSRError(
             f"densifying {n_in} points at rate {cfg.rate} with k_interp "
             f"{cfg.k_interp} exceeds {MAX_MIDPOINT_ROWS} midpoint rows")
     originals = cloud.points

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import ImageTooSmall
+from .errors import CloudSRError
 
 _SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 _SOBEL_Y = _SOBEL_X.T
@@ -97,7 +97,7 @@ def gradient(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     range is the half-open (-pi, pi].
     """
     if pixels.shape[0] < 3 or pixels.shape[1] < 3:
-        raise ImageTooSmall("gradient needs at least a 3x3 image")
+        raise CloudSRError("gradient needs at least a 3x3 image")
     gx = ndimage.correlate(pixels, _SOBEL_X, mode="nearest")
     gy = ndimage.correlate(pixels, _SOBEL_Y, mode="nearest")
     theta = np.arctan2(gy, gx)
@@ -143,7 +143,7 @@ def canny(img: GrayImage, params: CannyParams = CannyParams()) -> np.ndarray:
     a sigma whose band covers the image finds no edges.
     """
     if img.width < 3 or img.height < 3:
-        raise ImageTooSmall("canny needs at least a 3x3 image")
+        raise CloudSRError("canny needs at least a 3x3 image")
     # compared in floating point before the ceil, which overflows for a huge
     # sigma (whose kernel would not fit in memory either)
     side = min(img.width, img.height)

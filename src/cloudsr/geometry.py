@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyInput, InsufficientPoints, InvalidTarget
+from .errors import CloudSRError
 
 DEDUPE_TOL = 1e-9  # grid pitch below which two rows are one point, everywhere
 #: largest coordinate magnitude accepted: beyond it squared distances and
@@ -154,7 +154,7 @@ class SpatialIndex:
     def __init__(self, points):
         arr = as_point_array(points)
         if arr.shape[0] < 1:
-            raise EmptyInput("cannot index an empty point set")
+            raise CloudSRError("cannot index an empty point set")
         require_bounded(arr, "indexed point coordinates")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -222,9 +222,9 @@ class SpatialIndex:
         ascending with ties broken by lowest index.
         """
         if k < 1:
-            raise InsufficientPoints("k must be at least 1")
+            raise CloudSRError("k must be at least 1")
         if k > self.count:
-            raise InsufficientPoints(f"k={k} exceeds point count {self.count}")
+            raise CloudSRError(f"k={k} exceeds point count {self.count}")
         return self._rank(queries, k)
 
     def nearest_batch(self, queries) -> tuple[np.ndarray, np.ndarray]:
@@ -528,10 +528,10 @@ def bin_downsample(cloud: PointCloud3, target_count: int) -> PointCloud3:
     Asking for the input size returns the input unchanged.
     """
     if target_count <= 0:
-        raise InvalidTarget("target_count must be positive")
+        raise CloudSRError("target_count must be positive")
     n = len(cloud)
     if target_count > n:
-        raise InvalidTarget(f"target_count {target_count} exceeds cloud size {n}")
+        raise CloudSRError(f"target_count {target_count} exceeds cloud size {n}")
     if target_count == n:
         return cloud
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCollinear, HullFailed, TooFewPoints
+from .errors import HullFailed
 from .geometry import SpatialIndex, as_point_array, dedupe_rows, require_bounded
 
 #: concave_hull's starting neighbor count, also refine's and the CLI's default
@@ -296,6 +296,7 @@ def concave_hull(points, index_map=None, k: int = START_K, likely=None) -> HullP
     only changes the cost: ids that are wrong, repeated or not in `index_map`
     give the same hull.  Points beyond `geometry.COORD_LIMIT` or non-finite,
     and a repeated `index_map` entry, raise ValueError before any arithmetic.
+    Fewer than three distinct points and collinear points raise HullFailed.
     """
     if k < 3:
         raise ValueError("k must be at least 3")
@@ -316,9 +317,9 @@ def concave_hull(points, index_map=None, k: int = START_K, likely=None) -> HullP
     sources = index_map[keep]
     n = pts.shape[0]
     if n < 3:
-        raise TooFewPoints(f"need at least 3 distinct points, got {n}")
+        raise HullFailed(f"need at least 3 distinct points, got {n}")
     if np.all(orient(pts[0], pts[1], pts) == 0.0):
-        raise DegenerateCollinear("all points are collinear")
+        raise HullFailed("all points are collinear")
 
     if n == 3:
         order = _oriented_ccw([0, 1, 2], pts)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySet, TooFewVertices
+from .errors import CloudSRError
 from .geometry import SpatialIndex, as_point_array, nearest_candidate, require_bounded
 
 
@@ -107,7 +107,7 @@ def gradient_smooth_loss(verts) -> float:
     """Sum of second-difference magnitudes along the open (N, 2) vertex list."""
     verts = as_point_array(verts, 2)
     if verts.shape[0] < 3:
-        raise TooFewVertices("smoothness needs at least 3 vertices")
+        raise CloudSRError("smoothness needs at least 3 vertices")
     g = np.diff(verts, axis=0)           # edge vectors, closing edge excluded
     dg = np.diff(g, axis=0)
     return float(np.sum(np.hypot(dg[:, 0], dg[:, 1])))
@@ -168,7 +168,7 @@ def combined_loss(edges: SpatialIndex, verts, w: LossWeights = LossWeights(),
     p = as_point_array(verts, 2)
     n = p.shape[0]
     if n == 0:
-        raise EmptySet("hull vertices must not be empty")
+        raise CloudSRError("hull vertices must not be empty")
     if table is None:
         table = MatchTable.build(edges, p)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .edges import GrayImage
-from .errors import MalformedHeader, UnsupportedMagic
+from .errors import CloudSRError
 
 _LUMA = (0.299, 0.587, 0.114)
 
@@ -31,10 +31,10 @@ def _header_tokens(data: bytes, count: int):
         while i < n and not data[i:i + 1].isspace():
             i += 1
         if start == i:
-            raise MalformedHeader("pixmap header ended early")
+            raise CloudSRError("pixmap header ended early")
         tokens.append(data[start:i])
     if i >= n:
-        raise MalformedHeader("pixmap data missing after header")
+        raise CloudSRError("pixmap data missing after header")
     return tokens, i + 1  # single whitespace separates header from raster
 
 
@@ -44,7 +44,7 @@ def read_pixmap(path) -> GrayImage:
         data = fh.read()
     magic = data[:2]
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
-        raise UnsupportedMagic(f"unsupported pixmap magic {magic!r}")
+        raise CloudSRError(f"unsupported pixmap magic {magic!r}")
     color = magic in (b"P3", b"P6")
     raw = magic in (b"P5", b"P6")
     channels = 3 if color else 1
@@ -53,11 +53,11 @@ def read_pixmap(path) -> GrayImage:
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError as exc:
-        raise MalformedHeader("width/height/maxval must be integers") from exc
+        raise CloudSRError("width/height/maxval must be integers") from exc
     if width < 1 or height < 1:
-        raise MalformedHeader("pixmap dimensions must be positive")
+        raise CloudSRError("pixmap dimensions must be positive")
     if not (0 < maxval < 65536):
-        raise MalformedHeader(f"maxval {maxval} out of range")
+        raise CloudSRError(f"maxval {maxval} out of range")
 
     n_values = width * height * channels
     if raw:
@@ -65,7 +65,7 @@ def read_pixmap(path) -> GrayImage:
         need = n_values * (2 if two_byte else 1)
         body = data[offset:offset + need]
         if len(body) < need:
-            raise MalformedHeader("raster data shorter than header promises")
+            raise CloudSRError("raster data shorter than header promises")
         dtype = ">u2" if two_byte else "u1"  # 16-bit raw PNM is big-endian
         values = np.frombuffer(body, dtype=dtype).astype(np.float64)
     else:
@@ -76,13 +76,13 @@ def read_pixmap(path) -> GrayImage:
                 break  # trailing comment
             vals.append(t)
         if len(vals) < n_values:
-            raise MalformedHeader("raster data shorter than header promises")
+            raise CloudSRError("raster data shorter than header promises")
         try:
             values = np.array([int(t) for t in vals[:n_values]], dtype=np.float64)
         except (ValueError, OverflowError) as exc:
-            raise MalformedHeader("plain raster values must be integers") from exc
+            raise CloudSRError("plain raster values must be integers") from exc
     if values.max() > maxval:
-        raise MalformedHeader("raster value exceeds maxval")
+        raise CloudSRError("raster value exceeds maxval")
 
     values /= float(maxval)
     if color:

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .errors import CloudSRError, MalformedHeader, TruncatedData, UnsupportedFormat
+from .errors import CloudSRError
 from .geometry import PointCloud3
 
 _SCALAR_TYPES = {
@@ -37,13 +37,13 @@ class _Element:
 
 def _parse_header(fh):
     if fh.readline().strip() != b"ply":
-        raise MalformedHeader("missing 'ply' magic")
+        raise CloudSRError("missing 'ply' magic")
     fmt = None
     elements: list[_Element] = []
     while True:
         raw = fh.readline()
         if not raw:
-            raise MalformedHeader("header ended before end_header")
+            raise CloudSRError("header ended before end_header")
         line = raw.decode("ascii", errors="replace").strip()
         if not line or line.startswith("comment") or line.startswith("obj_info"):
             continue
@@ -52,46 +52,46 @@ def _parse_header(fh):
         parts = line.split()
         if parts[0] == "format":
             if len(parts) < 2:
-                raise MalformedHeader("bad format line")
+                raise CloudSRError("bad format line")
             if parts[1] == "ascii":
                 fmt = "ascii"
             elif parts[1] == "binary_little_endian":
                 fmt = "binary_little_endian"
             elif parts[1] == "binary_big_endian":
-                raise UnsupportedFormat("big-endian PLY is not supported")
+                raise CloudSRError("big-endian PLY is not supported")
             else:
-                raise MalformedHeader(f"unknown format {parts[1]!r}")
+                raise CloudSRError(f"unknown format {parts[1]!r}")
         elif parts[0] == "element":
             if len(parts) != 3:
-                raise MalformedHeader("bad element line")
+                raise CloudSRError("bad element line")
             try:
                 count = int(parts[2])
             except ValueError as exc:
-                raise MalformedHeader("bad element count") from exc
+                raise CloudSRError("bad element count") from exc
             if count < 0:
-                raise MalformedHeader(f"negative element count {count}")
+                raise CloudSRError(f"negative element count {count}")
             elements.append(_Element(parts[1], count))
         elif parts[0] == "property":
             if not elements:
-                raise MalformedHeader("property before any element")
+                raise CloudSRError("property before any element")
             if len(parts) < 2:
-                raise MalformedHeader("bad property line")
+                raise CloudSRError("bad property line")
             if parts[1] == "list":
                 if len(parts) != 5:
-                    raise MalformedHeader("bad list property line")
+                    raise CloudSRError("bad list property line")
                 if parts[2] not in _SCALAR_TYPES or parts[3] not in _SCALAR_TYPES:
-                    raise MalformedHeader(f"unknown list property types {line!r}")
+                    raise CloudSRError(f"unknown list property types {line!r}")
                 elements[-1].properties.append((parts[4], parts[3], parts[2]))
             else:
                 if len(parts) != 3:
-                    raise MalformedHeader("bad property line")
+                    raise CloudSRError("bad property line")
                 if parts[1] not in _SCALAR_TYPES:
-                    raise MalformedHeader(f"unknown property type {parts[1]!r}")
+                    raise CloudSRError(f"unknown property type {parts[1]!r}")
                 elements[-1].properties.append((parts[2], parts[1], None))
         else:
-            raise MalformedHeader(f"unexpected header line {line!r}")
+            raise CloudSRError(f"unexpected header line {line!r}")
     if fmt is None:
-        raise MalformedHeader("missing format line")
+        raise CloudSRError("missing format line")
     return fmt, elements
 
 
@@ -99,17 +99,17 @@ def _vertex_element(elements):
     for el in elements:
         if el.name == "vertex":
             return el
-    raise MalformedHeader("no vertex element")
+    raise CloudSRError("no vertex element")
 
 
 def _check_xyz(el: _Element) -> None:
     types = {name: (ptype, ltype) for name, ptype, ltype in el.properties}
     for axis in ("x", "y", "z"):
         if axis not in types:
-            raise MalformedHeader(f"vertex element lacks property {axis!r}")
+            raise CloudSRError(f"vertex element lacks property {axis!r}")
         ptype, ltype = types[axis]
         if ltype is not None or ptype not in _FLOAT_TYPES:
-            raise MalformedHeader(f"vertex {axis} must be a float32/float64 scalar")
+            raise CloudSRError(f"vertex {axis} must be a float32/float64 scalar")
 
 
 def _read_binary(fh, elements) -> np.ndarray:
@@ -118,14 +118,14 @@ def _read_binary(fh, elements) -> np.ndarray:
         fields = []
         for i, (name, ptype, ltype) in enumerate(el.properties):
             if ltype is not None:
-                raise UnsupportedFormat(
+                raise CloudSRError(
                     "list properties in binary elements are not supported"
                 )
             fields.append((f"f{i}__{name}", "<" + _SCALAR_TYPES[ptype]))
         dtype = np.dtype(fields)
         # check before reading: a false count must not allocate its bytes
         if dtype.itemsize * el.count > os.fstat(fh.fileno()).st_size - fh.tell():
-            raise TruncatedData(
+            raise CloudSRError(
                 f"element {el.name!r} promises {el.count} records, file ends early"
             )
         data = fh.read(dtype.itemsize * el.count)
@@ -146,7 +146,7 @@ def _read_ascii(fh, elements) -> np.ndarray:
     def take(n):
         nonlocal pos
         if pos + n > len(tokens):
-            raise TruncatedData("file ends before the promised element data")
+            raise CloudSRError("file ends before the promised element data")
         vals = tokens[pos:pos + n]
         pos += n
         return vals
@@ -156,7 +156,7 @@ def _read_ascii(fh, elements) -> np.ndarray:
         # each record takes at least one token per property, and a record
         # without properties takes none: neither may loop over a false count
         if el.count * len(el.properties) > len(tokens) - pos:
-            raise TruncatedData(
+            raise CloudSRError(
                 f"element {el.name!r} promises {el.count} records, file ends early"
             )
         if not el.properties:
@@ -169,9 +169,9 @@ def _read_ascii(fh, elements) -> np.ndarray:
                     try:
                         count = int(take(1)[0])
                     except ValueError as exc:
-                        raise MalformedHeader("bad list count") from exc
+                        raise CloudSRError("bad list count") from exc
                     if count < 0:
-                        raise MalformedHeader(f"negative list count {count}")
+                        raise CloudSRError(f"negative list count {count}")
                     take(count)
                     continue
                 val = take(1)[0]
@@ -179,7 +179,7 @@ def _read_ascii(fh, elements) -> np.ndarray:
                     try:
                         row[name] = float(val)
                     except ValueError as exc:
-                        raise MalformedHeader(f"bad float literal {val!r}") from exc
+                        raise CloudSRError(f"bad float literal {val!r}") from exc
             if el.name == "vertex":
                 rows.append((row["x"], row["y"], row["z"]))
         if el.name == "vertex":
@@ -195,7 +195,7 @@ def read_ply(path) -> PointCloud3:
         el = _vertex_element(elements)
         _check_xyz(el)
         if el.count < 1:
-            raise MalformedHeader("vertex element is empty")
+            raise CloudSRError("vertex element is empty")
         pts = _read_binary(fh, elements) if fmt == "binary_little_endian" else _read_ascii(fh, elements)
     try:
         return PointCloud3(pts)

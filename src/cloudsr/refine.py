@@ -22,8 +22,7 @@ import numpy as np
 from .camera import CameraRig, EPS_Z, pinhole, project_cloud, projection_jacobians
 from .densify import DensifyConfig, densify
 from .edges import CannyParams, GrayImage, canny
-from .errors import (AllPointsCulled, DegenerateCollinear, EmptyEdgeMap, HullFailed,
-                     NonFiniteLoss, TooFewPoints)
+from .errors import AllPointsCulled, CloudSRError, HullFailed
 from .geometry import COORD_LIMIT, PointCloud3, SpatialIndex
 from .hull import START_K, concave_hull
 from .losses import LossReport, LossWeights, MatchTable, combined_loss
@@ -99,9 +98,9 @@ def _member_loss(members: np.ndarray, rig: CameraRig, weights: LossWeights,
 
 
 def _require_finite(*values: float) -> None:
-    """Raise NonFiniteLoss unless the loss and gradient values are finite."""
+    """Raise CloudSRError unless the loss and gradient values are finite."""
     if not all(math.isfinite(v) for v in values):
-        raise NonFiniteLoss("the loss or its gradient overflows; lower the loss weights")
+        raise CloudSRError("the loss or its gradient overflows; lower the loss weights")
 
 
 def _refresh(pts: np.ndarray, rig: CameraRig, cfg: RefineConfig, edges: SpatialIndex,
@@ -111,7 +110,7 @@ def _refresh(pts: np.ndarray, rig: CameraRig, cfg: RefineConfig, edges: SpatialI
     vertices, in vertex order, how many rows the projection culled, the
     window's match candidates ranked from the hull's pixels, and the loss
     of those pixels.  `likely` (the previous members) only speeds up the
-    hull walk.  Raises NonFiniteLoss unless the loss is finite."""
+    hull walk.  Raises CloudSRError unless the loss is finite."""
     uv, index_map = project_cloud(pts, rig)
     poly = concave_hull(uv, index_map=index_map, k=cfg.hull_k, likely=likely)
     table = MatchTable.build(edges, poly.vertices)
@@ -129,12 +128,12 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
     edge map.  Non-member points are never touched.  The initial hull must
     build; a later refresh that cannot (members left the frame or collapsed)
     ends refinement with the points reached so far.  A loss or gradient that
-    is not finite (loss weights too large) raises NonFiniteLoss.
+    is not finite (loss weights too large) raises CloudSRError.
 
     Returns the refined cloud (same size and order) and the trace.
     """
     if len(edge_map) == 0:
-        raise EmptyEdgeMap("cannot refine against an empty edge map")
+        raise CloudSRError("cannot refine against an empty edge map")
     edges = SpatialIndex(edge_map)
 
     pts = cloud.points.copy()
@@ -161,7 +160,7 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
                 break
             try:
                 members, culled, table, report = _refresh(pts, rig, cfg, edges, members)
-            except (AllPointsCulled, TooFewPoints, DegenerateCollinear, HullFailed):
+            except (AllPointsCulled, HullFailed):
                 break  # members left the frame or collapsed: keep the progress
             window_start_total = report.total
 
@@ -208,6 +207,6 @@ def superres(sparse: PointCloud3, rgb: GrayImage, rig: CameraRig,
     """
     edges = canny(rgb, ccfg)
     if len(edges) == 0:
-        raise EmptyEdgeMap("edge detection found no edges to align to")
+        raise CloudSRError("edge detection found no edges to align to")
     dense = densify(sparse, dcfg)
     return refine(dense, edges, rig, rcfg)

@@ -15,7 +15,7 @@ import numpy as np
 from .camera import (CameraRig, Extrinsics, json_matrix, json_number, json_object,
                      load_json, project_cloud)
 from .edges import GrayImage
-from .errors import AllPointsCulled, CloudSRError, FrameTooLarge, ShapeOutOfFrame
+from .errors import AllPointsCulled, CloudSRError
 from .geometry import PointCloud3
 
 SHAPES = ("square-plane", "box", "sphere")
@@ -77,7 +77,7 @@ def scene_from_dict(data: dict) -> SceneSpec:
 
 def load_scene(path) -> SceneSpec:
     """Load a scene JSON file (see scene_from_dict)."""
-    return scene_from_dict(load_json(path, "scene", CloudSRError))
+    return scene_from_dict(load_json(path, "scene"))
 
 
 def _camera_center_in_tof(rig: CameraRig) -> np.ndarray:
@@ -103,7 +103,7 @@ def _box_local(extent: float, density: float, cam_local: np.ndarray):
                for axis in (2, 1, 0) for sign in (-1.0, 1.0)
                if sign * (cam_local[axis] - sign * h) > 0]
     if not visible:  # only a camera inside the box faces no face
-        raise ShapeOutOfFrame("the camera is inside the box")
+        raise CloudSRError("the camera is inside the box")
     return np.vstack(visible)
 
 
@@ -171,11 +171,11 @@ def _silhouette(spec: SceneSpec, rig: CameraRig, cam_local: np.ndarray) -> np.nd
 def synth_scene(spec: SceneSpec, rig: CameraRig):
     """Build (ground-truth cloud, silhouette image) for a scene.
 
-    Raises ShapeOutOfFrame unless every surface sample projects in-frame
+    Raises CloudSRError unless every surface sample projects in-frame
     and the silhouette stays clear of the image border.
     """
     if rig.width * rig.height > MAX_PIXELS:
-        raise FrameTooLarge(
+        raise CloudSRError(
             f"{rig.width}x{rig.height} frame exceeds {MAX_PIXELS} pixels")
     pose_r = spec.pose.rotation
     pose_t = spec.pose.translation
@@ -194,13 +194,13 @@ def synth_scene(spec: SceneSpec, rig: CameraRig):
     try:
         _, index_map = project_cloud(world, rig)
     except AllPointsCulled as exc:
-        raise ShapeOutOfFrame("no surface sample projects in frame") from exc
+        raise CloudSRError("no surface sample projects in frame") from exc
     if index_map.size != len(world):
-        raise ShapeOutOfFrame("some surface samples project out of frame")
+        raise CloudSRError("some surface samples project out of frame")
 
     mask = _silhouette(spec, rig, cam_local)
     if (mask[0, :].any() or mask[-1, :].any()
             or mask[:, 0].any() or mask[:, -1].any()):
-        raise ShapeOutOfFrame("silhouette touches the image border")
+        raise CloudSRError("silhouette touches the image border")
     img = np.where(mask, spec.fg, spec.bg)
     return cloud, GrayImage(img)

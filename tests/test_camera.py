@@ -13,7 +13,7 @@ from cloudsr.camera import (
     project_cloud,
     projection_jacobians,
 )
-from cloudsr.errors import AllPointsCulled, BehindCamera, CalibrationError
+from cloudsr.errors import AllPointsCulled, CloudSRError
 
 from oracles import project_homogeneous, random_rotation
 
@@ -58,14 +58,14 @@ def _random_rig(rng):
 def test_extrinsics_rejects_non_orthonormal():
     bad = np.eye(4)
     bad[0, 1] = 0.01
-    with pytest.raises(CalibrationError):
+    with pytest.raises(CloudSRError, match="rotation block fails orthonormality tolerance"):
         Extrinsics(bad)
 
 
 def test_extrinsics_rejects_reflection():
     m = np.eye(4)
     m[0, 0] = -1.0  # det -1
-    with pytest.raises(CalibrationError):
+    with pytest.raises(CloudSRError, match=r"rotation block must have determinant \+1"):
         Extrinsics(m)
 
 
@@ -248,9 +248,10 @@ def test_jacobian_rotation_chain_rule():
 
 
 def test_jacobian_behind_camera():
-    with pytest.raises(BehindCamera):
+    with pytest.raises(CloudSRError, match="a point is at or behind the near plane"):
         _jacobian([0.0, 0.0, -2.0], _rig())
-    with pytest.raises(BehindCamera):  # one bad row fails the whole batch
+    # one bad row fails the whole batch
+    with pytest.raises(CloudSRError, match="a point is at or behind the near plane"):
         projection_jacobians(np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 0.0]]), _rig())
 
 
@@ -311,12 +312,12 @@ def test_load_rig_rejects_bad_rotation(tmp_path):
     data["e_rgb"] = list(bad.ravel())
     path = tmp_path / "calib.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(CalibrationError):
+    with pytest.raises(CloudSRError, match="rotation block fails orthonormality tolerance"):
         load_rig(path)
 
 
 def test_load_rig_rejects_missing_keys(tmp_path):
     path = tmp_path / "calib.json"
     path.write_text(json.dumps({"width": 640}))
-    with pytest.raises(CalibrationError):
+    with pytest.raises(CloudSRError, match="bad calibration data: 'k_rgb'"):
         load_rig(path)

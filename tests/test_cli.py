@@ -410,6 +410,39 @@ def test_unwritable_output_fails_before_any_work(tmp_path, calib, scene, capsys,
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+def test_synth_outputs_naming_one_file_fail_before_any_work(tmp_path, calib, scene, capsys,
+                                                            monkeypatch, existed):
+    monkeypatch.chdir(tmp_path)
+    if existed:
+        Path("same.out").write_bytes(b"earlier run")
+    calls = []
+    monkeypatch.setattr(cli, "synth_scene", lambda *args: calls.append(args))
+    assert main(["synth", str(scene), str(calib), "same.out", "same.out"]) == 2 and not calls
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: outputs same.out and same.out are the same file"]
+    # a file this run created is removed; one that existed keeps its bytes
+    if existed:
+        assert Path("same.out").read_bytes() == b"earlier run"
+    else:
+        assert not Path("same.out").exists()
+
+
+def test_superres_trace_naming_the_output_fails_before_any_work(tmp_path, calib, capsys,
+                                                                monkeypatch):
+    # ./out.ply and out.ply are spelled apart but name one file
+    monkeypatch.chdir(tmp_path)
+    write_pixmap(GrayImage(np.zeros((480, 640))), "img.pgm")
+    write_ply(PointCloud3([[0.0, 0, 2], [0.1, 0, 2]]), "in.ply")
+    calls = []
+    monkeypatch.setattr(cli, "superres", lambda *args: calls.append(args))
+    code = main(["superres", "in.ply", "img.pgm", str(calib), "out.ply",
+                 "--trace", "./out.ply"])
+    assert code == 2 and not calls and not Path("out.ply").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: outputs out.ply and ./out.ply are the same file"]
+
+
 def _failing_argv(cmd, tmp_path, calib, out, other):
     """argv of a writing subcommand that opens its outputs, then fails with
     a data error in its work."""

@@ -3,7 +3,7 @@ import pytest
 
 import cloudsr.densify
 from cloudsr.densify import DensifyConfig, densify
-from cloudsr.errors import InvalidTarget, TooFewPoints
+from cloudsr.errors import CloudSRError
 from cloudsr.geometry import PointCloud3
 
 
@@ -77,7 +77,7 @@ def test_deterministic():
 
 
 def test_too_few_points():
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(CloudSRError, match="densification needs at least 2 points"):
         densify(PointCloud3([[0.0, 0, 0]]))
 
 
@@ -120,7 +120,11 @@ def test_size_bound_counts_ranked_rows(monkeypatch, n, rate, k_interp, bound, ad
     _no_rounds(monkeypatch)
     monkeypatch.setattr(cloudsr.densify, "MAX_MIDPOINT_ROWS", bound)
     cloud = PointCloud3(np.random.default_rng(5).normal(size=(n, 3)))
-    with pytest.raises(_RoundStarted if admitted else InvalidTarget):
+    if admitted:
+        expected = pytest.raises(_RoundStarted)
+    else:
+        expected = pytest.raises(CloudSRError, match=f"exceeds {bound} midpoint rows")
+    with expected:
         densify(cloud, DensifyConfig(rate=rate, k_interp=k_interp))
 
 

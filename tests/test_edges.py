@@ -11,7 +11,7 @@ from cloudsr.edges import (
     gradient,
     _smoothed_array,
 )
-from cloudsr.errors import ImageTooSmall
+from cloudsr.errors import CloudSRError
 
 
 def _step_image(h=64, w=64, col=32, lo=0.0, hi=1.0):
@@ -97,7 +97,7 @@ def test_gradient_constant_zero():
 
 
 def test_gradient_too_small():
-    with pytest.raises(ImageTooSmall):
+    with pytest.raises(CloudSRError, match="gradient needs at least a 3x3 image"):
         gradient(np.zeros((2, 5)))
 
 
@@ -242,5 +242,5 @@ def test_canny_edge_count_monotone_in_high_threshold():
 
 
 def test_canny_too_small():
-    with pytest.raises(ImageTooSmall):
+    with pytest.raises(CloudSRError, match="canny needs at least a 3x3 image"):
         canny(GrayImage(np.zeros((2, 2))))

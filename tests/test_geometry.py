@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cloudsr import geometry
-from cloudsr.errors import EmptyInput, InsufficientPoints, InvalidTarget
+from cloudsr.errors import CloudSRError
 from cloudsr.geometry import (
     COORD_LIMIT,
     DEDUPE_TOL,
@@ -57,7 +57,7 @@ def _knn(idx, q, k):
 
 
 def test_index_rejects_empty():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(CloudSRError, match="cannot index an empty point set"):
         SpatialIndex(np.zeros((0, 2)))
 
 
@@ -100,9 +100,9 @@ def test_knn_equidistant_tie_breaks_low_index():
 
 def test_knn_errors():
     idx = SpatialIndex(np.array([[0.0, 0.0]]))
-    with pytest.raises(InsufficientPoints):
+    with pytest.raises(CloudSRError, match="k=2 exceeds point count 1"):
         idx.knn_batch(np.array([[0.0, 0.0]]), 2)
-    with pytest.raises(InsufficientPoints):
+    with pytest.raises(CloudSRError, match="k must be at least 1"):
         idx.knn_batch(np.array([[0.0, 0.0]]), 0)
 
 
@@ -423,9 +423,9 @@ def test_downsample_exact_count_many(target):
 
 def test_downsample_errors():
     cloud = PointCloud3([[0, 0, 0]])
-    with pytest.raises(InvalidTarget):
+    with pytest.raises(CloudSRError, match="target_count must be positive"):
         bin_downsample(cloud, 0)
-    with pytest.raises(InvalidTarget):
+    with pytest.raises(CloudSRError, match="target_count 2 exceeds cloud size 1"):
         bin_downsample(cloud, 2)
 
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloudsr import hull
-from cloudsr.errors import DegenerateCollinear, TooFewPoints
+from cloudsr.errors import HullFailed
 from cloudsr.geometry import SpatialIndex
 from cloudsr.hull import concave_hull, contains_all, polygon_is_simple
 
@@ -82,11 +82,11 @@ def test_source_indices_follow_index_map():
 
 
 def test_errors():
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(HullFailed, match="need at least 3 distinct points, got 2"):
         concave_hull(np.array([[0.0, 0], [1, 1]]))
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(HullFailed, match="need at least 3 distinct points, got 2"):
         concave_hull(np.array([[0.0, 0], [0, 0], [1e-12, 0], [1, 1]]))  # dupes
-    with pytest.raises(DegenerateCollinear):
+    with pytest.raises(HullFailed, match="all points are collinear"):
         concave_hull(np.array([[0.0, 0], [1, 1], [2, 2], [3, 3]]))
     with pytest.raises(ValueError):
         concave_hull(np.array([[0.0, 0], [1, 0], [0, 1]]), k=2)

@@ -1,12 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from cloudsr.errors import (
-    MalformedHeader,
-    TruncatedData,
-    UnsupportedFormat,
-    UnsupportedMagic,
-)
+from cloudsr.errors import CloudSRError
 from cloudsr.edges import GrayImage
 from cloudsr.geometry import COORD_LIMIT, PointCloud3
 from cloudsr.pixmap import read_pixmap, write_pixmap
@@ -71,7 +68,7 @@ def test_ply_truncated_ascii(tmp_path):
         "property float x\nproperty float y\nproperty float z\nend_header\n"
         + "\n".join("0 1 2" for _ in range(9))
     )
-    with pytest.raises(TruncatedData):
+    with pytest.raises(CloudSRError, match="promises 10 records, file ends early"):
         read_ply(path)
 
 
@@ -82,7 +79,7 @@ def test_ply_truncated_binary(tmp_path):
         "property double x\nproperty double y\nproperty double z\nend_header\n"
     )
     path.write_bytes(header.encode() + b"\x00" * (3 * 8 * 3))  # 3 of 4 rows
-    with pytest.raises(TruncatedData):
+    with pytest.raises(CloudSRError, match="promises 4 records, file ends early"):
         read_ply(path)
 
 
@@ -134,27 +131,30 @@ def test_ply_big_endian_rejected(tmp_path):
         "ply\nformat binary_big_endian 1.0\nelement vertex 1\n"
         "property float x\nproperty float y\nproperty float z\nend_header\n"
     )
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(CloudSRError, match="big-endian PLY is not supported"):
         read_ply(path)
 
 
 def test_ply_malformed_headers(tmp_path):
     cases = [
-        "nope\n",
-        "ply\nelement vertex 1\nend_header\n",  # no format
-        "ply\nformat ascii 1.0\nproperty float x\nend_header\n",  # prop w/o element
-        "ply\nformat ascii 1.0\nelement vertex 1\nproperty banana x\nend_header\n",
+        ("nope\n", "missing 'ply' magic"),
+        ("ply\nelement vertex 1\nend_header\n", "missing format line"),
+        ("ply\nformat ascii 1.0\nproperty float x\nend_header\n",
+         "property before any element"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty banana x\nend_header\n",
+         "unknown property type 'banana'"),
         # vertex present but lacks z
-        "ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
-        "property float y\nend_header\n0 0\n",
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+         "property float y\nend_header\n0 0\n", "vertex element lacks property 'z'"),
         # x stored as int
-        "ply\nformat ascii 1.0\nelement vertex 1\nproperty int x\n"
-        "property float y\nproperty float z\nend_header\n0 0 0\n",
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty int x\n"
+         "property float y\nproperty float z\nend_header\n0 0 0\n",
+         "vertex x must be a float32/float64 scalar"),
     ]
-    for i, text in enumerate(cases):
+    for i, (text, message) in enumerate(cases):
         path = tmp_path / f"bad{i}.ply"
         path.write_text(text)
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(CloudSRError, match=re.escape(message)):
             read_ply(path)
 
 
@@ -208,22 +208,22 @@ def test_pixmap_16bit_raw(tmp_path):
 def test_pixmap_bad_magic(tmp_path):
     path = tmp_path / "x.pbm"
     path.write_bytes(b"P1\n1 1\n1\n")
-    with pytest.raises(UnsupportedMagic):
+    with pytest.raises(CloudSRError, match="unsupported pixmap magic b'P1'"):
         read_pixmap(path)
 
 
 def test_pixmap_malformed(tmp_path):
     short = tmp_path / "s.pgm"
     short.write_bytes(b"P5\n4 4\n255\n" + bytes(5))
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(CloudSRError, match="raster data shorter than header promises"):
         read_pixmap(short)
     nohdr = tmp_path / "h.pgm"
     nohdr.write_bytes(b"P5\n4\n")
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(CloudSRError, match="pixmap header ended early"):
         read_pixmap(nohdr)
     over = tmp_path / "o.pgm"
     over.write_text("P2\n1 1\n10\n11\n")
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(CloudSRError, match="raster value exceeds maxval"):
         read_pixmap(over)
 
 

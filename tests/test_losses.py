@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudsr.errors import EmptySet, TooFewVertices
+from cloudsr.errors import CloudSRError
 from cloudsr.geometry import COORD_LIMIT, SpatialIndex, nearest_candidate
 from cloudsr.losses import (
     MATCH_K,
@@ -261,7 +261,7 @@ def test_gs_scale_equivariance():
 
 
 def test_gs_too_few_vertices():
-    with pytest.raises(TooFewVertices):
+    with pytest.raises(CloudSRError, match="smoothness needs at least 3 vertices"):
         gradient_smooth_loss(np.array([[0.0, 0.0], [1.0, 1.0]]))
 
 
@@ -326,5 +326,5 @@ def test_combined_gradient_matches_finite_differences():
 
 def test_combined_propagates_empty():
     # an empty edge map cannot be indexed, so the vertices are the set checked
-    with pytest.raises(EmptySet, match="hull vertices must not be empty"):
+    with pytest.raises(CloudSRError, match="hull vertices must not be empty"):
         combined_loss(SpatialIndex(np.eye(3, 2)), np.zeros((0, 2)))

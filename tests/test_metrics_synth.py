@@ -5,7 +5,7 @@ import pytest
 
 from cloudsr.camera import CameraRig, Extrinsics, Intrinsics, project_cloud
 from cloudsr.edges import CannyParams, canny
-from cloudsr.errors import ShapeOutOfFrame
+from cloudsr.errors import CloudSRError
 from cloudsr.geometry import PointCloud3, normalize_to_unit
 from cloudsr.metrics import eval_metrics
 from cloudsr.synth import SceneSpec, _camera_center_in_tof, synth_scene
@@ -158,7 +158,7 @@ def test_out_of_frame_raises():
         extent=0.5,
         density=1e4,
     )
-    with pytest.raises(ShapeOutOfFrame):
+    with pytest.raises(CloudSRError, match="some surface samples project out of frame"):
         synth_scene(spec, _rig())
 
 
@@ -217,25 +217,30 @@ def test_silhouette_outline_on_pixel_centers():
     assert img.pixels[[139, 140, 340, 341], 320].tolist() == [0.0, 1.0, 1.0, 0.0]
 
 
-@pytest.mark.parametrize("shape,rot_x_deg,t,extent,density", [
-    ("square-plane", 80.0, [0.0, 0.0, 0.5], 2.0, 4e4),
-    ("square-plane", 80.0, [0.0, 0.0, 0.5], 2.0, 0.25),  # one sample, in frame
-    ("box", 30.0, [0.3, 0.0, 0.05], 0.4, 1e4),
-    ("sphere", 0.0, [0.09, 0.0, 0.24], 0.5, 1e4),
-    ("sphere", 0.0, [0.0, 0.0, -3.0], 0.5, 1e4),  # wholly behind: no sample projects
+_SOME_OUT = "some surface samples project out of frame"
+
+
+@pytest.mark.parametrize("shape,rot_x_deg,t,extent,density,message", [
+    ("square-plane", 80.0, [0.0, 0.0, 0.5], 2.0, 4e4, _SOME_OUT),
+    # one sample, in frame
+    ("square-plane", 80.0, [0.0, 0.0, 0.5], 2.0, 0.25, "silhouette touches the image border"),
+    ("box", 30.0, [0.3, 0.0, 0.05], 0.4, 1e4, _SOME_OUT),
+    ("sphere", 0.0, [0.09, 0.0, 0.24], 0.5, 1e4, _SOME_OUT),
+    # wholly behind: no sample projects
+    ("sphere", 0.0, [0.0, 0.0, -3.0], 0.5, 1e4, "no surface sample projects in frame"),
 ], ids=["square", "square-one-sample", "box", "sphere", "sphere-behind"])
-def test_shape_not_wholly_in_front_raises(shape, rot_x_deg, t, extent, density):
+def test_shape_not_wholly_in_front_raises(shape, rot_x_deg, t, extent, density, message):
     """A shape across the camera's z = 0 plane, or behind it, is out of frame."""
     spec = SceneSpec(shape, Extrinsics.from_rt(_rot("x", rot_x_deg), t), extent, density)
     if extent * np.sqrt(density) == 1.0:  # the one sample sits at the pose origin
         assert len(project_cloud(np.array([t]), _rig())[1]) == 1
-    with pytest.raises(ShapeOutOfFrame):
+    with pytest.raises(CloudSRError, match=message):
         synth_scene(spec, _rig())
 
 
 def test_camera_inside_box_is_named():
     spec = SceneSpec("box", Extrinsics.from_rt(np.eye(3), [0.0, 0.0, 0.1]), 0.5, 1e4)
-    with pytest.raises(ShapeOutOfFrame, match="the camera is inside the box"):
+    with pytest.raises(CloudSRError, match="the camera is inside the box"):
         synth_scene(spec, _rig())
 
 

@@ -6,7 +6,7 @@ import pytest
 from cloudsr.camera import CameraRig, Extrinsics, Intrinsics, pinhole, project_cloud
 from cloudsr.densify import DensifyConfig
 from cloudsr.edges import GrayImage, canny
-from cloudsr.errors import EmptyEdgeMap, TooFewPoints
+from cloudsr.errors import AllPointsCulled, CloudSRError, HullFailed
 from cloudsr.geometry import PointCloud3, SpatialIndex, bin_downsample
 from cloudsr.hull import concave_hull
 from cloudsr.losses import LossWeights, combined_loss
@@ -71,13 +71,11 @@ def test_config_validation():
 
 
 def test_empty_edge_map_rejected():
-    with pytest.raises(EmptyEdgeMap):
+    with pytest.raises(CloudSRError, match="cannot refine against an empty edge map"):
         refine(_grid_cloud(), np.zeros((0, 2)), _rig())
 
 
 def test_all_points_culled_propagates():
-    from cloudsr.errors import AllPointsCulled
-
     behind = PointCloud3(np.array([[0.0, 0, -2], [0.1, 0, -2], [0, 0.1, -2]]))
     with pytest.raises(AllPointsCulled):
         refine(behind, _square_outline(20, 80), _rig())
@@ -100,7 +98,7 @@ def test_stationary_point_zero_accepted_steps():
 def test_identical_points_have_no_hull():
     # one distinct pixel: the hull fails before the zero half-extent scales a step
     cloud = PointCloud3(np.tile([[0.1, -0.2, 2.0]], (6, 1)))
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(HullFailed, match="need at least 3 distinct points, got 1"):
         refine(cloud, _square_outline(20, 80), _rig())
 
 
@@ -299,7 +297,7 @@ def test_member_leaving_frame_counts_until_refresh():
 def test_refresh_without_a_hull_keeps_progress():
     # an edge rectangle reaching far past the left border drags members out
     # of frame; refreshes cull them until fewer than 3 distinct pixels remain,
-    # and that refresh ends refinement instead of raising TooFewPoints
+    # and that refresh ends refinement instead of raising HullFailed
     rig = _rig()
     xs, ys = np.meshgrid(np.linspace(-0.96, -0.5, 6), np.linspace(-0.3, 0.3, 6))
     pts = np.stack([xs.ravel(), ys.ravel(), np.full(36, 2.0)], axis=1)
@@ -315,11 +313,60 @@ def test_refresh_without_a_hull_keeps_progress():
     assert last.hull_size == 3 and last.culled > 0
     assert trace.accepted_steps() > 0
     uv, index_map = project_cloud(out.points, rig)
-    with pytest.raises(TooFewPoints):  # the refresh that ended the run
+    # the refresh that ended the run
+    with pytest.raises(HullFailed, match="need at least 3 distinct points"):
         concave_hull(uv, index_map=index_map, k=cfg.hull_k)
     # the progress is returned, not lost: members moved and none crossed the
     # near plane
     assert np.any(out.points != cloud.points) and np.all(pinhole(out.points, rig)[1] > 0)
+
+
+def _fail_second_hull(monkeypatch, error):
+    """Make refine's second concave_hull call, its first refresh, raise `error`."""
+    calls = []
+
+    def failing(*args, **kw):
+        calls.append(1)
+        if len(calls) == 2:
+            raise error
+        return concave_hull(*args, **kw)
+
+    monkeypatch.setattr("cloudsr.refine.concave_hull", failing)
+    return calls
+
+
+@pytest.mark.parametrize("error", [
+    HullFailed("all points are collinear"),
+    AllPointsCulled("no point projects inside the image frame"),
+], ids=["hull-failed", "all-points-culled"])
+def test_refresh_that_has_no_hull_ends_refinement(monkeypatch, error):
+    # the scene of test_offset_square_loss_decreases: unpatched it refreshes
+    # at iteration 11; a refresh that raises one of the two errors refine
+    # catches ends the run with the points of the first window
+    cloud = _grid_cloud(20, jitter=0.01)
+    edge_map = _square_outline(27.0, 73.0)
+    cfg = RefineConfig(max_iters=80)
+    reached, first_window = refine(cloud, edge_map, _rig(),
+                                   replace(cfg, max_iters=cfg.hull_refresh_period))
+    calls = _fail_second_hull(monkeypatch, error)
+    out, trace = refine(cloud, edge_map, _rig(), cfg)
+    assert len(calls) == 2
+    assert trace.records[-1].iteration == cfg.hull_refresh_period
+    assert trace.to_jsonl() == first_window.to_jsonl()
+    assert out.points.tobytes() == reached.points.tobytes()
+    assert out.points.tobytes() != cloud.points.tobytes()
+
+
+def test_refresh_with_another_data_error_propagates(monkeypatch):
+    # any other CloudSRError at a refresh, such as an overflowing loss, is
+    # not a missing hull: it leaves refine
+    calls = _fail_second_hull(
+        monkeypatch, CloudSRError("the loss or its gradient overflows; lower the loss weights"))
+    with pytest.raises(CloudSRError, match="the loss or its gradient overflows") as info:
+        refine(_grid_cloud(20, jitter=0.01), _square_outline(27.0, 73.0), _rig(),
+               RefineConfig(max_iters=80))
+    assert type(info.value) is CloudSRError
+    assert len(calls) == 2
 
 
 def test_gs_only_descent_nonincreasing():
@@ -364,7 +411,7 @@ def test_trace_jsonl_schema():
 def test_superres_empty_edges_raises():
     cloud = _grid_cloud(8)
     flat = GrayImage(np.full((64, 64), 0.5))
-    with pytest.raises(EmptyEdgeMap):
+    with pytest.raises(CloudSRError, match="edge detection found no edges to align to"):
         superres(cloud, flat, _rig())
 
 
