@@ -90,48 +90,38 @@ def _smoothed_array(pixels: np.ndarray, sigma: float) -> np.ndarray:
     return ndimage.correlate1d(out, k, axis=1, mode="nearest")
 
 
-def gradient(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sobel gradient (magnitude, direction) arrays of a 2D intensity array.
-
-    Direction is atan2(Gy, Gx) with the -pi boundary folded to +pi so the
-    range is the half-open (-pi, pi].
-    """
+def _sobel(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sobel (Gx, Gy) arrays of a 2D intensity array, borders clamped."""
     if pixels.shape[0] < 3 or pixels.shape[1] < 3:
         raise CloudSRError("gradient needs at least a 3x3 image")
-    gx = ndimage.correlate(pixels, _SOBEL_X, mode="nearest")
-    gy = ndimage.correlate(pixels, _SOBEL_Y, mode="nearest")
-    theta = np.arctan2(gy, gx)
-    return np.hypot(gx, gy), np.where(theta <= -np.pi, np.pi, theta)
+    return (ndimage.correlate(pixels, _SOBEL_X, mode="nearest"),
+            ndimage.correlate(pixels, _SOBEL_Y, mode="nearest"))
 
 
-def _nonmax_suppress(mag: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Thin ridges to single-pixel width along the quantized direction.
+def _nonmax_suppress(mag: np.ndarray, gx: np.ndarray, gy: np.ndarray,
+                     rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Which of the pixels (rows, cols) survive thinning of ridges to
+    single-pixel width along the quantized gradient direction.
 
     A pixel survives when its magnitude is >= the neighbor against the
     direction and strictly > the neighbor along it; the asymmetry breaks
     exact plateau ties so a symmetric two-pixel ridge keeps one pixel.
-    Image-border pixels never survive.
+    A neighbor outside the image reads +inf, so a border pixel survives only
+    when its direction runs along the border.
     """
     h, w = mag.shape
     padded = np.full((h + 2, w + 2), np.inf)
     padded[1:-1, 1:-1] = mag
-
-    def shifted(dr, dc):
-        return padded[1 + dr:h + 1 + dr, 1 + dc:w + 1 + dc]
-
     # fold direction to [0, pi) and quantize to 4 bins of 45 degrees; the
-    # -pi -> pi fold of `gradient` cannot move a bin, as both map to 0 here
-    folded = np.mod(theta, np.pi)
+    # -pi and pi ends of atan2 both map to bin 0 here
+    folded = np.mod(np.arctan2(gy[rows, cols], gx[rows, cols]), np.pi)
     bins = np.round(folded / (np.pi / 4.0)).astype(np.int64) % 4
     # (row, col) step along the gradient direction per bin
-    steps = {0: (0, 1), 1: (1, 1), 2: (1, 0), 3: (1, -1)}
-
-    keep = np.zeros_like(mag, dtype=bool)
-    for b, (dr, dc) in steps.items():
-        fwd = shifted(dr, dc)
-        bwd = shifted(-dr, -dc)
-        keep |= (bins == b) & (mag >= bwd) & (mag > fwd)
-    return keep
+    steps = np.array([(0, 1), (1, 1), (1, 0), (1, -1)])
+    dr, dc = steps[bins, 0], steps[bins, 1]
+    m = mag[rows, cols]
+    r, c = rows + 1, cols + 1
+    return (m >= padded[r - dr, c - dc]) & (m > padded[r + dr, c + dc])
 
 
 def canny(img: GrayImage, params: CannyParams = CannyParams()) -> np.ndarray:
@@ -153,21 +143,27 @@ def canny(img: GrayImage, params: CannyParams = CannyParams()) -> np.ndarray:
     if 2 * band >= side:
         return _NO_EDGES
 
-    mag, theta = gradient(_smoothed_array(img.pixels, params.sigma))
+    gx, gy = _sobel(_smoothed_array(img.pixels, params.sigma))
+    mag = np.hypot(gx, gy)
     # a Python float: a threshold product past the float range becomes inf
     # quietly, where a numpy scalar product warns
     gmax = float(mag.max())
     if gmax == 0.0:
         return _NO_EDGES
 
-    keep = _nonmax_suppress(mag, theta)
-    weak = keep & (mag >= params.low * gmax)
-    strong = keep & (mag >= params.high * gmax)
+    # only pixels at or above the low threshold can be weak or strong, so
+    # only they are thinned
+    rows, cols = np.nonzero(mag >= params.low * gmax)
+    keep = _nonmax_suppress(mag, gx, gy, rows, cols)
+    rows, cols = rows[keep], cols[keep]
+    weak = np.zeros(mag.shape, dtype=bool)
+    weak[rows, cols] = True
+    strong = mag[rows, cols] >= params.high * gmax
     if not strong.any():
         return _NO_EDGES
 
     labels, _ = ndimage.label(weak, structure=np.ones((3, 3), dtype=bool))
-    good = np.unique(labels[strong])
+    good = np.unique(labels[rows[strong], cols[strong]])
     edges = weak & np.isin(labels, good)
 
     edges[:band, :] = False

@@ -72,13 +72,23 @@ def _crosses_any(p, q, e0: np.ndarray, e1: np.ndarray) -> bool:
     Shared endpoints do not count (an orientation is zero there), which is
     exactly what the walk needs when testing against adjacent hull edges.
     Only the edges whose line strictly separates p from q can cross, so the
-    orientations against p-q are taken on those alone.
+    orientations against p-q are taken on those alone.  The orientations
+    are `orient`'s expressions term for term, with p and q as Python floats
+    and the edges' columns as arrays, so each of the walk's thousands of
+    short tests makes few numpy calls; two are strictly apart when the
+    product of their signs is negative.
     """
-    split = _strictly_apart(orient(e0, e1, p), orient(e0, e1, q))
+    (px, py), (qx, qy) = p.tolist(), q.tolist()
+    ax, ay = e0.T
+    bx, by = e1.T
+    dx, dy = bx - ax, by - ay
+    split = np.sign(dx * (py - ay) - dy * (px - ax)) * np.sign(dx * (qy - ay) - dy * (qx - ax)) < 0
     if not split.any():
         return False
-    e0, e1 = e0[split], e1[split]
-    return bool(np.any(_strictly_apart(orient(p, q, e0), orient(p, q, e1))))
+    ax, ay, bx, by = ax[split], ay[split], bx[split], by[split]
+    ux, uy = qx - px, qy - py
+    return bool(np.any(
+        np.sign(ux * (ay - py) - uy * (ax - px)) * np.sign(ux * (by - py) - uy * (bx - px)) < 0))
 
 
 def _on_segment(a, b, c):
@@ -102,34 +112,48 @@ def polygon_is_simple(verts: np.ndarray) -> bool:
     """True iff no pair of non-adjacent edges of the closed polygon over the
     (H, 2) vertices intersects (touching counts).
 
-    Every pair (i, j) with i < j - 1, less the adjacent pair (0, H - 1), is
-    tested with the same predicates, `_PAIR_BLOCK` pairs per vectorized
-    pass, so the work is O(H^2) and the memory O(H + _PAIR_BLOCK).
+    A sweep over the edges' u-extents (Shamos & Hoey): the edges are sorted
+    by their smallest u, and one `searchsorted` lists, for each edge, the
+    later ones whose closed u-interval meets its own, `_PAIR_BLOCK` listed
+    pairs per vectorized pass.  Of those, the pairs whose v-intervals meet
+    too, less the adjacent ones (j = i + 1 and (0, H - 1)), are tested with
+    the same predicates as edge i against edge j for i < j; a touch is
+    looked for only where an orientation is exactly zero.  A pair with
+    disjoint boxes cannot touch, and in exact arithmetic cannot cross, so
+    it is never tested.  The work is O(H log H + pairs whose u-intervals
+    meet) and the memory O(H + _PAIR_BLOCK).
     """
     a = verts
     b = np.roll(a, -1, axis=0)
     n = a.shape[0]
     if n < 4:
         return True  # a triangle's edges are pairwise adjacent
-    # row i holds j = i+2 .. n-1, and row 0 stops at n-2 because edges 0
-    # and n-1 are adjacent
-    per_row = n - 2 - np.arange(n - 2)
-    per_row[0] -= 1
-    for i, offset in _pairs(per_row):
-        j = i + 2 + offset
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order = np.argsort(lo[:, 0], kind="stable")
+    # sorted row p pairs with every later row that starts by its u end
+    ends = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    for p, offset in _pairs(ends - np.arange(1, n + 1)):
+        e, f = order[p], order[p + 1 + offset]
+        i, j = np.minimum(e, f), np.maximum(e, f)
+        test = ((np.maximum(lo[i, 1], lo[j, 1]) <= np.minimum(hi[i, 1], hi[j, 1]))
+                & (j - i > 1) & (j - i < n - 1))
+        i, j = i[test], j[test]
         ai, bi, c, d = a[i], b[i], a[j], b[j]
         d1 = orient(c, d, ai)
         d2 = orient(c, d, bi)
         d3 = orient(ai, bi, c)
         d4 = orient(ai, bi, d)
-        proper = _proper_crossing(d1, d2, d3, d4)
+        if np.any(_proper_crossing(d1, d2, d3, d4)):
+            return False
+        z = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
+        ai, bi, c, d = ai[z], bi[z], c[z], d[z]
         touch = (
-            ((d1 == 0) & _on_segment(c, d, ai))
-            | ((d2 == 0) & _on_segment(c, d, bi))
-            | ((d3 == 0) & _on_segment(ai, bi, c))
-            | ((d4 == 0) & _on_segment(ai, bi, d))
+            ((d1[z] == 0) & _on_segment(c, d, ai))
+            | ((d2[z] == 0) & _on_segment(c, d, bi))
+            | ((d3[z] == 0) & _on_segment(ai, bi, c))
+            | ((d4[z] == 0) & _on_segment(ai, bi, d))
         )
-        if np.any(proper | touch):
+        if np.any(touch):
             return False
     return True
 

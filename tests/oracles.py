@@ -7,8 +7,10 @@ evaluation, separate from the library's own code paths.
 import math
 
 import numpy as np
+from scipy import ndimage
 
 from cloudsr.camera import pinhole
+from cloudsr.edges import _smoothed_array, _sobel
 from cloudsr.geometry import DEDUPE_TOL, SpatialIndex
 from cloudsr.hull import _crosses_any, _proper_crossing, orient
 from cloudsr.losses import (_GS_KINK_EPS, LossReport, LossWeights, _gs_gradient,
@@ -146,9 +148,10 @@ def _segments_intersect(p1, p2, p3, p4):
     return False
 
 
-def brute_polygon_is_simple(vertices):
-    """Scalar pair loop: True iff no two non-adjacent edges of the closed
-    polygon intersect (touching and collinear overlap count)."""
+def brute_intersecting_pairs(vertices):
+    """Scalar pair loop: each pair (i, j), i < j, of non-adjacent edges of
+    the closed polygon that intersect (touching and collinear overlap
+    count), edge i running from vertex i to vertex i + 1."""
     verts = np.asarray(vertices, dtype=np.float64)
     n = len(verts)
     for i in range(n):
@@ -158,8 +161,12 @@ def brute_polygon_is_simple(vertices):
                 continue  # adjacent edges share an endpoint legitimately
             c, d = verts[j], verts[(j + 1) % n]
             if _segments_intersect(a, b, c, d):
-                return False
-    return True
+                yield i, j
+
+
+def brute_polygon_is_simple(vertices):
+    """True iff no two non-adjacent edges of the closed polygon intersect."""
+    return next(brute_intersecting_pairs(vertices), None) is None
 
 
 def brute_points_in_polygon(vertices, points, tol=1e-9):
@@ -524,3 +531,42 @@ def silhouette_mask(spec, rig):
         corners = np.array([[sx * h, sy * h, sz * h]
                             for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
     return convex_silhouette_mask(rig, corners @ spec.pose.rotation.T + spec.pose.translation)
+
+
+def sobel_gradient(pixels):
+    """Sobel gradient (magnitude, direction) arrays of a 2D intensity array,
+    from the library's (Gx, Gy).
+
+    Direction is atan2(Gy, Gx) with the -pi boundary folded to +pi so the
+    range is the half-open (-pi, pi].
+    """
+    gx, gy = _sobel(pixels)
+    theta = np.arctan2(gy, gx)
+    return np.hypot(gx, gy), np.where(theta <= -np.pi, np.pi, theta)
+
+
+def dense_canny(img, params):
+    """Canny with non-maximum suppression over every pixel of the image,
+    not only those at or above the low threshold: the (E, 2) edge pixels
+    as `edges.canny` returns them, from the same gradient, thresholds and
+    hysteresis."""
+    band = math.ceil(3.0 * params.sigma) + 1
+    mag, theta = sobel_gradient(_smoothed_array(img.pixels, params.sigma))
+    gmax = float(mag.max())
+    h, w = mag.shape
+    padded = np.full((h + 2, w + 2), np.inf)
+    padded[1:-1, 1:-1] = mag
+    bins = np.round(np.mod(theta, np.pi) / (np.pi / 4.0)).astype(np.int64) % 4
+    keep = np.zeros_like(mag, dtype=bool)
+    for b, (dr, dc) in enumerate([(0, 1), (1, 1), (1, 0), (1, -1)]):
+        fwd = padded[1 + dr:h + 1 + dr, 1 + dc:w + 1 + dc]
+        bwd = padded[1 - dr:h + 1 - dr, 1 - dc:w + 1 - dc]
+        keep |= (bins == b) & (mag >= bwd) & (mag > fwd)
+    weak = keep & (mag >= params.low * gmax)
+    strong = keep & (mag >= params.high * gmax)
+    labels, _ = ndimage.label(weak, structure=np.ones((3, 3), dtype=bool))
+    edges = weak & np.isin(labels, labels[strong])
+    edges[:band, :] = edges[-band:, :] = False
+    edges[:, :band] = edges[:, -band:] = False
+    rows, cols = np.nonzero(edges)
+    return np.stack([cols, rows], axis=1).astype(np.float64)

@@ -8,10 +8,11 @@ from cloudsr.edges import (
     GrayImage,
     canny,
     gaussian_kernel,
-    gradient,
     _smoothed_array,
 )
 from cloudsr.errors import CloudSRError
+
+from oracles import dense_canny, sobel_gradient
 
 
 def _step_image(h=64, w=64, col=32, lo=0.0, hi=1.0):
@@ -88,22 +89,22 @@ def test_smooth_step_matches_reference_and_is_monotone():
     assert np.all(diffs >= -1e-15)  # monotone ramp across the step
 
 
-# -- gradient ---------------------------------------------------------------------
+# -- gradient: the library's Sobel (Gx, Gy) as magnitude and direction -------------
 
 
 def test_gradient_constant_zero():
-    mag, _ = gradient(np.full((10, 10), 0.5))
+    mag, _ = sobel_gradient(np.full((10, 10), 0.5))
     assert np.all(mag == 0.0)
 
 
 def test_gradient_too_small():
     with pytest.raises(CloudSRError, match="gradient needs at least a 3x3 image"):
-        gradient(np.zeros((2, 5)))
+        sobel_gradient(np.zeros((2, 5)))
 
 
 def test_gradient_vertical_step_response():
     img = _step_image(h=16, w=16, col=8)
-    mag, direction = gradient(img.pixels)
+    mag, direction = sobel_gradient(img.pixels)
     interior = mag[1:-1, :]
     peak = interior.max()
     # max response on the two columns adjacent to the step, horizontal angle
@@ -115,8 +116,8 @@ def test_gradient_vertical_step_response():
 def test_gradient_transpose_swaps_components():
     rng = np.random.default_rng(0)
     img = rng.uniform(size=(20, 14))
-    mag, direction = gradient(img)
-    mag_t, direction_t = gradient(img.T)
+    mag, direction = sobel_gradient(img)
+    mag_t, direction_t = sobel_gradient(img.T)
     np.testing.assert_allclose(mag_t, mag.T, atol=1e-12)
     mask = mag.T > 1e-9
     # transposing swaps Gx and Gy, so cos and sin of the angle swap too
@@ -130,7 +131,7 @@ def test_gradient_transpose_swaps_components():
 
 def test_gradient_direction_range():
     rng = np.random.default_rng(1)
-    _, direction = gradient(rng.uniform(size=(12, 12)))
+    _, direction = sobel_gradient(rng.uniform(size=(12, 12)))
     assert np.all(direction > -np.pi)
     assert np.all(direction <= np.pi)
 
@@ -195,7 +196,7 @@ def test_canny_edges_satisfy_threshold_and_connectivity_invariant():
     out = canny(GrayImage(img), params)
     assert len(out) > 0
 
-    mag, _ = gradient(_smoothed_array(img, params.sigma))
+    mag, _ = sobel_gradient(_smoothed_array(img, params.sigma))
     gmax = mag.max()
     edge_set = {(int(v), int(u)) for u, v in out}
     for r, c in edge_set:
@@ -221,7 +222,7 @@ def test_canny_nms_pixels_are_local_maxima():
     img[12:36, 12:36] = 1.0
     params = CannyParams()
     out = canny(GrayImage(img), params)
-    mag, theta = gradient(_smoothed_array(img, params.sigma))
+    mag, theta = sobel_gradient(_smoothed_array(img, params.sigma))
     bins = np.round(np.mod(theta, np.pi) / (np.pi / 4)).astype(int) % 4
     steps = {0: (0, 1), 1: (1, 1), 2: (1, 0), 3: (1, -1)}
     for u, v in out:
@@ -229,6 +230,50 @@ def test_canny_nms_pixels_are_local_maxima():
         dr, dc = steps[bins[r, c]]
         assert mag[r, c] >= mag[r + dr, c + dc]
         assert mag[r, c] >= mag[r - dr, c - dc]
+
+
+def _disc(size, radius, rng):
+    v, u = np.mgrid[0:size, 0:size]
+    img = 0.2 + 0.6 * ((u - size / 2) ** 2 + (v - size / 2) ** 2 < radius ** 2)
+    return np.clip(img + rng.uniform(0, 0.05, size=img.shape), 0, 1)
+
+
+@pytest.mark.parametrize("params", [CannyParams(), CannyParams(sigma=0.6, low=0.02, high=0.05),
+                                    CannyParams(sigma=2.5, low=0.3, high=0.9)])
+def test_canny_matches_dense_suppression(params):
+    # thinning only the pixels at or above the low threshold keeps every
+    # weak and strong pixel: the same bytes as thinning the whole image, on
+    # noise, a noisy disc, exact plateaus and ramps, and a dark-right step
+    # whose direction atan2(0, -g) is exactly pi
+    rng = np.random.default_rng(4)
+    images = [rng.uniform(size=(40, 56)), _disc(64, 20, rng), np.tri(48, 48, k=5) * 0.7,
+              np.clip(np.add.outer(np.arange(32), np.arange(40)) / 80.0, 0, 1),
+              1.0 - _step_image(col=30).pixels]
+    found = 0
+    for img in images:
+        got = canny(GrayImage(img), params)
+        want = dense_canny(GrayImage(img), params)
+        assert got.tobytes() == want.tobytes()
+        found += len(got)
+    assert found
+
+
+def test_canny_pixel_at_the_low_threshold_is_weak():
+    # the weakest edge pixel found at the default thresholds sets the low
+    # threshold exactly: it is still a weak pixel, and every pixel on its
+    # path to a strong one is at least as strong, so it stays an edge
+    img = _disc(64, 20, np.random.default_rng(6))
+    mag, _ = sobel_gradient(_smoothed_array(img, CannyParams().sigma))
+    gmax = float(mag.max())
+    edges = canny(GrayImage(img)).astype(int)
+    u, v = min(edges, key=lambda e: mag[e[1], e[0]])
+    low = mag[v, u] / gmax
+    while low * gmax != mag[v, u]:
+        low = np.nextafter(low, np.inf if low * gmax < mag[v, u] else -np.inf)
+    params = CannyParams(low=float(low), high=max(0.2, float(np.nextafter(low, 1.0))))
+    got = canny(GrayImage(img), params)
+    assert [u, v] in got.astype(int).tolist()
+    assert got.tobytes() == dense_canny(GrayImage(img), params).tobytes()
 
 
 def test_canny_edge_count_monotone_in_high_threshold():

@@ -330,6 +330,28 @@ def test_index_widens_queries_inside_a_tie(k):
     assert len(idx._tree.widths) > 1 and idx._tree.widths[-1] > idx._tree.widths[0]
 
 
+@pytest.mark.parametrize("kind", ["two-points", "few-points", "lattice"])
+@pytest.mark.parametrize("k", [1, 3, 40])
+def test_tie_groups_match_flat_knn(kind, k):
+    # every row's nearest points tie with tens to hundreds of others, so the
+    # widths grow over several rounds, and the result is still the flat
+    # scan's
+    rng = np.random.default_rng(len(kind) + k)
+    if kind == "lattice":
+        grid = np.stack(np.meshgrid(np.arange(4), np.arange(4), indexing="ij"), axis=-1)
+        base = grid.reshape(-1, 2).astype(float)
+    else:
+        base = rng.normal(size=(2 if kind == "two-points" else 5, 3))
+    pts = base[rng.integers(0, base.shape[0], 600)]
+    queries = np.vstack([pts[:50], base + 0.25])
+    idx = _counted(pts)
+    got = idx.knn_batch(queries, k)
+    want = flat_knn(pts, queries, k)
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+    assert len(idx._tree.widths) > 1
+
+
 class _SkewedTree:
     """Ranks like the left fold, except that one point reads `skew`
     relatively farther, as rounding inside a tree may make it."""

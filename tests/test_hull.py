@@ -8,7 +8,7 @@ from cloudsr.errors import HullFailed
 from cloudsr.geometry import SpatialIndex
 from cloudsr.hull import concave_hull, contains_all, polygon_is_simple
 
-from oracles import (all_edges_crosses_any, brute_points_in_polygon,
+from oracles import (all_edges_crosses_any, brute_intersecting_pairs, brute_points_in_polygon,
                      brute_polygon_is_simple, full_width_walk, monotone_chain)
 
 
@@ -134,51 +134,140 @@ def _circle(n):
     return np.stack([np.cos(t), np.sin(t)], axis=1)
 
 
-def _one_crossing(n, i):
-    """A regular n-gon with vertices i+1 and i+2 swapped: edges i and i+2
-    cross and no other pair meets.  The pair (i, i+2) is the first of
-    polygon_is_simple's row i, and (n-3, n-1) its last pair overall."""
-    verts = _circle(n)
-    a, b = (i + 1) % n, (i + 2) % n
-    verts[[a, b]] = verts[[b, a]]
-    return verts
+def _rake(teeth):
+    """A simple polygon of `teeth` horizontal teeth off a spine at u = 0.
+    Every tooth edge spans u in [0, 10] (the first from -1), so the sweep
+    lists most of its edge pairs; edge 4t runs along the bottom of tooth t,
+    edge 4t + 1 up its tip at u = 10 and edge 4t + 2 back along its top."""
+    verts = [[-1.0, 0.0]]
+    for t in range(teeth):
+        verts += [[10.0, 3 * t], [10.0, 3 * t + 1], [0.0, 3 * t + 1]]
+        verts.append([0.0, 3 * t + 3] if t < teeth - 1 else [-1.0, 3 * t + 1])
+    return np.array(verts)
 
 
-def _pair_offset(n, i):
-    """Index of pair (i, i+2) in polygon_is_simple's (i, j) enumeration."""
-    per_row = [n - 3] + [n - 2 - r for r in range(1, n - 2)]
-    return sum(per_row[:i])
+def _one_crossing(teeth, t):
+    """The rake with the two tip vertices of tooth t swapped: the tooth's
+    bottom and top edges cross, and no other pair meets."""
+    verts = _rake(teeth)
+    verts[[4 * t + 1, 4 * t + 2]] = verts[[4 * t + 2, 4 * t + 1]]
+    return verts, (4 * t, 4 * t + 2)
+
+
+def _sweep_position(verts, pair):
+    """(position of the edge pair among the pairs polygon_is_simple lists,
+    number listed): edges sorted by smallest u, ties by index, and each
+    sorted edge paired, in order, with every later one that starts at or
+    before its largest u."""
+    nxt = np.roll(verts, -1, axis=0)
+    lo, hi = np.minimum(verts[:, 0], nxt[:, 0]), np.maximum(verts[:, 0], nxt[:, 0])
+    rows = sorted(range(len(verts)), key=lambda e: (lo[e], e))
+    listed = [{e, f} for p, e in enumerate(rows) for f in rows[p + 1:] if lo[f] <= hi[e]]
+    return listed.index(set(pair)), len(listed)
 
 
 @pytest.mark.parametrize("block", [2, 7, 64])
 def test_polygon_is_simple_blocks_match_pair_loop(monkeypatch, block):
-    # 40 vertices make 740 pairs, so every block size here splits them,
-    # and the 38 crossings land at many positions within their blocks
+    # a 10-tooth rake lists 682 edge pairs, so every block size here splits
+    # them, and the crossings of its 10 one-crossing variants land in
+    # several blocks and at several positions within them
     monkeypatch.setattr(hull, "_PAIR_BLOCK", block)
-    n = 40
-    assert polygon_is_simple(_circle(n)) and brute_polygon_is_simple(_circle(n))
-    for i in range(n - 2):
-        verts = _one_crossing(n, i)
-        assert not brute_polygon_is_simple(verts)
+    teeth = 10
+    assert polygon_is_simple(_rake(teeth)) and brute_polygon_is_simple(_rake(teeth))
+    positions = []
+    for t in range(teeth):
+        verts, pair = _one_crossing(teeth, t)
+        assert list(brute_intersecting_pairs(verts)) == [pair]
         assert not polygon_is_simple(verts)
+        at, listed = _sweep_position(verts, pair)
+        positions.append(at)
+    assert listed == 682
+    assert len({at // block for at in positions}) > 1
+    assert len({at % block for at in positions}) > 1
 
 
 def test_polygon_is_simple_crossing_on_a_block_boundary(monkeypatch):
-    n, i = 40, 11
-    at = _pair_offset(n, i)
-    for block in (at, at + 1):   # the crossing opens a block, then closes one
+    verts, pair = _one_crossing(10, 4)
+    at, listed = _sweep_position(verts, pair)
+    # the crossing opens the second block, then closes the first
+    for block, (nth, place) in ((at, (1, 0)), (at + 1, (0, at))):
+        assert (at // block, at % block) == (nth, place) and listed > block
         monkeypatch.setattr(hull, "_PAIR_BLOCK", block)
-        assert not polygon_is_simple(_one_crossing(n, i))
+        assert not polygon_is_simple(verts)
 
 
 def test_polygon_is_simple_beyond_one_block():
-    # more pairs than one block holds; the only crossing is the last pair
-    n = 400
-    assert polygon_is_simple(_circle(n))
-    verts = _one_crossing(n, n - 3)
-    assert _pair_offset(n, n - 3) >= hull._PAIR_BLOCK
-    assert not brute_polygon_is_simple(verts)
+    # more pairs than one block holds; the only crossing lies past the first
+    teeth = 110
+    assert polygon_is_simple(_rake(teeth))
+    verts, pair = _one_crossing(teeth, teeth - 1)
+    at, listed = _sweep_position(verts, pair)
+    assert at >= hull._PAIR_BLOCK
+    assert list(brute_intersecting_pairs(verts)) == [pair]
     assert not polygon_is_simple(verts)
+
+
+def test_polygon_is_simple_matches_pair_loop_sweep_ties():
+    # few distinct u values make vertical edges and equal smallest u
+    # common, repeated vertices make zero-length edges, and perturbed rakes
+    # have edges that all overlap in u, with and without crossings
+    rng = np.random.default_rng(23)
+    outcomes = set()
+    for trial in range(600):
+        if trial % 3 == 2:
+            verts = _rake(int(rng.integers(1, 6)))
+            verts[:, 0] *= rng.integers(1, 4, size=len(verts)) * (verts[:, 0] != 0)
+            if rng.random() < 0.5:
+                t = int(rng.integers(0, len(verts) - 1))
+                verts[[t, t + 1]] = verts[[t + 1, t]]
+        else:
+            n = int(rng.integers(4, 12))
+            verts = np.stack([rng.integers(0, 3, n), rng.integers(0, 6, n)], axis=1).astype(float)
+            verts = np.repeat(verts, rng.integers(1, 3, n), axis=0)
+        want = brute_polygon_is_simple(verts)
+        assert polygon_is_simple(verts) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def _straight_silhouette(rng, m, projected):
+    """m points of a straight image line, each coordinate moved by at most
+    one ulp, and an apex off the line: a thin polygon whose far-apart
+    chain edges are collinear up to rounding.  The line is either a 3D
+    segment seen by a pinhole camera or evenly sampled across the origin."""
+    s = np.arange(m) / (m - 1)
+    if projected:
+        ends = rng.uniform([-1, -1, 2], [1, 1, 4]), rng.uniform(-1, 1, 3)
+        xyz = ends[0] + s[:, None] * ends[1]
+        line = 525.0 * xyz[:, :2] / xyz[:, 2:]
+    else:
+        line = rng.uniform(-300, -100, 2) + s[:, None] * rng.uniform(200, 600, 2)
+    line = np.nextafter(line, line + rng.integers(-1, 2, size=line.shape))
+    along = line[-1] - line[0]
+    apex = line[m // 2] + 10 * np.array([-along[1], along[0]]) / np.hypot(*along)
+    return np.vstack([line, apex])
+
+
+def test_polygon_is_simple_skips_far_near_collinear_pairs():
+    # the sweep never tests a pair whose boxes are disjoint; the pair loop
+    # does, and rounding can make such a pair read as a proper crossing
+    # when its orientations lie within an ulp of zero.  That is the only
+    # way the two may disagree
+    disagree = 0
+    for projected in (True, False):
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            verts = _straight_silhouette(rng, 24, projected)
+            got, want = polygon_is_simple(verts), brute_polygon_is_simple(verts)
+            if got == want:
+                continue
+            disagree += 1
+            assert got and not want
+            nxt = np.roll(verts, -1, axis=0)
+            lo, hi = np.minimum(verts, nxt), np.maximum(verts, nxt)
+            for i, j in brute_intersecting_pairs(verts):
+                assert np.any((lo[i] > hi[j]) | (lo[j] > hi[i]))
+    assert disagree  # the 28th evenly sampled line
 
 
 @pytest.mark.parametrize("block", [2, 7, 64])
