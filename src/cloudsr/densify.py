@@ -45,7 +45,7 @@ def _midpoint_round(pts: np.ndarray, k_interp: int) -> np.ndarray:
     rows = np.repeat(np.arange(n), k)
     cols = nbrs.ravel()
     mask = rows != cols
-    return 0.5 * (pts[rows[mask]] + pts[cols[mask]])
+    return 0.5 * (np.take(pts, rows[mask], axis=0) + np.take(pts, cols[mask], axis=0))
 
 
 def densify(cloud: PointCloud3, cfg: DensifyConfig = DensifyConfig()) -> PointCloud3:

@@ -200,7 +200,8 @@ class SpatialIndex:
                 rows = todo[lo:lo + step]
                 _, cand = self._tree.query(Q[rows], k=width)
                 cand = cand.reshape(rows.size, width)
-                d2 = self._sq_dists(self._points[cand], Q[rows, None, :])
+                # np.take gathers rows several times faster than fancy indexing
+                d2 = self._sq_dists(np.take(self._points, cand, axis=0), Q[rows, None, :])
                 order = np.lexsort((cand, d2))
                 at = np.arange(rows.size)[:, None]
                 cand, d2 = cand[at, order], d2[at, order]
@@ -262,7 +263,7 @@ def nearest_candidate(points: np.ndarray, queries: np.ndarray, cand: np.ndarray,
     sides are padded by `_pad_up` and `_pad_down`, so a settled row equals
     the exhaustive scan's.  Unsettled rows need a full query.
     """
-    d2 = SpatialIndex._sq_dists(points[cand], queries[:, None, :])
+    d2 = SpatialIndex._sq_dists(np.take(points, cand, axis=0), queries[:, None, :])
     # candidates ascend by index, so the first minimum is the lowest index
     col = np.argmin(d2, axis=1)
     at = np.arange(cand.shape[0])

@@ -11,6 +11,7 @@ the terminal fallback and failure is unreachable for non-collinear input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ START_K = 20
 _ON_EDGE_TOL = 1e-9
 _PAIR_BLOCK = 1 << 16  # segment pairs per vectorized pass: bounds memory
 _WALK_SLACK = 8  # walk rows asked beyond kk and the used rows the last step met
+_LONG_CELLS = 16  # grid cells an edge or query box covers before it takes a scan list
 
 
 @dataclass(frozen=True)
@@ -66,29 +68,92 @@ def _proper_crossing(d1, d2, d3, d4):
     return _strictly_apart(d1, d2) & _strictly_apart(d3, d4)
 
 
-def _crosses_any(p, q, e0: np.ndarray, e1: np.ndarray) -> bool:
-    """True if open segment p-q properly crosses any segment e0[i]-e1[i].
+class _EdgeGrid:
+    """The walk's hull edges, bucketed in a uniform grid of square cells
+    (Franklin et al., Auto-Carto 9, 1989), so that a crossing test reads
+    only the edges near its segment.
 
-    Shared endpoints do not count (an orientation is zero there), which is
-    exactly what the walk needs when testing against adjacent hull edges.
-    Only the edges whose line strictly separates p from q can cross, so the
-    orientations against p-q are taken on those alone.  The orientations
-    are `orient`'s expressions term for term, with p and q as Python floats
-    and the edges' columns as arrays, so each of the walk's thousands of
-    short tests makes few numpy calls; two are strictly apart when the
-    product of their signs is negative.
+    A coordinate's cell index is its offset from `origin` in units of
+    `cell`, truncated.  An edge is registered in every cell its bounding box
+    covers, or, when that is more than `_LONG_CELLS` cells, on a short list
+    that every query scans; a query whose box covers more than that many
+    cells scans every edge.  The cell index is monotone in the coordinate,
+    so an edge whose box meets the query's shares a cell with it or sits on
+    one of those lists.  Of the edges read, only those whose boxes meet the query's are
+    tested, as `polygon_is_simple` tests only such pairs, so the cell size
+    changes the cost, never an answer.
     """
-    (px, py), (qx, qy) = p.tolist(), q.tolist()
-    ax, ay = e0.T
-    bx, by = e1.T
-    dx, dy = bx - ax, by - ay
-    split = np.sign(dx * (py - ay) - dy * (px - ax)) * np.sign(dx * (qy - ay) - dy * (qx - ax)) < 0
-    if not split.any():
+
+    def __init__(self, origin: tuple[float, float], cell: float):
+        self._x0, self._y0 = origin
+        self._cell = cell
+        self._cells: dict[tuple[int, int], list[tuple]] = {}
+        self._long: list[tuple] = []  # edges covering more than _LONG_CELLS cells
+        self._edges: list[tuple] = []  # every edge
+
+    def _cover(self, lx: float, hx: float, ly: float, hy: float):
+        """The first and last cell column and row a box covers, or None
+        when it covers more than `_LONG_CELLS` cells."""
+        x0, y0, cell = self._x0, self._y0, self._cell
+        i0, i1 = int((lx - x0) / cell), int((hx - x0) / cell)
+        j0, j1 = int((ly - y0) / cell), int((hy - y0) / cell)
+        if (i1 - i0 + 1) * (j1 - j0 + 1) > _LONG_CELLS:
+            return None
+        return i0, i1, j0, j1
+
+    def add(self, ax: float, ay: float, bx: float, by: float) -> None:
+        """Register the edge a-b."""
+        lx, hx = (ax, bx) if ax <= bx else (bx, ax)
+        ly, hy = (ay, by) if ay <= by else (by, ay)
+        edge = (ax, ay, bx, by, lx, hx, ly, hy)
+        self._edges.append(edge)
+        cover = self._cover(lx, hx, ly, hy)
+        if cover is None:
+            self._long.append(edge)
+            return
+        i0, i1, j0, j1 = cover
+        cells = self._cells
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                cells.setdefault((i, j), []).append(edge)
+
+    def crosses(self, px: float, py: float, qx: float, qy: float) -> bool:
+        """True if open segment p-q properly crosses a registered edge whose
+        bounding box meets its own.
+
+        The orientations are `orient`'s expressions term for term: the
+        edge's line must strictly separate p from q, and the line p-q the
+        edge's ends, so a zero orientation (a touch, or an end shared with
+        an adjacent hull edge) never counts.
+        """
+        lx, hx = (px, qx) if px <= qx else (qx, px)
+        ly, hy = (py, qy) if py <= qy else (qy, py)
+        cover = self._cover(lx, hx, ly, hy)
+        if cover is None:
+            groups = [self._edges]
+        else:
+            i0, i1, j0, j1 = cover
+            cells = self._cells
+            groups = [self._long]
+            for i in range(i0, i1 + 1):
+                for j in range(j0, j1 + 1):
+                    if (i, j) in cells:
+                        groups.append(cells[i, j])
+        ux, uy = qx - px, qy - py
+        for group in groups:
+            for ax, ay, bx, by, elx, ehx, ely, ehy in group:
+                if ehx < lx or elx > hx or ehy < ly or ely > hy:
+                    continue
+                dx, dy = bx - ax, by - ay
+                d1 = dx * (py - ay) - dy * (px - ax)
+                d2 = dx * (qy - ay) - dy * (qx - ax)
+                if not (d1 < 0 < d2 or d2 < 0 < d1):
+                    continue
+                d3 = ux * (ay - py) - uy * (ax - px)
+                d4 = ux * (by - py) - uy * (bx - px)
+                if d3 < 0 < d4 or d4 < 0 < d3:
+                    return True
         return False
-    ax, ay, bx, by = ax[split], ay[split], bx[split], by[split]
-    ux, uy = qx - px, qy - py
-    return bool(np.any(
-        np.sign(ux * (ay - py) - uy * (ax - px)) * np.sign(ux * (by - py) - uy * (bx - px)) < 0))
 
 
 def _on_segment(a, b, c):
@@ -231,25 +296,37 @@ def monotone_chain(pts: np.ndarray) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
+def _start_row(pts: np.ndarray) -> int:
+    """The walk's first row: lowest v, then lowest u, then lowest index, as
+    the first row of `np.lexsort((u, v))` but in O(n)."""
+    low = np.flatnonzero(pts[:, 1] == pts[:, 1].min())
+    return int(low[np.argmin(pts[low, 0])])
+
+
 def _walk(pts: np.ndarray, index: SpatialIndex, kk: int, warm: np.ndarray) -> list[int] | None:
     """One Moreira-Santos boundary walk; None when it cannot close.
 
     The distinct rows `warm` are ranked in one batched query before the walk
     starts; a step from one of them reads its candidates from that table and
     any other step queries its own row.  Both are prefixes of the same
-    (d², index) ranking, so `warm` changes the cost, never the walk.
+    (d², index) ranking, so `warm` changes the cost, never the walk.  The
+    hull edges sit in an `_EdgeGrid` of cells about three mean point
+    spacings wide, so a candidate is tested against the edges near it only.
     """
     n = pts.shape[0]
     slot = np.full(n, -1, dtype=np.intp)  # row of `table` ranked from each warm row
     slot[warm] = np.arange(warm.size)
     table = index.knn_batch(pts[warm], min(n, kk + _WALK_SLACK))[0] if warm.size else None
-    start = int(np.lexsort((pts[:, 0], pts[:, 1]))[0])  # lowest v, then u
+    u, v = pts[:, 0], pts[:, 1]  # column reductions: numpy's axis-0 ones are far slower
+    x0, y0 = float(u.min()), float(v.min())
+    extent = max(float(u.max()) - x0, float(v.max()) - y0)
+    grid = _EdgeGrid((x0, y0), 3.0 * extent / math.sqrt(n))
+    start = _start_row(pts)
     hull = [start]
-    verts = np.empty((n + 1, 2))  # verts[:len(hull)] are pts[hull]: edges without copies
-    verts[0] = pts[start]
     used = np.zeros(n, dtype=bool)
     used[start] = True
     cur = start
+    px, py = pts[start].tolist()
     prev_angle = np.pi
     skipped = 0  # used rows in the last query; the next step meets about as many
 
@@ -279,28 +356,26 @@ def _walk(pts: np.ndarray, index: SpatialIndex, kk: int, warm: np.ndarray) -> li
 
         # largest right-hand turn first: ascending clockwise angle from the
         # reversed previous edge direction
-        angles = np.arctan2(pts[cand, 1] - pts[cur, 1], pts[cand, 0] - pts[cur, 0])
-        diff = np.mod(prev_angle - angles, 2.0 * np.pi)
-        cand = cand[np.argsort(diff, kind="stable")]
+        xy = pts.take(cand, axis=0)
+        angles = np.arctan2(xy[:, 1] - py, xy[:, 0] - px)
+        order = np.mod(prev_angle - angles, 2.0 * np.pi).argsort(kind="stable")
 
-        e0 = verts[:len(hull) - 1]
-        e1 = verts[1:len(hull)]
+        # most steps take the first candidate, so rows are read one by one
         nxt = -1
-        for c in cand:
-            if not _crosses_any(pts[cur], pts[c], e0, e1):
-                nxt = int(c)
+        for j in order:
+            qx, qy = xy[j].tolist()
+            if not grid.crosses(px, py, qx, qy):
+                nxt = int(cand[j])
                 break
         if nxt < 0:
             return None
         if nxt == start:
             return hull
-        verts[len(hull)] = pts[nxt]
+        grid.add(px, py, qx, qy)
         hull.append(nxt)
         used[nxt] = True
-        prev_angle = float(
-            np.arctan2(pts[cur, 1] - pts[nxt, 1], pts[cur, 0] - pts[nxt, 0])
-        )
-        cur = nxt
+        prev_angle = float(np.arctan2(py - qy, px - qx))
+        cur, px, py = nxt, qx, qy
     return None
 
 

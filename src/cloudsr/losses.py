@@ -144,9 +144,9 @@ def _cd_gradient(p: np.ndarray, r: np.ndarray, e2h: np.ndarray, h2e: np.ndarray)
     `bincount` per column adds each vertex's edge-pixel terms in input order
     from 0.0, as `np.add.at` would, at a third of its cost."""
     n = p.shape[0]
-    terms = 2.0 * (p[e2h] - r)
+    terms = 2.0 * (np.take(p, e2h, axis=0) - r)
     grad = np.stack([np.bincount(e2h, weights=terms[:, c], minlength=n) for c in (0, 1)], axis=1)
-    grad += 2.0 * (p - r[h2e])
+    grad += 2.0 * (p - np.take(r, h2e, axis=0))
     return grad
 
 

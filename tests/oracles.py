@@ -12,7 +12,7 @@ from scipy import ndimage
 from cloudsr.camera import pinhole
 from cloudsr.edges import _smoothed_array, _sobel
 from cloudsr.geometry import DEDUPE_TOL, SpatialIndex
-from cloudsr.hull import _crosses_any, _proper_crossing, orient
+from cloudsr.hull import _proper_crossing, orient
 from cloudsr.losses import (_GS_KINK_EPS, LossReport, LossWeights, _gs_gradient,
                             gradient_smooth_loss)
 
@@ -207,8 +207,9 @@ def full_width_walk(pts, index, kk, warm=None):
     """The hull walk asking for `kk + len(hull)` neighbours at every step,
     enough to leave kk unused rows without widening.  A copy of
     `cloudsr.hull._walk` before its query width became adaptive and before it
-    ranked the `warm` rows ahead (ignored here); the crossing test is the
-    library's, unchanged."""
+    ranked the `warm` rows ahead (ignored here), and before its crossing test
+    read only nearby edges: each candidate is tested against every hull edge
+    by `all_edges_crosses_any`."""
     n = pts.shape[0]
     start = int(np.lexsort((pts[:, 0], pts[:, 1]))[0])  # lowest v, then u
     hull = [start]
@@ -232,7 +233,7 @@ def full_width_walk(pts, index, kk, warm=None):
         e1 = pts[hull[1:]]
         nxt = -1
         for c in cand:
-            if not _crosses_any(pts[cur], pts[c], e0, e1):
+            if not all_edges_crosses_any(pts[cur], pts[c], e0, e1):
                 nxt = int(c)
                 break
         if nxt < 0:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cloudsr import hull
 from cloudsr.errors import HullFailed
-from cloudsr.geometry import SpatialIndex
+from cloudsr.geometry import COORD_LIMIT, SpatialIndex
 from cloudsr.hull import concave_hull, contains_all, polygon_is_simple
 
 from oracles import (all_edges_crosses_any, brute_intersecting_pairs, brute_points_in_polygon,
@@ -303,8 +303,26 @@ def test_contains_all_cases():
 _GRID_POINT = st.tuples(st.integers(0, 4), st.integers(0, 4))
 
 
+def _grid_crosses(p, q, segs, cell):
+    """`_EdgeGrid.crosses` of p-q after registering the (m, 2, 2) segments,
+    with the origin at the coordinates' minimum, as in the walk."""
+    origin = np.vstack([p, q, segs.reshape(-1, 2)]).min(axis=0)
+    grid = hull._EdgeGrid(tuple(origin.tolist()), cell)
+    for (ax, ay), (bx, by) in segs.tolist():
+        grid.add(ax, ay, bx, by)
+    return grid.crosses(*p.tolist(), *q.tolist())
+
+
+def _boxes_meet(p, q, e0, e1):
+    """Per edge: its bounding box meets the one of p-q (touching counts)."""
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    return np.all((np.minimum(e0, e1) <= hi) & (lo <= np.maximum(e0, e1)), axis=1)
+
+
 # a 5x5 grid makes touches, shared endpoints and collinear overlaps common;
-# the scales round the orientations differently
+# the scales round the orientations differently.  The cell sizes put many
+# points on cell boundaries, spread a long edge or query over more than
+# `_LONG_CELLS` cells, and put everything in one cell
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(p=_GRID_POINT, q=_GRID_POINT, edges=st.lists(st.tuples(_GRID_POINT, _GRID_POINT),
                                                     max_size=10),
@@ -317,10 +335,91 @@ _GRID_POINT = st.tuples(st.integers(0, 4), st.integers(0, 4))
 @example(p=(0, 0), q=(2, 0), edges=[((2, 0), (3, 1)), ((0, 1), (4, -1))],
          scale=1.0)  # a shared endpoint, then a crossing
 def test_crosses_any_matches_all_edges_oracle(p, q, edges, scale):
+    # the grid tests the edges whose boxes meet the query's, as the oracle
+    # over those edges does, whatever the cell size
     p, q = np.array(p, dtype=float) * scale, np.array(q, dtype=float) * scale
     segs = np.array(edges, dtype=float).reshape(-1, 2, 2) * scale
     e0, e1 = segs[:, 0], segs[:, 1]
-    assert hull._crosses_any(p, q, e0, e1) == all_edges_crosses_any(p, q, e0, e1)
+    meet = _boxes_meet(p, q, e0, e1)
+    want = all_edges_crosses_any(p, q, e0[meet], e1[meet])
+    for cell in (0.3 * scale, scale, 10.0 * scale):
+        assert _grid_crosses(p, q, segs, cell) == want
+
+
+_L = 0.9 * COORD_LIMIT
+
+
+@pytest.mark.parametrize("p,q,edges,cell,want", [
+    # negative coordinates, crossing and not
+    ((-3.5, -2.0), (-1.0, -2.0), [((-2.0, -3.0), (-2.0, -1.0))], 0.7, True),
+    ((-3.5, -2.0), (-1.0, -2.0), [((-2.0, -1.9), (-2.0, -1.0))], 0.7, False),
+    # every end on a cell boundary: a crossing, a touch and a shared end
+    ((0.0, 0.0), (2.0, 2.0), [((0.0, 2.0), (2.0, 0.0))], 1.0, True),
+    ((0.0, 0.0), (2.0, 2.0), [((1.0, 1.0), (2.0, 0.0))], 1.0, False),
+    ((0.0, 0.0), (2.0, 2.0), [((2.0, 2.0), (3.0, 0.0))], 1.0, False),
+    # zero-length edges and a zero-length query never cross
+    ((0.0, 0.0), (2.0, 2.0), [((1.0, 1.0), (1.0, 1.0)), ((0.5, 1.5), (0.5, 1.5))], 1.0, False),
+    ((1.0, 1.0), (1.0, 1.0), [((0.0, 2.0), (2.0, 0.0))], 1.0, False),
+    # near the coordinate bound, at a cell size from the extent and at 1e-9
+    ((-_L, -_L), (_L, _L), [((-_L, _L), (_L, -_L))], 0.5 * _L, True),
+    ((-_L, -_L), (_L, _L), [((-_L, _L), (_L, -_L))], 1e-9, True),
+    ((-_L, -_L), (_L, -_L), [((-_L, _L), (_L, _L))], 1e-9, False),
+    # a 1e-9 extent at the cell size the walk would pick
+    ((0.0, 0.0), (1e-9, 1e-9), [((0.0, 1e-9), (1e-9, 0.0))], 3e-9 / np.sqrt(4), True),
+])
+def test_edge_grid_cases(p, q, edges, cell, want):
+    p, q = np.array(p), np.array(q)
+    segs = np.array(edges, dtype=float).reshape(-1, 2, 2)
+    assert all_edges_crosses_any(p, q, segs[:, 0], segs[:, 1]) == want
+    assert _grid_crosses(p, q, segs, cell) == want
+
+
+def test_edge_grid_scan_lists():
+    # an edge over more than `_LONG_CELLS` cells is only on the long list,
+    # which every query reads; a query over that many cells reads every edge
+    grid = hull._EdgeGrid((0.0, 0.0), 1.0)
+    grid.add(0.0, 0.0, 100.0, 100.0)
+    grid.add(60.2, 60.6, 60.6, 60.2)
+    assert len(grid._long) == 1 and len(grid._cells) == 1
+    assert grid.crosses(49.5, 49.2, 49.5, 49.8)  # in a cell the long edge is not in
+    assert not grid.crosses(49.5, 49.2, 49.5, 49.4)
+    assert grid._cover(0.0, 100.0, 0.0, 100.0) is None
+    assert grid.crosses(0.0, 100.0, 100.0, 0.0)  # a long query crosses the long edge
+    assert grid.crosses(0.0, 0.0, 100.0, 100.0)  # and reads the short one from its cell
+
+
+def test_edge_grid_skips_far_near_collinear_edges():
+    # four points of one line, each coordinate within an ulp of it: the
+    # edge lies far beyond p-q and their boxes are disjoint, but the float
+    # orientations read as a proper crossing.  The all-edges test counts
+    # it; the grid, like `polygon_is_simple`, never tests such a pair, even
+    # when both share a cell
+    p = np.array([-135.58432498750236, -287.9570109114969])
+    q = np.array([-121.60768888782694, -264.4014675246473])
+    seg = np.array([[[-37.74787228977447, -123.06820720354945],
+                     [-23.771236190099078, -99.51266381669984]]])
+    assert all_edges_crosses_any(p, q, seg[:, 0], seg[:, 1])
+    assert not _boxes_meet(p, q, seg[:, 0], seg[:, 1])[0]
+    for cell in (1.0, 1000.0):
+        assert not _grid_crosses(p, q, seg, cell)
+
+
+def test_start_row_matches_lexsort_on_ties():
+    # many rows tie on the lowest v, some of them repeated, with -0.0 and
+    # +0.0 in both columns: lowest v, then lowest u, then lowest index
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        u = rng.integers(-2, 3, n).astype(float)
+        v = np.maximum(rng.integers(-2, 3, n), 0).astype(float)  # most rows on v = 0
+        flip = rng.random((n, 2)) < 0.5
+        u[flip[:, 0] & (u == 0)] = -0.0
+        v[flip[:, 1] & (v == 0)] = -0.0
+        pts = np.stack([u, v], axis=1)
+        want = int(np.lexsort((pts[:, 0], pts[:, 1]))[0])
+        assert hull._start_row(pts) == want
+    pts = np.array([[1.0, 0.0], [2.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [3.0, 5.0]])
+    assert hull._start_row(pts) == 2
 
 
 def _hull_input(rng, kind):
