@@ -2,11 +2,14 @@
 
 The boundary walk starts at the lowest-v point and repeatedly picks, among
 the k nearest unused points ordered by largest right-hand turn from the
-previous edge, the first whose new edge crosses no existing hull edge.  If
-the walk cannot close, or the closed polygon is not simple, or some input
-point falls outside, the neighbor count is increased and the walk retried.
-At k = count-1 the walk degenerates to gift wrapping, so the convex hull is
-the terminal fallback and failure is unreachable for non-collinear input.
+previous edge, the first whose new edge intersects (crosses or touches) no
+earlier hull edge but the one it continues and, when it closes the walk,
+the first.  If the walk cannot close, or the closed polygon is not simple,
+or some input point falls outside, the neighbor count is increased and the
+walk retried.  `polygon_is_simple` asks the walk's question of a finished
+polygon, with the same edge grid and the same pair rule.  When no neighbor
+count up to count-1 gives a valid hull, the convex hull is returned, so
+failure is unreachable for non-collinear input.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .geometry import SpatialIndex, as_point_array, dedupe_rows, require_bounded
 START_K = 20
 
 _ON_EDGE_TOL = 1e-9
-_PAIR_BLOCK = 1 << 16  # segment pairs per vectorized pass: bounds memory
+_PAIR_BLOCK = 1 << 16  # (edge, point) pairs per vectorized pass: bounds memory
 _WALK_SLACK = 8  # walk rows asked beyond kk and the used rows the last step met
 _LONG_CELLS = 16  # grid cells an edge or query box covers before it takes a scan list
 
@@ -56,22 +59,10 @@ def orient(a, b, c):
     ) * (c[..., 0] - a[..., 0])
 
 
-def _strictly_apart(d1, d2):
-    """Two orientations of strictly opposite sign: a zero never counts."""
-    return ((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))
-
-
-def _proper_crossing(d1, d2, d3, d4):
-    """Segments a-b and c-d cross properly, from d1 = orient(c, d, a),
-    d2 = orient(c, d, b), d3 = orient(a, b, c), d4 = orient(a, b, d): strict
-    opposite signs on both, so a zero orientation (a touch) never counts."""
-    return _strictly_apart(d1, d2) & _strictly_apart(d3, d4)
-
-
 class _EdgeGrid:
-    """The walk's hull edges, bucketed in a uniform grid of square cells
-    (Franklin et al., Auto-Carto 9, 1989), so that a crossing test reads
-    only the edges near its segment.
+    """A polygon's edges, registered in order and bucketed in a uniform grid
+    of square cells (Franklin et al., Auto-Carto 9, 1989), so that an
+    intersection test reads only the edges near its segment.
 
     A coordinate's cell index is its offset from `origin` in units of
     `cell`, truncated.  An edge is registered in every cell its bounding box
@@ -79,9 +70,8 @@ class _EdgeGrid:
     that every query scans; a query whose box covers more than that many
     cells scans every edge.  The cell index is monotone in the coordinate,
     so an edge whose box meets the query's shares a cell with it or sits on
-    one of those lists.  Of the edges read, only those whose boxes meet the query's are
-    tested, as `polygon_is_simple` tests only such pairs, so the cell size
-    changes the cost, never an answer.
+    one of those lists.  Of the edges read, only those whose boxes meet the
+    query's are tested, so the cell size changes the cost, never an answer.
     """
 
     def __init__(self, origin: tuple[float, float], cell: float):
@@ -89,7 +79,17 @@ class _EdgeGrid:
         self._cell = cell
         self._cells: dict[tuple[int, int], list[tuple]] = {}
         self._long: list[tuple] = []  # edges covering more than _LONG_CELLS cells
-        self._edges: list[tuple] = []  # every edge
+        self._edges: list[tuple] = []  # every edge, in registration order
+
+    @classmethod
+    def over(cls, pts: np.ndarray) -> _EdgeGrid:
+        """An empty grid for edges between the (n, 2) points, with cells
+        about three mean point spacings wide (unit cells if the points
+        coincide)."""
+        u, v = pts[:, 0], pts[:, 1]  # column reductions: numpy's axis-0 ones are far slower
+        x0, y0 = float(u.min()), float(v.min())
+        extent = max(float(u.max()) - x0, float(v.max()) - y0)
+        return cls((x0, y0), 3.0 * extent / math.sqrt(pts.shape[0]) or 1.0)
 
     def _cover(self, lx: float, hx: float, ly: float, hy: float):
         """The first and last cell column and row a box covers, or None
@@ -102,10 +102,10 @@ class _EdgeGrid:
         return i0, i1, j0, j1
 
     def add(self, ax: float, ay: float, bx: float, by: float) -> None:
-        """Register the edge a-b."""
+        """Register the edge a-b, after every edge registered before it."""
         lx, hx = (ax, bx) if ax <= bx else (bx, ax)
         ly, hy = (ay, by) if ay <= by else (by, ay)
-        edge = (ax, ay, bx, by, lx, hx, ly, hy)
+        edge = (ax, ay, bx, by, lx, hx, ly, hy, len(self._edges))
         self._edges.append(edge)
         cover = self._cover(lx, hx, ly, hy)
         if cover is None:
@@ -117,14 +117,18 @@ class _EdgeGrid:
             for j in range(j0, j1 + 1):
                 cells.setdefault((i, j), []).append(edge)
 
-    def crosses(self, px: float, py: float, qx: float, qy: float) -> bool:
-        """True if open segment p-q properly crosses a registered edge whose
-        bounding box meets its own.
+    def intersects(self, px: float, py: float, qx: float, qy: float, closing: bool) -> bool:
+        """True if the next edge p-q crosses or touches a registered edge
+        whose bounding box meets its own, other than the last one, which
+        ends at p, and, when `closing` (q is the first edge's start), the
+        first.
 
-        The orientations are `orient`'s expressions term for term: the
-        edge's line must strictly separate p from q, and the line p-q the
-        edge's ends, so a zero orientation (a touch, or an end shared with
-        an adjacent hull edge) never counts.
+        Edge a-b is tested as `polygon_is_simple` tests an earlier edge
+        against a later one, with `orient`'s expressions term for term:
+        d1 = orient(p, q, a), d2 = orient(p, q, b), d3 = orient(a, b, p)
+        and d4 = orient(a, b, q).  They cross when both pairs have strictly
+        opposite signs, and touch when one is zero and its point lies in
+        the other segment's box.
         """
         lx, hx = (px, qx) if px <= qx else (qx, px)
         ly, hy = (py, qy) if py <= qy else (qy, py)
@@ -139,26 +143,25 @@ class _EdgeGrid:
                 for j in range(j0, j1 + 1):
                     if (i, j) in cells:
                         groups.append(cells[i, j])
+        last = len(self._edges) - 1
+        first = 0 if closing else -1
         ux, uy = qx - px, qy - py
         for group in groups:
-            for ax, ay, bx, by, elx, ehx, ely, ehy in group:
-                if ehx < lx or elx > hx or ehy < ly or ely > hy:
+            for ax, ay, bx, by, elx, ehx, ely, ehy, at in group:
+                if ehx < lx or elx > hx or ehy < ly or ely > hy or at == last or at == first:
                     continue
                 dx, dy = bx - ax, by - ay
-                d1 = dx * (py - ay) - dy * (px - ax)
-                d2 = dx * (qy - ay) - dy * (qx - ax)
-                if not (d1 < 0 < d2 or d2 < 0 < d1):
-                    continue
-                d3 = ux * (ay - py) - uy * (ax - px)
-                d4 = ux * (by - py) - uy * (bx - px)
-                if d3 < 0 < d4 or d4 < 0 < d3:
+                d1 = ux * (ay - py) - uy * (ax - px)
+                d2 = ux * (by - py) - uy * (bx - px)
+                d3 = dx * (py - ay) - dy * (px - ax)
+                d4 = dx * (qy - ay) - dy * (qx - ax)
+                if ((d1 < 0 < d2 or d2 < 0 < d1) and (d3 < 0 < d4 or d4 < 0 < d3)
+                        or d1 == 0 and lx <= ax <= hx and ly <= ay <= hy
+                        or d2 == 0 and lx <= bx <= hx and ly <= by <= hy
+                        or d3 == 0 and elx <= px <= ehx and ely <= py <= ehy
+                        or d4 == 0 and elx <= qx <= ehx and ely <= qy <= ehy):
                     return True
         return False
-
-
-def _on_segment(a, b, c):
-    """c inside the bounding box of segment a-b (for collinear c)."""
-    return np.all((np.minimum(a, b) <= c) & (c <= np.maximum(a, b)), axis=-1)
 
 
 def _pairs(counts: np.ndarray):
@@ -177,49 +180,23 @@ def polygon_is_simple(verts: np.ndarray) -> bool:
     """True iff no pair of non-adjacent edges of the closed polygon over the
     (H, 2) vertices intersects (touching counts).
 
-    A sweep over the edges' u-extents (Shamos & Hoey): the edges are sorted
-    by their smallest u, and one `searchsorted` lists, for each edge, the
-    later ones whose closed u-interval meets its own, `_PAIR_BLOCK` listed
-    pairs per vectorized pass.  Of those, the pairs whose v-intervals meet
-    too, less the adjacent ones (j = i + 1 and (0, H - 1)), are tested with
-    the same predicates as edge i against edge j for i < j; a touch is
-    looked for only where an orientation is exactly zero.  A pair with
-    disjoint boxes cannot touch, and in exact arithmetic cannot cross, so
-    it is never tested.  The work is O(H log H + pairs whose u-intervals
-    meet) and the memory O(H + _PAIR_BLOCK).
+    The polygon is replayed through an `_EdgeGrid`, as the walk builds it:
+    each edge, the closing one last, is tested against the edges before it
+    and then registered.  So each pair whose boxes meet is tested once, with
+    the earlier edge as a-b.  A pair with disjoint boxes cannot touch, and
+    in exact arithmetic cannot cross, so it is never tested.  The work is
+    O(H) expected for edges about as long as the vertex spacing.
     """
-    a = verts
-    b = np.roll(a, -1, axis=0)
-    n = a.shape[0]
+    n = verts.shape[0]
     if n < 4:
         return True  # a triangle's edges are pairwise adjacent
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    order = np.argsort(lo[:, 0], kind="stable")
-    # sorted row p pairs with every later row that starts by its u end
-    ends = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
-    for p, offset in _pairs(ends - np.arange(1, n + 1)):
-        e, f = order[p], order[p + 1 + offset]
-        i, j = np.minimum(e, f), np.maximum(e, f)
-        test = ((np.maximum(lo[i, 1], lo[j, 1]) <= np.minimum(hi[i, 1], hi[j, 1]))
-                & (j - i > 1) & (j - i < n - 1))
-        i, j = i[test], j[test]
-        ai, bi, c, d = a[i], b[i], a[j], b[j]
-        d1 = orient(c, d, ai)
-        d2 = orient(c, d, bi)
-        d3 = orient(ai, bi, c)
-        d4 = orient(ai, bi, d)
-        if np.any(_proper_crossing(d1, d2, d3, d4)):
+    grid = _EdgeGrid.over(verts)
+    rows = verts.tolist()
+    for j, (px, py) in enumerate(rows):
+        qx, qy = rows[(j + 1) % n]
+        if grid.intersects(px, py, qx, qy, j == n - 1):
             return False
-        z = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
-        ai, bi, c, d = ai[z], bi[z], c[z], d[z]
-        touch = (
-            ((d1[z] == 0) & _on_segment(c, d, ai))
-            | ((d2[z] == 0) & _on_segment(c, d, bi))
-            | ((d3[z] == 0) & _on_segment(ai, bi, c))
-            | ((d4[z] == 0) & _on_segment(ai, bi, d))
-        )
-        if np.any(touch):
-            return False
+        grid.add(px, py, qx, qy)
     return True
 
 
@@ -310,17 +287,15 @@ def _walk(pts: np.ndarray, index: SpatialIndex, kk: int, warm: np.ndarray) -> li
     starts; a step from one of them reads its candidates from that table and
     any other step queries its own row.  Both are prefixes of the same
     (d², index) ranking, so `warm` changes the cost, never the walk.  The
-    hull edges sit in an `_EdgeGrid` of cells about three mean point
-    spacings wide, so a candidate is tested against the edges near it only.
+    hull edges sit in an `_EdgeGrid`, so a candidate is tested against the
+    edges near it only, and is refused when it crosses or touches one: a
+    collinear closing edge that doubles back over the hull never closes it.
     """
     n = pts.shape[0]
     slot = np.full(n, -1, dtype=np.intp)  # row of `table` ranked from each warm row
     slot[warm] = np.arange(warm.size)
     table = index.knn_batch(pts[warm], min(n, kk + _WALK_SLACK))[0] if warm.size else None
-    u, v = pts[:, 0], pts[:, 1]  # column reductions: numpy's axis-0 ones are far slower
-    x0, y0 = float(u.min()), float(v.min())
-    extent = max(float(u.max()) - x0, float(v.max()) - y0)
-    grid = _EdgeGrid((x0, y0), 3.0 * extent / math.sqrt(n))
+    grid = _EdgeGrid.over(pts)
     start = _start_row(pts)
     hull = [start]
     used = np.zeros(n, dtype=bool)
@@ -364,7 +339,7 @@ def _walk(pts: np.ndarray, index: SpatialIndex, kk: int, warm: np.ndarray) -> li
         nxt = -1
         for j in order:
             qx, qy = xy[j].tolist()
-            if not grid.crosses(px, py, qx, qy):
+            if not grid.intersects(px, py, qx, qy, cand[j] == start):
                 nxt = int(cand[j])
                 break
         if nxt < 0:

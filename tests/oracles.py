@@ -12,7 +12,7 @@ from scipy import ndimage
 from cloudsr.camera import pinhole
 from cloudsr.edges import _smoothed_array, _sobel
 from cloudsr.geometry import DEDUPE_TOL, SpatialIndex
-from cloudsr.hull import _proper_crossing, orient
+from cloudsr.hull import orient
 from cloudsr.losses import (_GS_KINK_EPS, LossReport, LossWeights, _gs_gradient,
                             gradient_smooth_loss)
 
@@ -197,19 +197,28 @@ def brute_points_in_polygon(vertices, points, tol=1e-9):
 
 
 def all_edges_crosses_any(p, q, e0, e1):
-    """The walk's crossing test taking all four orientations on every edge:
-    True if open segment p-q properly crosses any segment e0[i]-e1[i]."""
-    return bool(np.any(_proper_crossing(
-        orient(e0, e1, p), orient(e0, e1, q), orient(p, q, e0), orient(p, q, e1))))
+    """The walk's test of its next edge p-q by a loop over every hull edge
+    e0[i]-e1[i]: True if p-q intersects (touching counts) one whose bounding
+    box meets its own.  The last edge, which ends at p, is skipped, and so is
+    the first when q is e0[0], where p-q closes the hull."""
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    for i in range(len(e0) - 1):
+        if i == 0 and np.array_equal(q, e0[0]):
+            continue
+        if np.any(np.minimum(e0[i], e1[i]) > hi) or np.any(np.maximum(e0[i], e1[i]) < lo):
+            continue
+        if _segments_intersect(e0[i], e1[i], p, q):
+            return True
+    return False
 
 
 def full_width_walk(pts, index, kk, warm=None):
     """The hull walk asking for `kk + len(hull)` neighbours at every step,
     enough to leave kk unused rows without widening.  A copy of
     `cloudsr.hull._walk` before its query width became adaptive and before it
-    ranked the `warm` rows ahead (ignored here), and before its crossing test
-    read only nearby edges: each candidate is tested against every hull edge
-    by `all_edges_crosses_any`."""
+    ranked the `warm` rows ahead (ignored here), and before its intersection
+    test read only nearby edges: each candidate is tested against every hull
+    edge by `all_edges_crosses_any`."""
     n = pts.shape[0]
     start = int(np.lexsort((pts[:, 0], pts[:, 1]))[0])  # lowest v, then u
     hull = [start]

@@ -8,8 +8,9 @@ from cloudsr.errors import HullFailed
 from cloudsr.geometry import COORD_LIMIT, SpatialIndex
 from cloudsr.hull import concave_hull, contains_all, polygon_is_simple
 
-from oracles import (all_edges_crosses_any, brute_intersecting_pairs, brute_points_in_polygon,
-                     brute_polygon_is_simple, full_width_walk, monotone_chain)
+from oracles import (_segments_intersect, all_edges_crosses_any, brute_intersecting_pairs,
+                     brute_points_in_polygon, brute_polygon_is_simple, full_width_walk,
+                     monotone_chain)
 
 
 def _signed_area(verts):
@@ -50,7 +51,7 @@ def test_square_corners_k3():
     assert _signed_area(poly.vertices) > 0
 
 
-@pytest.mark.parametrize("k,k_used", [(3, 3), (8, 15)])
+@pytest.mark.parametrize("k,k_used", [(3, 3), (8, 8)])
 def test_lattice_walk_tie_order(k, k_used):
     # every step of the walk on a lattice meets exact distance ties, so the
     # lowest-index tie rule fixes the vertex order
@@ -58,6 +59,21 @@ def test_lattice_walk_tie_order(k, k_used):
     poly = concave_hull(pts, k=k)
     assert poly.source_indices.tolist() == [0, 1, 2, 3, 7, 11, 15, 14, 13, 12, 8, 4]
     assert poly.k_used == k_used
+
+
+@pytest.mark.parametrize("side,degrees", [(20, 0.0), (30, 0.0), (40, 7.0)])
+def test_lattice_hull_takes_one_walk(side, degrees):
+    # up a lattice's first column the walk meets the start row again once
+    # it may close; a closing edge back down that column would overlap the
+    # hull's second edge, so the walk refuses it, goes on and closes a
+    # simple polygon at the first k instead of escalating to n - 1
+    t = np.radians(degrees)
+    grid = np.array([[x, y] for y in range(side) for x in range(side)], dtype=float)
+    pts = grid @ np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
+    poly = concave_hull(pts, k=20)
+    assert poly.k_used == 20
+    assert brute_polygon_is_simple(poly.vertices)
+    assert all(brute_points_in_polygon(poly.vertices, pts))
 
 
 def test_convex_position_equals_convex_hull():
@@ -127,6 +143,10 @@ def test_polygon_is_simple_matches_pair_loop_lattice():
         assert polygon_is_simple(verts) == want
         outcomes.add(want)
     assert outcomes == {True, False}
+    # every vertex at one point: the grid over a zero extent takes unit cells
+    for n in (4, 7):
+        verts = np.full((n, 2), 3.0)
+        assert not polygon_is_simple(verts) and not brute_polygon_is_simple(verts)
 
 
 def _circle(n):
@@ -136,8 +156,8 @@ def _circle(n):
 
 def _rake(teeth):
     """A simple polygon of `teeth` horizontal teeth off a spine at u = 0.
-    Every tooth edge spans u in [0, 10] (the first from -1), so the sweep
-    lists most of its edge pairs; edge 4t runs along the bottom of tooth t,
+    Every tooth edge spans u in [0, 10] (the first from -1), so many edge
+    pairs have meeting boxes; edge 4t runs along the bottom of tooth t,
     edge 4t + 1 up its tip at u = 10 and edge 4t + 2 back along its top."""
     verts = [[-1.0, 0.0]]
     for t in range(teeth):
@@ -154,61 +174,28 @@ def _one_crossing(teeth, t):
     return verts, (4 * t, 4 * t + 2)
 
 
-def _sweep_position(verts, pair):
-    """(position of the edge pair among the pairs polygon_is_simple lists,
-    number listed): edges sorted by smallest u, ties by index, and each
-    sorted edge paired, in order, with every later one that starts at or
-    before its largest u."""
-    nxt = np.roll(verts, -1, axis=0)
-    lo, hi = np.minimum(verts[:, 0], nxt[:, 0]), np.maximum(verts[:, 0], nxt[:, 0])
-    rows = sorted(range(len(verts)), key=lambda e: (lo[e], e))
-    listed = [{e, f} for p, e in enumerate(rows) for f in rows[p + 1:] if lo[f] <= hi[e]]
-    return listed.index(set(pair)), len(listed)
-
-
-@pytest.mark.parametrize("block", [2, 7, 64])
-def test_polygon_is_simple_blocks_match_pair_loop(monkeypatch, block):
-    # a 10-tooth rake lists 682 edge pairs, so every block size here splits
-    # them, and the crossings of its 10 one-crossing variants land in
-    # several blocks and at several positions within them
-    monkeypatch.setattr(hull, "_PAIR_BLOCK", block)
+def test_polygon_is_simple_matches_pair_loop_rake():
+    # one crossing, at each tooth in turn, among many pairs of long edges
+    # whose boxes meet
     teeth = 10
     assert polygon_is_simple(_rake(teeth)) and brute_polygon_is_simple(_rake(teeth))
-    positions = []
     for t in range(teeth):
         verts, pair = _one_crossing(teeth, t)
         assert list(brute_intersecting_pairs(verts)) == [pair]
         assert not polygon_is_simple(verts)
-        at, listed = _sweep_position(verts, pair)
-        positions.append(at)
-    assert listed == 682
-    assert len({at // block for at in positions}) > 1
-    assert len({at % block for at in positions}) > 1
 
 
-def test_polygon_is_simple_crossing_on_a_block_boundary(monkeypatch):
-    verts, pair = _one_crossing(10, 4)
-    at, listed = _sweep_position(verts, pair)
-    # the crossing opens the second block, then closes the first
-    for block, (nth, place) in ((at, (1, 0)), (at + 1, (0, at))):
-        assert (at // block, at % block) == (nth, place) and listed > block
-        monkeypatch.setattr(hull, "_PAIR_BLOCK", block)
-        assert not polygon_is_simple(verts)
-
-
-def test_polygon_is_simple_beyond_one_block():
-    # more pairs than one block holds; the only crossing lies past the first
+def test_polygon_is_simple_matches_pair_loop_long_rake():
+    # 441 vertices, and the only crossing is in the last tooth
     teeth = 110
     assert polygon_is_simple(_rake(teeth))
     verts, pair = _one_crossing(teeth, teeth - 1)
-    at, listed = _sweep_position(verts, pair)
-    assert at >= hull._PAIR_BLOCK
     assert list(brute_intersecting_pairs(verts)) == [pair]
     assert not polygon_is_simple(verts)
 
 
 def test_polygon_is_simple_matches_pair_loop_sweep_ties():
-    # few distinct u values make vertical edges and equal smallest u
+    # few distinct u values make vertical edges and collinear overlaps
     # common, repeated vertices make zero-length edges, and perturbed rakes
     # have edges that all overlap in u, with and without crossings
     rng = np.random.default_rng(23)
@@ -249,7 +236,7 @@ def _straight_silhouette(rng, m, projected):
 
 
 def test_polygon_is_simple_skips_far_near_collinear_pairs():
-    # the sweep never tests a pair whose boxes are disjoint; the pair loop
+    # the replay never tests a pair whose boxes are disjoint; the pair loop
     # does, and rounding can make such a pair read as a proper crossing
     # when its orientations lie within an ulp of zero.  That is the only
     # way the two may disagree
@@ -303,14 +290,22 @@ def test_contains_all_cases():
 _GRID_POINT = st.tuples(st.integers(0, 4), st.integers(0, 4))
 
 
-def _grid_crosses(p, q, segs, cell):
-    """`_EdgeGrid.crosses` of p-q after registering the (m, 2, 2) segments,
-    with the origin at the coordinates' minimum, as in the walk."""
+def _ending_at(p, q, segs):
+    """The (m, 2, 2) segments followed by an edge into p along q-p, as the
+    walk's last edge ends at p: no intersection test reads it."""
+    return np.concatenate([segs.reshape(-1, 2, 2), [[2 * p - q, p]]])
+
+
+def _grid_intersects(p, q, segs, cell):
+    """`_EdgeGrid.intersects` of p-q after registering the (m, 2, 2)
+    segments in order, closing when q is the first one's start, with the
+    origin at the coordinates' minimum, as in the walk."""
     origin = np.vstack([p, q, segs.reshape(-1, 2)]).min(axis=0)
     grid = hull._EdgeGrid(tuple(origin.tolist()), cell)
     for (ax, ay), (bx, by) in segs.tolist():
         grid.add(ax, ay, bx, by)
-    return grid.crosses(*p.tolist(), *q.tolist())
+    closing = len(segs) > 0 and np.array_equal(q, segs[0, 0])
+    return grid.intersects(*p.tolist(), *q.tolist(), closing)
 
 
 def _boxes_meet(p, q, e0, e1):
@@ -333,75 +328,102 @@ def _boxes_meet(p, q, e0, e1):
 @example(p=(1, 0), q=(1, 2), edges=[((0, 0), (2, 0))], scale=1.0)   # p on the edge
 @example(p=(0, 0), q=(2, 0), edges=[((1, 0), (3, 0))], scale=1.0)   # collinear overlap
 @example(p=(0, 0), q=(2, 0), edges=[((2, 0), (3, 1)), ((0, 1), (4, -1))],
-         scale=1.0)  # a shared endpoint, then a crossing
+         scale=1.0)  # closing at the first edge's start, then a crossing
+@example(p=(0, 0), q=(2, 0), edges=[((4, 4), (3, 3)), ((2, 0), (3, 1))],
+         scale=0.1)  # an end shared with an edge other than the first
 def test_crosses_any_matches_all_edges_oracle(p, q, edges, scale):
     # the grid tests the edges whose boxes meet the query's, as the oracle
-    # over those edges does, whatever the cell size
+    # over every edge does, whatever the cell size
     p, q = np.array(p, dtype=float) * scale, np.array(q, dtype=float) * scale
-    segs = np.array(edges, dtype=float).reshape(-1, 2, 2) * scale
-    e0, e1 = segs[:, 0], segs[:, 1]
-    meet = _boxes_meet(p, q, e0, e1)
-    want = all_edges_crosses_any(p, q, e0[meet], e1[meet])
+    segs = _ending_at(p, q, np.array(edges, dtype=float) * scale)
+    want = all_edges_crosses_any(p, q, segs[:, 0], segs[:, 1])
     for cell in (0.3 * scale, scale, 10.0 * scale):
-        assert _grid_crosses(p, q, segs, cell) == want
+        assert _grid_intersects(p, q, segs, cell) == want
 
 
 _L = 0.9 * COORD_LIMIT
 
 
+# each case's edges are followed by one into p along q-p, which is skipped
 @pytest.mark.parametrize("p,q,edges,cell,want", [
     # negative coordinates, crossing and not
     ((-3.5, -2.0), (-1.0, -2.0), [((-2.0, -3.0), (-2.0, -1.0))], 0.7, True),
     ((-3.5, -2.0), (-1.0, -2.0), [((-2.0, -1.9), (-2.0, -1.0))], 0.7, False),
-    # every end on a cell boundary: a crossing, a touch and a shared end
+    # every end on a cell boundary: a crossing, a touch and an end shared
+    # with the first edge, which the closing edge may meet
     ((0.0, 0.0), (2.0, 2.0), [((0.0, 2.0), (2.0, 0.0))], 1.0, True),
-    ((0.0, 0.0), (2.0, 2.0), [((1.0, 1.0), (2.0, 0.0))], 1.0, False),
+    ((0.0, 0.0), (2.0, 2.0), [((1.0, 1.0), (2.0, 0.0))], 1.0, True),
     ((0.0, 0.0), (2.0, 2.0), [((2.0, 2.0), (3.0, 0.0))], 1.0, False),
-    # zero-length edges and a zero-length query never cross
-    ((0.0, 0.0), (2.0, 2.0), [((1.0, 1.0), (1.0, 1.0)), ((0.5, 1.5), (0.5, 1.5))], 1.0, False),
-    ((1.0, 1.0), (1.0, 1.0), [((0.0, 2.0), (2.0, 0.0))], 1.0, False),
+    # a zero-length edge on p-q, and a zero-length query on an edge, touch
+    ((0.0, 0.0), (2.0, 2.0), [((1.0, 1.0), (1.0, 1.0)), ((0.5, 1.5), (0.5, 1.5))], 1.0, True),
+    ((1.0, 1.0), (1.0, 1.0), [((0.0, 2.0), (2.0, 0.0))], 1.0, True),
     # near the coordinate bound, at a cell size from the extent and at 1e-9
     ((-_L, -_L), (_L, _L), [((-_L, _L), (_L, -_L))], 0.5 * _L, True),
     ((-_L, -_L), (_L, _L), [((-_L, _L), (_L, -_L))], 1e-9, True),
     ((-_L, -_L), (_L, -_L), [((-_L, _L), (_L, _L))], 1e-9, False),
     # a 1e-9 extent at the cell size the walk would pick
     ((0.0, 0.0), (1e-9, 1e-9), [((0.0, 1e-9), (1e-9, 0.0))], 3e-9 / np.sqrt(4), True),
+    # zero-length edges and a zero-length query off the other segment
+    ((0.0, 0.0), (2.0, 2.0), [((0.5, 1.5), (0.5, 1.5))], 1.0, False),
+    ((1.0, 1.5), (1.0, 1.5), [((0.0, 2.0), (2.0, 0.0))], 1.0, False),
+    # an end shared with an edge other than the first, and a collinear overlap
+    ((0.0, 0.0), (2.0, 2.0), [((5.0, 5.0), (6.0, 5.0)), ((2.0, 2.0), (3.0, 0.0))], 1.0, True),
+    ((0.0, 0.0), (2.0, 2.0), [((3.0, 3.0), (1.0, 1.0))], 1.0, True),
 ])
 def test_edge_grid_cases(p, q, edges, cell, want):
     p, q = np.array(p), np.array(q)
-    segs = np.array(edges, dtype=float).reshape(-1, 2, 2)
+    segs = _ending_at(p, q, np.array(edges, dtype=float))
     assert all_edges_crosses_any(p, q, segs[:, 0], segs[:, 1]) == want
-    assert _grid_crosses(p, q, segs, cell) == want
+    assert _grid_intersects(p, q, segs, cell) == want
+
+
+def test_edge_grid_refuses_a_closing_edge_over_the_hull():
+    # a walk up a lattice column, once its start may close it, would go
+    # straight back down over its own second edge; an edge into the start
+    # that meets only the first edge, at the start, closes
+    column = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
+    segs = np.stack([column[:-1], column[1:]], axis=1)
+    assert all_edges_crosses_any(column[-1], column[0], segs[:, 0], segs[:, 1])
+    assert _grid_intersects(column[-1], column[0], segs, 1.0)
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    segs = np.stack([square[:-1], square[1:]], axis=1)
+    assert not all_edges_crosses_any(square[-1], square[0], segs[:, 0], segs[:, 1])
+    assert not _grid_intersects(square[-1], square[0], segs, 1.0)
 
 
 def test_edge_grid_scan_lists():
     # an edge over more than `_LONG_CELLS` cells is only on the long list,
     # which every query reads; a query over that many cells reads every edge
     grid = hull._EdgeGrid((0.0, 0.0), 1.0)
-    grid.add(0.0, 0.0, 100.0, 100.0)
     grid.add(60.2, 60.6, 60.6, 60.2)
-    assert len(grid._long) == 1 and len(grid._cells) == 1
-    assert grid.crosses(49.5, 49.2, 49.5, 49.8)  # in a cell the long edge is not in
-    assert not grid.crosses(49.5, 49.2, 49.5, 49.4)
-    assert grid._cover(0.0, 100.0, 0.0, 100.0) is None
-    assert grid.crosses(0.0, 100.0, 100.0, 0.0)  # a long query crosses the long edge
-    assert grid.crosses(0.0, 0.0, 100.0, 100.0)  # and reads the short one from its cell
+    grid.add(0.0, 0.0, 100.0, 100.0)
+    grid.add(150.2, 150.2, 150.4, 150.4)  # the last edge, which no query reads
+    assert len(grid._long) == 1 and len(grid._cells) == 2
+    assert grid.intersects(49.5, 49.2, 49.5, 49.8, False)  # in a cell the long edge is not in
+    assert not grid.intersects(49.5, 49.2, 49.5, 49.4, False)
+    assert not grid.intersects(150.0, 150.6, 150.6, 150.0, False)
+    assert grid._cover(40.3, 60.3, 60.45, 100.0) is None
+    assert grid.intersects(0.0, 100.0, 100.0, 0.0, False)  # a long query crosses the long edge
+    assert grid.intersects(60.3, 60.45, 40.3, 100.0, False)  # and reads the short one from its cell
+    assert not grid.intersects(60.7, 60.8, 40.7, 100.0, False)
 
 
 def test_edge_grid_skips_far_near_collinear_edges():
     # four points of one line, each coordinate within an ulp of it: the
     # edge lies far beyond p-q and their boxes are disjoint, but the float
-    # orientations read as a proper crossing.  The all-edges test counts
+    # orientations read as a proper crossing.  The pair test alone counts
     # it; the grid, like `polygon_is_simple`, never tests such a pair, even
     # when both share a cell
     p = np.array([-135.58432498750236, -287.9570109114969])
     q = np.array([-121.60768888782694, -264.4014675246473])
     seg = np.array([[[-37.74787228977447, -123.06820720354945],
                      [-23.771236190099078, -99.51266381669984]]])
-    assert all_edges_crosses_any(p, q, seg[:, 0], seg[:, 1])
+    assert _segments_intersect(seg[0, 0], seg[0, 1], p, q)
     assert not _boxes_meet(p, q, seg[:, 0], seg[:, 1])[0]
+    segs = _ending_at(p, q, seg)
+    assert not all_edges_crosses_any(p, q, segs[:, 0], segs[:, 1])
     for cell in (1.0, 1000.0):
-        assert not _grid_crosses(p, q, seg, cell)
+        assert not _grid_intersects(p, q, segs, cell)
 
 
 def test_start_row_matches_lexsort_on_ties():
@@ -507,8 +529,8 @@ def _likely_ids(rng, hint, index_map, hull_sources):
         np.repeat(rng.choice(index_map, 3), 3), [info.min, info.max, -1]]))
 
 
-# (246, lattice) and (124, clustered) widen the walk's query at the real
-# slack; with no slack it widens often.  Lattice sets at k = 3 escalate k
+# (124, clustered) widens the walk's query at the real slack; with no slack
+# it widens often.  Some lattice sets escalate k
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["random", "clustered", "lattice"]),
@@ -561,13 +583,13 @@ def test_walk_warmed_with_its_own_hull_makes_one_query(monkeypatch):
 
 
 def test_walk_widens_when_used_rows_crowd_the_query(monkeypatch):
-    # a lattice subset whose hull escalates from k = 3 to 8: at some step
+    # a clustered set whose hull escalates from k = 3 to 17: at some step
     # the narrow query returns fewer than kk unused rows and is repeated
     # wider at the same row
-    pts = _hull_input(np.random.default_rng(246), "lattice")
+    pts = _hull_input(np.random.default_rng(124), "clustered")
     calls = _recording_knn_batch(monkeypatch)
     poly = concave_hull(pts, k=3)
-    assert poly.k_used == 8
+    assert poly.k_used == 17
     widened = [(a[1], b[1]) for a, b in zip(calls, calls[1:]) if a[0] == b[0]]
     assert widened and all(wide > narrow for narrow, wide in widened)
     monkeypatch.undo()
