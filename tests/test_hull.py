@@ -174,15 +174,52 @@ def _one_crossing(teeth, t):
     return verts, (4 * t, 4 * t + 2)
 
 
-def test_polygon_is_simple_matches_pair_loop_rake():
-    # one crossing, at each tooth in turn, among many pairs of long edges
-    # whose boxes meet
+def _grids_across(monkeypatch, cells):
+    """Make `_EdgeGrid.over` lay `cells` cells across the points' extent,
+    and return the list the grids it makes are appended to."""
+    made = []
+
+    def over(cls, pts):
+        lo = pts.min(axis=0)
+        grid = cls((float(lo[0]), float(lo[1])), float((pts.max(axis=0) - lo).max()) / cells)
+        made.append(grid)
+        return grid
+
+    monkeypatch.setattr(hull._EdgeGrid, "over", classmethod(over))
+    return made
+
+
+@pytest.mark.parametrize("block", [2, 7, 64])
+def test_polygon_is_simple_blocks_match_pair_loop(monkeypatch, block):
+    # the replay's grid is `block` cells across a 10-tooth rake: its tooth
+    # edges span 10 of 28 units, so at 2 and 7 they sit in one or a few
+    # cells, and at 64 they cover more than _LONG_CELLS cells and go on the
+    # scan list; one crossing, at each tooth in turn, among many pairs of
+    # long edges whose boxes meet, is found on every grid
+    grids = _grids_across(monkeypatch, block)
     teeth = 10
     assert polygon_is_simple(_rake(teeth)) and brute_polygon_is_simple(_rake(teeth))
+    assert bool(grids[-1]._long) == (block == 64)
     for t in range(teeth):
         verts, pair = _one_crossing(teeth, t)
         assert list(brute_intersecting_pairs(verts)) == [pair]
         assert not polygon_is_simple(verts)
+    assert len(grids) == teeth + 1
+
+
+def test_polygon_is_simple_crossing_on_a_block_boundary(monkeypatch):
+    # cells 2.5 wide from the origin put the crossing of tooth 4's bottom and
+    # top edges, at (5, 12.5), on the corner of four cells, and both edges'
+    # boxes end on cell boundaries
+    verts, pair = _one_crossing(10, 4)
+    assert verts[pair[0]].tolist() == [0.0, 12.0] and verts[pair[1]].tolist() == [10.0, 12.0]
+    made = []
+    monkeypatch.setattr(hull._EdgeGrid, "over",
+                        classmethod(lambda cls, pts: made.append(cls((0.0, 0.0), 2.5)) or made[-1]))
+    assert list(brute_intersecting_pairs(verts)) == [pair]
+    assert not polygon_is_simple(verts)
+    assert polygon_is_simple(_rake(10))
+    assert not made[-1]._long and (4, 5) in made[-1]._cells
 
 
 def test_polygon_is_simple_matches_pair_loop_long_rake():
