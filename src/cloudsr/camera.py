@@ -35,13 +35,6 @@ class Intrinsics:
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """3x3 intrinsic matrix."""
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
 
 class Extrinsics:
     """4x4 rigid transform (orthonormal rotation block, [0,0,0,1] bottom row)."""
@@ -75,14 +68,6 @@ class Extrinsics:
     def translation(self) -> np.ndarray:
         return self._m[:3, 3]
 
-    def inverse(self) -> "Extrinsics":
-        """Closed-form rigid inverse [R^T | -R^T t]."""
-        r = self.rotation.T
-        out = np.eye(4)
-        out[:3, :3] = r
-        out[:3, 3] = -r @ self.translation
-        return Extrinsics(out)
-
     @classmethod
     def from_rt(cls, rotation, translation) -> "Extrinsics":
         m = np.eye(4)
@@ -97,8 +82,9 @@ class Extrinsics:
 class CameraRig:
     """RGB intrinsics plus the RGB/TOF extrinsic pair of an RGB-D camera.
 
-    The RGB extrinsic is inverted once here and the combined depth-to-RGB
-    transform cached, since every projection reuses it.
+    The RGB extrinsic is inverted once here, in closed form [R^T | -R^T t],
+    and the combined depth-to-RGB transform cached, since every projection
+    reuses it; the rig keeps no other part of the two extrinsics.
     """
 
     def __init__(self, k_rgb: Intrinsics, e_rgb: Extrinsics, e_tof: Extrinsics,
@@ -106,11 +92,13 @@ class CameraRig:
         if width < 1 or height < 1:
             raise ValueError("image dimensions must be at least 1x1")
         self.k_rgb = k_rgb
-        self.e_rgb = e_rgb
-        self.e_tof = e_tof
         self.width = int(width)
         self.height = int(height)
-        chain = e_rgb.inverse().matrix @ e_tof.matrix
+        r = e_rgb.rotation.T
+        rgb_inverse = np.eye(4)
+        rgb_inverse[:3, :3] = r
+        rgb_inverse[:3, 3] = -r @ e_rgb.translation
+        chain = rgb_inverse @ e_tof.matrix
         # read-only rotation block and translation of the depth-to-RGB transform
         self.rotation = np.ascontiguousarray(chain[:3, :3])
         self.translation = np.ascontiguousarray(chain[:3, 3])

@@ -18,7 +18,7 @@ from .camera import load_rig, project_cloud
 from .densify import DensifyConfig, densify
 from .edges import CannyParams, canny
 from .errors import CloudSRError
-from .geometry import COORD_LIMIT, bin_downsample
+from .geometry import as_point_array, bin_downsample
 from .hull import START_K, concave_hull
 from .losses import LossWeights
 from .metrics import eval_metrics
@@ -73,11 +73,10 @@ def read_points_csv(path) -> np.ndarray:
         except ValueError as exc:
             raise CloudSRError(
                 f"{path}:{lineno + 1}: expected 'u,v', got {line!r}") from exc
-    arr = np.array(pts, dtype=np.float64).reshape(-1, 2)
-    if not np.all(np.abs(arr) <= COORD_LIMIT):
-        raise CloudSRError(
-            f"{path}: point coordinates must be finite and within +/-{COORD_LIMIT:g}")
-    return arr
+    try:
+        return as_point_array(np.reshape(pts, (-1, 2)), 2, f"{path}: point coordinates")
+    except ValueError as exc:
+        raise CloudSRError(str(exc)) from exc
 
 
 def _positive_int(text: str) -> int:

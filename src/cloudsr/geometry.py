@@ -118,13 +118,16 @@ def _dedupe_sort_keys(snapped: np.ndarray) -> list[np.ndarray]:
     return [ints[:, d] for d in reversed(cols[2:])] + [folded]
 
 
-def as_point_array(points, dim: int | None = None) -> np.ndarray:
-    """Coerce an array-like to an (N, D) float64 array."""
+def as_point_array(points, dim: int | None, what: str) -> np.ndarray:
+    """Coerce an array-like to an (N, D) float64 array, the one entry check
+    of every point array: D is `dim` unless that is None, and every entry is
+    finite and within COORD_LIMIT (`require_bounded`, naming `what`)."""
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("expected a 2D array of points")
     if dim is not None and arr.shape[1] != dim:
         raise ValueError(f"expected points of dimension {dim}, got {arr.shape[1]}")
+    require_bounded(arr, what)
     return arr
 
 
@@ -152,10 +155,9 @@ class SpatialIndex:
         return d2
 
     def __init__(self, points):
-        arr = as_point_array(points)
+        arr = as_point_array(points, None, "indexed point coordinates")
         if arr.shape[0] < 1:
             raise CloudSRError("cannot index an empty point set")
-        require_bounded(arr, "indexed point coordinates")
         arr = arr.copy()
         arr.setflags(write=False)
         self._points = arr
@@ -184,10 +186,9 @@ class SpatialIndex:
         whose nearest point is strictly closer than its second, and goes on
         to 5, 10, ... for the rest.  The widths change only the work, never
         a result."""
-        Q = as_point_array(queries, self.dim)
         # the tree refuses non-finite queries, and past the bound it loses
         # neighbors whose squared distance overflows
-        require_bounded(Q, "query coordinates")
+        Q = as_point_array(queries, self.dim, "query coordinates")
         n = self.count
         idx = np.empty((Q.shape[0], k), dtype=np.intp)
         sqd = np.empty((Q.shape[0], k), dtype=np.float64)

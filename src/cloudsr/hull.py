@@ -20,12 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HullFailed
-from .geometry import SpatialIndex, as_point_array, dedupe_rows, require_bounded
+from .geometry import DEDUPE_TOL, SpatialIndex, as_point_array, dedupe_rows
 
 #: concave_hull's starting neighbor count, also refine's and the CLI's default
 START_K = 20
 
-_ON_EDGE_TOL = 1e-9
 _PAIR_BLOCK = 1 << 16  # (edge, point) pairs per vectorized pass: bounds memory
 _WALK_SLACK = 8  # walk rows asked beyond kk and the used rows the last step met
 _LONG_CELLS = 16  # grid cells an edge or query box covers before it takes a scan list
@@ -187,6 +186,7 @@ def polygon_is_simple(verts: np.ndarray) -> bool:
     in exact arithmetic cannot cross, so it is never tested.  The work is
     O(H) expected for edges about as long as the vertex spacing.
     """
+    verts = as_point_array(verts, 2, "polygon vertex coordinates")
     n = verts.shape[0]
     if n < 4:
         return True  # a triangle's edges are pairwise adjacent
@@ -201,7 +201,8 @@ def polygon_is_simple(verts: np.ndarray) -> bool:
 
 
 def _points_in_polygon(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Inside-or-on test for each point (ray casting + on-edge tolerance).
+    """Inside-or-on test for each point (ray casting, and on an edge within
+    `DEDUPE_TOL`).
 
     An edge can count for a point only if the point's v lies in the edge's
     v-span (crossing) or within the on-edge tolerance of it, so each edge is
@@ -215,7 +216,7 @@ def _points_in_polygon(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
     # the closest point's v can leave the span by the rounding of y1 + t*ey,
     # under 2 eps * max|v|, and the tolerance then reaches a little further
     reach = float(np.max(np.abs(y1), initial=0.0))
-    pad = 2.0 * _ON_EDGE_TOL + 4.0 * np.finfo(np.float64).eps * reach
+    pad = 2.0 * DEDUPE_TOL + 4.0 * np.finfo(np.float64).eps * reach
     order = np.argsort(pts[:, 1], kind="stable")
     first = np.searchsorted(pts[order, 1], np.minimum(y1, y2) - pad, side="left")
     count = np.searchsorted(pts[order, 1], np.maximum(y1, y2) + pad, side="right") - first
@@ -233,7 +234,7 @@ def _points_in_polygon(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
             t = np.clip(((px - x1[e]) * ex[e] + (py - y1[e]) * ey[e]) / seg_len2[e], 0.0, 1.0)
         t[zero] = 0.0
         d2 = (px - (x1[e] + t * ex[e])) ** 2 + (py - (y1[e] + t * ey[e])) ** 2
-        on_edge[k[d2 <= _ON_EDGE_TOL * _ON_EDGE_TOL]] = True
+        on_edge[k[d2 <= DEDUPE_TOL * DEDUPE_TOL]] = True
         # standard crossing-number rule; a crossing edge has ey != 0
         c = (y1[e] > py) != (y2[e] > py)
         e, k, px, py = e[c], k[c], px[c], py[c]
@@ -251,9 +252,8 @@ def contains_all(verts: np.ndarray, points) -> bool:
     polygon that a horizontal line crosses twice; memory is
     O(H + n + _PAIR_BLOCK).
     """
-    pts = as_point_array(points, 2)
-    if pts.shape[0] == 0:
-        return True
+    verts = as_point_array(verts, 2, "polygon vertex coordinates")
+    pts = as_point_array(points, 2, "tested point coordinates")
     return bool(np.all(_points_in_polygon(verts, pts)))
 
 
@@ -374,8 +374,7 @@ def concave_hull(points, index_map=None, k: int = START_K, likely=None) -> HullP
     """
     if k < 3:
         raise ValueError("k must be at least 3")
-    raw = as_point_array(points, 2)
-    require_bounded(raw, "hull point coordinates")
+    raw = as_point_array(points, 2, "hull point coordinates")
     if index_map is None:
         index_map = np.arange(raw.shape[0], dtype=np.intp)
     else:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CloudSRError
-from .geometry import SpatialIndex, as_point_array, nearest_candidate, require_bounded
+from .geometry import DEDUPE_TOL, SpatialIndex, as_point_array, nearest_candidate
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class MatchTable:
 
     @classmethod
     def build(cls, edges: SpatialIndex, verts) -> MatchTable:
-        p = as_point_array(verts, 2).copy()
+        p = as_point_array(verts, 2, "hull vertex coordinates").copy()
         edge_cand, edge_bound2 = SpatialIndex(p).candidates(edges.points, MATCH_K)
         vert_cand, vert_bound2 = edges.candidates(p, MATCH_K)
         return cls(p, edge_cand, edge_bound2, vert_cand, vert_bound2)
@@ -88,7 +88,6 @@ class MatchTable:
         A row the candidates cannot settle gets its full query."""
         if p.shape != self.verts.shape:
             raise ValueError("the vertices do not match the table's hull")
-        require_bounded(p, "hull vertex coordinates")
         r = edges.points
         moved2 = np.sum((p - self.verts) ** 2, axis=1)
         # an edge pixel's other vertices each moved by at most the largest step
@@ -105,7 +104,7 @@ class MatchTable:
 
 def gradient_smooth_loss(verts) -> float:
     """Sum of second-difference magnitudes along the open (N, 2) vertex list."""
-    verts = as_point_array(verts, 2)
+    verts = as_point_array(verts, 2, "hull vertex coordinates")
     if verts.shape[0] < 3:
         raise CloudSRError("smoothness needs at least 3 vertices")
     g = np.diff(verts, axis=0)           # edge vectors, closing edge excluded
@@ -113,22 +112,19 @@ def gradient_smooth_loss(verts) -> float:
     return float(np.sum(np.hypot(dg[:, 0], dg[:, 1])))
 
 
-_GS_KINK_EPS = 1e-9  # px; below this a second difference is float noise
-
-
 def _gs_gradient(verts: np.ndarray) -> np.ndarray:
     """Exact gradient of the second-difference sum.
 
-    At a kink (second difference ~ 0) the norm is nondifferentiable; the
-    zero subgradient is used there.  The cutoff also swallows roundoff-scale
-    differences on collinear runs, whose "unit vectors" would otherwise
-    point in float-noise directions.
+    At a kink (a second difference of at most `DEDUPE_TOL` px) the norm is
+    nondifferentiable; the zero subgradient is used there.  The cutoff also
+    swallows roundoff-scale differences on collinear runs, whose "unit
+    vectors" would otherwise point in float-noise directions.
     """
     n = verts.shape[0]
     grad = np.zeros((n, 2))
     delta = verts[2:] - 2.0 * verts[1:-1] + verts[:-2]
     norms = np.hypot(delta[:, 0], delta[:, 1])
-    safe = norms > _GS_KINK_EPS
+    safe = norms > DEDUPE_TOL
     unit = np.zeros_like(delta)
     unit[safe] = delta[safe] / norms[safe, None]
     # each add touches distinct rows, so per row the additions run in the
@@ -165,7 +161,7 @@ def combined_loss(edges: SpatialIndex, verts, w: LossWeights = LossWeights(),
     the smoothness term is differentiated exactly.
     """
     r = edges.points
-    p = as_point_array(verts, 2)
+    p = as_point_array(verts, 2, "hull vertex coordinates")
     n = p.shape[0]
     if n == 0:
         raise CloudSRError("hull vertices must not be empty")

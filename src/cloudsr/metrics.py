@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import CloudSRError
-from .geometry import PointCloud3, SpatialIndex, normalize_to_unit, require_bounded
+from .geometry import PointCloud3, SpatialIndex, as_point_array, normalize_to_unit
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def eval_metrics(pred: PointCloud3, gt: PointCloud3,
         with np.errstate(over="ignore"):  # an overflow to inf fails the check below
             p = (p - offset) / scale
         try:
-            require_bounded(p, "normalized prediction coordinates")
+            p = as_point_array(p, 3, "normalized prediction coordinates")
         except ValueError as exc:
             raise CloudSRError(f"{exc}: the ground truth is too small to "
                                "normalize by") from exc

@@ -13,8 +13,7 @@ from cloudsr.camera import pinhole
 from cloudsr.edges import _smoothed_array, _sobel
 from cloudsr.geometry import DEDUPE_TOL, SpatialIndex
 from cloudsr.hull import orient
-from cloudsr.losses import (_GS_KINK_EPS, LossReport, LossWeights, _gs_gradient,
-                            gradient_smooth_loss)
+from cloudsr.losses import LossReport, LossWeights, _gs_gradient, gradient_smooth_loss
 
 
 def _sqdist(p, q):
@@ -283,19 +282,19 @@ def plain_graymap(pixels):
     return ("P2\n%d %d\n255\n%s\n" % (quant.shape[1], quant.shape[0], rows)).encode("ascii")
 
 
-def project_homogeneous(p, k_mat, e_rgb, e_tof):
+def project_homogeneous(p, k_rgb, e_rgb, e_tof):
     """Projection via direct homogeneous-matrix evaluation.
 
-    Builds the full 4x4 chain with a generic matrix inverse, multiplies the
-    homogeneous point through, applies the 3x3 intrinsic matrix, and divides
-    by depth.  Returns (u, v, z_rgb).
+    Builds the full 4x4 chain from the two `Extrinsics` with a generic
+    matrix inverse, multiplies the homogeneous point through, applies the
+    3x3 matrix of the `Intrinsics` `k_rgb`, and divides by depth.  Returns
+    (u, v, z_rgb).
     """
     homo = np.array([p[0], p[1], p[2], 1.0], dtype=np.float64)
-    chain = np.linalg.inv(np.asarray(e_rgb, dtype=np.float64)) @ np.asarray(
-        e_tof, dtype=np.float64
-    )
+    chain = np.linalg.inv(e_rgb.matrix) @ e_tof.matrix
     rgb = chain @ homo
-    img = np.asarray(k_mat, dtype=np.float64) @ rgb[:3]
+    k_mat = np.array([[k_rgb.fx, 0.0, k_rgb.cx], [0.0, k_rgb.fy, k_rgb.cy], [0.0, 0.0, 1.0]])
+    img = k_mat @ rgb[:3]
     return img[0] / img[2], img[1] / img[2], rgb[2]
 
 
@@ -409,7 +408,7 @@ def add_at_gs_gradient(verts):
     grad = np.zeros((n, 2))
     delta = verts[2:] - 2.0 * verts[1:-1] + verts[:-2]
     norms = np.hypot(delta[:, 0], delta[:, 1])
-    safe = norms > _GS_KINK_EPS
+    safe = norms > DEDUPE_TOL  # the library's kink cutoff
     unit = np.zeros_like(delta)
     unit[safe] = delta[safe] / norms[safe, None]
     idx = np.arange(n - 2)

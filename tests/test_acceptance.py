@@ -141,16 +141,14 @@ def test_criterion_4_projection_and_jacobian():
     while checked < 1000:
         fx, fy = rng.uniform(50, 900, 2)
         cx, cy = rng.uniform(100, 500, 2)
-        rig = CameraRig(
+        parts = (
             Intrinsics(fx, fy, cx, cy),
             Extrinsics.from_rt(random_rotation(rng), rng.uniform(-0.5, 0.5, 3)),
             Extrinsics.from_rt(random_rotation(rng), rng.uniform(-0.5, 0.5, 3)),
-            1000, 800,
         )
+        rig = CameraRig(*parts, 1000, 800)
         p = rng.uniform(-1, 1, 3)
-        u, v, z = project_homogeneous(
-            p, rig.k_rgb.matrix, rig.e_rgb.matrix, rig.e_tof.matrix
-        )
+        u, v, z = project_homogeneous(p, *parts)
         if z <= 0.1:
             continue
         # one kernel call: the point, then its +h and -h steps per axis

@@ -44,12 +44,17 @@ def _to_rgb(p, rig):
     return rig.rotation @ np.asarray(p, dtype=np.float64) + rig.translation
 
 
-def _random_rig(rng):
+def _random_parts(rng):
+    """(intrinsics, e_rgb, e_tof) of a random rig."""
     fx, fy = rng.uniform(50, 900, 2)
     cx, cy = rng.uniform(100, 500, 2)
     e_rgb = Extrinsics.from_rt(random_rotation(rng), rng.uniform(-0.5, 0.5, 3))
     e_tof = Extrinsics.from_rt(random_rotation(rng), rng.uniform(-0.5, 0.5, 3))
-    return _rig(fx, fy, cx, cy, 1000, 800, e_rgb=e_rgb, e_tof=e_tof)
+    return Intrinsics(fx, fy, cx, cy), e_rgb, e_tof
+
+
+def _random_rig(rng):
+    return CameraRig(*_random_parts(rng), 1000, 800)
 
 
 # -- extrinsics / rig validation ----------------------------------------------
@@ -67,13 +72,6 @@ def test_extrinsics_rejects_reflection():
     m[0, 0] = -1.0  # det -1
     with pytest.raises(CloudSRError, match=r"rotation block must have determinant \+1"):
         Extrinsics(m)
-
-
-def test_extrinsics_inverse_closed_form():
-    rng = np.random.default_rng(0)
-    e = Extrinsics.from_rt(random_rotation(rng), [0.3, -0.2, 1.0])
-    prod = e.inverse().matrix @ e.matrix
-    np.testing.assert_allclose(prod, np.eye(4), atol=1e-12)
 
 
 # -- frame transform -----------------------------------------------------------
@@ -150,11 +148,10 @@ def test_project_scale_invariance_identity_extrinsics():
 def test_project_matches_homogeneous_oracle():
     rng = np.random.default_rng(4)
     for _ in range(300):
-        rig = _random_rig(rng)
+        parts = _random_parts(rng)
+        rig = CameraRig(*parts, 1000, 800)
         p = rng.uniform(-1, 1, 3)
-        u, v, z = project_homogeneous(
-            p, rig.k_rgb.matrix, rig.e_rgb.matrix, rig.e_tof.matrix
-        )
+        u, v, z = project_homogeneous(p, *parts)
         if z <= 0.1:
             continue
         uv, got_z = pinhole(p[None, :], rig)
@@ -186,16 +183,15 @@ def test_project_cloud_culls_out_of_frame():
 
 def test_project_cloud_matches_pointwise():
     rng = np.random.default_rng(5)
-    rig = _random_rig(rng)
+    parts = _random_parts(rng)
+    rig = CameraRig(*parts, 1000, 800)
     pts = rng.uniform(-1, 1, size=(200, 3))
     try:
         proj, imap = project_cloud(pts, rig)
     except AllPointsCulled:
         pytest.skip("random rig culled everything")
     for row, src in enumerate(imap):
-        u, v, _ = project_homogeneous(
-            pts[src], rig.k_rgb.matrix, rig.e_rgb.matrix, rig.e_tof.matrix
-        )
+        u, v, _ = project_homogeneous(pts[src], *parts)
         np.testing.assert_allclose(
             proj[row], [u, v], rtol=1e-12, atol=1e-12
         )
@@ -292,7 +288,9 @@ def test_load_rig_round_trip(tmp_path):
     rig = load_rig(path)
     assert (rig.width, rig.height) == (640, 480)
     assert rig.k_rgb.fx == 525.0
-    np.testing.assert_allclose(rig.e_tof.translation, [0.05, 0.0, 0.0])
+    # e_rgb is the identity, so the depth-to-RGB transform is e_tof
+    assert rig.rotation.tobytes() == np.eye(3).tobytes()
+    np.testing.assert_allclose(rig.translation, [0.05, 0.0, 0.0])
 
 
 def test_load_rig_takes_integral_floats_and_nested_int_matrices(tmp_path):
@@ -302,7 +300,9 @@ def test_load_rig_takes_integral_floats_and_nested_int_matrices(tmp_path):
     path.write_text(json.dumps(data))
     rig = load_rig(path)
     assert (rig.width, rig.height) == (640, 480) and type(rig.width) is int
-    assert rig.e_rgb.matrix.tobytes() == np.eye(4).tobytes()
+    # the nested int identity e_rgb leaves e_tof's transform bit for bit
+    assert rig.rotation.tobytes() == np.eye(3).tobytes()
+    assert rig.translation.tobytes() == np.array([0.05, 0.0, 0.0]).tobytes()
 
 
 def test_load_rig_rejects_bad_rotation(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -76,6 +78,21 @@ def test_lattice_hull_takes_one_walk(side, degrees):
     assert all(brute_points_in_polygon(poly.vertices, pts))
 
 
+def test_small_rotated_lattice_falls_back_to_the_convex_hull():
+    # a 4 x 4 lattice rolled 3 degrees, built as the CI lattice is: at
+    # k = 20 the only k tried is n - 1 = 15, its walk does not close a valid
+    # hull, and the convex hull is returned
+    c, s = math.cos(math.radians(3)), math.sin(math.radians(3))
+    pts = np.array([[c * x - s * y, s * x + c * y] for y in range(4) for x in range(4)])
+    poly = concave_hull(pts, k=20)
+    assert poly.k_used == 15
+    assert poly.source_indices.tolist() == [12, 8, 4, 0, 1, 3, 7, 11, 15]
+    assert poly.source_indices.tolist() == hull.monotone_chain(pts)
+    assert brute_polygon_is_simple(poly.vertices)
+    assert _signed_area(poly.vertices) > 0
+    assert all(brute_points_in_polygon(poly.vertices, pts))
+
+
 def test_convex_position_equals_convex_hull():
     rng = np.random.default_rng(0)
     angles = np.sort(rng.uniform(0, 2 * np.pi, 200))
@@ -114,6 +131,12 @@ def test_polygon_is_simple_square_true():
 
 def test_polygon_is_simple_bowtie_false():
     assert not polygon_is_simple(np.array([[0.0, 0], [1, 1], [1, 0], [0, 1]]))
+
+
+def test_polygon_is_simple_rejects_unbounded_vertices():
+    # an extent past the float range would make the edge grid's cells NaN
+    with pytest.raises(ValueError, match=r"within \+/-1e\+150"):
+        polygon_is_simple([[-1e308, 0], [1e308, 0], [1e308, 1], [-1e308, 1]])
 
 
 def test_polygon_is_simple_matches_pair_loop_random():
@@ -322,6 +345,12 @@ def test_contains_all_cases():
     assert contains_all(verts, np.array([[2.0, 2.0]]))
     assert not contains_all(verts, np.array([[12.0, 12.0]]))
     assert contains_all(verts, np.array([[2.0, 0.0], [4.0, 2.0]]))  # on edges
+    assert contains_all(verts, np.empty((0, 2)))
+    # a NaN vertex or point is refused, not tested as outside
+    with pytest.raises(ValueError, match="polygon vertex coordinates must be finite"):
+        contains_all(np.vstack([verts, [[np.nan, 2.0]]]), np.array([[2.0, 2.0]]))
+    with pytest.raises(ValueError, match="tested point coordinates must be finite"):
+        contains_all(verts, np.array([[2.0, np.nan]]))
 
 
 _GRID_POINT = st.tuples(st.integers(0, 4), st.integers(0, 4))

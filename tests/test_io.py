@@ -135,6 +135,9 @@ def test_ply_big_endian_rejected(tmp_path):
         read_ply(path)
 
 
+_XYZ = "property float x\nproperty float y\nproperty float z\n"
+
+
 def test_ply_malformed_headers(tmp_path):
     cases = [
         ("nope\n", "missing 'ply' magic"),
@@ -150,6 +153,27 @@ def test_ply_malformed_headers(tmp_path):
         ("ply\nformat ascii 1.0\nelement vertex 1\nproperty int x\n"
          "property float y\nproperty float z\nend_header\n0 0 0\n",
          "vertex x must be a float32/float64 scalar"),
+        ("ply\nformat\nend_header\n", "bad format line"),
+        ("ply\nformat ascii 1.0\nelement vertex\nend_header\n", "bad element line"),
+        ("ply\nformat ascii 1.0\nelement vertex many\nend_header\n", "bad element count"),
+        ("ply\nformat ascii 1.0\nelement vertex -1\nend_header\n",
+         "negative element count -1"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty float\nend_header\n",
+         "bad property line"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty list uchar int\nend_header\n",
+         "bad list property line"),
+        ("ply\nformat ascii 1.0\nelement face 1\nproperty float x\nend_header\n0\n",
+         "no vertex element"),
+        ("ply\nformat binary_little_endian 1.0\nelement vertex 1\n" + _XYZ
+         + "property list uchar int vertex_indices\nend_header\n",
+         "list properties in binary elements are not supported"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\n" + _XYZ
+         + "property list uchar int vertex_indices\nend_header\n0 0 0 -1\n",
+         "negative list count -1"),
+        ("ply\nformat ascii 1.0\nelement vertex 0\n" + _XYZ + "end_header\n",
+         "vertex element is empty"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\n" + _XYZ + "end_header\n0 0 zero\n",
+         "bad float literal b'zero'"),  # the token is bytes, and so is its repr
     ]
     for i, (text, message) in enumerate(cases):
         path = tmp_path / f"bad{i}.ply"
@@ -225,6 +249,17 @@ def test_pixmap_malformed(tmp_path):
     over.write_text("P2\n1 1\n10\n11\n")
     with pytest.raises(CloudSRError, match="raster value exceeds maxval"):
         read_pixmap(over)
+    cases = [
+        (b"P5\n0 4\n255\n", "pixmap dimensions must be positive"),
+        (b"P2\n4 -1\n255\n", "pixmap dimensions must be positive"),
+        (b"P5\n1 1\n0\n\x00", "maxval 0 out of range"),
+        (b"P5\n1 1\n65536\n\x00\x00", "maxval 65536 out of range"),
+    ]
+    for i, (data, message) in enumerate(cases):
+        path = tmp_path / f"bad{i}.pgm"
+        path.write_bytes(data)
+        with pytest.raises(CloudSRError, match=re.escape(message)):
+            read_pixmap(path)
 
 
 def test_pixmap_write_round_trip(tmp_path):
