@@ -39,22 +39,13 @@ def _pad_down(x):
     return x * (1 - 1e-12) - _TINY
 
 
-def require_bounded(arr, what):
-    """Raise ValueError unless every entry is finite and within COORD_LIMIT."""
-    if not np.all(np.abs(arr) <= COORD_LIMIT):  # NaN fails the comparison too
-        raise ValueError(f"{what} must be finite and within +/-{COORD_LIMIT:g}")
-
-
 class PointCloud3:
     """Immutable ordered collection of 3D points."""
 
     def __init__(self, points):
-        arr = np.array(points, dtype=np.float64, copy=True)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ValueError("expected an (N, 3) array of 3D points")
+        arr = as_point_array(points, 3, "point cloud coordinates").copy()
         if arr.shape[0] < 1:
             raise ValueError("point cloud must contain at least one point")
-        require_bounded(arr, "point cloud coordinates")
         arr.setflags(write=False)
         self._points = arr
 
@@ -75,59 +66,70 @@ def dedupe_rows(arr: np.ndarray) -> np.ndarray:
 
     Rows are snapped to a grid of pitch `DEDUPE_TOL`; rows sharing a grid
     cell are considered duplicates and the lowest index wins.  A stable
-    `lexsort` of the `_dedupe_sort_keys` groups each cell's rows in index
-    order, so the first row of each group is its lowest index (`-0.0` and
-    `+0.0` keys compare equal and share a cell).
+    `lexsort` of the snapped rows' `_cell_keys` groups each cell's rows in
+    index order, so the first row of each group is its lowest index (`-0.0`
+    and `+0.0` snap to one cell).
     """
     if arr.shape[0] == 0:
         return np.arange(0, dtype=np.intp)
-    keys = _dedupe_sort_keys(np.round(arr / DEDUPE_TOL))
+    keys = _cell_keys(np.round(arr / DEDUPE_TOL))
     order = np.lexsort(keys)
-    changed = np.zeros(order.size - 1, dtype=bool)
+    return np.sort(order[_group_starts(keys, order)])
+
+
+def _cell_keys(cells: np.ndarray, spans=None) -> list[np.ndarray]:
+    """`lexsort` keys, least significant first, of integral cell rows: equal
+    exactly where the rows are, and ordered as the rows sort with column 0
+    most significant.  The leading columns fold into one int64 key while
+    their spans (by default the rows' own, max - min + 1; given spans bound
+    indices from 0 and cost no pass) multiply to fewer than 2^63 cells, and
+    each later column is cast to int64.  When a value does not cast (past
+    about 9.2e18, or NaN), the float columns are the keys."""
+    lows = None
+    if spans is None:
+        lows = [cells[:, d].min() for d in range(cells.shape[1])]
+        highs = [cells[:, d].max() for d in range(cells.shape[1])]
+        # NaN fails both comparisons, and 2.0**63 itself does not cast
+        if not all(lo >= -2.0**63 and hi < 2.0**63 for lo, hi in zip(lows, highs)):
+            return list(cells.T[::-1])
+        lows = [int(lo) for lo in lows]
+        spans = [int(hi) - lo + 1 for hi, lo in zip(highs, lows)]
+    elif max(spans) > _FOLD_CELLS:  # index s_d - 1 casts up to s_d = 2^63
+        return list(cells.T[::-1])
+    lead = 1
+    while lead < len(spans) and math.prod(spans[:lead + 1]) < _FOLD_CELLS:
+        lead += 1
+    ints = cells.astype(np.int64)
+    # offsets are subtracted in int64 (float subtraction rounds past 2^53),
+    # and only under a fold: a lone column's span may exceed int64
+    shift = lows is not None and lead > 1
+    folded = ints[:, 0] - lows[0] if shift else ints[:, 0]
+    for d in range(1, lead):
+        folded = folded * spans[d] + (ints[:, d] - lows[d] if shift else ints[:, d])
+    return [ints[:, d] for d in reversed(range(lead, len(spans)))] + [folded]
+
+
+def _group_starts(keys: list[np.ndarray], order: np.ndarray) -> np.ndarray:
+    """Mask over the sorted rows `order` of the first row of each run of equal `keys`."""
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
     for key in keys:
         sk = key[order]
-        changed |= sk[1:] != sk[:-1]
-    return np.sort(order[np.r_[True, changed]])
-
-
-def _dedupe_sort_keys(snapped: np.ndarray) -> list[np.ndarray]:
-    """Sort keys of the snapped rows, least significant first as `lexsort`
-    takes them, equal exactly where the rows are.
-
-    When every snapped value casts to int64 exactly and the spans (max -
-    min + 1) of the first two columns multiply to fewer than 2^63 cells,
-    those two columns fold into one int64 key, the primary one, and a third
-    column follows as its int64 cast.  Otherwise the float columns are the
-    keys: an int64 cast would wrap beyond about 9.2e9 (in units of the
-    grid pitch, 9.2e18).
-    """
-    cols = range(snapped.shape[1])
-    lows = [snapped[:, d].min() for d in cols]
-    highs = [snapped[:, d].max() for d in cols]
-    # NaN fails both comparisons, and 2.0**63 itself does not cast
-    if not all(lo >= -2.0**63 and hi < 2.0**63 for lo, hi in zip(lows, highs)):
-        return list(snapped.T)
-    lead = [int(lo) for lo in lows[:2]]
-    spans = [int(hi) - lo + 1 for hi, lo in zip(highs, lead)]
-    if math.prod(spans) >= _FOLD_CELLS:
-        return list(snapped.T)
-    ints = snapped.astype(np.int64)
-    folded = ints[:, 0] - lead[0]
-    if len(spans) > 1:
-        folded = folded * spans[1] + (ints[:, 1] - lead[1])
-    return [ints[:, d] for d in reversed(cols[2:])] + [folded]
+        starts[1:] |= sk[1:] != sk[:-1]
+    return starts
 
 
 def as_point_array(points, dim: int | None, what: str) -> np.ndarray:
     """Coerce an array-like to an (N, D) float64 array, the one entry check
     of every point array: D is `dim` unless that is None, and every entry is
-    finite and within COORD_LIMIT (`require_bounded`, naming `what`)."""
+    finite and within COORD_LIMIT, else a ValueError naming `what`."""
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("expected a 2D array of points")
     if dim is not None and arr.shape[1] != dim:
         raise ValueError(f"expected points of dimension {dim}, got {arr.shape[1]}")
-    require_bounded(arr, what)
+    if not np.all(np.abs(arr) <= COORD_LIMIT):  # NaN fails the comparison too
+        raise ValueError(f"{what} must be finite and within +/-{COORD_LIMIT:g}")
     return arr
 
 
@@ -291,29 +293,24 @@ def _voxel_keys(rel: np.ndarray, edge: float, spans=None) -> np.ndarray:
     significant.
 
     With per-axis spans s_d (by default the rows' own, max index + 1), a
-    grid of fewer than 2^63 cells folds the indices to (k0*s1 + k1)*s2 + k2;
-    spans taken at a smaller edge (`_voxel_spans`) make the keys of any rows
-    at any edge from there up comparable.  A larger grid keys each row by
-    its rank among the distinct index rows instead, by one `lexsort`; in
-    `binned_centroids` only the smallest edge can need it, and on the bench
-    inputs its count is skipped.
+    grid of fewer than 2^63 cells folds the indices to the one `_cell_keys`
+    key (k0*s1 + k1)*s2 + k2; spans taken at a smaller edge (`_voxel_spans`)
+    make the keys of any rows at any edge from there up comparable.  A
+    larger grid keys each row by its rank among the distinct index rows
+    instead, by one `lexsort`; in `binned_centroids` only the smallest edge
+    can need it, and on the bench inputs its count is skipped.
     """
     # float indices: at the bisection's smallest edge one can exceed int64
-    keys = np.floor(rel / edge)
+    cells = np.floor(rel / edge)
     if spans is None:
         # a max per column: numpy's axis-0 max over three columns is ~8x slower
-        spans = [int(keys[:, d].max()) + 1 for d in range(keys.shape[1])]
-    if math.prod(spans) < _FOLD_CELLS:
-        ints = keys.astype(np.int64)
-        folded = ints[:, 0]
-        for d in range(1, ints.shape[1]):
-            folded = folded * spans[d] + ints[:, d]
-        return folded
-    # lexsort's last key is its primary one, so reverse the columns
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    ranks = np.empty(keys.shape[0], dtype=np.int64)
-    ranks[order] = np.cumsum(np.r_[False, np.any(ordered[1:] != ordered[:-1], axis=1)])
+        spans = [int(cells[:, d].max()) + 1 for d in range(cells.shape[1])]
+    keys = _cell_keys(cells, spans)
+    if len(keys) == 1:
+        return keys[0]
+    order = np.lexsort(keys)
+    ranks = np.empty(order.size, dtype=np.int64)
+    ranks[order] = np.cumsum(_group_starts(keys, order)) - 1
     return ranks
 
 

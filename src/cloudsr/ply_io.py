@@ -179,7 +179,8 @@ def _read_ascii(fh, elements) -> np.ndarray:
                     try:
                         row[name] = float(val)
                     except ValueError as exc:
-                        raise CloudSRError(f"bad float literal {val!r}") from exc
+                        text = val.decode("ascii", errors="replace")
+                        raise CloudSRError(f"bad float literal {text!r}") from exc
             if el.name == "vertex":
                 rows.append((row["x"], row["y"], row["z"]))
         if el.name == "vertex":

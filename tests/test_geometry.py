@@ -698,23 +698,39 @@ def test_voxel_centroids_add_in_input_order(scale):
         _assert_voxels_match_oracles(pts, origin, edge)
 
 
-@pytest.mark.parametrize("spans,fits", [
-    ((2**32, 2**31 - 1), True), ((2**32, 2**31), False),
-    ((2**21, 2**21, 2**21 - 1), True), ((2**21, 2**21, 2**21), False),
-    ((1e200, 1e200, 1e200), False),
+def _assert_cell_keys(cells, spans, count, dtype):
+    """`_cell_keys` gives `count` keys of `dtype` that, read most significant
+    first, group and order the rows as `np.unique(axis=0)` does."""
+    keys = geometry._cell_keys(cells, spans)
+    assert len(keys) == count
+    assert all(k.dtype == dtype and k.shape == (cells.shape[0],) for k in keys)
+    _, want = np.unique(cells, axis=0, return_inverse=True)
+    _, got = np.unique(np.stack(keys[::-1], axis=1), axis=0, return_inverse=True)
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("spans,keys", [
+    ((2**32, 2**31 - 1), 1), ((2**32, 2**31), 2),
+    ((2**21, 2**21, 2**21 - 1), 1), ((2**21, 2**21, 2**21), 2),
+    ((1e200, 1e200, 1e200), 3),
 ], ids=["2col-below", "2col-at", "3col-below", "3col-at", "float-overflow"])
-def test_fold_switches_to_lexsort_at_two_to_the_63(spans, fits):
-    # below 2^63 cells the key is the fold (k0*s1 + k1)*s2 + k2; at 2^63 or
-    # more it is each row's rank among the distinct rows
+def test_fold_switches_to_lexsort_at_two_to_the_63(spans, keys):
+    # below 2^63 cells `_cell_keys` folds every column into the one key
+    # (k0*s1 + k1)*s2 + k2, and that is the voxel key; at 2^63 or more it
+    # leaves a key per column after the fold (the float columns past the
+    # int64 cast), and the voxel key is each row's rank among the distinct
+    # rows
     pts = _grid_corner_cloud(spans, np.random.default_rng(1))
-    keys = geometry._voxel_keys(pts, 1.0)
-    if fits:
+    given = [int(s) for s in spans]
+    _assert_cell_keys(pts, given, keys, np.float64 if spans[0] > 2**63 else np.int64)
+    voxel_keys = geometry._voxel_keys(pts, 1.0)
+    if keys == 1:
         folded = pts[:, 0].astype(np.int64)
         for d in range(1, pts.shape[1]):
             folded = folded * int(spans[d]) + pts[:, d].astype(np.int64)
-        assert keys.tolist() == folded.tolist()
+        assert voxel_keys.tolist() == folded.tolist()
     else:
-        assert keys.tolist() == np.unique(pts, axis=0, return_inverse=True)[1].tolist()
+        assert voxel_keys.tolist() == np.unique(pts, axis=0, return_inverse=True)[1].tolist()
     _assert_voxels_match_oracles(pts, np.zeros(pts.shape[1]), 1.0)
 
 
@@ -761,20 +777,69 @@ def test_dedupe_rows_matches_the_unique_oracle(pts):
     assert dedupe_rows(pts).tolist() == unique_dedupe_rows(pts).tolist()
 
 
-@pytest.mark.parametrize("spans,keys", [
-    ((2**32, 2**31 - 1), 1), ((2**32, 2**31), 2),
-    ((2**32, 2**31 - 1, 5), 2), ((2**32, 2**31, 5), 3),
-], ids=["2col-below", "2col-at", "3col-below", "3col-at"])
-def test_dedupe_folds_two_columns_below_two_to_the_63(spans, keys):
-    # below 2^63 cells the first two snapped columns fold into one int64 key
-    # and a third follows it; at 2^63 every column stays a float key
-    pts = _snapped_grid(spans, np.random.default_rng(2))
+def _cell_key_rows(case, rng):
+    """Rows for the dedupe key test: a `_snapped_grid` of the spans `case`,
+    or rows of a named kind."""
+    if isinstance(case, tuple):
+        return _snapped_grid(case, rng)
+    if case == "pixels":  # hull pixels: spans ~6.4e11 each, too many to fold
+        pts = rng.uniform(0, 640, size=(60, 2))
+        return np.vstack([pts, pts[:20]])
+    if case == "unit-3d":  # densify rows: two columns fold, the third is cast
+        pts = rng.uniform(-1, 1, size=(60, 3))
+        return np.vstack([pts, pts[:20]])
+    if case == "lattice":  # every column folds
+        return rng.integers(-3, 4, size=(60, 3)) * DEDUPE_TOL
+    if case.startswith("at-"):
+        # a snapped -2^63 casts and +2^63 does not; 2048 cells inside, both do
+        limit = 2.0**63 if case == "at-plus-2-63" else -2.0**63
+        cells = rng.choice([limit, limit - np.sign(limit) * 2048, 0.0, 1e9], size=(60, 3))
+    else:
+        # both columns fold, but only once shifted to start at 0 in int64:
+        # unshifted, 2^62 times a span of 2 wraps past 2^63; shifted in
+        # floats, 2^60 and 2^60 + 256 less -2^60 round to one value
+        wide = [2.0**62 - 1024, 2.0**62] if case == "wrap" else [-2.0**60, 2.0**60, 2.0**60 + 256]
+        cols = [rng.choice(wide, 60), rng.choice([0.0, 1.0], 60)]
+        cells = np.stack(cols[::-1] if case == "float-shift-1" else cols, axis=1)
+    pts = cells * DEDUPE_TOL
+    assert np.array_equal(np.round(pts / DEDUPE_TOL), cells)
+    return pts
+
+
+@pytest.mark.parametrize("case,keys,dtype", [
+    ((2**32, 2**31 - 1), 1, np.int64), ((2**32, 2**31), 2, np.int64),
+    ((2**32, 2**31 - 1, 5), 2, np.int64), ((2**32, 2**31, 5), 3, np.int64),
+    ("pixels", 2, np.int64), ("unit-3d", 2, np.int64), ("lattice", 1, np.int64),
+    ("at-minus-2-63", 3, np.int64), ("at-plus-2-63", 3, np.float64),
+    ("wrap", 1, np.int64), ("float-shift-0", 1, np.int64), ("float-shift-1", 1, np.int64),
+], ids=["2col-below", "2col-at", "3col-below", "3col-at", "pixels", "unit-3d", "lattice",
+        "at-minus-2-63", "at-plus-2-63", "wrap", "float-shift-0", "float-shift-1"])
+def test_dedupe_folds_two_columns_below_two_to_the_63(case, keys, dtype):
+    # with the snapped rows' own spans, the leading columns fold into one
+    # int64 key while their grid has fewer than 2^63 cells, and each later
+    # column follows as its int64 cast; a value that does not cast leaves
+    # the float columns
+    pts = _cell_key_rows(case, np.random.default_rng(2))
     snapped = np.round(pts / DEDUPE_TOL)
-    assert [int(v) for v in snapped.max(axis=0) - snapped.min(axis=0) + 1] == list(spans)
-    sort_keys = geometry._dedupe_sort_keys(snapped)
-    assert len(sort_keys) == keys
-    assert all(k.dtype == (np.int64 if keys < len(spans) else np.float64) for k in sort_keys)
+    if isinstance(case, tuple):
+        assert [int(v) for v in snapped.max(axis=0) - snapped.min(axis=0) + 1] == list(case)
+    _assert_cell_keys(snapped, None, keys, dtype)
     assert dedupe_rows(pts).tolist() == unique_dedupe_rows(pts).tolist()
+
+
+def test_cell_keys_read_given_spans_without_a_pass():
+    # given spans bound indices from 0; a span of 2^63 still casts (its top
+    # index is 2^63 - 1), one past it does not.  `_MovingRows` keys zero
+    # rows with given spans, which take no min or max
+    rows = np.array([[0.0, 2.0], [5.0, 0.0], [0.0, 2.0], [2.0**62, 1.0]])
+    _assert_cell_keys(rows, [2**63, 3], 2, np.int64)
+    _assert_cell_keys(rows, [2**63 + 1, 3], 2, np.float64)
+    _assert_cell_keys(rows[:, 1:], [3], 1, np.int64)
+    for spans, count, dtype in [([4, 5, 6], 1, np.int64), ([2**30] * 3, 2, np.int64),
+                                ([2**64] * 3, 3, np.float64)]:
+        keys = geometry._cell_keys(np.empty((0, 3)), spans)
+        assert [(k.dtype, k.shape) for k in keys] == [(np.dtype(dtype), (0,))] * count
+        assert geometry._voxel_keys(np.empty((0, 3)), 1.0, spans).shape == (0,)
 
 
 def test_bisection_target_one_keeps_the_rounded_up_edge():
