@@ -38,13 +38,18 @@ class DensifyConfig:
 
 def _midpoint_round(pts: np.ndarray, k_interp: int) -> np.ndarray:
     """Midpoints between each point and its k nearest neighbors (self
-    excluded).  Pair duplicates collapse later: (a+b)/2 == (b+a)/2 exactly."""
+    excluded), row by row.  (a+b)/2 == (b+a)/2 exactly, so a pair (r, c)
+    with r > c whose mirror (c, r) row c's list holds is left out: that
+    copy comes earlier, and `dedupe_rows` would keep it instead."""
     n = pts.shape[0]
     k = min(k_interp + 1, n)  # +1: the nearest neighbor of a point is itself
     nbrs, _ = SpatialIndex(pts).knn_batch(pts, k)
     rows = np.repeat(np.arange(n), k)
     cols = nbrs.ravel()
-    mask = rows != cols
+    mask = rows < cols
+    # a pair (r, c) with r > c is kept only when row c's list lacks r
+    back = np.flatnonzero(rows > cols)
+    mask[back] = ~(np.take(nbrs, cols[back], axis=0) == rows[back, None]).any(axis=1)
     return 0.5 * (np.take(pts, rows[mask], axis=0) + np.take(pts, cols[mask], axis=0))
 
 

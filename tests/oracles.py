@@ -401,6 +401,18 @@ def unique_dedupe_rows(arr):
     return np.sort(first)
 
 
+def all_pairs_midpoint_pool(pts, k_interp):
+    """The pool after one densify midpoint round, mirrored pairs included:
+    the midpoint of every row and each of its min(k_interp + 1, n) nearest
+    rows by `flat_knn`, itself excluded, in row order, appended to the pool
+    and deduped by `unique_dedupe_rows`."""
+    n = pts.shape[0]
+    nbrs, _ = flat_knn(pts, pts, min(k_interp + 1, n))
+    mids = [0.5 * (pts[r] + pts[c]) for r in range(n) for c in nbrs[r] if c != r]
+    grown = np.vstack([pts, np.reshape(mids, (-1, pts.shape[1]))])
+    return grown[unique_dedupe_rows(grown)]
+
+
 def add_at_gs_gradient(verts):
     """Gradient of the second-difference smoothness sum scattered with
     `np.add.at`, the form the library's three slice adds must reproduce."""

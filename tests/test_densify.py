@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import cloudsr.densify
-from cloudsr.densify import DensifyConfig, densify
+from cloudsr.densify import DensifyConfig, _midpoint_round, densify
 from cloudsr.errors import CloudSRError
-from cloudsr.geometry import PointCloud3
+from cloudsr.geometry import PointCloud3, SpatialIndex, dedupe_rows
+
+from oracles import all_pairs_midpoint_pool
 
 
 def _rows(cloud):
@@ -55,6 +57,46 @@ def test_exact_count_various(rate, n):
     out = densify(cloud, DensifyConfig(rate=rate))
     assert len(out) == rate * n
     assert _rows(cloud) <= _rows(out)
+
+
+def _midpoint_pools(kind, seed):
+    """(pool, k_interp): lattices with mutual and tied neighbours, random
+    rows, rows with one-sided neighbour lists, and pools of at most
+    k_interp + 1 rows."""
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        grid = np.stack(np.meshgrid(np.arange(5), np.arange(4), np.arange(2), indexing="ij"), axis=-1)
+        return grid.reshape(-1, 3)[rng.permutation(40)] * 0.5, 4
+    if kind == "random":
+        return rng.normal(size=(60, 3)), int(rng.integers(2, 7))
+    if kind == "one-sided":
+        # rows 2^i apart on a line, and far rows around a tight cluster:
+        # each far row lists cluster rows that do not list it back
+        line = np.zeros((10, 3))
+        line[:, 0] = 2.0 ** np.arange(10)
+        cluster = rng.normal(scale=0.01, size=(12, 3))
+        far = rng.normal(size=(6, 3)) * 50
+        return np.vstack([line, cluster, far])[rng.permutation(28)], 3
+    n = int(rng.integers(2, 6))
+    return rng.normal(size=(n, 3)), n - 1 + int(rng.integers(0, 3))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["lattice", "random", "one-sided", "small"])
+def test_midpoint_rounds_match_the_all_pairs_oracle(kind, seed):
+    # a mirrored pair's midpoint is bit-identical to its earlier copy, so the
+    # pool after each round is the all-pairs one, byte for byte, and each
+    # unordered neighbour pair gives exactly one midpoint
+    pool, k_interp = _midpoint_pools(kind, seed)
+    for _ in range(3):
+        mids = _midpoint_round(pool, k_interp)
+        nbrs, _ = SpatialIndex(pool).knn_batch(pool, min(k_interp + 1, len(pool)))
+        pairs = {(min(r, c), max(r, c)) for r, row in enumerate(nbrs.tolist()) for c in row if c != r}
+        assert mids.shape == (len(pairs), 3)
+        grown = np.vstack([pool, mids])
+        grown = grown[dedupe_rows(grown)]
+        assert grown.tobytes() == all_pairs_midpoint_pool(pool, k_interp).tobytes()
+        pool = grown
 
 
 def test_generated_points_in_convex_hull():

@@ -392,6 +392,82 @@ def test_nearest_settles_only_below_the_padded_last_candidate():
     assert got[0].tolist() == [0] and got[1].tolist() == [1.0]
 
 
+class _SwappingTree:
+    """Answers as the wrapped tree, except that in the rows of a batch at
+    the positions `rows` picks it returns each run of tied or near-tied
+    candidates (tree distances within a relative 2^-40) in descending index
+    order, as a tree's heap may leave them.  Counts the rows it changed."""
+
+    def __init__(self, tree, rows):
+        self.tree, self.pick, self.changed = tree, rows, 0
+
+    def query(self, x, k):
+        dist, cand = self.tree.query(x, k=k)
+        dist, cand = dist.reshape(len(x), k), cand.reshape(len(x), k).copy()
+        for r in range(len(x))[self.pick]:
+            runs = np.cumsum(np.r_[0, dist[r, 1:] > dist[r, :-1] * (1 + 2.0**-40)])
+            order = np.lexsort((-cand[r], runs))
+            self.changed += bool(np.any(order != np.arange(k)))
+            dist[r], cand[r] = dist[r, order], cand[r, order]
+        return dist, cand
+
+
+@pytest.mark.parametrize("rows", [slice(None, None, 2), slice(1, None, 3)], ids=["even", "every-third"])
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_rank_resorts_the_rows_the_tree_returned_out_of_order(rows, k):
+    # three copies of each point of a 4 x 4 x 3 lattice, shuffled, some
+    # nudged by 2^-44 so their distances near-tie; queries on, between and
+    # off the points, so ties are common
+    rng = np.random.default_rng(k)
+    grid = np.stack(np.meshgrid(np.arange(4), np.arange(4), np.arange(3), indexing="ij"), axis=-1)
+    pts = np.repeat(grid.reshape(-1, 3).astype(float), 3, axis=0)[rng.permutation(144)]
+    pts[rng.random(144) < 0.3] += 2.0**-44
+    queries = np.vstack([pts[:40], rng.integers(0, 7, size=(40, 3)) / 2.0,
+                         rng.uniform(0, 3, size=(40, 3))])
+    idx = SpatialIndex(pts)
+    idx._tree = _SwappingTree(idx._tree, rows)
+    got = idx.knn_batch(queries, k)
+    want = flat_knn(pts, queries, k)
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+    assert idx._tree.changed > 0
+
+
+class _RecordingTree:
+    """Records a copy of every query batch passed to the wrapped tree."""
+
+    def __init__(self, tree):
+        self.tree, self.batches = tree, []
+
+    def query(self, x, k):
+        self.batches.append((k, np.array(x)))
+        return self.tree.query(x, k=k)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_first_round_blocks_retry_rows_at_their_offset(k):
+    # a first round of one block and a little more.  Rows near the ten
+    # copies of one far point tie among them and are retried: three in the
+    # first block, the rest in the second, at their offset there
+    width = 2 if k == 1 else k + geometry._RANK_SLACK
+    step = geometry._RANK_BLOCK // width
+    rng = np.random.default_rng(30 + k)
+    pts = np.vstack([rng.uniform(-1, 1, size=(30, 2)), np.full((10, 2), 10.0)])
+    pts = pts[rng.permutation(40)]
+    queries = rng.uniform(-1, 1, size=(step + 60, 2))
+    tied = np.r_[5, 17, step - 1, step + rng.choice(60, 12, replace=False)]
+    queries[tied] = 10.0 + rng.uniform(-0.5, 0.5, size=(tied.size, 2))
+    idx = SpatialIndex(pts)
+    idx._tree = _RecordingTree(idx._tree)
+    got = idx.knn_batch(queries, k)
+    want = flat_knn(pts, queries, k)
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+    batches = idx._tree.batches
+    assert [(w, len(x)) for w, x in batches[:2]] == [(width, step), (width, 60)]
+    assert batches[2][1].tobytes() == queries[np.sort(tied)].tobytes()
+
+
 def test_index_rejects_unbounded_queries():
     idx = SpatialIndex(np.array([[0.0, 0.0], [1.0, 1.0]]))
     for bad in (np.nan, np.inf, 2 * COORD_LIMIT):
