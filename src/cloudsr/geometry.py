@@ -77,7 +77,7 @@ def dedupe_rows(arr: np.ndarray) -> np.ndarray:
     return np.sort(order[_group_starts(keys, order)])
 
 
-def _column_bounds(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def column_bounds(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column minima and maxima of an (N, D) array, a column at a time:
     numpy's axis-0 min and max are ~10x slower on three columns."""
     cols = range(pts.shape[1])
@@ -95,7 +95,7 @@ def _cell_keys(cells: np.ndarray, spans=None) -> list[np.ndarray]:
     about 9.2e18, or NaN), the float columns are the keys."""
     lows = None
     if spans is None:
-        lows, highs = _column_bounds(cells)
+        lows, highs = column_bounds(cells)
         # NaN fails both comparisons, and 2.0**63 itself does not cast
         if not all(lo >= -2.0**63 and hi < 2.0**63 for lo, hi in zip(lows, highs)):
             return list(cells.T[::-1])
@@ -308,43 +308,28 @@ def _voxel_spans(extent, edge: float) -> list[int]:
     return [math.floor(e / edge) + 1 for e in extent]
 
 
-def _voxel_keys(rel: np.ndarray, edge: float, spans=None) -> np.ndarray:
+def _voxel_keys(rel: np.ndarray, edge: float, spans: list[int]) -> np.ndarray:
     """One int64 key per row of `rel` (rows relative to the voxel origin)
     for voxels of edge `edge`: equal exactly for rows in the same voxel, and
     ordered as a lexicographic sort of the voxel index rows, column 0 most
     significant.
 
-    With per-axis spans s_d (by default the rows' own, max index + 1), a
-    grid of fewer than 2^63 cells folds the indices to the one `_cell_keys`
-    key (k0*s1 + k1)*s2 + k2; spans taken at a smaller edge (`_voxel_spans`)
-    make the keys of any rows at any edge from there up comparable.  A
-    larger grid keys each row by its rank among the distinct index rows
-    instead, by one `lexsort`; in `binned_centroids` only the smallest edge
-    can need it, and on the bench inputs its count is skipped.
+    The spans s_d, from `_voxel_spans` at `edge` or a smaller edge, bound
+    every row's indices.  A grid of fewer than 2^63 cells folds them to the
+    one `_cell_keys` key (k0*s1 + k1)*s2 + k2, comparable at every edge from
+    the spans' own up.  A larger grid keys each row by its rank among the
+    distinct index rows instead, by one `lexsort`; in `binned_centroids`
+    only the smallest edge can need it, and on the bench inputs its count
+    is skipped.
     """
     # float indices: at the bisection's smallest edge one can exceed int64
-    cells = np.floor(rel / edge)
-    if spans is None:
-        # a max per column: numpy's axis-0 max over three columns is ~8x slower
-        spans = [int(cells[:, d].max()) + 1 for d in range(cells.shape[1])]
-    keys = _cell_keys(cells, spans)
+    keys = _cell_keys(np.floor(rel / edge), spans)
     if len(keys) == 1:
         return keys[0]
     order = np.lexsort(keys)
     ranks = np.empty(order.size, dtype=np.int64)
     ranks[order] = np.cumsum(_group_starts(keys, order)) - 1
     return ranks
-
-
-def _voxel_bin_count(rel: np.ndarray, edge: float, spans=None) -> int:
-    """Number of occupied voxels of edge `edge` over rows `rel` taken
-    relative to the voxel origin: a sort of the `_voxel_keys` and a count of
-    unequal neighbours.  On a 2-vCPU VM, one count over 714k uniform rows
-    takes 0.02 s on folded keys and 0.57 s on rank keys.
-    """
-    keys = _voxel_keys(rel, edge, spans)
-    keys.sort()
-    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 def _absent(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -407,12 +392,13 @@ class _MovingRows:
             self.rows, self.at_lo, self.at_hi = self.rows[keep], self.at_lo[keep], self.at_hi[keep]
 
 
-def _voxel_centroids(pts: np.ndarray, rel: np.ndarray, edge: float) -> np.ndarray:
+def _voxel_centroids(pts: np.ndarray, rel: np.ndarray, edge: float,
+                     spans: list[int]) -> np.ndarray:
     """Centroid of each occupied voxel of `pts`, binned by `rel` (the rows
     relative to the voxel origin) and ordered by voxel key (column 0 most
     significant), as `np.unique(axis=0)` of the voxel index rows orders them.
     """
-    uniq, inverse = np.unique(_voxel_keys(rel, edge), return_inverse=True)
+    uniq, inverse = np.unique(_voxel_keys(rel, edge, spans), return_inverse=True)
     m = uniq.shape[0]
     # one `bincount` per column adds each voxel's rows in input order from
     # 0.0, as `np.add.at` would, several times faster
@@ -479,8 +465,8 @@ def binned_centroids(pts: np.ndarray, target: int) -> np.ndarray:
     than `target` distinct rows no edge length can reach the target; the
     distinct rows themselves are returned.
 
-    Every count is exact, so the bisection takes the path of one
-    `_voxel_bin_count` per step, but most steps read few rows:
+    Every count is exact, so the bisection takes the path of one full count
+    (`_distinct` keys of every row) per step, but most steps read few rows:
 
     - at the smallest edge, the distinct indices of one axis (counted on the
       sorted columns) bound the count from below, so the full count, often
@@ -491,7 +477,7 @@ def binned_centroids(pts: np.ndarray, target: int) -> np.ndarray:
     - once the bracket is narrow enough that most rows keep their voxel
       across it, `_MovingRows` keys only the rows that can still move.
     """
-    origin, top = _column_bounds(pts)
+    origin, top = column_bounds(pts)
     extent = top - origin
     rel = pts - origin  # once: every bisection step bins these rows
 
@@ -515,9 +501,10 @@ def binned_centroids(pts: np.ndarray, target: int) -> np.ndarray:
 
     axis_bins = max(1 + int(np.count_nonzero(np.diff(np.floor(col / lo)))) for col in columns)
     del columns
-    if axis_bins < target and _voxel_bin_count(rel, lo) < target:
+    spans = _voxel_spans(extent, lo)
+    if axis_bins < target and _distinct(_voxel_keys(rel, lo, spans)).size < target:
         # fewer distinct rows than requested; return what exists
-        return _voxel_centroids(pts, rel, lo)
+        return _voxel_centroids(pts, rel, lo, spans)
 
     moving = None
     for _ in range(64):
@@ -530,7 +517,7 @@ def binned_centroids(pts: np.ndarray, target: int) -> np.ndarray:
             up = moving.count(mid) >= target
             moving.narrow(up)
         else:
-            up = _voxel_bin_count(rel, mid, spans) >= target
+            up = _distinct(_voxel_keys(rel, mid, spans)).size >= target
         if up:
             lo = mid
         else:
@@ -547,7 +534,7 @@ def binned_centroids(pts: np.ndarray, target: int) -> np.ndarray:
             lo_spans = _voxel_spans(extent, lo)
             if math.prod(lo_spans) < _FOLD_CELLS:
                 moving = _MovingRows(rel, lo, hi, lo_spans)
-    return _voxel_centroids(pts, rel, lo)
+    return _voxel_centroids(pts, rel, lo, _voxel_spans(extent, lo))
 
 
 def bin_downsample(cloud: PointCloud3, target_count: int) -> PointCloud3:
@@ -583,7 +570,7 @@ def normalize_to_unit(points: np.ndarray) -> tuple[np.ndarray, float, np.ndarray
     after the transform; `norm * scale + offset` inverts it up to float
     rounding.  A zero-extent set keeps scale 1.
     """
-    lo, hi = _column_bounds(points)
+    lo, hi = column_bounds(points)
     offset = 0.5 * (lo + hi)
     scale = float(np.max(np.abs(points - offset)))
     if scale == 0.0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HullFailed
-from .geometry import DEDUPE_TOL, SpatialIndex, as_point_array, dedupe_rows
+from .geometry import DEDUPE_TOL, SpatialIndex, as_point_array, column_bounds, dedupe_rows
 
 #: concave_hull's starting neighbor count, also refine's and the CLI's default
 START_K = 20
@@ -85,9 +85,9 @@ class _EdgeGrid:
         """An empty grid for edges between the (n, 2) points, with cells
         about three mean point spacings wide (unit cells if the points
         coincide)."""
-        u, v = pts[:, 0], pts[:, 1]  # column reductions: numpy's axis-0 ones are far slower
-        x0, y0 = float(u.min()), float(v.min())
-        extent = max(float(u.max()) - x0, float(v.max()) - y0)
+        lo, hi = column_bounds(pts)
+        x0, y0 = float(lo[0]), float(lo[1])
+        extent = max(float(hi[0]) - x0, float(hi[1]) - y0)
         return cls((x0, y0), 3.0 * extent / math.sqrt(pts.shape[0]) or 1.0)
 
     def _cover(self, lx: float, hx: float, ly: float, hy: float):

@@ -23,7 +23,7 @@ from .camera import CameraRig, EPS_Z, pinhole, project_cloud, projection_jacobia
 from .densify import DensifyConfig, densify
 from .edges import CannyParams, GrayImage, canny
 from .errors import AllPointsCulled, CloudSRError, HullFailed
-from .geometry import COORD_LIMIT, PointCloud3, SpatialIndex
+from .geometry import COORD_LIMIT, PointCloud3, SpatialIndex, column_bounds
 from .hull import START_K, concave_hull
 from .losses import LossReport, LossWeights, MatchTable, combined_loss
 
@@ -141,7 +141,8 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
 
     # step lengths are expressed in fractions of the cloud half-extent so the
     # defaults transfer across scene scales
-    half_extent = float(np.max(pts.max(axis=0) - pts.min(axis=0))) / 2.0
+    lo, hi = column_bounds(pts)
+    half_extent = float(np.max(hi - lo)) / 2.0
 
     # the one trace site; it reads `report`, `members` and `culled` when called
     def record(iteration: int, step: float) -> None:

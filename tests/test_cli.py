@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -511,6 +512,40 @@ def test_synth_superres_eval_chain(tmp_path, calib, scene):
     assert rec["iteration"] == 0 and rec["hull_size"] >= 3
 
     assert main(["eval", str(out_ply), str(gt_ply), "--normalize"]) == 0
+
+
+# the README's square example, as its shell heredocs write the two files
+_README_SCENE = """{"shape": "square-plane",
+ "pose": [1,0,0,0, 0,1,0,0, 0,0,1,2.0, 0,0,0,1],
+ "extent": 0.5, "density": 40000, "fg": 1.0, "bg": 0.0}
+"""
+_README_CALIB = """{"k_rgb": {"fx": 800.0, "fy": 800.0, "cx": 320.0, "cy": 240.0},
+ "e_rgb": [1,0,0,0, 0,1,0,0, 0,0,1,0, 0,0,0,1],
+ "e_tof": [1,0,0,0, 0,1,0,0, 0,0,1,0, 0,0,0,1],
+ "width": 640, "height": 480}
+"""
+_README_SHA256 = {
+    "gt.ply": "63e6f041253426a48bad8f19ecccd0e1bdf0283b134c3c3cbe3d4bb0df9e7f9f",
+    "scene.pgm": "fbda88c8124b42b8d64a0aaa1f9c50db129decbaf225acad4d587ce864f0f281",
+    "sparse.ply": "473b04218c7f332de278c0aacf958b4e979d24f68ca193f8791f88eb3903aa09",
+}
+
+
+def test_readme_square_example_writes_the_pinned_bytes(tmp_path, monkeypatch):
+    """`synth` and then `densify --target 512 --rate 2` of the README's
+    square example write these bytes on every CPU.  Nothing on this path
+    calls `np.arctan2`, whose float64 kernel numpy picks per CPU, and the
+    pose's rotation and both extrinsics are identities, so every matmul
+    multiplies by exact ones and zeros.  `superres` output is not pinned:
+    its hull walk orders candidates by `np.arctan2` angles (README
+    "Behavior notes")."""
+    monkeypatch.chdir(tmp_path)
+    Path("scene.json").write_text(_README_SCENE)
+    Path("calib.json").write_text(_README_CALIB)
+    assert main(["synth", "scene.json", "calib.json", "gt.ply", "scene.pgm"]) == 0
+    assert main(["densify", "gt.ply", "sparse.ply", "--target", "512", "--rate", "2"]) == 0
+    got = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in _README_SHA256}
+    assert got == _README_SHA256
 
 
 def _pipeline_bytes(tmp_path, calib, scene):

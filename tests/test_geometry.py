@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -616,13 +618,20 @@ def test_bisection_stops_early_with_the_64_step_result(monkeypatch):
             assert binned_centroids(pts, target).tobytes() == want_c.tobytes()
 
     # a unit-size cloud resolves its edge to adjacent floats in 57-61 steps
-    # and stops there (one far below its extent may need all 64)
-    counts = []
-    real = geometry._voxel_bin_count
-    monkeypatch.setattr(geometry, "_voxel_bin_count",
-                        lambda *args: counts.append(1) or real(*args))
+    # and stops there (one far below its extent may need all 64).  A full
+    # count is a `_distinct` call of `binned_centroids` itself; those of
+    # `_MovingRows` are not counted
+    counts, moving = [], []
+    real = geometry._distinct
+
+    def distinct(keys):
+        caller = sys._getframe(1).f_code
+        (counts if caller is geometry.binned_centroids.__code__ else moving).append(1)
+        return real(keys)
+
+    monkeypatch.setattr(geometry, "_distinct", distinct)
     binned_centroids(_downsample_clouds()[0], 100)
-    assert len(counts) <= 1 + 61
+    assert 1 <= len(counts) <= 1 + 61 and moving
 
 
 def test_voxel_counts_take_the_lexsort_fallback_at_most_once(monkeypatch):
@@ -754,8 +763,10 @@ def test_bisection_never_folds_with_the_spans_at_hi(monkeypatch):
 
 def _assert_voxels_match_oracles(pts, origin, edge):
     rel = pts - origin
-    assert geometry._voxel_bin_count(rel, edge) == lexsort_voxel_bin_count(pts, origin, edge)
-    got = geometry._voxel_centroids(pts, rel, edge)
+    spans = geometry._voxel_spans(rel.max(axis=0), edge)
+    keys = geometry._voxel_keys(rel, edge, spans)
+    assert geometry._distinct(keys).size == lexsort_voxel_bin_count(pts, origin, edge)
+    got = geometry._voxel_centroids(pts, rel, edge, spans)
     assert got.tobytes() == unique_voxel_centroids(pts, origin, edge).tobytes()
     assert dedupe_rows(pts).tolist() == unique_dedupe_rows(pts).tolist()
 
@@ -799,7 +810,7 @@ def test_fold_switches_to_lexsort_at_two_to_the_63(spans, keys):
     pts = _grid_corner_cloud(spans, np.random.default_rng(1))
     given = [int(s) for s in spans]
     _assert_cell_keys(pts, given, keys, np.float64 if spans[0] > 2**63 else np.int64)
-    voxel_keys = geometry._voxel_keys(pts, 1.0)
+    voxel_keys = geometry._voxel_keys(pts, 1.0, geometry._voxel_spans(pts.max(axis=0), 1.0))
     if keys == 1:
         folded = pts[:, 0].astype(np.int64)
         for d in range(1, pts.shape[1]):
@@ -1087,7 +1098,26 @@ def test_drop_closest_lattice_overshoot(monkeypatch):
     assert calls[0] == 2 and len(calls) <= 2 * 783
 
 
-# -- normalize ---------------------------------------------------------------
+# -- column bounds and normalize ---------------------------------------------
+
+
+def test_column_bounds_equal_the_axis_0_reductions():
+    # hull's edge grid, refine's step scale, the voxel origin and the cell
+    # keys all take their per-column bounds from `column_bounds`.  Random
+    # (N, 2) and (N, 3) arrays over many scales, integer lattices (float
+    # and int64), constant columns and single rows
+    rng = np.random.default_rng(11)
+    cases = [rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9)
+             for n in (2, 37, 24_000) for d in (2, 3)]
+    cases += [rng.integers(-4, 5, size=(60, d)).astype(np.float64) for d in (2, 3)]
+    cases += [rng.integers(-2**40, 2**40, size=(30, 3))]
+    cases += [np.full((9, 3), 2.5), np.c_[rng.normal(size=20), np.full(20, -1.0)]]
+    cases += [rng.normal(size=(1, d)) for d in (2, 3)]
+    for a in cases:
+        lo, hi = geometry.column_bounds(a)
+        for got, want in ((lo, a.min(axis=0)), (hi, a.max(axis=0))):
+            assert got.dtype == want.dtype and got.shape == want.shape == (a.shape[1],)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_normalize_unit_cube_round_trip():
