@@ -21,11 +21,14 @@ DEDUPE_TOL = 1e-9  # grid pitch below which two rows are one point, everywhere
 #: orientation products overflow float64
 COORD_LIMIT = 1e150
 #: candidates beyond k asked of the tree, so most ties settle at once; a
-#: nearest query asks for 2 first, and for 1 + this only on the rows 2 leave open
-_RANK_SLACK = 4
+#: nearest query asks for 2 first
+_RANK_SLACK = 2
 _RANK_BLOCK = 1 << 18  # candidate entries per tree query: bounds memory when ties widen it
 _TINY = np.finfo(np.float64).tiny  # absolute margin for distances that underflow
 _FOLD_CELLS = 1 << 63  # a grid of this many cells or more cannot fold into int64 keys
+#: `_distinct` marks an occupancy bitmap for a grid of at most this many
+#: cells per key and sorts the keys of a larger one
+_BITMAP_CELLS_PER_KEY = 64
 
 
 # a squared distance moved up or down, clear of the k-d tree's last-ulp
@@ -190,11 +193,18 @@ class SpatialIndex:
         each query row, each row sorted by (squared distance, index).
 
         Each round asks the tree for `width` candidates of every unsettled
-        row: k + `_RANK_SLACK` first, then double that, and so on up to n.
-        A nearest query (k = 1) asks for 2 first, which settles every row
-        whose nearest point is strictly closer than its second, and goes on
-        to 5, 10, ... for the rest.  The widths change only the work, never
-        a result."""
+        row: k + `_RANK_SLACK` = k + 2 first, then twice the last width plus
+        one, and so on up to n.  A nearest query (k = 1) asks for 2 first,
+        which settles every row whose nearest point is strictly closer than
+        its second, and goes on to 5, 11, ... for the rest: 5 settles a
+        nearest point that ties with three others, as the corners of a
+        square cell do (box-densify-10k's eval leaves 868 rows open at 2, and
+        115 of them at 4).  The widths change only the work, never a result.
+
+        On densify's midpoint rounds of a 2,500-point box (k = 5), width
+        k + 2 leaves 0-1 of 2,500 and 38-44 of ~8,000 rows open, and k + 4
+        none; the tree's cost grows with the width, so k + 1, 2, 3 and 4
+        took 20.5, 20.1, 21.1 and 22.8 ms over both rounds."""
         # the tree refuses non-finite queries, and past the bound it loses
         # neighbors whose squared distance overflows
         Q = as_point_array(queries, self.dim, "query coordinates")
@@ -211,7 +221,7 @@ class SpatialIndex:
                 idx[rows], sqd[rows], settled = self._rank_rows(Q[rows], k, width)
                 retry.append(lo + np.flatnonzero(~settled) if todo is None else rows[~settled])
             todo = np.concatenate(retry)
-            width = min(n, max(k + _RANK_SLACK, 2 * width))
+            width = min(n, 2 * width + 1)
         return idx, sqd
 
     def _rank_rows(self, q: np.ndarray, k: int, width: int):
@@ -258,7 +268,7 @@ class SpatialIndex:
 
         Returns (indices, squared distances), ties broken by lowest index
         exactly as `knn_batch`.  The tree is asked for 2 candidates per row,
-        then 5, 10, ... only for the rows whose nearest point ties with (or
+        then 5, 11, ... only for the rows whose nearest point ties with (or
         lies within the tree's rounding of) the last candidate.
         """
         idx, sqd = self._rank(queries, 1)
@@ -340,15 +350,42 @@ def _absent(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return absent
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """Ascending distinct values of an int64 array, as `np.unique` returns
-    them, by one sort and a mask: numpy 2.3 and later take a hash path for
-    integer `np.unique` and sort after it (numpy 2.4, 20,000 keys: 2.9 ms
-    against 0.15 ms)."""
+def _distinct(keys: np.ndarray, cells: int, count: bool = False, inverse: bool = False):
+    """Ascending distinct values of an int64 array whose values lie in
+    [0, cells), as `np.unique` returns them; with `count` only how many there
+    are, and with `inverse` also each key's index among them, as
+    `np.unique(return_inverse=True)` gives it.
+
+    A grid of at most `_BITMAP_CELLS_PER_KEY` (64) cells per key marks a
+    bool occupancy bitmap, reads the keys off it in order with
+    `flatnonzero` (or counts it) and takes the inverse from each occupied
+    cell's rank: no sort, and the voxel keys of nearby rows mark nearby
+    bytes.  A larger grid sorts the keys and masks the first of each run,
+    as the bitmap then costs more to zero and read than the sort.  On the
+    voxel keys of densify's 24k-row pools the bitmap counted in 0.17 ms
+    against the sort's 0.31 ms at 64 cells per key, broke even near 96 and
+    took 0.74 ms against 0.22 ms at 256 (random keys break even at 32-64).
+    Without an inverse the sort is not `np.unique`'s: numpy 2.3 and later
+    take a hash path for integer keys and sort after it (numpy 2.4, 20,000
+    keys: 2.9 ms against 0.15 ms)."""
+    if cells <= _BITMAP_CELLS_PER_KEY * keys.size:
+        seen = np.zeros(cells, dtype=bool)
+        seen[keys] = True
+        if count:
+            return int(np.count_nonzero(seen))
+        uniq = np.flatnonzero(seen)
+        if not inverse:
+            return uniq
+        # int32 ranks fault in half the pages of intp ones
+        rank = np.empty(cells, dtype=np.int32 if keys.size < 2**31 else np.intp)
+        rank[uniq] = np.arange(uniq.size)
+        return uniq, rank[keys]
+    if inverse:
+        return np.unique(keys, return_inverse=True)
     keys = np.sort(keys)
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
+    return int(np.count_nonzero(first)) if count else keys[first]
 
 
 class _MovingRows:
@@ -367,15 +404,15 @@ class _MovingRows:
     def __init__(self, rel: np.ndarray, lo: float, hi: float, spans: list[int]):
         at_lo, at_hi = _voxel_keys(rel, lo, spans), _voxel_keys(rel, hi, spans)
         still = at_lo == at_hi
-        self.spans = spans
-        self.settled = _distinct(at_lo[still])
+        self.spans, self.cells = spans, math.prod(spans)
+        self.settled = _distinct(at_lo[still], self.cells)
         self.rows = rel[~still]
         self.at_lo, self.at_hi = at_lo[~still], at_hi[~still]
         self.at_mid = None  # the moving rows' keys at the edge last counted
 
     def count(self, edge: float) -> int:
         self.at_mid = _voxel_keys(self.rows, edge, self.spans)
-        uniq = _distinct(self.at_mid)
+        uniq = _distinct(self.at_mid, self.cells)
         return self.settled.size + int(np.count_nonzero(_absent(self.settled, uniq)))
 
     def narrow(self, to_lo: bool) -> None:
@@ -385,7 +422,7 @@ class _MovingRows:
             self.at_hi = self.at_mid
         done = self.at_lo == self.at_hi
         if done.any():
-            new = _distinct(self.at_lo[done])
+            new = _distinct(self.at_lo[done], self.cells)
             new = new[_absent(self.settled, new)]
             self.settled = np.insert(self.settled, np.searchsorted(self.settled, new), new)
             keep = ~done
@@ -397,8 +434,11 @@ def _voxel_centroids(pts: np.ndarray, rel: np.ndarray, edge: float,
     """Centroid of each occupied voxel of `pts`, binned by `rel` (the rows
     relative to the voxel origin) and ordered by voxel key (column 0 most
     significant), as `np.unique(axis=0)` of the voxel index rows orders them.
+    At the edges the bisection ends on, a few cells per row, `_distinct`
+    groups the rows on its bitmap (0.3 ms against `np.unique`'s 1.0 ms with
+    `return_inverse` on 24k rows).
     """
-    uniq, inverse = np.unique(_voxel_keys(rel, edge, spans), return_inverse=True)
+    uniq, inverse = _distinct(_voxel_keys(rel, edge, spans), math.prod(spans), inverse=True)
     m = uniq.shape[0]
     # one `bincount` per column adds each voxel's rows in input order from
     # 0.0, as `np.add.at` would, several times faster
@@ -468,6 +508,9 @@ def binned_centroids(pts: np.ndarray, target: int) -> np.ndarray:
     Every count is exact, so the bisection takes the path of one full count
     (`_distinct` keys of every row) per step, but most steps read few rows:
 
+    - a full count at an edge whose grid holds at most 64 cells per row, as
+      every edge near the target does (2-17 on the bench pools), marks an
+      occupancy bitmap rather than sorting the keys;
     - at the smallest edge, the distinct indices of one axis (counted on the
       sorted columns) bound the count from below, so the full count, often
       a `lexsort` of rank keys there, runs only when no axis reaches the
@@ -502,7 +545,8 @@ def binned_centroids(pts: np.ndarray, target: int) -> np.ndarray:
     axis_bins = max(1 + int(np.count_nonzero(np.diff(np.floor(col / lo)))) for col in columns)
     del columns
     spans = _voxel_spans(extent, lo)
-    if axis_bins < target and _distinct(_voxel_keys(rel, lo, spans)).size < target:
+    if (axis_bins < target
+            and _distinct(_voxel_keys(rel, lo, spans), math.prod(spans), count=True) < target):
         # fewer distinct rows than requested; return what exists
         return _voxel_centroids(pts, rel, lo, spans)
 
@@ -511,13 +555,14 @@ def binned_centroids(pts: np.ndarray, target: int) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         inside = lo < mid < hi
         spans = _voxel_spans(extent, mid)
-        if math.prod(spans) < target:
+        cells = math.prod(spans)
+        if cells < target:
             up = False
         elif moving is not None:
             up = moving.count(mid) >= target
             moving.narrow(up)
         else:
-            up = _distinct(_voxel_keys(rel, mid, spans)).size >= target
+            up = _distinct(_voxel_keys(rel, mid, spans), cells, count=True) >= target
         if up:
             lo = mid
         else:

@@ -348,6 +348,30 @@ def test_densify_counts(tmp_path):
     assert len(read_ply(dst)) == 256
 
 
+def test_repeated_main_calls_answer_as_fresh_ones(tmp_path, capsys):
+    # `main` builds its parser once per process; a usage error, a data error
+    # and a good densify in one process each give the exit code, stderr and
+    # output bytes that a call on a freshly built parser gives
+    src = tmp_path / "in.ply"
+    write_ply(PointCloud3(np.random.default_rng(3).normal(size=(40, 3))), src)
+    argvs = [["densify", str(src)], ["densify", str(tmp_path / "missing.ply"), "{out}"],
+             ["densify", str(src), "{out}", "--rate", "3"]]
+
+    def run(argv, out):
+        code = main([a.format(out=out) for a in argv])
+        return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
+
+    fresh = []
+    for i, argv in enumerate(argvs):
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv, tmp_path / f"fresh{i}.ply"))
+    assert [code for code, _, _ in fresh] == [1, 2, 0]
+    assert fresh[0][1].startswith("usage error: ") and fresh[1][1].startswith("error: ")
+    for round_ in range(2):
+        again = [run(argv, tmp_path / f"again{round_}-{i}.ply") for i, argv in enumerate(argvs)]
+        assert again == fresh
+
+
 def test_superres_dimension_mismatch_exit_2(tmp_path, calib, capsys):
     img = GrayImage(np.zeros((240, 320)))  # half the calibrated size
     pgm = tmp_path / "img.pgm"

@@ -1,4 +1,6 @@
+import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -239,10 +241,10 @@ def _counted(pts):
     return idx
 
 
-@pytest.mark.parametrize("k,width", [(1, 2), (2, 6), (5, 9), (20, 24)])
+@pytest.mark.parametrize("k,width", [(1, 2), (2, 4), (5, 7), (20, 22)])
 def test_generic_queries_ask_the_tree_for_one_width(k, width):
     # in general position every row settles in the first round: a nearest
-    # query asks for 2 rows, a k-nearest one for k + 4 as it always has
+    # query asks for 2 rows, a k-nearest one for k + 2
     rng = np.random.default_rng(20)
     pts, queries = rng.uniform(-1, 1, size=(300, 3)), rng.uniform(-1, 1, size=(60, 3))
     idx = _counted(pts)
@@ -254,11 +256,11 @@ def test_generic_queries_ask_the_tree_for_one_width(k, width):
 
 def _settle_round(group, n):
     """The tree round (1-based) in which a nearest query settles when
-    `group` of the n points tie for nearest: the first of widths 2, 5, 10,
-    20, ... that holds a point beyond the group, or every point."""
+    `group` of the n points tie for nearest: the first of widths 2, 5, 11,
+    23, ... that holds a point beyond the group, or every point."""
     width, rounds = min(n, 2), 1
     while width <= group and width < n:
-        width, rounds = min(n, max(5, 2 * width)), rounds + 1
+        width, rounds = min(n, 2 * width + 1), rounds + 1
     return rounds
 
 
@@ -624,10 +626,10 @@ def test_bisection_stops_early_with_the_64_step_result(monkeypatch):
     counts, moving = [], []
     real = geometry._distinct
 
-    def distinct(keys):
+    def distinct(keys, cells, **kwargs):
         caller = sys._getframe(1).f_code
         (counts if caller is geometry.binned_centroids.__code__ else moving).append(1)
-        return real(keys)
+        return real(keys, cells, **kwargs)
 
     monkeypatch.setattr(geometry, "_distinct", distinct)
     binned_centroids(_downsample_clouds()[0], 100)
@@ -676,11 +678,12 @@ def _span_limit_cloud(rng, n):
 def _voxel_cases(draw):
     """(points, origin, edge): uniform, integer-lattice, planar, 2-column,
     subnormal-gap, signed-zero-key and grid-corner clouds, edges drawn from
-    the smallest separating edge up to the extent."""
+    the smallest separating edge up to the extent, and clouds whose rows
+    all sit in the top cell of a 4 x 4 x 4 grid."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 150))
     kind = draw(st.sampled_from(["uniform", "lattice", "planar", "two-column", "subnormal",
-                                 "signed-zero", "grid-corner", "span-limit"]))
+                                 "signed-zero", "grid-corner", "span-limit", "one-cell"]))
     if kind == "uniform":
         pts = rng.uniform(-1, 1, size=(n, 3)) * draw(st.sampled_from([1e-300, 1e-6, 1.0, 1e10]))
     elif kind == "lattice":
@@ -701,9 +704,15 @@ def _voxel_cases(draw):
         pts[rng.random(pts.shape) < 0.2] = -0.0
     elif kind == "span-limit":
         pts = _span_limit_cloud(rng, n)
+    elif kind == "one-cell":
+        # exact binary fractions: every row is 3 to 3.5 edges from the origin
+        return 5.0 + rng.integers(0, 512, size=(n, 3)) / 1024, np.full(3, 2.0), 1.0
     else:
+        # the cloud's 47 rows span 64 x 47 cells, 64 per row (the most
+        # `_distinct` marks a bitmap for), and 51 x 59, one cell more
         spans = draw(st.sampled_from([(2**32, 2**31 - 1), (2**32, 2**31), (2**21, 2**21, 2**21 - 1),
-                                      (2**21, 2**21, 2**21), (3, 2**61), (4, 2**61), (1e200, 1e200, 1e200)]))
+                                      (2**21, 2**21, 2**21), (3, 2**61), (4, 2**61), (1e200, 1e200, 1e200),
+                                      (64, 47), (51, 59)]))
         pts = _grid_corner_cloud(spans, rng)
         return pts, np.zeros(pts.shape[1]), 1.0
     bounds = _edge_bounds(pts)
@@ -761,14 +770,58 @@ def test_bisection_never_folds_with_the_spans_at_hi(monkeypatch):
     assert not made
 
 
+def _assert_distinct_matches_unique(keys, cells):
+    """Each `_distinct` mode gives what `np.unique` gives, dtype included."""
+    want, want_inverse = np.unique(keys, return_inverse=True)
+    got = geometry._distinct(keys, cells)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert geometry._distinct(keys, cells, count=True) == want.size
+    got, inverse = geometry._distinct(keys, cells, inverse=True)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert inverse.tolist() == want_inverse.tolist()
+
+
 def _assert_voxels_match_oracles(pts, origin, edge):
+    # both `_distinct` paths, forced through its cells per key: the sort
+    # (0) for every grid, the bitmap (cells) for a grid that fits in memory,
+    # and between them the path the module's own bound picks
     rel = pts - origin
     spans = geometry._voxel_spans(rel.max(axis=0), edge)
     keys = geometry._voxel_keys(rel, edge, spans)
-    assert geometry._distinct(keys).size == lexsort_voxel_bin_count(pts, origin, edge)
-    got = geometry._voxel_centroids(pts, rel, edge, spans)
-    assert got.tobytes() == unique_voxel_centroids(pts, origin, edge).tobytes()
+    cells = math.prod(spans)
+    count = lexsort_voxel_bin_count(pts, origin, edge)
+    centroids = unique_voxel_centroids(pts, origin, edge).tobytes()
+    for per_key in [0, geometry._BITMAP_CELLS_PER_KEY] + ([cells] if cells <= 1 << 24 else []):
+        with mock.patch.object(geometry, "_BITMAP_CELLS_PER_KEY", per_key):
+            _assert_distinct_matches_unique(keys, cells)
+            assert geometry._distinct(keys, cells, count=True) == count
+            got = geometry._voxel_centroids(pts, rel, edge, spans)
+            assert got.tobytes() == centroids
     assert dedupe_rows(pts).tolist() == unique_dedupe_rows(pts).tolist()
+
+
+@pytest.mark.parametrize("kind", ["at-bound", "past-bound", "one-cell"])
+def test_distinct_takes_the_bitmap_up_to_its_cells_per_key(monkeypatch, kind):
+    # 50 keys in a grid of exactly 64 cells per key take the bitmap, and in
+    # one of a cell more the sort; both hold keys 0 and cells - 1.  Keys
+    # that all sit in the top cell take the bitmap too
+    rows = 50
+    cells = geometry._BITMAP_CELLS_PER_KEY * rows + (kind == "past-bound")
+    if kind == "one-cell":
+        keys = np.full(rows, cells - 1)
+    else:
+        keys = np.random.default_rng(1).integers(0, cells, rows)
+        keys[:2] = [0, cells - 1]
+    sorts, real_sort = [], np.sort
+
+    def sort(*args, **kwargs):
+        if sys._getframe(1).f_code is geometry._distinct.__code__:
+            sorts.append(1)
+        return real_sort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", sort)
+    _assert_distinct_matches_unique(keys, cells)
+    assert bool(sorts) == (kind == "past-bound")
 
 
 @pytest.mark.parametrize("scale", [1.0, COORD_LIMIT])
