@@ -472,6 +472,39 @@ def test_first_round_blocks_retry_rows_at_their_offset(k):
     assert batches[2][1].tobytes() == queries[np.sort(tied)].tobytes()
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_retry_rounds_block_the_rows_the_last_round_left_open(monkeypatch, k):
+    # each query sits on a cluster of c copies of one point, and every
+    # round of width c or less leaves it open: clusters of k copies settle
+    # at the first width w, of w and 2w at 2w + 1, and of 2w + 1 and 4w + 2
+    # at 4w + 3.  A block of 200 candidate entries holds 200 // width rows,
+    # so each round spans several blocks
+    monkeypatch.setattr(geometry, "_RANK_BLOCK", 200)
+    w = 2 if k == 1 else k + geometry._RANK_SLACK
+    widths = [w, 2 * w + 1, 4 * w + 3]
+    sizes = np.tile([k, w, 2 * w, 2 * w + 1, 4 * w + 2], 6)
+    rng = np.random.default_rng(50 + k)
+    centres = rng.uniform(-1, 1, size=(sizes.size, 3))
+    pts = np.repeat(centres, sizes, axis=0)[rng.permutation(sizes.sum())]
+    pick = rng.permutation(np.repeat(np.arange(sizes.size), 5))
+    queries, copies = centres[pick], sizes[pick]
+    idx = SpatialIndex(pts)
+    idx._tree = _RecordingTree(idx._tree)
+    got = idx.knn_batch(queries, k)
+    want = flat_knn(pts, queries, k)
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+    # each round queries, in order and block by block, exactly the rows
+    # the round before left open
+    blocks = []
+    for r, width in enumerate(widths):
+        rows = queries[copies >= widths[r - 1]] if r else queries
+        step = 200 // width
+        blocks.append([(width, rows[lo:lo + step].tobytes()) for lo in range(0, len(rows), step)])
+    assert all(len(round_blocks) > 1 for round_blocks in blocks)
+    assert [(width, x.tobytes()) for width, x in idx._tree.batches] == sum(blocks, [])
+
+
 def test_index_rejects_unbounded_queries():
     idx = SpatialIndex(np.array([[0.0, 0.0], [1.0, 1.0]]))
     for bad in (np.nan, np.inf, 2 * COORD_LIMIT):
@@ -622,7 +655,7 @@ def test_bisection_stops_early_with_the_64_step_result(monkeypatch):
     # a unit-size cloud resolves its edge to adjacent floats in 57-61 steps
     # and stops there (one far below its extent may need all 64).  A full
     # count is a `_distinct` call of `binned_centroids` itself; those of
-    # `_MovingRows` are not counted
+    # `_moving_count` are not counted
     counts, moving = [], []
     real = geometry._distinct
 
@@ -641,19 +674,79 @@ def test_voxel_counts_take_the_lexsort_fallback_at_most_once(monkeypatch):
     # edge, has a grid of 2^63 cells or more; every other key is folded.
     # Inside `binned_centroids` only the rank keys call `np.lexsort`.  Once
     # the bracket is narrow, the counts key only the rows that still move
-    ranked, moving = [], []
-    real_lexsort, real_count = np.lexsort, geometry._MovingRows.count
+    ranked, made, moving = [], [], []
+    real_lexsort, real_moving, real_keys = np.lexsort, geometry._moving_count, geometry._voxel_keys
     monkeypatch.setattr(np, "lexsort", lambda *args: ranked.append(1) or real_lexsort(*args))
 
-    def count(self, edge):
-        moving.append(self.rows.shape[0])
-        return real_count(self, edge)
+    def moving_count(*args):
+        count = real_moving(*args)
+        made.append(count.__code__)
+        return count
 
-    monkeypatch.setattr(geometry._MovingRows, "count", count)
+    def voxel_keys(rel, edge, spans):
+        if sys._getframe(1).f_code in made:  # the rows a moving count keys
+            moving.append(rel.shape[0])
+        return real_keys(rel, edge, spans)
+
+    monkeypatch.setattr(geometry, "_moving_count", moving_count)
+    monkeypatch.setattr(geometry, "_voxel_keys", voxel_keys)
     binned_centroids(_downsample_clouds()[0], 100)
     assert len(ranked) <= 1
-    # most of the ~60 steps count on moving rows, and those are few
+    # the moving set is built once; most of the ~60 steps count on its
+    # rows, and those are few
+    assert len(made) == 1
     assert len(moving) > 30 and max(moving) < 500 and moving[-1] < 10
+
+
+def test_moving_counts_equal_full_counts(monkeypatch):
+    # every count of the moving set equals the distinct-key count of all
+    # rows at that edge, keyed with the same spans
+    built, checked, real = [], [], geometry._moving_count
+
+    def moving_count(rel, lo, hi, spans):
+        count = real(rel, lo, hi, spans)
+        built.append(1)
+
+        def checked_count(edge):
+            full = geometry._distinct(geometry._voxel_keys(rel, edge, spans), math.prod(spans),
+                                      count=True)
+            checked.append((count(edge), full))
+            return checked[-1][0]
+        return checked_count
+
+    monkeypatch.setattr(geometry, "_moving_count", moving_count)
+    for pts in _downsample_clouds():
+        n = pts.shape[0]
+        for target in sorted({1, 2, 3, min(13, n), min(49, n), min(100, n)}):
+            binned_centroids(pts, target)
+    assert len(checked) > 1000 and all(got == full for got, full in checked)
+
+    # every row of an integer lattice with a coordinate of 1 or more
+    # crosses into the next voxel down together just above edge 1 (the full
+    # 10^3 lattice's count falls from 1000 to 729), so a target between
+    # overshoots: the bisection brackets edge 1 and most rows move.  A far
+    # row keeps the grid above the target there, so the counts decide
+    rng = np.random.default_rng(11)
+    lattice = np.stack(np.meshgrid(*[np.arange(10.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    for rows in (lattice, lattice[rng.random(1000) < 0.6], lattice[rng.permutation(1000)]):
+        pts = np.vstack([rows, [30.5, 30.5, 30.5]])
+        n = pts.shape[0]
+        for target in (n - 1, 800) if n == 1001 else (n - 1,):
+            checked.clear()
+            out = binned_centroids(pts, target)
+            assert out.shape[0] == n > target  # edge 1: every row its own voxel
+            assert out.tobytes() == _bisect_64_steps(pts, target)[0].tobytes()
+            assert len(checked) > 30 and all(got == full for got, full in checked)
+            fulls = [full for _, full in checked]
+            assert min(fulls) < target and max(fulls) == n
+
+    # the span-limit clouds bracket a grid of 2^63 cells at lo, which
+    # cannot fold, so they never build the set
+    built.clear()
+    for seed in range(5):
+        pts = _span_limit_cloud(np.random.default_rng(seed), 40)
+        binned_centroids(pts, np.unique(pts, axis=0).shape[0])
+    assert not built
 
 
 def _grid_corner_cloud(spans, rng):
@@ -757,8 +850,8 @@ def test_bisection_never_folds_with_the_spans_at_hi(monkeypatch):
     # the bisection brackets edge 1.0 from here on, so every late bracket
     # holds 2^63 cells at lo and fewer at hi, where keys folded with hi's
     # spans would collide at edges below hi
-    made, real = [], geometry._MovingRows
-    monkeypatch.setattr(geometry, "_MovingRows", lambda *args: made.append(1) or real(*args))
+    made, real = [], geometry._moving_count
+    monkeypatch.setattr(geometry, "_moving_count", lambda *args: made.append(1) or real(*args))
     pts = _span_limit_cloud(np.random.default_rng(5), 40)
     extent = pts.max(axis=0) - pts.min(axis=0)
     assert geometry._voxel_spans(extent, 1.0) == [2**21] * 3
@@ -969,7 +1062,7 @@ def test_dedupe_folds_two_columns_below_two_to_the_63(case, keys, dtype):
 
 def test_cell_keys_read_given_spans_without_a_pass():
     # given spans bound indices from 0; a span of 2^63 still casts (its top
-    # index is 2^63 - 1), one past it does not.  `_MovingRows` keys zero
+    # index is 2^63 - 1), one past it does not.  `_moving_count` keys zero
     # rows with given spans, which take no min or max
     rows = np.array([[0.0, 2.0], [5.0, 0.0], [0.0, 2.0], [2.0**62, 1.0]])
     _assert_cell_keys(rows, [2**63, 3], 2, np.int64)
