@@ -258,8 +258,10 @@ def full_width_walk(pts, index, kk, warm=None):
 
 
 def numpy_scalar_ply_body(points):
-    """The ASCII PLY vertex lines formatted from numpy float64 scalars, as
-    `write_ply` formatted them before it converted rows to Python floats."""
+    """The ASCII PLY vertex lines, one `%.17g` per numpy float64 scalar and
+    one `%` per row: the bytes `write_ply` must write, though it computes
+    the fixed-notation values by array arithmetic and formats the rest with
+    one `%` per block."""
     lines = ["%.17g %.17g %.17g" % (x, y, z) for x, y, z in points]
     return ("\n".join(lines) + "\n").encode("ascii")
 

@@ -27,7 +27,7 @@ from cloudsr.ply_io import read_ply, write_ply
 from cloudsr.refine import RefineConfig
 from cloudsr.synth import MAX_PIXELS
 
-from oracles import brute_drop_closest, flat_knn
+from oracles import brute_drop_closest, flat_knn, numpy_scalar_ply_body
 
 _CALIB = json.dumps({
     "k_rgb": {"fx": 800.0, "fy": 800.0, "cx": 320.0, "cy": 240.0},
@@ -715,3 +715,39 @@ def test_malformed_input_exit_2_without_traceback(tmp_path, calib, cmd, name, te
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     if name == "rig.json" and text in ("[1, 2]", "null", '"x"'):
         assert "the file must hold a JSON object" in lines[0], lines[0]
+
+
+def test_superres_ply_formats_write_the_same_cloud(tmp_path, calib, scene):
+    # `--ply-format ascii` and the binary default read back to the same
+    # float64 bytes, and the ASCII body is per-row `%.17g` of them
+    gt_ply, pgm, sparse = tmp_path / "gt.ply", tmp_path / "scene.pgm", tmp_path / "sparse.ply"
+    assert main(["synth", str(scene), str(calib), str(gt_ply), str(pgm)]) == 0
+    assert main(["densify", str(gt_ply), str(sparse), "--target", "128", "--rate", "2"]) == 0
+    out = {fmt: tmp_path / f"sup-{fmt}.ply" for fmt in ("ascii", "binary-little-endian")}
+    for fmt, path in out.items():
+        assert main(["superres", str(sparse), str(pgm), str(calib), str(path),
+                     "--max-iters", "20", "--ply-format", fmt]) == 0
+    binary = read_ply(out["binary-little-endian"]).points
+    assert read_ply(out["ascii"]).points.tobytes() == binary.tobytes()
+    head, body = out["ascii"].read_bytes().split(b"end_header\n")
+    assert head.startswith(b"ply\nformat ascii 1.0\n")
+    assert body == numpy_scalar_ply_body(binary)
+    assert out["binary-little-endian"].read_bytes().startswith(
+        b"ply\nformat binary_little_endian 1.0\n")
+
+
+def test_superres_unknown_ply_format_is_usage_error(tmp_path, calib):
+    ply, pgm, out = tmp_path / "in.ply", tmp_path / "img.pgm", tmp_path / "out.ply"
+    write_ply(PointCloud3([[0.0, 0, 2], [0.1, 0, 2], [0, 0.1, 2]]), ply)
+    write_pixmap(GrayImage(np.zeros((480, 640))), pgm)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [_SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "cloudsr.cli", "superres", str(ply), str(pgm),
+                           str(calib), str(out), "--ply-format", "text"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: "), proc.stderr
+    assert "text" in lines[0]
+    assert not out.exists()

@@ -1,8 +1,10 @@
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
+from cloudsr import ply_io
 from cloudsr.errors import CloudSRError
 from cloudsr.edges import GrayImage
 from cloudsr.geometry import COORD_LIMIT, PointCloud3
@@ -25,7 +27,44 @@ def test_ply_ascii_f64_round_trip(tmp_path):
     np.testing.assert_array_equal(back.points, pts)  # 17 digits: exact
 
 
-def test_ply_ascii_bytes_match_numpy_scalar_formatting(tmp_path):
+def _ascii_body(path):
+    data = path.read_bytes()
+    return data[data.index(b"end_header\n") + len(b"end_header\n"):]
+
+
+def _random_bits(rng, n, low=0.0, high=COORD_LIMIT):
+    """n float64 of random sign, exponent and mantissa bits, the exponent
+    bits drawn between those of low and high, with low <= |x| <= high."""
+    lo, hi = (int(np.float64(x).view(np.uint64)) >> 52 for x in (low, high))
+    draw = lambda top, shift: rng.integers(0, top, size=2 * n, dtype=np.uint64) << np.uint64(shift)
+    exp = rng.integers(lo, hi + 1, size=2 * n, dtype=np.uint64) << np.uint64(52)
+    out = (draw(2, 63) | exp | draw(2**52, 0)).view(np.float64)
+    return out[(np.abs(out) >= low) & (np.abs(out) <= high)][:n]
+
+
+def _exact_ties(rng, n):
+    """Dyadic values +-m / 2^j whose exact decimal expansion has 18
+    significant digits, the last a 5: each is a tie at the 17th digit."""
+    out = []
+    while len(out) < n:
+        j = int(rng.integers(2, 23))
+        # m odd and m * 5^j of 18 digits, so m / 2^j = m * 5^j / 10^j
+        m = int(rng.integers(-(-10**17 // 5**j), min(10**18 // 5**j, 2**53))) | 1
+        x = m / 2**j
+        if 1e-4 <= x < 1e17 and len(Decimal(x).as_tuple().digits) == 18:
+            out.append(x if rng.random() < 0.5 else -x)
+    return np.array(out)
+
+
+def _far_rows():
+    """The README's 1e10-offset ring (`far.ply`): large values with few
+    digits after the point."""
+    i = np.arange(200)
+    r, t = 1 + 0.01 * i, 0.5 * i
+    return np.column_stack([1e10 + r * np.cos(t), -1e10 + r * np.sin(t), 2 + 0.001 * i])
+
+
+def _ascii_cases():
     rng = np.random.default_rng(3)
     tiny = np.finfo(np.float64).tiny
     special = [[-0.0, 0.0, 5e-324], [-5e-324, tiny, -tiny / 3],
@@ -36,13 +75,76 @@ def test_ply_ascii_bytes_match_numpy_scalar_formatting(tmp_path):
     # value such as 1e300 can reach the writer
     one_row = [[-0.0, -0.0, -0.0], [5e-324, -tiny / 3, -5e-324],
                [COORD_LIMIT, -COORD_LIMIT, -COORD_LIMIT / 7], [0.1, -2.5, 1 / 3]]
+    powers = [10.0 ** k for k in range(-6, 19)]
+    near_powers = [y for x in powers for y in (x, np.nextafter(x, 0), np.nextafter(x, np.inf))]
+    # the largest doubles below 1e-4, 1e3 and 1e17, a few ulps apart: at 17
+    # digits none rounds up to the power, and each keeps its own exponent
+    below = []
+    for x in (1e-4, 1e3, 1e17):
+        for _ in range(5):
+            x = np.nextafter(x, 0)
+            below.append(x)
+    signed = np.array(near_powers + below)
+    signed = np.concatenate([signed, -signed])
+    bits = _random_bits(rng, 102_000)
+    fixed_bits = _random_bits(rng, 102_000, 1e-5, 1e18)
+    both = np.concatenate([bits, fixed_bits])
+    rng.shuffle(both)
+    return {
+        "mixed": mixed,
+        **{f"one-row-{i}": np.array([row]) for i, row in enumerate(one_row)},
+        "powers-of-ten": np.resize(signed, (-(-signed.size // 3), 3)),
+        "random-bits": bits.reshape(-1, 3),
+        "random-bits-fixed-range": fixed_bits.reshape(-1, 3),
+        "random-bits-shuffled": both.reshape(-1, 3),
+        "exact-ties": _exact_ties(rng, 3_000).reshape(-1, 3),
+        "all-fallback": rng.normal(scale=1e-6, size=(2_000, 3)) * [1, 1e-200, 1e100],
+        "far-rows": _far_rows(),
+        "rounded": np.round(rng.normal(scale=100.0, size=(3_000, 3)), 3),
+    }
+
+
+_ASCII_CASES = _ascii_cases()
+
+
+def test_ply_ascii_bytes_match_numpy_scalar_formatting(tmp_path):
     path = tmp_path / "c.ply"
-    for pts in [mixed] + [np.array([row]) for row in one_row]:
+    for name, pts in _ASCII_CASES.items():
         write_ply(PointCloud3(pts), path, fmt="ascii")
-        data = path.read_bytes()
-        cut = data.index(b"end_header\n") + len(b"end_header\n")
-        assert data[cut:] == numpy_scalar_ply_body(pts)
-        assert read_ply(path).points.tobytes() == pts.tobytes()  # -0.0 keeps its sign
+        assert _ascii_body(path) == numpy_scalar_ply_body(pts), name
+        assert read_ply(path).points.tobytes() == pts.tobytes(), name  # -0.0 keeps its sign
+
+
+def test_ply_ascii_writes_fixed_values_by_array_arithmetic(tmp_path, monkeypatch):
+    # the oracle test above would pass if every value went through `%`:
+    # count the values that went through the digit arithmetic instead
+    seen = []
+
+    def counted(mag):
+        seen.append(mag.size)
+        return fixed_digits(mag)
+
+    fixed_digits = ply_io._fixed_digits
+    monkeypatch.setattr(ply_io, "_fixed_digits", counted)
+    write_ply(PointCloud3(_ASCII_CASES["random-bits-shuffled"]), tmp_path / "c.ply")
+    assert sum(seen) == _ASCII_CASES["random-bits-shuffled"].size
+    seen.clear()
+    write_ply(PointCloud3(_ASCII_CASES["all-fallback"]), tmp_path / "c.ply")
+    assert seen == []
+
+
+@pytest.mark.parametrize("off", [1, -1], ids=["too-high", "too-low"])
+def test_ply_ascii_bytes_survive_a_wrong_exponent_estimate(tmp_path, monkeypatch, off):
+    # the log10 guess of each decimal exponent is corrected until the 17
+    # digits fall in [1e16, 1e17), so a guess one off everywhere writes the
+    # same bytes
+    estimate = ply_io._exponent_estimate
+    monkeypatch.setattr(ply_io, "_exponent_estimate", lambda mag: estimate(mag) + off)
+    path = tmp_path / "c.ply"
+    for name in ("powers-of-ten", "random-bits-fixed-range", "exact-ties", "far-rows"):
+        pts = _ASCII_CASES[name]
+        write_ply(PointCloud3(pts), path, fmt="ascii")
+        assert _ascii_body(path) == numpy_scalar_ply_body(pts), name
 
 
 def test_ply_binary_f64_round_trip(tmp_path):
