@@ -83,6 +83,8 @@ def read_pixmap(path) -> GrayImage:
             raise CloudSRError("plain raster values must be integers") from exc
     if values.max() > maxval:
         raise CloudSRError("raster value exceeds maxval")
+    if values.min() < 0:
+        raise CloudSRError("raster value is negative")
 
     values /= float(maxval)
     if color:

@@ -1,13 +1,16 @@
 """PLY point cloud reader/writer (ASCII and binary little-endian).
 
-Only the vertex x/y/z properties are interpreted; other scalar properties
-are parsed and skipped.  The writer emits float64 vertices, so write ->
-read round-trips are lossless.  An ASCII body is byte for byte
-`"%.17g %.17g %.17g\\n"` per row: Python's correctly rounded 17 significant
-digits (Gay, "Correctly rounded binary-decimal and decimal-binary
-conversions", 1990).  Every value that `%.17g` prints in fixed notation
-(1e-4 <= |x| < 1e17) is written by numpy array arithmetic; every other
-value (+-0, smaller or larger magnitudes) is written by `%` itself.
+Only the vertex x/y/z properties are interpreted.  Both body formats
+follow one record rule: up to and including the vertex element a record is
+fixed width, one value per scalar property, so a list property there is an
+error; later elements, such as mesh faces, are never read.  The writer
+emits float64 vertices, so write -> read round-trips are lossless.  An
+ASCII body is byte for byte `"%.17g %.17g %.17g\\n"` per row: Python's
+correctly rounded 17 significant digits (Gay, "Correctly rounded
+binary-decimal and decimal-binary conversions", 1990).  Every value that
+`%.17g` prints in fixed notation (1e-4 <= |x| < 1e17) is written by numpy
+array arithmetic; every other value (+-0, smaller or larger magnitudes) is
+written by `%` itself.
 """
 
 from __future__ import annotations
@@ -100,10 +103,11 @@ def _parse_header(fh):
     return fmt, elements
 
 
-def _vertex_element(elements):
-    for el in elements:
+def _through_vertex(elements):
+    """The elements up to and including the first one named 'vertex'."""
+    for i, el in enumerate(elements):
         if el.name == "vertex":
-            return el
+            return elements[:i + 1]
     raise CloudSRError("no vertex element")
 
 
@@ -117,91 +121,65 @@ def _check_xyz(el: _Element) -> None:
             raise CloudSRError(f"vertex {axis} must be a float32/float64 scalar")
 
 
+def _check_length(el: _Element, size: int, left: int) -> None:
+    # before reading: a false count must not allocate or loop over its data
+    if el.count * size > left:
+        raise CloudSRError(
+            f"element {el.name!r} promises {el.count} records, file ends early"
+        )
+
+
 def _read_binary(fh, elements) -> np.ndarray:
-    out = None
     for el in elements:
-        fields = []
-        for i, (name, ptype, ltype) in enumerate(el.properties):
-            if ltype is not None:
-                raise CloudSRError(
-                    "list properties in binary elements are not supported"
-                )
-            fields.append((f"f{i}__{name}", "<" + _SCALAR_TYPES[ptype]))
-        dtype = np.dtype(fields)
-        # check before reading: a false count must not allocate its bytes
-        if dtype.itemsize * el.count > os.fstat(fh.fileno()).st_size - fh.tell():
-            raise CloudSRError(
-                f"element {el.name!r} promises {el.count} records, file ends early"
-            )
+        dtype = np.dtype([(f"f{i}__{name}", "<" + _SCALAR_TYPES[ptype])
+                          for i, (name, ptype, _) in enumerate(el.properties)])
+        _check_length(el, dtype.itemsize, os.fstat(fh.fileno()).st_size - fh.tell())
         data = fh.read(dtype.itemsize * el.count)
-        if el.name == "vertex":
-            rec = np.frombuffer(data, dtype=dtype)
-            names = {name: f"f{i}__{name}" for i, (name, _, _) in enumerate(el.properties)}
-            out = np.stack(
-                [rec[names["x"]], rec[names["y"]], rec[names["z"]]], axis=1
-            ).astype(np.float64)
-            break  # nothing after the vertex data is needed
-    return out
+    rec = np.frombuffer(data, dtype=dtype)
+    names = {name: f"f{i}__{name}" for i, (name, _, _) in enumerate(el.properties)}
+    return np.stack([rec[names[axis]] for axis in "xyz"], axis=1).astype(np.float64)
 
 
 def _read_ascii(fh, elements) -> np.ndarray:
     tokens = fh.read().split()
     pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(tokens):
-            raise CloudSRError("file ends before the promised element data")
-        vals = tokens[pos:pos + n]
-        pos += n
-        return vals
-
-    out = None
     for el in elements:
-        # each record takes at least one token per property, and a record
-        # without properties takes none: neither may loop over a false count
-        if el.count * len(el.properties) > len(tokens) - pos:
-            raise CloudSRError(
-                f"element {el.name!r} promises {el.count} records, file ends early"
-            )
-        if not el.properties:
-            continue
-        rows = []
-        for _ in range(el.count):
-            row = {}
-            for name, ptype, ltype in el.properties:
-                if ltype is not None:
-                    try:
-                        count = int(take(1)[0])
-                    except ValueError as exc:
-                        raise CloudSRError("bad list count") from exc
-                    if count < 0:
-                        raise CloudSRError(f"negative list count {count}")
-                    take(count)
-                    continue
-                val = take(1)[0]
-                if el.name == "vertex" and name in ("x", "y", "z"):
-                    try:
-                        row[name] = float(val)
-                    except ValueError as exc:
-                        text = val.decode("ascii", errors="replace")
-                        raise CloudSRError(f"bad float literal {text!r}") from exc
-            if el.name == "vertex":
-                rows.append((row["x"], row["y"], row["z"]))
-        if el.name == "vertex":
-            out = np.array(rows, dtype=np.float64).reshape(-1, 3)
-            break
-    return out
+        width = len(el.properties)
+        _check_length(el, width, len(tokens) - pos)
+        start, pos = pos, pos + el.count * width
+    index = {name: i for i, (name, _, _) in enumerate(el.properties)}  # the last of a name wins
+    columns = sorted(index[axis] for axis in "xyz")  # their order within a record
+    literals = [b""] * (3 * el.count)
+    for j, col in enumerate(columns):
+        literals[j::3] = tokens[start + col:pos:width]
+    try:
+        values = np.fromiter(map(float, literals), np.float64, len(literals))
+    except ValueError:
+        for token in literals:  # the first bad literal in file order
+            try:
+                float(token)
+            except ValueError as exc:
+                text = token.decode("ascii", errors="replace")
+                raise CloudSRError(f"bad float literal {text!r}") from exc
+        raise
+    return values.reshape(-1, 3)[:, [columns.index(index[axis]) for axis in "xyz"]]
 
 
 def read_ply(path) -> PointCloud3:
     """Read a PLY file's vertex positions."""
     with open(path, "rb") as fh:
         fmt, elements = _parse_header(fh)
-        el = _vertex_element(elements)
+        elements = _through_vertex(elements)  # later elements are never read
+        el = elements[-1]
         _check_xyz(el)
         if el.count < 1:
             raise CloudSRError("vertex element is empty")
+        # in both body formats a record up to the vertex data is fixed
+        # width: one value per scalar property
+        if any(ltype is not None for e in elements for _, _, ltype in e.properties):
+            raise CloudSRError(
+                "list properties before or in the vertex element are not supported"
+            )
         pts = _read_binary(fh, elements) if fmt == "binary_little_endian" else _read_ascii(fh, elements)
     try:
         return PointCloud3(pts)

@@ -73,18 +73,18 @@ _XYZ = np.array([[0.0, 0.0, 2.0], [0.1, 0.0, 2.0], [0.1, 0.1, 2.1],
                  [0.0, 0.1, 2.0], [0.05, 0.02, 1.9]])
 
 
-def _ply_header(fmt, vertex_props, before=""):
+def _ply_header(fmt, vertex_props, before="", after=""):
     return (f"ply\nformat {fmt} 1.0\ncomment fuzz seed\n{before}"
-            f"element vertex {len(_XYZ)}\n{vertex_props}end_header\n").encode("ascii")
+            f"element vertex {len(_XYZ)}\n{vertex_props}{after}end_header\n").encode("ascii")
 
 
 _PLY_ASCII = [
     _ply_header("ascii", "property double x\nproperty double y\nproperty double z\n")
     + b"".join(b"%r %r %r\n" % tuple(p) for p in _XYZ.tolist()),
     _ply_header("ascii", "property float x\nproperty float y\nproperty float z\n"
-                "property uchar red\n",
-                before="element face 1\nproperty list uchar int vertex_indices\n")
-    + b"3 0 1 2\n" + b"".join(b"%r %r %r 7\n" % tuple(p) for p in _XYZ.tolist()),
+                "property uchar red\n", before="element aux 2\nproperty int a\n",
+                after="element face 1\nproperty list uchar int vertex_indices\n")
+    + b"5\n6\n" + b"".join(b"%r %r %r 7\n" % tuple(p) for p in _XYZ.tolist()) + b"3 0 1 2\n",
 ]
 
 _PLY_BINARY = [

@@ -227,6 +227,62 @@ def test_ply_faces_after_vertices_ignored(tmp_path):
     assert len(read_ply(path)) == 3
 
 
+def _mixed_ply(fmt, vertex_type, rows):
+    """A PLY whose vertex records are `z nx x y red`, after a scalar `aux`
+    element and before a `face` list element, in either body format."""
+    n = len(rows)
+    rec = np.zeros(n, [("z", vertex_type), ("nx", vertex_type), ("x", vertex_type),
+                       ("y", vertex_type), ("red", "u1")])
+    rec["x"], rec["y"], rec["z"] = rows.T
+    rec["nx"] = np.linspace(-1, 1, n)
+    rec["red"] = np.arange(n) % 256
+    aux = np.array([(5, 0.25), (-6, 1e300)], [("a", "<i4"), ("b", "<f8")])
+    ptype = {"<f4": "float", "<f8": "double"}[vertex_type]
+    header = (f"ply\nformat {fmt} 1.0\nelement aux 2\nproperty int a\nproperty double b\n"
+              f"element vertex {n}\nproperty {ptype} z\nproperty {ptype} nx\n"
+              f"property {ptype} x\nproperty {ptype} y\nproperty uchar red\n"
+              "element face 2\nproperty list uchar int vertex_indices\nend_header\n")
+    if fmt == "binary_little_endian":
+        faces = b"".join(b"\x03" + np.array(f, "<i4").tobytes() for f in ([0, 1, 2], [2, 1, 3]))
+        return header.encode("ascii") + aux.tobytes() + rec.tobytes() + faces
+    # repr of the float64 each stored value widens to: it parses back exactly
+    lines = [b"%r %r" % tuple(r) for r in aux.tolist()]
+    lines += [b"%r %r %r %r %d" % (float(z), float(nx), float(x), float(y), red)
+              for z, nx, x, y, red in rec.tolist()]
+    lines += [b"3 0 1 2", b"3 2 1 3"]
+    return header.encode("ascii") + b"\n".join(lines) + b"\n"
+
+
+@pytest.mark.parametrize("vertex_type", ["<f8", "<f4"])
+def test_ply_ascii_and_binary_read_the_same_rows(tmp_path, vertex_type):
+    rng = np.random.default_rng(7)
+    rows = rng.normal(scale=[1.0, 30.0, 1e-3], size=(2000, 3)).astype(vertex_type)
+    for fmt in ("ascii", "binary_little_endian"):
+        path = tmp_path / f"{fmt}.ply"
+        path.write_bytes(_mixed_ply(fmt, vertex_type, rows))
+        got = read_ply(path).points
+        assert got.tobytes() == rows.astype(np.float64).tobytes(), fmt
+
+
+@pytest.mark.parametrize("bad", [
+    # (row, column, literal): the first in file order is reported
+    [(1000, 0, b"zbad"), (1000, 2, b"xbad")],  # one record: z comes before x
+    [(600, 3, b"ybad"), (1400, 0, b"zbad")],   # y of an earlier record first
+])
+def test_ply_ascii_reports_the_first_bad_literal_in_file_order(tmp_path, bad):
+    rows = np.random.default_rng(8).normal(size=(2000, 3))
+    lines = _mixed_ply("ascii", "<f8", rows).split(b"\n")
+    first_row = lines.index(b"end_header") + 3  # past the two aux records
+    for row, col, literal in bad:
+        tokens = lines[first_row + row].split()
+        tokens[col] = literal
+        lines[first_row + row] = b" ".join(tokens)
+    path = tmp_path / "bad.ply"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(CloudSRError, match=re.escape(f"bad float literal {bad[0][2].decode()!r}")):
+        read_ply(path)
+
+
 def test_ply_big_endian_rejected(tmp_path):
     path = tmp_path / "b.ply"
     path.write_text(
@@ -238,6 +294,7 @@ def test_ply_big_endian_rejected(tmp_path):
 
 
 _XYZ = "property float x\nproperty float y\nproperty float z\n"
+_LIST_REFUSED = "list properties before or in the vertex element are not supported"
 
 
 def test_ply_malformed_headers(tmp_path):
@@ -268,10 +325,22 @@ def test_ply_malformed_headers(tmp_path):
          "no vertex element"),
         ("ply\nformat binary_little_endian 1.0\nelement vertex 1\n" + _XYZ
          + "property list uchar int vertex_indices\nend_header\n",
-         "list properties in binary elements are not supported"),
+         _LIST_REFUSED),
         ("ply\nformat ascii 1.0\nelement vertex 1\n" + _XYZ
          + "property list uchar int vertex_indices\nend_header\n0 0 0 -1\n",
-         "negative list count -1"),
+         _LIST_REFUSED),
+        # well-formed lists before or inside the vertex records
+        ("ply\nformat ascii 1.0\nelement face 1\nproperty list uchar int vertex_indices\n"
+         "element vertex 1\n" + _XYZ + "end_header\n3 0 0 0\n0 0 0\n",
+         _LIST_REFUSED),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+         "property list uchar float w\nproperty float y\nproperty float z\n"
+         "end_header\n0 2 5 5 0 0\n",
+         _LIST_REFUSED),
+        ("ply\nformat binary_little_endian 1.0\nelement vertex 1\nproperty float x\n"
+         "property list uchar float w\nproperty float y\nproperty float z\nend_header\n"
+         + "\0" * 13,
+         _LIST_REFUSED),
         ("ply\nformat ascii 1.0\nelement vertex 0\n" + _XYZ + "end_header\n",
          "vertex element is empty"),
         ("ply\nformat ascii 1.0\nelement vertex 1\n" + _XYZ + "end_header\n0 0 zero\n",
@@ -352,6 +421,8 @@ def test_pixmap_malformed(tmp_path):
     with pytest.raises(CloudSRError, match="raster value exceeds maxval"):
         read_pixmap(over)
     cases = [
+        (b"P2 2 1 10 -5 7", "raster value is negative"),
+        (b"P3\n1 1\n255\n0 -1 0\n", "raster value is negative"),
         (b"P5\n0 4\n255\n", "pixmap dimensions must be positive"),
         (b"P2\n4 -1\n255\n", "pixmap dimensions must be positive"),
         (b"P5\n1 1\n0\n\x00", "maxval 0 out of range"),
