@@ -287,29 +287,38 @@ class SpatialIndex:
         return np.sort(idx[:, :k], axis=1), bound2
 
 
-def nearest_candidate(points: np.ndarray, queries: np.ndarray, cand: np.ndarray,
-                      bound2: np.ndarray, drift2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def settle_limit(bound2: np.ndarray) -> np.ndarray:
+    """sqrt(`_pad_down`(bound2)), the distance `nearest_candidate` proves a
+    match below: computed once for candidates ranked once."""
+    return np.sqrt(np.maximum(_pad_down(bound2), 0.0))
+
+
+def nearest_candidate(cand_points: np.ndarray, queries: np.ndarray, cand: np.ndarray,
+                      limit: np.ndarray, drift2, offsets: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(indices, squared distances, settled): the nearest of each query
-    row's candidate rows of `points`, ranked as `SpatialIndex._rank` ranks,
-    and whether it is provably the nearest of all rows.
+    row's candidate rows of some point set, ranked as `SpatialIndex._rank`
+    ranks, and whether it is provably the nearest of all rows.
 
     `cand` (M, C) holds each query's candidates in ascending index order, as
-    `SpatialIndex.candidates` returns them, and `bound2` (M,) the squared
-    distance every other row had from the query then.  `drift2` (scalar or
-    (M,)) bounds the square of how far the query and any other row have
-    moved relative to each other since.  By the triangle inequality no
-    other row can tie or win once sqrt(best) + drift < sqrt(bound2); both
-    sides are padded by `_pad_up` and `_pad_down`, so a settled row equals
-    the exhaustive scan's.  Unsettled rows need a full query.
+    `SpatialIndex.candidates` returns them, `cand_points` (M, C, D) those
+    rows of the point set, and `offsets` `np.arange(M) * C`, where each
+    query's row starts in `cand`'s flat buffer.  `limit` (M,) is
+    `settle_limit` of the squared distance every other row had from the
+    query then, and `drift2` (scalar or (M,)) bounds the square of how far
+    the query and any other row have moved relative to each other since.
+    By the triangle inequality no other row can tie or win once
+    sqrt(best) + drift < sqrt(bound2); both sides are padded by `_pad_up`
+    and `_pad_down`, so a settled row equals the exhaustive scan's.
+    Unsettled rows need a full query.
     """
-    d2 = SpatialIndex._sq_dists(np.take(points, cand, axis=0), queries[:, None, :])
+    d2 = SpatialIndex._sq_dists(cand_points, queries[:, None, :])
     # candidates ascend by index, so the first minimum is the lowest index
-    col = np.argmin(d2, axis=1)
-    at = np.arange(cand.shape[0])
-    best = d2[at, col]
+    flat = np.argmin(d2, axis=1)
+    flat += offsets
+    best = np.take(d2, flat)
     reach = np.sqrt(_pad_up(best)) + np.sqrt(_pad_up(drift2))
-    settled = reach < np.sqrt(np.maximum(_pad_down(bound2), 0.0))
-    return cand[at, col], best, settled
+    return np.take(cand, flat), best, reach < limit
 
 
 def _voxel_spans(extent, edge: float) -> list[int]:

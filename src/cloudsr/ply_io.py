@@ -141,7 +141,11 @@ def _read_binary(fh, elements) -> np.ndarray:
 
 
 def _read_ascii(fh, elements) -> np.ndarray:
-    tokens = fh.read().split()
+    body = fh.read()
+    # split off only the records read; a token takes at least one byte, so
+    # the cap also keeps a huge promised count a valid `maxsplit`
+    needed = sum(el.count * len(el.properties) for el in elements)
+    tokens = body.split(maxsplit=min(needed, len(body)))
     pos = 0
     for el in elements:
         width = len(el.properties)

@@ -174,6 +174,26 @@ def test_ply_truncated_ascii(tmp_path):
         read_ply(path)
 
 
+@pytest.mark.parametrize("count, body, error", [
+    # the body is split only through the last token read: an exact body
+    # reads, one token short does not, and a count past any body's tokens is
+    # refused before it is used as a split limit
+    (2, "0 1 2\n3 4 5  \n\n3 0 1 2\n", None),
+    (2, "0 1 2\n3 4\n", "promises 2 records"),
+    (2, "0 1 2 3 4", "promises 2 records"),
+    (10**30, "0 1 2\n", f"promises {10**30} records"),
+])
+def test_ply_ascii_body_split_through_the_vertex_records(tmp_path, count, body, error):
+    path = tmp_path / "c.ply"
+    path.write_text(f"ply\nformat ascii 1.0\nelement vertex {count}\n{_XYZ}"
+                    f"element face 1\nproperty list uchar int vertex_indices\nend_header\n{body}")
+    if error is None:
+        np.testing.assert_array_equal(read_ply(path).points, [[0, 1, 2], [3, 4, 5]])
+    else:
+        with pytest.raises(CloudSRError, match=f"{error}, file ends early"):
+            read_ply(path)
+
+
 def test_ply_truncated_binary(tmp_path):
     path = tmp_path / "bad.ply"
     header = (

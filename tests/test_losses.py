@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloudsr.errors import CloudSRError
-from cloudsr.geometry import COORD_LIMIT, SpatialIndex, nearest_candidate
+from cloudsr.geometry import COORD_LIMIT, SpatialIndex, nearest_candidate, settle_limit
 from cloudsr.losses import (
-    MATCH_K,
+    EDGE_CANDIDATES,
+    VERTEX_CANDIDATES,
     LossWeights,
     MatchTable,
     _cd_gradient,
@@ -16,7 +17,7 @@ from cloudsr.losses import (
 )
 
 from oracles import (add_at_cd_gradient, add_at_gs_gradient, brute_chamfer, brute_hausdorff,
-                     flat_knn, sample_far_from_ties)
+                     flat_knn, sample_far_from_ties, two_index_combined_loss)
 
 
 # -- weights -------------------------------------------------------------------
@@ -150,11 +151,13 @@ def test_cd_gradient_matches_scatter_add_oracle():
 @st.composite
 def _match_cases(draw):
     """(edge pixels, vertices at the refresh, vertices now, drift): lattices
-    with exact ties and uniform sets, either side at most MATCH_K rows or
-    more, scaled up to near COORD_LIMIT; the vertices stay put, move a
-    little, or one moves farther than the whole set spans."""
+    with exact ties and uniform sets, each side at most its own count of
+    rows or more (the edge pixels around `VERTEX_CANDIDATES`, the vertices
+    around `EDGE_CANDIDATES`), scaled up to near COORD_LIMIT; the vertices
+    stay put, move a little, or one moves farther than the whole set spans."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m, h = draw(st.integers(1, 3 * MATCH_K)), draw(st.integers(1, 3 * MATCH_K))
+    m = draw(st.integers(1, 3 * VERTEX_CANDIDATES))
+    h = draw(st.integers(1, 3 * EDGE_CANDIDATES))
     lattice = draw(st.booleans())
     if lattice:
         span = draw(st.integers(1, 8))
@@ -172,42 +175,100 @@ def _match_cases(draw):
     return r * scale + offset, p0 * scale + offset, p * scale + offset, drift
 
 
+def _mixed_case(m, h, seed, drift="small"):
+    """A window with m edge pixels and h vertices that move a little, and
+    with "far" drift one of them 100 px more."""
+    rng = np.random.default_rng(seed)
+    r, p0 = rng.uniform(0, 10, size=(m, 2)), rng.uniform(0, 10, size=(h, 2))
+    p = p0 + rng.normal(scale=0.2, size=(h, 2))
+    if drift == "far":
+        p[0] += 100.0
+    return r, p0, p, drift
+
+
+# one side below its count and the other above, both ways round
+_MIXED = [_mixed_case(VERTEX_CANDIDATES + 5, EDGE_CANDIDATES - 1, 1),
+          _mixed_case(VERTEX_CANDIDATES - 3, EDGE_CANDIDATES + 3, 2)]
+
+
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(_match_cases())
+@example(_MIXED[0])
+@example(_MIXED[1])
 def test_match_table_matches_flat_scan_oracle(case):
     r, p0, p, drift = case
     edges = SpatialIndex(r)
     table = MatchTable.build(edges, p0)
     e2h, d2_e2h, h2e, d2_h2e = table.matches(edges, p)
     moved2 = np.sum((p - p0) ** 2, axis=1)
-    for points, queries, cand, bound2, drift2, got in [
-            (p, r, table.edge_cand, table.edge_bound2, moved2.max(), (e2h, d2_e2h)),
-            (r, p, table.vert_cand, table.vert_bound2, moved2, (h2e, d2_h2e))]:
+    assert table.vert_points.tobytes() == np.take(r, table.vert_cand, axis=0).tobytes()
+    # (points, queries) now and at the refresh, then the side's table entries
+    for points, queries, ranked, count, cand, limit, offsets, drift2, got in [
+            (p, r, (p0, r), EDGE_CANDIDATES, table.edge_cand, table.edge_limit,
+             table.edge_offsets, moved2.max(), (e2h, d2_e2h)),
+            (r, p, (r, p0), VERTEX_CANDIDATES, table.vert_cand, table.vert_limit,
+             table.vert_offsets, moved2, (h2e, d2_h2e))]:
         want_i, want_d2 = (a[:, 0] for a in flat_knn(points, queries, 1))
         # every row, settled by its candidates or answered in full
         np.testing.assert_array_equal(got[0], want_i)
         assert got[1].tobytes() == want_d2.tobytes()
-        idx, d2, settled = nearest_candidate(points, queries, cand, bound2, drift2)
+        # the table's candidates and limits, from the ranking at the refresh
+        n = points.shape[0]
+        idx0, d20 = flat_knn(*ranked, n)
+        np.testing.assert_array_equal(cand, np.sort(idx0[:, :count], axis=1))
+        bound2 = d20[:, count] if n > count else np.full(queries.shape[0], np.inf)
+        assert limit.tobytes() == settle_limit(bound2).tobytes()
+        assert np.isinf(limit).all() == (n <= count)
+        np.testing.assert_array_equal(offsets, np.arange(queries.shape[0]) * cand.shape[1])
+        idx, d2, settled = nearest_candidate(np.take(points, cand, axis=0), queries, cand,
+                                             limit, drift2, offsets)
         np.testing.assert_array_equal(idx[settled], want_i[settled])
         assert d2[settled].tobytes() == want_d2[settled].tobytes()
-        assert np.isinf(bound2).all() == (points.shape[0] <= MATCH_K)
-        if drift == "far" and np.isfinite(bound2).all():
+        if drift == "far" and np.isfinite(limit).all():
             assert not settled.all()  # a far move must send rows to the full query
 
 
-@pytest.mark.parametrize("n", [MATCH_K - 1, MATCH_K, MATCH_K + 1])
+def _report_bytes(rep):
+    return (np.array([rep.l_cd, rep.l_hd, rep.l_gs, rep.total]).tobytes(), rep.grad.tobytes())
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_match_cases(), st.sampled_from([LossWeights(), LossWeights(0.3, 0.9, 0.05)]))
+@example(_MIXED[0], LossWeights())
+@example(_MIXED[1], LossWeights())
+@example(_mixed_case(VERTEX_CANDIDATES + 5, EDGE_CANDIDATES + 3, 3, "far"), LossWeights())
+def test_window_loss_matches_two_index_oracle(case, w):
+    # a loss call ranked from its window's table, far drift included, equals
+    # the call that queries both index sets in full, byte for byte
+    r, p0, p, _ = case
+    edges = SpatialIndex(r)
+    table = MatchTable.build(edges, p0)
+    if p.shape[0] < 3:
+        for loss in (combined_loss, two_index_combined_loss):
+            with pytest.raises(CloudSRError, match="smoothness needs at least 3 vertices"):
+                loss(edges, p, w, table)
+        return
+    got = combined_loss(edges, p, w, table)
+    assert _report_bytes(got) == _report_bytes(two_index_combined_loss(edges, p, w, table))
+
+
+@pytest.mark.parametrize("n", [VERTEX_CANDIDATES - 1, VERTEX_CANDIDATES, VERTEX_CANDIDATES + 1])
 @pytest.mark.parametrize("m", [0, 1, 30])
 def test_candidates_match_flat_scan_oracle(n, m):
-    # lattice rows tie often; with n <= MATCH_K every row is a candidate
-    rng = np.random.default_rng(100 * n + m)
-    for points in (rng.integers(0, 3, (n, 2)).astype(float), rng.uniform(0, 10, (n, 2))):
-        queries = rng.uniform(-1, 4, (m, 2))
-        cand, bound2 = SpatialIndex(points).candidates(queries, MATCH_K)
-        idx, d2 = flat_knn(points, queries, n)
-        assert cand.shape == (m, min(n, MATCH_K)) and bound2.shape == (m,)
-        np.testing.assert_array_equal(cand, np.sort(idx[:, :MATCH_K], axis=1))
-        want = d2[:, MATCH_K] if n > MATCH_K else np.full(m, np.inf)
-        assert bound2.tobytes() == want.tobytes()
+    # each side's count with one row fewer, as many and one more (n is the
+    # vertex side's row count); lattice rows tie often, and with rows <=
+    # count every row is a candidate
+    for count in (EDGE_CANDIDATES, VERTEX_CANDIDATES):
+        rows = count + n - VERTEX_CANDIDATES
+        rng = np.random.default_rng(100 * rows + m)
+        for points in (rng.integers(0, 3, (rows, 2)).astype(float), rng.uniform(0, 10, (rows, 2))):
+            queries = rng.uniform(-1, 4, (m, 2))
+            cand, bound2 = SpatialIndex(points).candidates(queries, count)
+            idx, d2 = flat_knn(points, queries, rows)
+            assert cand.shape == (m, min(rows, count)) and bound2.shape == (m,)
+            np.testing.assert_array_equal(cand, np.sort(idx[:, :count], axis=1))
+            want = d2[:, count] if rows > count else np.full(m, np.inf)
+            assert bound2.tobytes() == want.tobytes()
 
 
 def test_match_table_rejects_another_hull():
