@@ -140,11 +140,6 @@ def _gs_loss(verts: np.ndarray) -> float:
     return float(np.sum(np.hypot(dg[:, 0], dg[:, 1])))
 
 
-def gradient_smooth_loss(verts) -> float:
-    """Sum of second-difference magnitudes along the open (N, 2) vertex list."""
-    return _gs_loss(as_point_array(verts, 2, "hull vertex coordinates"))
-
-
 def _gs_gradient(verts: np.ndarray) -> np.ndarray:
     """Exact gradient of the second-difference sum.
 

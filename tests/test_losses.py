@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cloudsr import geometry
 from cloudsr.errors import CloudSRError
 from cloudsr.geometry import COORD_LIMIT, SpatialIndex, nearest_candidate, settle_limit
 from cloudsr.losses import (
@@ -13,11 +14,11 @@ from cloudsr.losses import (
     _cd_gradient,
     _gs_gradient,
     combined_loss,
-    gradient_smooth_loss,
 )
 
 from oracles import (add_at_cd_gradient, add_at_gs_gradient, brute_chamfer, brute_hausdorff,
-                     flat_knn, sample_far_from_ties, two_index_combined_loss)
+                     flat_knn, gradient_smooth_loss, sample_far_from_ties,
+                     two_index_combined_loss)
 
 
 # -- weights -------------------------------------------------------------------
@@ -226,6 +227,34 @@ def test_match_table_matches_flat_scan_oracle(case):
         assert d2[settled].tobytes() == want_d2[settled].tobytes()
         if drift == "far" and np.isfinite(limit).all():
             assert not settled.all()  # a far move must send rows to the full query
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-10, 2.0**330, 2.0**-500])
+def test_settle_rule_leaves_a_row_at_its_limit_open(scale):
+    # point 0 ties the query's only candidate, point 1, at squared distance
+    # 25 (times scale², a power of two, so the tie stays exact).  The bound
+    # the limit comes from overstates point 0's by about 2e-12: it is the
+    # smallest bound whose padded-down limit equals the candidate's
+    # padded-up reach.  A bound that keeps nearest_candidate's contract
+    # leaves such a row open under either pad alone; at this one only both
+    # pads and the strict comparison do, for the full query to find point
+    # 0.  A settled row must be the flat scan's
+    points = np.array([[3.0, 4.0], [5.0, 0.0]]) * scale
+    queries = np.zeros((1, 2))
+    want_i, want_d2 = flat_knn(points, queries, 2)
+    assert want_i.tolist() == [[0, 1]] and want_d2[0, 0] == want_d2[0, 1]
+    best = want_d2[0, 1]
+    reach = np.sqrt(geometry._pad_up(best)) + np.sqrt(geometry._pad_up(0.0))
+    near = (reach * reach + geometry._TINY) / (1 - 1e-12)
+    bound2 = near + np.arange(-8, 9) * np.spacing(near)
+    bound2 = bound2[settle_limit(bound2) == reach][:1]
+    assert bound2.size == 1 and bound2[0] > best
+    cand = np.array([[1]])
+    idx, d2, settled = nearest_candidate(np.take(points, cand, axis=0), queries, cand,
+                                         settle_limit(bound2), 0.0, np.zeros(1, dtype=np.intp))
+    assert idx.tolist() == [1] and d2.tobytes() == want_d2[:, 1].tobytes()
+    np.testing.assert_array_equal(idx[settled], want_i[settled, 0])
+    assert not settled.any()
 
 
 def _report_bytes(rep):

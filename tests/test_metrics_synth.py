@@ -1,8 +1,10 @@
 import json
+import threading
 
 import numpy as np
 import pytest
 
+from cloudsr import metrics
 from cloudsr.camera import CameraRig, Extrinsics, Intrinsics, project_cloud
 from cloudsr.edges import CannyParams, canny
 from cloudsr.errors import CloudSRError
@@ -76,6 +78,93 @@ def test_eval_json_schema():
     cloud = PointCloud3([[0.0, 0, 0]])
     data = json.loads(eval_metrics(cloud, cloud).to_json())
     assert list(data) == ["cd", "hd", "normalized", "pred_count", "gt_count"]
+
+
+def _eval_clouds(kind, rng):
+    """(prediction, ground truth) arrays of one kind: uniform, lattice rows
+    whose nearest points tie four or more ways, rows repeated many times,
+    or a prediction far larger than the ground truth."""
+    if kind == "random":
+        return rng.uniform(size=(300, 3)), rng.uniform(size=(280, 3))
+    if kind == "lattice":
+        grid = np.stack(np.meshgrid(*[np.arange(7.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        return grid + [0.5, 0.5, 0.0], grid[::2] * 2.0
+    if kind == "duplicates":
+        base = rng.integers(0, 3, size=(12, 3)).astype(float)
+        return np.repeat(base, 25, axis=0), base[rng.integers(0, 12, 90)]
+    return rng.normal(size=(2000, 3)), rng.normal(size=(7, 3))
+
+
+_NEAREST_D2 = metrics._nearest_d2
+
+
+def _direction_threads(monkeypatch, cpus):
+    """Report `cpus` CPUs to `eval_metrics`, and return the list of the
+    threads its nearest-distance directions run on."""
+    threads = []
+
+    def recorded(points, queries):
+        threads.append(threading.current_thread())
+        return _NEAREST_D2(points, queries)
+
+    monkeypatch.setattr(metrics, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(metrics, "_nearest_d2", recorded)
+    return threads
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("kind", ["random", "lattice", "duplicates", "unequal"])
+def test_eval_concurrent_directions_equal_serial(monkeypatch, kind, normalize):
+    # the two directions on two threads give the report of the serial pass,
+    # float for float, and both equal the exhaustive scans
+    pred, gt = _eval_clouds(kind, np.random.default_rng(3))
+    reports = {}
+    for cpus in (1, 2):
+        threads = _direction_threads(monkeypatch, cpus)
+        reports[cpus] = eval_metrics(PointCloud3(pred), PointCloud3(gt), normalize)
+        main = threading.main_thread()
+        assert len(threads) == 2 and (threads[0] is not main) == (cpus > 1)
+        assert threads[1] is main
+    assert reports[1] == reports[2]
+    if normalize:
+        gt, scale, offset = normalize_to_unit(gt)
+        pred = (pred - offset) / scale
+    assert reports[2].cd == pytest.approx(brute_chamfer(pred, gt) / (len(pred) + len(gt)),
+                                          rel=1e-12)
+    assert reports[2].hd == pytest.approx(brute_hausdorff(pred, gt), rel=1e-12)
+
+
+class _DirectionFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [("gt",), ("pred",), ("gt", "pred")])
+def test_eval_direction_errors_surface_as_in_the_serial_pass(monkeypatch, failing):
+    # an error in the worker's direction (the one that indexes the ground
+    # truth) reaches the caller with its type and message, as does one on
+    # the calling thread; when both fail, the serial pass's first error wins
+    rng = np.random.default_rng(4)
+    pred, gt = PointCloud3(rng.uniform(size=(30, 3))), PointCloud3(rng.uniform(size=(20, 3)))
+    raised = {}
+    for cpus in (1, 2):
+        threads = {}
+
+        def refusing(points, queries):
+            name = "pred" if len(points) == 30 else "gt"
+            threads[name] = threading.current_thread()
+            if name in failing:
+                raise _DirectionFailed(f"indexing {name}")
+            return _NEAREST_D2(points, queries)
+
+        monkeypatch.setattr(metrics, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(metrics, "_nearest_d2", refusing)
+        with pytest.raises(_DirectionFailed) as info:
+            eval_metrics(pred, gt)
+        raised[cpus] = info.value
+        assert (threads["gt"] is threading.main_thread()) == (cpus == 1)
+        assert len(threads) == (1 if cpus == 1 and "gt" in failing else 2)
+    assert type(raised[1]) is type(raised[2]) is _DirectionFailed
+    assert str(raised[1]) == str(raised[2]) == f"indexing {failing[0]}"
 
 
 # -- synth_scene -------------------------------------------------------------------
