@@ -7,9 +7,9 @@ earlier hull edge but the one it continues and, when it closes the walk,
 the first.  If the walk cannot close, or the closed polygon is not simple,
 or some input point falls outside, the neighbor count is increased and the
 walk retried.  `polygon_is_simple` asks the walk's question of a finished
-polygon, with the same pair rule, of all its edge pairs at once.  When no
-neighbor count up to count-1 gives a valid hull, the convex hull is
-returned, so failure is unreachable for non-collinear input.
+polygon, with the same edge grid and the same pair rule.  When no neighbor
+count up to count-1 gives a valid hull, the convex hull is returned, so
+failure is unreachable for non-collinear input.
 """
 
 from __future__ import annotations
@@ -179,49 +179,25 @@ def polygon_is_simple(verts: np.ndarray) -> bool:
     """True iff no pair of non-adjacent edges of the closed polygon over the
     (H, 2) vertices intersects (touching counts).
 
-    Each pair whose boxes meet is tested once, by the walk's rule: the
-    later edge as p-q and the earlier as a-b, with the terms of
-    `_EdgeGrid.intersects`.  Sorted by their smallest u, the edges list in
-    one `searchsorted` each the later ones whose u-ranges meet their own;
-    those pairs, `_PAIR_BLOCK` per vectorized pass, are kept when their
-    v-ranges meet too and they are not adjacent (as the closing edge and
-    edge 0 are).  A pair with disjoint boxes cannot touch, and in exact
-    arithmetic cannot cross, so it is never tested.  The work is
-    O(H log H + pairs whose u-ranges meet): O(H) for a hull's short edges,
-    but O(H²) when many edges span one u-range, as the vertical sides of a
-    plane's hull do.  The memory is O(H + _PAIR_BLOCK).
+    The polygon is replayed through an `_EdgeGrid`, as the walk builds it:
+    each edge, the closing one last, is tested against the edges before it
+    and then registered.  So each pair whose boxes meet is tested once, with
+    the earlier edge as a-b.  A pair with disjoint boxes cannot touch, and
+    in exact arithmetic cannot cross, so it is never tested.  The work is
+    O(H) expected for edges about as long as the vertex spacing.
     """
-    tail = as_point_array(verts, 2, "polygon vertex coordinates")
-    n = tail.shape[0]
+    verts = as_point_array(verts, 2, "polygon vertex coordinates")
+    n = verts.shape[0]
     if n < 4:
         return True  # a triangle's edges are pairwise adjacent
-    head = np.roll(tail, -1, axis=0)  # edge e runs from tail[e] to head[e]
-    lo, hi = np.minimum(tail, head), np.maximum(tail, head)
-    order = np.argsort(lo[:, 0], kind="stable")
-    # sorted edge s meets in u every later one that starts by its u end
-    ends = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
-    for s, offset in _pairs(ends - np.arange(1, n + 1)):
-        e, f = order[s], order[s + 1 + offset]
-        i, j = np.minimum(e, f), np.maximum(e, f)
-        test = ((lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1])
-                & (j - i > 1) & (j - i < n - 1))
-        i, j = i[test], j[test]
-        a, b, p, q = tail[i], head[i], tail[j], head[j]
-        lo_i, hi_i, lo_j, hi_j = lo[i], hi[i], lo[j], hi[j]
-        d1, d2 = orient(p, q, a), orient(p, q, b)
-        d3, d4 = orient(a, b, p), orient(a, b, q)
-        hit = ((((d1 < 0) & (0 < d2)) | ((d2 < 0) & (0 < d1)))
-               & (((d3 < 0) & (0 < d4)) | ((d4 < 0) & (0 < d3)))
-               | (d1 == 0) & _in_box(a, lo_j, hi_j) | (d2 == 0) & _in_box(b, lo_j, hi_j)
-               | (d3 == 0) & _in_box(p, lo_i, hi_i) | (d4 == 0) & _in_box(q, lo_i, hi_i))
-        if hit.any():
+    grid = _EdgeGrid.over(verts)
+    rows = verts.tolist()
+    for j, (px, py) in enumerate(rows):
+        qx, qy = rows[(j + 1) % n]
+        if grid.intersects(px, py, qx, qy, j == n - 1):
             return False
+        grid.add(px, py, qx, qy)
     return True
-
-
-def _in_box(pt: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per row: the point lies in the closed box from lo to hi."""
-    return np.all((lo <= pt) & (pt <= hi), axis=1)
 
 
 def _points_in_polygon(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ jointly rescaled by the ground truth's unit transform first.
 from __future__ import annotations
 
 import json
-import os
 from concurrent import futures
 from dataclasses import asdict, dataclass
 
@@ -29,14 +28,6 @@ class EvalReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _nearest_d2(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -65,19 +56,15 @@ def eval_metrics(pred: PointCloud3, gt: PointCloud3,
                                "normalize by") from exc
 
     # the directions share nothing and the k-d tree releases the GIL, so a
-    # second CPU runs prediction->GT while this thread runs GT->prediction;
-    # each returns the same array either way, and an error is raised as the
-    # serial order would raise it
-    if _cpu_count() > 1:
-        with futures.ThreadPoolExecutor(1) as pool:
-            pending = pool.submit(_nearest_d2, g, p)
-            try:
-                d2_gp = _nearest_d2(p, g)
-            finally:
-                d2_pg = pending.result()
-    else:
-        d2_pg = _nearest_d2(g, p)
-        d2_gp = _nearest_d2(p, g)
+    # second CPU, where there is one, runs prediction->GT while this thread
+    # runs GT->prediction; each returns the same array on any CPU count, and
+    # when both fail the prediction->GT error is the one raised
+    with futures.ThreadPoolExecutor(1) as pool:
+        pending = pool.submit(_nearest_d2, g, p)
+        try:
+            d2_gp = _nearest_d2(p, g)
+        finally:
+            d2_pg = pending.result()
     cd = float((np.sum(d2_pg) + np.sum(d2_gp)) / (len(pred) + len(gt)))
     hd = float(max(np.sqrt(np.max(d2_pg)), np.sqrt(np.max(d2_gp))))
     return EvalReport(cd=cd, hd=hd, normalized=normalize,

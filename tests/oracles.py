@@ -9,10 +9,9 @@ import math
 import numpy as np
 from scipy import ndimage
 
-from cloudsr import hull
 from cloudsr.camera import pinhole
 from cloudsr.edges import _smoothed_array, _sobel
-from cloudsr.geometry import DEDUPE_TOL, SpatialIndex, as_point_array
+from cloudsr.geometry import DEDUPE_TOL, SpatialIndex
 from cloudsr.hull import orient
 from cloudsr.losses import LossReport, LossWeights, _gs_gradient, _gs_loss
 
@@ -167,26 +166,6 @@ def brute_intersecting_pairs(vertices):
 def brute_polygon_is_simple(vertices):
     """True iff no two non-adjacent edges of the closed polygon intersect."""
     return next(brute_intersecting_pairs(vertices), None) is None
-
-
-def grid_replay_is_simple(vertices):
-    """`polygon_is_simple` as the hull walk's edge grid answers it: the
-    closed polygon is replayed through a `cloudsr.hull._EdgeGrid` laid by
-    `_EdgeGrid.over`, each edge, the closing one last, tested against the
-    edges before it and then registered.  So each pair of non-adjacent
-    edges whose boxes meet is tested once, with the earlier edge as a-b."""
-    verts = np.asarray(vertices, dtype=np.float64)
-    n = verts.shape[0]
-    if n < 4:
-        return True
-    grid = hull._EdgeGrid.over(verts)
-    rows = verts.tolist()
-    for j, (px, py) in enumerate(rows):
-        qx, qy = rows[(j + 1) % n]
-        if grid.intersects(px, py, qx, qy, j == n - 1):
-            return False
-        grid.add(px, py, qx, qy)
-    return True
 
 
 def brute_points_in_polygon(vertices, points, tol=1e-9):
@@ -436,13 +415,6 @@ def all_pairs_midpoint_pool(pts, k_interp):
     return grown[unique_dedupe_rows(grown)]
 
 
-def gradient_smooth_loss(verts):
-    """Sum of second-difference magnitudes along the open (N, 2) vertex
-    list: the library's smoothness term, `_gs_loss`, behind the entry check
-    of every point array, as a caller outside `combined_loss` would use it."""
-    return _gs_loss(as_point_array(verts, 2, "hull vertex coordinates"))
-
-
 def add_at_gs_gradient(verts):
     """Gradient of the second-difference smoothness sum scattered with
     `np.add.at`, the form the library's three slice adds must reproduce."""
@@ -497,7 +469,7 @@ def two_index_combined_loss(edges, verts, w=LossWeights(), table=None):
         if d_h2e > 0.0:
             grad_hd[i_h] = (p[i_h] - r[h2e[i_h]]) / d_h2e
 
-    l_gs = gradient_smooth_loss(p)
+    l_gs = _gs_loss(p)
     total = w.alpha * l_cd + w.beta * l_hd + w.gamma * l_gs
     grad = w.alpha * grad_cd + w.beta * grad_hd + w.gamma * _gs_gradient(p)
     return LossReport(l_cd=l_cd, l_hd=l_hd, l_gs=l_gs, total=total, grad=grad)

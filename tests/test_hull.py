@@ -12,7 +12,7 @@ from cloudsr.hull import concave_hull, contains_all, polygon_is_simple
 
 from oracles import (_segments_intersect, all_edges_crosses_any, brute_intersecting_pairs,
                      brute_points_in_polygon, brute_polygon_is_simple, full_width_walk,
-                     grid_replay_is_simple, monotone_chain)
+                     monotone_chain)
 
 
 def _signed_area(verts):
@@ -218,16 +218,15 @@ def test_polygon_is_simple_blocks_match_pair_loop(monkeypatch, block):
     # edges span 10 of 28 units, so at 2 and 7 they sit in one or a few
     # cells, and at 64 they cover more than _LONG_CELLS cells and go on the
     # scan list; one crossing, at each tooth in turn, among many pairs of
-    # long edges whose boxes meet, is found on every grid, as by the pass
+    # long edges whose boxes meet, is found on every grid
     grids = _grids_across(monkeypatch, block)
     teeth = 10
-    assert grid_replay_is_simple(_rake(teeth)) and brute_polygon_is_simple(_rake(teeth))
-    assert polygon_is_simple(_rake(teeth))
+    assert polygon_is_simple(_rake(teeth)) and brute_polygon_is_simple(_rake(teeth))
     assert bool(grids[-1]._long) == (block == 64)
     for t in range(teeth):
         verts, pair = _one_crossing(teeth, t)
         assert list(brute_intersecting_pairs(verts)) == [pair]
-        assert not grid_replay_is_simple(verts) and not polygon_is_simple(verts)
+        assert not polygon_is_simple(verts)
     assert len(grids) == teeth + 1
 
 
@@ -241,60 +240,9 @@ def test_polygon_is_simple_crossing_on_a_block_boundary(monkeypatch):
     monkeypatch.setattr(hull._EdgeGrid, "over",
                         classmethod(lambda cls, pts: made.append(cls((0.0, 0.0), 2.5)) or made[-1]))
     assert list(brute_intersecting_pairs(verts)) == [pair]
-    assert not grid_replay_is_simple(verts) and not polygon_is_simple(verts)
-    assert grid_replay_is_simple(_rake(10)) and polygon_is_simple(_rake(10))
+    assert not polygon_is_simple(verts)
+    assert polygon_is_simple(_rake(10))
     assert not made[-1]._long and (4, 5) in made[-1]._cells
-
-
-def _listed_pairs(verts):
-    """The (earlier, later) edge pairs whose u-ranges meet, in the order
-    `polygon_is_simple` lists them: by the position of the first of the two
-    among the edges sorted by smallest u, then of the second."""
-    heads = np.roll(verts, -1, axis=0)
-    lo, hi = np.minimum(verts, heads)[:, 0], np.maximum(verts, heads)[:, 0]
-    order = np.argsort(lo, kind="stable")
-    return [tuple(sorted((int(order[s]), int(order[t]))))
-            for s in range(len(verts)) for t in range(s + 1, len(verts))
-            if lo[order[t]] <= hi[order[s]]]
-
-
-@pytest.mark.parametrize("teeth,t", [(3, 0), (3, 2), (10, 4)])
-def test_polygon_is_simple_crossing_on_a_pair_block_boundary(monkeypatch, teeth, t):
-    # the one crossing pair of the rake is listed last in a block, first in
-    # the next, alone in a block of one, and with every pair in one block;
-    # the pass finds it in every layout, and passes the uncrossed rake
-    verts, pair = _one_crossing(teeth, t)
-    listed = _listed_pairs(verts)
-    at = listed.index(pair)
-    assert list(brute_intersecting_pairs(verts)) == [pair] and len(listed) > at + 1
-    for block in (at + 1, at, 1, len(listed)):
-        monkeypatch.setattr(hull, "_PAIR_BLOCK", block)
-        assert not polygon_is_simple(verts)
-        assert polygon_is_simple(_rake(teeth))
-
-
-@pytest.mark.parametrize("block", [1, 3, 64])
-def test_polygon_is_simple_blocks_match_grid_replay(monkeypatch, block):
-    # random, integer-lattice and rotated-lattice polygons, simple and not:
-    # the pass in blocks of any size answers as the walk's grid replays them
-    monkeypatch.setattr(hull, "_PAIR_BLOCK", block)
-    rng = np.random.default_rng(block)
-    outcomes = set()
-    for trial in range(150):
-        n = int(rng.integers(4, 14))
-        verts = rng.integers(0, 5, size=(n, 2)).astype(float)
-        if trial % 3 == 1:
-            verts = rng.uniform(0, 10, size=(n, 2))
-        if trial % 2:  # star-shaped ordering: often simple
-            c = verts.mean(axis=0)
-            verts = verts[np.argsort(np.arctan2(*(verts - c).T[::-1]), kind="stable")]
-        if trial % 3 == 2:
-            a = math.radians((1, 3, 7)[trial % 9 // 3])
-            verts = verts @ np.array([[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]])
-        want = grid_replay_is_simple(verts)
-        assert polygon_is_simple(verts) == want
-        outcomes.add(want)
-    assert outcomes == {True, False}
 
 
 def test_polygon_is_simple_matches_pair_loop_long_rake():
@@ -348,10 +296,10 @@ def _straight_silhouette(rng, m, projected):
 
 
 def test_polygon_is_simple_skips_far_near_collinear_pairs():
-    # polygon_is_simple never tests a pair whose boxes are disjoint; the
-    # pair loop does, and rounding can make such a pair read as a proper
-    # crossing when its orientations lie within an ulp of zero.  That is
-    # the only way the two may disagree
+    # the replay never tests a pair whose boxes are disjoint; the pair loop
+    # does, and rounding can make such a pair read as a proper crossing
+    # when its orientations lie within an ulp of zero.  That is the only
+    # way the two may disagree
     disagree = 0
     for projected in (True, False):
         rng = np.random.default_rng(0)

@@ -13,12 +13,12 @@ from cloudsr.losses import (
     MatchTable,
     _cd_gradient,
     _gs_gradient,
+    _gs_loss,
     combined_loss,
 )
 
 from oracles import (add_at_cd_gradient, add_at_gs_gradient, brute_chamfer, brute_hausdorff,
-                     flat_knn, gradient_smooth_loss, sample_far_from_ties,
-                     two_index_combined_loss)
+                     flat_knn, sample_far_from_ties, two_index_combined_loss)
 
 
 # -- weights -------------------------------------------------------------------
@@ -311,7 +311,7 @@ def test_match_table_rejects_another_hull():
 
 
 def test_gs_collinear_zero():
-    assert gradient_smooth_loss([[0, 0], [1, 0], [2, 0], [3, 0]]) == 0.0
+    assert _gs_loss(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])) == 0.0
 
 
 def test_gs_gradient_matches_scatter_add_oracle():
@@ -329,30 +329,30 @@ def test_gs_gradient_matches_scatter_add_oracle():
 
 
 def test_gs_unit_square():
-    verts = [[0, 0], [1, 0], [1, 1], [0, 1]]
-    assert gradient_smooth_loss(verts) == pytest.approx(2 * np.sqrt(2), rel=1e-15)
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    assert _gs_loss(verts) == pytest.approx(2 * np.sqrt(2), rel=1e-15)
 
 
 def test_gs_translation_invariance():
     rng = np.random.default_rng(6)
     verts = rng.uniform(size=(12, 2))
-    base = gradient_smooth_loss(verts)
-    shifted = gradient_smooth_loss(verts + [17.0, -3.5])
+    base = _gs_loss(verts)
+    shifted = _gs_loss(verts + [17.0, -3.5])
     assert shifted == pytest.approx(base, rel=1e-12)
 
 
 def test_gs_scale_equivariance():
     rng = np.random.default_rng(7)
     verts = rng.uniform(size=(9, 2))
-    base = gradient_smooth_loss(verts)
-    assert gradient_smooth_loss(3.0 * verts) == pytest.approx(
+    base = _gs_loss(verts)
+    assert _gs_loss(3.0 * verts) == pytest.approx(
         3.0 * base, rel=1e-12
     )
 
 
 def test_gs_too_few_vertices():
     with pytest.raises(CloudSRError, match="smoothness needs at least 3 vertices"):
-        gradient_smooth_loss(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        _gs_loss(np.array([[0.0, 0.0], [1.0, 1.0]]))
 
 
 # -- combined -----------------------------------------------------------------------

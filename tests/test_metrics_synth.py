@@ -98,40 +98,36 @@ def _eval_clouds(kind, rng):
 _NEAREST_D2 = metrics._nearest_d2
 
 
-def _direction_threads(monkeypatch, cpus):
-    """Report `cpus` CPUs to `eval_metrics`, and return the list of the
-    threads its nearest-distance directions run on."""
-    threads = []
-
-    def recorded(points, queries):
-        threads.append(threading.current_thread())
-        return _NEAREST_D2(points, queries)
-
-    monkeypatch.setattr(metrics, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(metrics, "_nearest_d2", recorded)
-    return threads
-
-
 @pytest.mark.parametrize("normalize", [False, True])
 @pytest.mark.parametrize("kind", ["random", "lattice", "duplicates", "unequal"])
 def test_eval_concurrent_directions_equal_serial(monkeypatch, kind, normalize):
-    # the two directions on two threads give the report of the serial pass,
-    # float for float, and both equal the exhaustive scans
+    # prediction->GT (the direction that indexes the ground truth) runs on
+    # the pool's worker and GT->prediction on the calling thread; each
+    # returns the bytes of a serial call, so the report is the serial pass's
+    # float for float, and it equals the exhaustive scans
     pred, gt = _eval_clouds(kind, np.random.default_rng(3))
-    reports = {}
-    for cpus in (1, 2):
-        threads = _direction_threads(monkeypatch, cpus)
-        reports[cpus] = eval_metrics(PointCloud3(pred), PointCloud3(gt), normalize)
-        main = threading.main_thread()
-        assert len(threads) == 2 and (threads[0] is not main) == (cpus > 1)
-        assert threads[1] is main
-    assert reports[1] == reports[2]
+    ran = {}
+
+    def recorded(points, queries):
+        d2 = _NEAREST_D2(points, queries)
+        ran["gt" if len(points) == len(gt) else "pred"] = (threading.current_thread(), d2)
+        return d2
+
+    monkeypatch.setattr(metrics, "_nearest_d2", recorded)
+    report = eval_metrics(PointCloud3(pred), PointCloud3(gt), normalize)
     if normalize:
         gt, scale, offset = normalize_to_unit(gt)
         pred = (pred - offset) / scale
-    assert reports[2].cd == pytest.approx(brute_chamfer(pred, gt) / (len(pred) + len(gt)),
-                                          rel=1e-12)
-    assert reports[2].hd == pytest.approx(brute_hausdorff(pred, gt), rel=1e-12)
+    d2_pg, d2_gp = _NEAREST_D2(gt, pred), _NEAREST_D2(pred, gt)
+    assert ran["gt"][0] is not threading.current_thread()
+    assert ran["pred"][0] is threading.current_thread()
+    assert ran["gt"][1].tobytes() == d2_pg.tobytes()
+    assert ran["pred"][1].tobytes() == d2_gp.tobytes()
+    assert report.cd == float((np.sum(d2_pg) + np.sum(d2_gp)) / (len(pred) + len(gt)))
+    assert report.hd == float(max(np.sqrt(np.max(d2_pg)), np.sqrt(np.max(d2_gp))))
+    assert report.cd == pytest.approx(brute_chamfer(pred, gt) / (len(pred) + len(gt)),
+                                      rel=1e-12)
+    assert report.hd == pytest.approx(brute_hausdorff(pred, gt), rel=1e-12)
 
 
 class _DirectionFailed(Exception):
@@ -142,29 +138,24 @@ class _DirectionFailed(Exception):
 def test_eval_direction_errors_surface_as_in_the_serial_pass(monkeypatch, failing):
     # an error in the worker's direction (the one that indexes the ground
     # truth) reaches the caller with its type and message, as does one on
-    # the calling thread; when both fail, the serial pass's first error wins
+    # the calling thread; when both fail, the serial pass's first error,
+    # the worker's, wins
     rng = np.random.default_rng(4)
     pred, gt = PointCloud3(rng.uniform(size=(30, 3))), PointCloud3(rng.uniform(size=(20, 3)))
-    raised = {}
-    for cpus in (1, 2):
-        threads = {}
+    threads = {}
 
-        def refusing(points, queries):
-            name = "pred" if len(points) == 30 else "gt"
-            threads[name] = threading.current_thread()
-            if name in failing:
-                raise _DirectionFailed(f"indexing {name}")
-            return _NEAREST_D2(points, queries)
+    def refusing(points, queries):
+        name = "pred" if len(points) == 30 else "gt"
+        threads[name] = threading.current_thread()
+        if name in failing:
+            raise _DirectionFailed(f"indexing {name}")
+        return _NEAREST_D2(points, queries)
 
-        monkeypatch.setattr(metrics, "_cpu_count", lambda: cpus)
-        monkeypatch.setattr(metrics, "_nearest_d2", refusing)
-        with pytest.raises(_DirectionFailed) as info:
-            eval_metrics(pred, gt)
-        raised[cpus] = info.value
-        assert (threads["gt"] is threading.main_thread()) == (cpus == 1)
-        assert len(threads) == (1 if cpus == 1 and "gt" in failing else 2)
-    assert type(raised[1]) is type(raised[2]) is _DirectionFailed
-    assert str(raised[1]) == str(raised[2]) == f"indexing {failing[0]}"
+    monkeypatch.setattr(metrics, "_nearest_d2", refusing)
+    with pytest.raises(_DirectionFailed, match=f"^indexing {failing[0]}$"):
+        eval_metrics(pred, gt)
+    assert threads["gt"] is not threading.current_thread()
+    assert threads["pred"] is threading.current_thread()
 
 
 # -- synth_scene -------------------------------------------------------------------
