@@ -184,10 +184,6 @@ class SpatialIndex:
     def count(self) -> int:
         return self._points.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self._points.shape[1]
-
     def _rank(self, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(M, k) indices and squared distances of the k nearest points to
         each query row, each row sorted by (squared distance, index).
@@ -207,7 +203,7 @@ class SpatialIndex:
         took 20.5, 20.1, 21.1 and 22.8 ms over both rounds."""
         # the tree refuses non-finite queries, and past the bound it loses
         # neighbors whose squared distance overflows
-        Q = as_point_array(queries, self.dim, "query coordinates")
+        Q = as_point_array(queries, self._points.shape[1], "query coordinates")
         return self._ranked(Q, k, min(self.count, 2 if k == 1 else k + _RANK_SLACK))
 
     def _ranked(self, Q: np.ndarray, k: int, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -294,28 +290,26 @@ def settle_limit(bound2: np.ndarray) -> np.ndarray:
 
 
 def nearest_candidate(cand_points: np.ndarray, queries: np.ndarray, cand: np.ndarray,
-                      limit: np.ndarray, drift2, offsets: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                      limit: np.ndarray, drift2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(indices, squared distances, settled): the nearest of each query
     row's candidate rows of some point set, ranked as `SpatialIndex._rank`
     ranks, and whether it is provably the nearest of all rows.
 
     `cand` (M, C) holds each query's candidates in ascending index order, as
-    `SpatialIndex.candidates` returns them, `cand_points` (M, C, D) those
-    rows of the point set, and `offsets` `np.arange(M) * C`, where each
-    query's row starts in `cand`'s flat buffer.  `limit` (M,) is
-    `settle_limit` of the squared distance every other row had from the
-    query then, and `drift2` (scalar or (M,)) bounds the square of how far
-    the query and any other row have moved relative to each other since.
-    By the triangle inequality no other row can tie or win once
-    sqrt(best) + drift < sqrt(bound2); both sides are padded by `_pad_up`
-    and `_pad_down`, so a settled row equals the exhaustive scan's.
-    Unsettled rows need a full query.
+    `SpatialIndex.candidates` returns them, and `cand_points` (M, C, D)
+    those rows of the point set.  `limit` (M,) is `settle_limit` of the
+    squared distance every other row had from the query then, and `drift2`
+    (scalar or (M,)) bounds the square of how far the query and any other
+    row have moved relative to each other since.  By the triangle
+    inequality no other row can tie or win once sqrt(best) + drift <
+    sqrt(bound2); both sides are padded by `_pad_up` and `_pad_down`, so a
+    settled row equals the exhaustive scan's.  Unsettled rows need a full
+    query.
     """
     d2 = SpatialIndex._sq_dists(cand_points, queries[:, None, :])
     # candidates ascend by index, so the first minimum is the lowest index
     flat = np.argmin(d2, axis=1)
-    flat += offsets
+    flat += np.arange(cand.shape[0]) * cand.shape[1]  # where each row starts in `cand`
     best = np.take(d2, flat)
     reach = np.sqrt(_pad_up(best)) + np.sqrt(_pad_up(drift2))
     return np.take(cand, flat), best, reach < limit

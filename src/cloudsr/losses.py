@@ -9,7 +9,7 @@ closing edge is excluded).
 Gradients are taken with nearest-neighbor matches and the Hausdorff argmax
 held fixed, which equals the true gradient wherever those discrete choices
 are locally constant.  The matches are ranked from a `MatchTable` of
-candidates; a hull window shares one, and a call without one ranks its own.
+candidates, which a hull window shares and which carries the edge index.
 """
 
 from __future__ import annotations
@@ -69,11 +69,12 @@ class MatchTable:
     its `VERTEX_CANDIDATES` nearest edge pixels (all rows when the other
     side has no more), with the settle limit `settle_limit` of the squared
     distance of the next one (+inf when there is none).  The table also
-    holds what every loss call of the window would otherwise recompute:
-    each side's limits and flat row offsets, and the vertices' candidate
-    edge pixels, gathered (edge pixels do not move).  Within the window the
-    members and their order are frozen and the vertices move little, so
-    `matches` proves nearly every match from the candidates alone.
+    holds the edge index the candidates were ranked in, and what every loss
+    call of the window would otherwise recompute: each side's limits and
+    the vertices' candidate edge pixels, gathered (edge pixels do not
+    move).  Within the window the members and their order are frozen and
+    the vertices move little, so `matches` proves nearly every match from
+    the candidates alone.
 
     The counts follow the traffic.  A loss call matches 747 edge pixels on
     sphere-2k and 762 on square-10k (seed 0), and at sphere-2k seeds 0 and
@@ -83,51 +84,45 @@ class MatchTable:
     frame (seed 0) and 84 over a square-10k frame.
     """
 
+    edges: SpatialIndex           # the (M, 2) edge map the candidates were ranked in
     verts: np.ndarray             # (H, 2) vertex pixels the table was ranked from
     edge_cand: np.ndarray         # (M, Ce) vertex indices per edge pixel, ascending
     edge_limit: np.ndarray        # (M,)
-    edge_offsets: np.ndarray      # (M,) np.arange(M) * Ce
     vert_cand: np.ndarray         # (H, Cv) edge pixel indices per vertex, ascending
     vert_points: np.ndarray       # (H, Cv, 2) those edge pixels
     vert_limit: np.ndarray        # (H,)
-    vert_offsets: np.ndarray      # (H,) np.arange(H) * Cv
 
     @classmethod
     def build(cls, edges: SpatialIndex, verts) -> MatchTable:
         p = as_point_array(verts, 2, "hull vertex coordinates").copy()
+        if p.shape[0] == 0:
+            raise CloudSRError("hull vertices must not be empty")
         r = edges.points
         edge_cand, edge_bound2 = SpatialIndex(p).candidates(r, EDGE_CANDIDATES)
         vert_cand, vert_bound2 = edges.candidates(p, VERTEX_CANDIDATES)
-        return cls(p, edge_cand, settle_limit(edge_bound2), _offsets(edge_cand),
-                   vert_cand, np.take(r, vert_cand, axis=0), settle_limit(vert_bound2),
-                   _offsets(vert_cand))
+        return cls(edges, p, edge_cand, settle_limit(edge_bound2), vert_cand,
+                   np.take(r, vert_cand, axis=0), settle_limit(vert_bound2))
 
-    def matches(self, edges: SpatialIndex, p: np.ndarray) -> tuple[np.ndarray, ...]:
+    def matches(self, p: np.ndarray) -> tuple[np.ndarray, ...]:
         """(e2h, d2_e2h, h2e, d2_h2e): the nearest vertex of each edge pixel
         and the nearest edge pixel of each vertex at vertex pixels `p`, with
         their squared distances, bit-identical to two full index queries.
         A row the candidates cannot settle gets its full query."""
         if p.shape != self.verts.shape:
             raise ValueError("the vertices do not match the table's hull")
-        r = edges.points
+        r = self.edges.points
         moved2 = np.sum((p - self.verts) ** 2, axis=1)
         # an edge pixel's other vertices each moved by at most the largest step
         e2h, d2_e2h, ok = nearest_candidate(np.take(p, self.edge_cand, axis=0), r,
-                                            self.edge_cand, self.edge_limit, moved2.max(),
-                                            self.edge_offsets)
+                                            self.edge_cand, self.edge_limit, moved2.max())
         if not ok.all():
             e2h[~ok], d2_e2h[~ok] = SpatialIndex(p).nearest_batch(r[~ok])
         # a vertex's other edge pixels are where they were; the vertex moved
         h2e, d2_h2e, ok = nearest_candidate(self.vert_points, p, self.vert_cand,
-                                            self.vert_limit, moved2, self.vert_offsets)
+                                            self.vert_limit, moved2)
         if not ok.all():
-            h2e[~ok], d2_h2e[~ok] = edges.nearest_batch(p[~ok])
+            h2e[~ok], d2_h2e[~ok] = self.edges.nearest_batch(p[~ok])
         return e2h, d2_e2h, h2e, d2_h2e
-
-
-def _offsets(cand: np.ndarray) -> np.ndarray:
-    """Where each row of `cand` starts in its flat buffer."""
-    return np.arange(cand.shape[0]) * cand.shape[1]
 
 
 def _gs_loss(verts: np.ndarray) -> float:
@@ -172,29 +167,23 @@ def _cd_gradient(p: np.ndarray, r: np.ndarray, e2h: np.ndarray, h2e: np.ndarray)
     return grad
 
 
-def combined_loss(edges: SpatialIndex, verts, w: LossWeights = LossWeights(),
-                  table: MatchTable | None = None) -> LossReport:
-    """All three losses on (indexed edge set, ordered hull vertices) plus the
-    total gradient per vertex.
+def combined_loss(table: MatchTable, verts, w: LossWeights = LossWeights()) -> LossReport:
+    """All three losses on (edge set, ordered hull vertices) plus the total
+    gradient per vertex.
 
-    `edges` is the `SpatialIndex` of the (M, 2) edge map; the map is fixed
-    for a whole refinement, so it is indexed once and shared by every call.
     `table` holds the matches' candidates ranked at the hull refresh these
-    vertices moved from; without one, the call ranks its own.
+    vertices moved from, and `table.edges` the `SpatialIndex` of the (M, 2)
+    edge map; the map is fixed for a whole refinement, so it is indexed once
+    and shared by every call.
     Chamfer contributes 2(b - a) per matched pair in both directions;
     Hausdorff contributes a unit-vector subgradient at its single argmax
     pair (edge->hull direction wins a tie between the directed maxima);
     the smoothness term is differentiated exactly.
     """
-    r = edges.points
+    r = table.edges.points
     p = as_point_array(verts, 2, "hull vertex coordinates")
     n = p.shape[0]
-    if n == 0:
-        raise CloudSRError("hull vertices must not be empty")
-    if table is None:
-        table = MatchTable.build(edges, p)
-
-    e2h, d2_e2h, h2e, d2_h2e = table.matches(edges, p)
+    e2h, d2_e2h, h2e, d2_h2e = table.matches(p)
 
     l_cd = float(np.sum(d2_e2h) + np.sum(d2_h2e))
     grad_cd = _cd_gradient(p, r, e2h, h2e)

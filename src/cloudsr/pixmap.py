@@ -69,16 +69,14 @@ def read_pixmap(path) -> GrayImage:
         dtype = ">u2" if two_byte else "u1"  # 16-bit raw PNM is big-endian
         values = np.frombuffer(body, dtype=dtype).astype(np.float64)
     else:
-        toks = data[offset:].split()
-        vals = []
-        for t in toks:
-            if t.startswith(b"#"):
-                break  # trailing comment
-            vals.append(t)
+        # split off only the samples read, so what follows them (a comment)
+        # is never parsed; a token takes at least one byte, so the cap also
+        # keeps a huge promised count a valid `maxsplit`
+        vals = data[offset:].split(maxsplit=min(n_values, len(data)))[:n_values]
         if len(vals) < n_values:
             raise CloudSRError("raster data shorter than header promises")
         try:
-            values = np.array([int(t) for t in vals[:n_values]], dtype=np.float64)
+            values = np.array([int(t) for t in vals], dtype=np.float64)
         except (ValueError, OverflowError) as exc:
             raise CloudSRError("plain raster values must be integers") from exc
     if values.max() > maxval:

@@ -50,6 +50,8 @@ class RefineConfig:
             raise ValueError("step sizes must be positive")
         if not (math.isfinite(self.initial_step) and math.isfinite(self.min_step)):
             raise ValueError("step sizes must be finite")
+        if self.min_step > self.initial_step:  # equal: the line search tries one step
+            raise ValueError("min_step must not exceed initial_step")
         if not (0.0 < self.backtrack_factor < 1.0):
             raise ValueError("backtrack_factor must be in (0, 1)")
         if self.hull_k < 3:
@@ -87,14 +89,14 @@ class RefineTrace:
 
 
 def _member_loss(members: np.ndarray, rig: CameraRig, weights: LossWeights,
-                 edges: SpatialIndex, table: MatchTable) -> LossReport | None:
+                 table: MatchTable) -> LossReport | None:
     """Loss of the hull whose vertices are the (H, 3) member rows, matched
     from the window's `table`, or None if a member is at or behind the near
     plane or projects past COORD_LIMIT."""
     uv, z = pinhole(members, rig)
     if np.any(z <= EPS_Z) or not np.all(np.abs(uv) <= COORD_LIMIT):  # NaN fails too
         return None
-    return combined_loss(edges, uv, weights, table)
+    return combined_loss(table, uv, weights)
 
 
 def _require_finite(*values: float) -> None:
@@ -114,7 +116,7 @@ def _refresh(pts: np.ndarray, rig: CameraRig, cfg: RefineConfig, edges: SpatialI
     uv, index_map = project_cloud(pts, rig)
     poly = concave_hull(uv, index_map=index_map, k=cfg.hull_k, likely=likely)
     table = MatchTable.build(edges, poly.vertices)
-    report = combined_loss(edges, poly.vertices, cfg.weights, table)
+    report = combined_loss(table, poly.vertices, cfg.weights)
     _require_finite(report.total)
     return poly.source_indices, pts.shape[0] - len(uv), table, report
 
@@ -184,7 +186,7 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
         used_step = 0.0  # stays 0.0 when no step is accepted
         while step >= cfg.min_step:
             trial = cur - step * half_extent * direction
-            trial_report = _member_loss(trial, rig, cfg.weights, edges, table)
+            trial_report = _member_loss(trial, rig, cfg.weights, table)
             if trial_report is not None and trial_report.total < report.total:
                 pts[members] = trial
                 report, used_step = trial_report, step

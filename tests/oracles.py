@@ -441,10 +441,12 @@ def add_at_cd_gradient(p, r, e2h, h2e):
     return grad
 
 
-def two_index_combined_loss(edges, verts, w=LossWeights(), table=None):
+def two_index_combined_loss(table, verts, w=LossWeights()):
     """`cloudsr.losses.combined_loss` as it was before a hull window shared
-    one table of match candidates: it ignores `table`, indexes the vertices
-    anew and queries both index sets in full on every call."""
+    one table of match candidates: it reads only the edge index
+    `table.edges`, indexes the vertices anew and queries both index sets in
+    full on every call."""
+    edges = table.edges
     r = edges.points
     p = np.asarray(verts, dtype=np.float64)
     n = p.shape[0]

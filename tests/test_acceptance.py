@@ -16,7 +16,7 @@ from cloudsr.densify import DensifyConfig, densify
 from cloudsr.edges import CannyParams, GrayImage, canny
 from cloudsr.geometry import PointCloud3, SpatialIndex, bin_downsample
 from cloudsr.hull import concave_hull, contains_all, polygon_is_simple
-from cloudsr.losses import LossWeights, combined_loss
+from cloudsr.losses import LossWeights, MatchTable, combined_loss
 from cloudsr.metrics import eval_metrics
 from cloudsr.pixmap import read_pixmap, write_pixmap
 from cloudsr.ply_io import read_ply, write_ply
@@ -60,7 +60,7 @@ def test_criterion_1_loss_oracle_equivalence():
         want_hd = matrix_hausdorff(a, b)
         if dim == 2:
             # the terms refinement optimises: edge map a, hull vertices b
-            rep = combined_loss(SpatialIndex(a), b)
+            rep = combined_loss(MatchTable.build(SpatialIndex(a), b), b)
             got_cd, got_hd = rep.l_cd, rep.l_hd
         else:
             rep = eval_metrics(PointCloud3(a), PointCloud3(b))
@@ -84,7 +84,7 @@ def test_criterion_2_hausdorff_metric_axioms():
     ok = True
 
     def hd(edges, hull):  # combined_loss's Hausdorff term
-        return combined_loss(SpatialIndex(edges), hull).l_hd
+        return combined_loss(MatchTable.build(SpatialIndex(edges), hull), hull).l_hd
 
     for _ in range(100):
         # every set serves as hull vertices somewhere, so each has >= 3 rows
@@ -111,16 +111,16 @@ def test_criterion_3_gradient_finite_differences():
             rng, int(rng.integers(4, 40)), int(rng.integers(4, 14)), margin=1e-4
         )
         w = LossWeights(*rng.uniform(0.05, 1.0, size=3))
-        edges = SpatialIndex(r)
-        rep = combined_loss(edges, p, w)
+        table = MatchTable.build(SpatialIndex(r), p)
+        rep = combined_loss(table, p, w)
         fd = np.zeros_like(p)
         for i in range(p.shape[0]):
             for j in range(2):
                 hi = p.copy(); hi[i, j] += h
                 lo = p.copy(); lo[i, j] -= h
                 fd[i, j] = (
-                    combined_loss(edges, hi, w).total
-                    - combined_loss(edges, lo, w).total
+                    combined_loss(table, hi, w).total
+                    - combined_loss(table, lo, w).total
                 ) / (2 * h)
         err = np.max(np.abs(fd - rep.grad)) / max(np.max(np.abs(fd)), 1e-12)
         worst = max(worst, err)

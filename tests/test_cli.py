@@ -137,6 +137,7 @@ _SUPERRES = ["superres", "{ply}", "{pgm}", "{calib}", "{out}"]
     (_SUPERRES + ["--sigma", "inf"], "sigma must be finite"),
     (_SUPERRES + ["--step", "inf"], "step sizes must be finite"),
     (_SUPERRES + ["--min-step", "inf"], "step sizes must be finite"),
+    (_SUPERRES + ["--min-step", "1"], "min_step must not exceed initial_step"),
     (_SUPERRES + ["--step", "nan"], "step sizes must be positive"),
     (_SUPERRES + ["--alpha", "nan"], "loss weights must be finite"),
     (_SUPERRES + ["--beta", "inf"], "loss weights must be finite"),
@@ -144,8 +145,8 @@ _SUPERRES = ["superres", "{ply}", "{pgm}", "{calib}", "{out}"]
 ], ids=["densify-rate", "densify-k-interp", "hull-k", "edges-sigma",
         "superres-thresholds", "superres-backtrack", "superres-weight", "densify-target",
         "edges-sigma-inf", "edges-sigma-nan", "superres-sigma-inf", "superres-step-inf",
-        "superres-min-step-inf", "superres-step-nan", "superres-alpha-nan",
-        "superres-beta-inf", "superres-gamma-inf"])
+        "superres-min-step-inf", "superres-min-step-above-step", "superres-step-nan",
+        "superres-alpha-nan", "superres-beta-inf", "superres-gamma-inf"])
 def test_invalid_flag_value_is_usage_error(tmp_path, calib, capsys, argv, message):
     files = {"ply": tmp_path / "in.ply", "csv": tmp_path / "pts.csv",
              "pgm": tmp_path / "img.pgm", "calib": calib, "out": tmp_path / "out"}
@@ -155,6 +156,7 @@ def test_invalid_flag_value_is_usage_error(tmp_path, calib, capsys, argv, messag
     code = main([a.format(**files) for a in argv])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+    assert not files["out"].exists()
 
 
 @pytest.mark.parametrize("sigma", ["10.5", "1e12", "1e308"])

@@ -169,6 +169,15 @@ def test_fuzz_pnm(data):
     assert _exit_code(data, "in.pnm", ["edges", "{d}/in.pnm", "{d}/out.csv"]) in (0, 2)
 
 
+def test_plain_raster_promising_samples_past_maxsize_is_one_error_line(tmp_path, capsys):
+    # a sample count past sys.maxsize must not reach `bytes.split` as a maxsplit
+    (tmp_path / "in.pgm").write_bytes(b"P2 99999999999 99999999999 255\n0 1\n")
+    code = cli.main(["edges", str(tmp_path / "in.pgm"), str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
 @FUZZ
 @given(mutated([_CSV]))
 def test_fuzz_points_csv(data):

@@ -353,6 +353,16 @@ def test_contains_all_cases():
         contains_all(verts, np.array([[2.0, np.nan]]))
 
 
+def test_contains_all_counts_a_point_at_the_on_edge_tolerance():
+    # 1e-9 outside an axis-aligned edge, a point's squared distance is the
+    # squared tolerance exactly, and at most the tolerance is on the edge
+    verts = np.array([[0.0, 0], [4, 0], [4, 4], [0, 4]])
+    pts = np.array([[2.0, -1e-9], [-1e-9, 2.0], [2.0, -2e-9]])
+    want = brute_points_in_polygon(verts, pts)
+    assert want == [True, True, False]
+    assert [contains_all(verts, q[None]) for q in pts] == want
+
+
 _GRID_POINT = st.tuples(st.integers(0, 4), st.integers(0, 4))
 
 

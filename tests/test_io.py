@@ -405,6 +405,17 @@ def test_p2_p5_equivalence(tmp_path):
     )
 
 
+def test_plain_raster_reads_only_the_promised_samples(tmp_path):
+    # what follows the last promised sample is never parsed: a comment there
+    # is ignored, while a '#' among the samples is a non-integer sample
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P2\n3 1\n255\n0 128 255\n# a comment after the raster\n")
+    np.testing.assert_array_equal(read_pixmap(path).pixels, [[0.0, 128 / 255, 1.0]])
+    path.write_bytes(b"P2\n3 1\n255\n0 # 128 255\n")
+    with pytest.raises(CloudSRError, match="plain raster values must be integers"):
+        read_pixmap(path)
+
+
 def test_p3_parsing(tmp_path):
     path = tmp_path / "c.ppm"
     path.write_text("P3\n2 1\n255\n255 255 255 0 0 0\n")

@@ -42,7 +42,7 @@ def test_weights_validation():
 def _cd_hd(edges, hull):
     """`combined_loss`'s Chamfer and Hausdorff terms; the hull side needs at
     least 3 rows for the smoothness term."""
-    rep = combined_loss(SpatialIndex(edges), hull)
+    rep = combined_loss(MatchTable.build(SpatialIndex(edges), hull), hull)
     return rep.l_cd, rep.l_hd
 
 
@@ -124,7 +124,8 @@ def test_hausdorff_tie_takes_the_edge_to_hull_maximum():
     # the edge->hull pair gets the subgradient
     edges = np.array([[0.0, 0.0], [100.0, 0.0]])
     hull = np.array([[100.0, -3.0], [0.0, 3.0], [100.0, 0.0]])
-    rep = combined_loss(SpatialIndex(edges), hull, LossWeights(0.0, 1.0, 0.0))
+    rep = combined_loss(MatchTable.build(SpatialIndex(edges), hull), hull,
+                        LossWeights(0.0, 1.0, 0.0))
     assert rep.l_hd == 3.0
     np.testing.assert_array_equal(rep.grad, [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
@@ -200,15 +201,16 @@ def test_match_table_matches_flat_scan_oracle(case):
     r, p0, p, drift = case
     edges = SpatialIndex(r)
     table = MatchTable.build(edges, p0)
-    e2h, d2_e2h, h2e, d2_h2e = table.matches(edges, p)
+    e2h, d2_e2h, h2e, d2_h2e = table.matches(p)
     moved2 = np.sum((p - p0) ** 2, axis=1)
+    assert table.edges is edges
     assert table.vert_points.tobytes() == np.take(r, table.vert_cand, axis=0).tobytes()
     # (points, queries) now and at the refresh, then the side's table entries
-    for points, queries, ranked, count, cand, limit, offsets, drift2, got in [
+    for points, queries, ranked, count, cand, limit, drift2, got in [
             (p, r, (p0, r), EDGE_CANDIDATES, table.edge_cand, table.edge_limit,
-             table.edge_offsets, moved2.max(), (e2h, d2_e2h)),
+             moved2.max(), (e2h, d2_e2h)),
             (r, p, (r, p0), VERTEX_CANDIDATES, table.vert_cand, table.vert_limit,
-             table.vert_offsets, moved2, (h2e, d2_h2e))]:
+             moved2, (h2e, d2_h2e))]:
         want_i, want_d2 = (a[:, 0] for a in flat_knn(points, queries, 1))
         # every row, settled by its candidates or answered in full
         np.testing.assert_array_equal(got[0], want_i)
@@ -220,9 +222,8 @@ def test_match_table_matches_flat_scan_oracle(case):
         bound2 = d20[:, count] if n > count else np.full(queries.shape[0], np.inf)
         assert limit.tobytes() == settle_limit(bound2).tobytes()
         assert np.isinf(limit).all() == (n <= count)
-        np.testing.assert_array_equal(offsets, np.arange(queries.shape[0]) * cand.shape[1])
         idx, d2, settled = nearest_candidate(np.take(points, cand, axis=0), queries, cand,
-                                             limit, drift2, offsets)
+                                             limit, drift2)
         np.testing.assert_array_equal(idx[settled], want_i[settled])
         assert d2[settled].tobytes() == want_d2[settled].tobytes()
         if drift == "far" and np.isfinite(limit).all():
@@ -251,7 +252,7 @@ def test_settle_rule_leaves_a_row_at_its_limit_open(scale):
     assert bound2.size == 1 and bound2[0] > best
     cand = np.array([[1]])
     idx, d2, settled = nearest_candidate(np.take(points, cand, axis=0), queries, cand,
-                                         settle_limit(bound2), 0.0, np.zeros(1, dtype=np.intp))
+                                         settle_limit(bound2), 0.0)
     assert idx.tolist() == [1] and d2.tobytes() == want_d2[:, 1].tobytes()
     np.testing.assert_array_equal(idx[settled], want_i[settled, 0])
     assert not settled.any()
@@ -275,10 +276,10 @@ def test_window_loss_matches_two_index_oracle(case, w):
     if p.shape[0] < 3:
         for loss in (combined_loss, two_index_combined_loss):
             with pytest.raises(CloudSRError, match="smoothness needs at least 3 vertices"):
-                loss(edges, p, w, table)
+                loss(table, p, w)
         return
-    got = combined_loss(edges, p, w, table)
-    assert _report_bytes(got) == _report_bytes(two_index_combined_loss(edges, p, w, table))
+    got = combined_loss(table, p, w)
+    assert _report_bytes(got) == _report_bytes(two_index_combined_loss(table, p, w))
 
 
 @pytest.mark.parametrize("n", [VERTEX_CANDIDATES - 1, VERTEX_CANDIDATES, VERTEX_CANDIDATES + 1])
@@ -304,7 +305,7 @@ def test_match_table_rejects_another_hull():
     edges = SpatialIndex(np.eye(3, 2))
     table = MatchTable.build(edges, np.zeros((4, 2)))
     with pytest.raises(ValueError, match="do not match"):
-        combined_loss(edges, np.zeros((5, 2)), table=table)
+        combined_loss(table, np.zeros((5, 2)))
 
 
 # -- gradient smooth ---------------------------------------------------------------
@@ -316,7 +317,10 @@ def test_gs_collinear_zero():
 
 def test_gs_gradient_matches_scatter_add_oracle():
     # random lists, and kinked ones: collinear runs and repeated vertices
-    # whose second differences fall under the kink cutoff
+    # whose second differences fall under the kink cutoff, and one second
+    # difference of exactly the cutoff, which is a kink too
+    at_cutoff = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-9]])
+    assert _gs_gradient(at_cutoff).tobytes() == add_at_gs_gradient(at_cutoff).tobytes()
     rng = np.random.default_rng(17)
     for trial in range(300):
         n = int(rng.integers(3, 40))
@@ -361,7 +365,8 @@ def test_gs_too_few_vertices():
 def test_combined_zero_when_hull_equals_edges_regular():
     # collinear-regular vertex ring subset: CD = HD = 0 and their gradients 0
     verts = np.array([[0.0, 0], [1, 0], [2, 0], [2, 1]])
-    rep = combined_loss(SpatialIndex(verts), verts, LossWeights(1.0, 1.0, 0.0))
+    rep = combined_loss(MatchTable.build(SpatialIndex(verts), verts), verts,
+                        LossWeights(1.0, 1.0, 0.0))
     assert rep.l_cd == 0.0
     assert rep.l_hd == 0.0
     np.testing.assert_array_equal(rep.grad, 0.0)
@@ -371,7 +376,7 @@ def test_combined_weight_masking():
     rng = np.random.default_rng(8)
     r = rng.uniform(size=(20, 2))
     p = rng.uniform(size=(6, 2))
-    rep = combined_loss(SpatialIndex(r), p, LossWeights(1.0, 0.0, 0.0))
+    rep = combined_loss(MatchTable.build(SpatialIndex(r), p), p, LossWeights(1.0, 0.0, 0.0))
     assert rep.total == rep.l_cd
     assert rep.l_cd == pytest.approx(brute_chamfer(r, p), rel=1e-12)
 
@@ -381,7 +386,7 @@ def test_combined_total_composition():
     r = rng.uniform(size=(15, 2))
     p = rng.uniform(size=(5, 2))
     w = LossWeights(1e-5, 1e-2, 1e-2)
-    rep = combined_loss(SpatialIndex(r), p, w)
+    rep = combined_loss(MatchTable.build(SpatialIndex(r), p), p, w)
     assert rep.total == pytest.approx(
         w.alpha * rep.l_cd + w.beta * rep.l_hd + w.gamma * rep.l_gs, abs=1e-12
     )
@@ -396,8 +401,8 @@ def test_combined_gradient_matches_finite_differences():
         n_hull = int(rng.integers(4, 12))
         r, p = sample_far_from_ties(rng, n_edge, n_hull)
         w = LossWeights(*rng.uniform(0.05, 1.0, size=3))
-        edges = SpatialIndex(r)
-        rep = combined_loss(edges, p, w)
+        table = MatchTable.build(SpatialIndex(r), p)
+        rep = combined_loss(table, p, w)
 
         fd = np.zeros_like(p)
         for i in range(p.shape[0]):
@@ -407,8 +412,8 @@ def test_combined_gradient_matches_finite_differences():
                 lo = p.copy()
                 lo[i, j] -= h
                 fd[i, j] = (
-                    combined_loss(edges, hi, w).total
-                    - combined_loss(edges, lo, w).total
+                    combined_loss(table, hi, w).total
+                    - combined_loss(table, lo, w).total
                 ) / (2 * h)
         denom = max(np.max(np.abs(fd)), 1e-12)
         assert np.max(np.abs(fd - rep.grad)) / denom < 1e-4
@@ -417,4 +422,4 @@ def test_combined_gradient_matches_finite_differences():
 def test_combined_propagates_empty():
     # an empty edge map cannot be indexed, so the vertices are the set checked
     with pytest.raises(CloudSRError, match="hull vertices must not be empty"):
-        combined_loss(SpatialIndex(np.eye(3, 2)), np.zeros((0, 2)))
+        MatchTable.build(SpatialIndex(np.eye(3, 2)), np.zeros((0, 2)))

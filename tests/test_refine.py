@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from cloudsr.edges import GrayImage, canny
 from cloudsr.errors import AllPointsCulled, CloudSRError, HullFailed
 from cloudsr.geometry import PointCloud3, SpatialIndex, bin_downsample
 from cloudsr.hull import concave_hull
-from cloudsr.losses import LossWeights, combined_loss
+from cloudsr.losses import LossWeights, MatchTable, combined_loss
 from cloudsr.refine import RefineConfig, RefineTrace, TraceRecord, refine, superres
 from cloudsr.synth import SceneSpec, synth_scene
 
@@ -68,6 +69,22 @@ def test_config_validation():
         RefineConfig(hull_refresh_period=0)
     with pytest.raises(ValueError):
         RefineConfig(hull_k=2)
+
+
+def test_min_step_may_not_exceed_initial_step(monkeypatch):
+    # a larger minimum tried no step and left the dense cloud unrefined
+    with pytest.raises(ValueError, match="min_step must not exceed initial_step"):
+        RefineConfig(initial_step=0.01, min_step=0.02)
+    with pytest.raises(ValueError, match="step sizes must be finite"):
+        RefineConfig(min_step=math.inf)
+    # equal: every line search tries the one step
+    calls = []
+    monkeypatch.setattr("cloudsr.refine.combined_loss",
+                        lambda *a: calls.append(1) or combined_loss(*a))
+    _, trace = refine(_grid_cloud(20, jitter=0.01), _square_outline(27.0, 73.0), _rig(),
+                      RefineConfig(max_iters=5, initial_step=0.01, min_step=0.01))
+    assert trace.accepted_steps() > 0
+    assert len(calls) == len(trace.records)  # the refresh, then one trial per iteration
 
 
 def test_empty_edge_map_rejected():
@@ -285,8 +302,8 @@ def test_member_leaving_frame_counts_until_refresh():
     proj, imap = project_cloud(cloud.points, rig)
     members = concave_hull(proj, index_map=imap, k=cfg.hull_k).source_indices
     assert set(left) <= set(members)
-    in_loss = combined_loss(SpatialIndex(edge_map), pinhole(out.points[members], rig)[0],
-                            cfg.weights)
+    uv = pinhole(out.points[members], rig)[0]
+    in_loss = combined_loss(MatchTable.build(SpatialIndex(edge_map), uv), uv, cfg.weights)
     assert trace.records[-1].total == in_loss.total
 
     _, trace = refine(cloud, edge_map, rig, replace(cfg, max_iters=6))
