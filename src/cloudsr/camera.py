@@ -191,10 +191,17 @@ def json_number(value, what: str) -> float:
     return float(value)
 
 
-def json_matrix(value, what: str) -> np.ndarray:
-    """A JSON array of 16 numbers, flat or nested, as a row-major 4x4."""
+def json_extrinsics(value, what: str) -> Extrinsics:
+    """A JSON array of 16 numbers, flat or nested, as the row-major 4x4 of an
+    `Extrinsics`; a matrix it refuses raises ValueError naming `what`."""
     cells = np.array(value, dtype=object).ravel()
-    return np.array([json_number(x, what) for x in cells]).reshape(4, 4)
+    if cells.size != 16:
+        raise ValueError(f"{what} must hold 16 numbers, got {cells.size}")
+    matrix = np.array([json_number(x, what) for x in cells]).reshape(4, 4)
+    try:
+        return Extrinsics(matrix)
+    except CloudSRError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def rig_from_dict(data: dict) -> CameraRig:
@@ -208,8 +215,8 @@ def rig_from_dict(data: dict) -> CameraRig:
         data = json_object(data, ("k_rgb", "e_rgb", "e_tof", "width", "height"), "the file")
         kd = json_object(data["k_rgb"], ("fx", "fy", "cx", "cy"), "k_rgb")
         intr = Intrinsics(**{key: json_number(value, key) for key, value in kd.items()})
-        e_rgb = Extrinsics(json_matrix(data["e_rgb"], "e_rgb"))
-        e_tof = Extrinsics(json_matrix(data["e_tof"], "e_tof"))
+        e_rgb = json_extrinsics(data["e_rgb"], "e_rgb")
+        e_tof = json_extrinsics(data["e_tof"], "e_tof")
         width, height = (json_number(data[key], key) for key in ("width", "height"))
         if not (width.is_integer() and height.is_integer()):
             raise ValueError("width and height must be integers")

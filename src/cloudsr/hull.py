@@ -7,7 +7,8 @@ earlier hull edge but the one it continues and, when it closes the walk,
 the first.  If the walk cannot close, or the closed polygon is not simple,
 or some input point falls outside, the neighbor count is increased and the
 walk retried.  `polygon_is_simple` asks the walk's question of a finished
-polygon, with the same edge grid and the same pair rule.  When no neighbor
+polygon, with the same pair rule, in an edge grid of its own whose cells are
+sized from the hull's vertices, not the walk's points.  When no neighbor
 count up to count-1 gives a valid hull, the convex hull is returned, so
 failure is unreachable for non-collinear input.
 """

@@ -15,27 +15,31 @@ _LUMA = (0.299, 0.587, 0.114)
 
 
 def _header_tokens(data: bytes, count: int):
-    """First `count` whitespace-separated tokens after the magic, honoring
-    '#' comments; returns (tokens, offset just past the final separator)."""
+    """First `count` tokens after the magic; a token ends at whitespace or at
+    a '#', which starts a comment running to the end of its line.  Returns
+    (tokens, offset just past the one delimiter after the last token: a
+    whitespace byte, or the newline ending a comment)."""
     tokens = []
     i = 2  # past the 2-byte magic
     n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i:i + 1].isspace():
-            i += 1
-        if i < n and data[i:i + 1] == b"#":
+    while True:
+        if data[i:i + 1] == b"#":  # skip to the newline, which then delimits
             while i < n and data[i:i + 1] != b"\n":
                 i += 1
+        if len(tokens) == count:
+            break
+        if data[i:i + 1].isspace():
+            i += 1
             continue
         start = i
-        while i < n and not data[i:i + 1].isspace():
+        while i < n and not data[i:i + 1].isspace() and data[i:i + 1] != b"#":
             i += 1
         if start == i:
             raise CloudSRError("pixmap header ended early")
         tokens.append(data[start:i])
     if i >= n:
         raise CloudSRError("pixmap data missing after header")
-    return tokens, i + 1  # single whitespace separates header from raster
+    return tokens, i + 1
 
 
 def read_pixmap(path) -> GrayImage:

@@ -333,10 +333,6 @@ def _ascii_block(points) -> bytes:
     v = points.ravel()
     mag = np.abs(v)
     fixed = (mag >= 1e-4) & (mag < 1e17)
-    # the arrays cost about what `%` costs on a third of the values, so a
-    # block with fewer fixed values is as fast through `%` alone
-    if 3 * np.count_nonzero(fixed) < v.size:
-        return (("%.17g %.17g %.17g\n" * len(points)) % tuple(v.tolist())).encode("ascii")
     mag[~fixed] = 1.0  # a stand-in: these rows take `%`'s text below
     N, X = _fixed_digits(mag)
     hi, lo = _divmod(N, 10**8)

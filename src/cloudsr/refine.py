@@ -5,10 +5,8 @@ cloud; its gradient is chained through the projection Jacobian to 3D
 displacements of the hull-member points only.  Hull membership and vertex
 order are frozen between periodic refreshes, and each iteration takes a
 backtracking line-search step, so accepted losses are nonincreasing within
-every hull-fixed window.  Each refresh ranks one `MatchTable` of
-nearest-neighbor candidates from its hull pixels; every loss evaluation in
-the window ranks its matches from that table, and a match the vertices'
-drift leaves unproven gets a full index query.
+every hull-fixed window.  Every loss evaluation in a window ranks its
+matches from the one `MatchTable` its refresh ranked from the hull pixels.
 """
 
 from __future__ import annotations
@@ -76,27 +74,17 @@ class TraceRecord:
 
 
 class RefineTrace:
-    """Per-iteration observability records for one refinement run."""
+    """Per-iteration observability records of one refinement run, and its exit."""
 
     def __init__(self):
         self.records: list[TraceRecord] = []
+        self.stop_reason: str | None = None  # set when refine returns
 
     def accepted_steps(self) -> int:
         return sum(1 for r in self.records if r.step > 0.0)
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(asdict(r)) + "\n" for r in self.records)
-
-
-def _member_loss(members: np.ndarray, rig: CameraRig, weights: LossWeights,
-                 table: MatchTable) -> LossReport | None:
-    """Loss of the hull whose vertices are the (H, 3) member rows, matched
-    from the window's `table`, or None if a member is at or behind the near
-    plane or projects past COORD_LIMIT."""
-    uv, z = pinhole(members, rig)
-    if np.any(z <= EPS_Z) or not np.all(np.abs(uv) <= COORD_LIMIT):  # NaN fails too
-        return None
-    return combined_loss(table, uv, weights)
 
 
 def _require_finite(*values: float) -> None:
@@ -121,18 +109,52 @@ def _refresh(pts: np.ndarray, rig: CameraRig, cfg: RefineConfig, edges: SpatialI
     return poly.source_indices, pts.shape[0] - len(uv), table, report
 
 
-# huge weights or steps overflow quietly: `_require_finite` and `_member_loss`
+def _step(cur: np.ndarray, rig: CameraRig, cfg: RefineConfig, table: MatchTable,
+          report: LossReport, scale: float) -> tuple[np.ndarray, LossReport, float] | str:
+    """One line-search step of the (H, 3) hull members `cur` of loss `report`,
+    in lengths of `scale`: (members, loss, step) of the first trial that
+    lowers the loss, or the exit "stationary" or "step_underflow".  A trial
+    with a member at or behind the near plane or past COORD_LIMIT fails."""
+    grad3 = np.einsum("nij,ni->nj", projection_jacobians(cur, rig), report.grad)
+    if cfg.constant_depth:
+        grad3[:, 2] = 0.0
+    gnorm = float(np.linalg.norm(grad3))
+    if math.isinf(gnorm) and np.all(np.isfinite(grad3)):
+        # the sum of squares overflowed, not the gradient: rescale first
+        s = float(np.max(np.abs(grad3)))
+        gnorm = s * float(np.linalg.norm(grad3 / s))
+    _require_finite(gnorm)
+    if gnorm == 0.0:
+        return "stationary"
+    direction = grad3 / gnorm
+    step = cfg.initial_step
+    while step >= cfg.min_step:
+        trial = cur - step * scale * direction
+        uv, z = pinhole(trial, rig)
+        if not np.any(z <= EPS_Z) and np.all(np.abs(uv) <= COORD_LIMIT):  # NaN fails too
+            trial_report = combined_loss(table, uv, cfg.weights)
+            if trial_report.total < report.total:
+                return trial, trial_report, step
+        step *= cfg.backtrack_factor
+    return "step_underflow"
+
+
+# huge weights or steps overflow quietly: `_require_finite` and `_step`
 # turn the inf and NaN they leave into an error or a rejected trial
 @np.errstate(over="ignore", invalid="ignore")
 def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
            cfg: RefineConfig = RefineConfig()) -> tuple[PointCloud3, RefineTrace]:
     """Iteratively move hull-member points so the projected hull tracks the
     edge map.  Non-member points are never touched.  The initial hull must
-    build; a later refresh that cannot (members left the frame or collapsed)
-    ends refinement with the points reached so far.  A loss or gradient that
-    is not finite (loss weights too large) raises CloudSRError.
+    build.  A loss or gradient that is not finite (loss weights too large)
+    raises CloudSRError.
 
-    Returns the refined cloud (same size and order) and the trace.
+    Returns the refined cloud (same size and order) and the trace, whose
+    `stop_reason` names the exit taken: "max_iters", "window_stall" (a
+    window lowered the loss by less than a relative 1e-6), "refresh_failed"
+    (members left the frame or collapsed, so a refresh built no hull; the
+    points reached so far are kept), "stationary" (the gradient is zero) or
+    "step_underflow" (no step down to `min_step` lowered the loss).
     """
     if len(edge_map) == 0:
         raise CloudSRError("cannot refine against an empty edge map")
@@ -146,56 +168,34 @@ def refine(cloud: PointCloud3, edge_map: np.ndarray, rig: CameraRig,
     lo, hi = column_bounds(pts)
     half_extent = float(np.max(hi - lo)) / 2.0
 
-    # the one trace site; it reads `report`, `members` and `culled` when called
-    def record(iteration: int, step: float) -> None:
-        trace.records.append(TraceRecord(iteration, report.total, report.l_cd, report.l_hd,
-                                         report.l_gs, step, len(members), culled))
-
     members, culled, table, report = _refresh(pts, rig, cfg, edges)
-    record(0, 0.0)
-    window_start_total = report.total
-
+    trace.records.append(TraceRecord(0, report.total, report.l_cd, report.l_hd,
+                                     report.l_gs, 0.0, len(members), culled))
+    window_start = report.total
+    trace.stop_reason = "max_iters"  # unless the loop exits early
     for it in range(1, cfg.max_iters + 1):
         if it > 1 and (it - 1) % cfg.hull_refresh_period == 0:
             # window boundary: check progress, then rebuild hull membership
-            improvement = window_start_total - report.total
-            if improvement < _REL_IMPROVEMENT_STOP * max(abs(window_start_total), 1e-30):
+            if window_start - report.total < _REL_IMPROVEMENT_STOP * max(abs(window_start), 1e-30):
+                trace.stop_reason = "window_stall"
                 break
             try:
                 members, culled, table, report = _refresh(pts, rig, cfg, edges, members)
-            except (AllPointsCulled, HullFailed):
-                break  # members left the frame or collapsed: keep the progress
-            window_start_total = report.total
-
-        cur = pts[members]
-        jac = projection_jacobians(cur, rig)   # (H, 2, 3)
-        grad3 = np.einsum("nij,ni->nj", jac, report.grad)
-        if cfg.constant_depth:
-            grad3[:, 2] = 0.0
-        gnorm = float(np.linalg.norm(grad3))
-        if math.isinf(gnorm) and np.all(np.isfinite(grad3)):
-            # the sum of squares overflowed, not the gradient: rescale first
-            s = float(np.max(np.abs(grad3)))
-            gnorm = s * float(np.linalg.norm(grad3 / s))
-        _require_finite(gnorm)
-        if gnorm == 0.0:
-            break  # stationary point
-        direction = grad3 / gnorm
-
-        step = cfg.initial_step
-        used_step = 0.0  # stays 0.0 when no step is accepted
-        while step >= cfg.min_step:
-            trial = cur - step * half_extent * direction
-            trial_report = _member_loss(trial, rig, cfg.weights, table)
-            if trial_report is not None and trial_report.total < report.total:
-                pts[members] = trial
-                report, used_step = trial_report, step
+            except (AllPointsCulled, HullFailed):  # members left the frame or collapsed
+                trace.stop_reason = "refresh_failed"
                 break
-            step *= cfg.backtrack_factor
+            window_start = report.total
 
-        record(it, used_step)
-        if used_step == 0.0:
-            break  # step underflow
+        taken = _step(pts[members], rig, cfg, table, report, half_extent)
+        if isinstance(taken, str):
+            trace.stop_reason, step = taken, 0.0
+        else:
+            pts[members], report, step = taken
+        if taken != "stationary":  # the trace records no iteration at a stationary point
+            trace.records.append(TraceRecord(it, report.total, report.l_cd, report.l_hd,
+                                             report.l_gs, step, len(members), culled))
+        if step == 0.0:
+            break
 
     return PointCloud3(pts), trace
 

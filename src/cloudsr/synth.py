@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .camera import (CameraRig, Extrinsics, json_matrix, json_number, json_object,
+from .camera import (CameraRig, Extrinsics, json_extrinsics, json_number, json_object,
                      load_json, project_cloud)
 from .edges import GrayImage
 from .errors import AllPointsCulled, CloudSRError
@@ -69,7 +69,7 @@ def scene_from_dict(data: dict) -> SceneSpec:
         for key in sorted(given.keys() - {"shape", "pose"}):
             given[key] = json_number(given[key], key)
         if "pose" in given:
-            given["pose"] = Extrinsics(json_matrix(given["pose"], "pose"))
+            given["pose"] = json_extrinsics(given["pose"], "pose")
         return SceneSpec(**given)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CloudSRError(f"bad scene spec: {exc}") from exc

@@ -79,6 +79,13 @@ MUTANTS = [
     ("src/cloudsr/losses.py", "self.edges.nearest_batch(p[~ok])",
      "SpatialIndex(r[::-1]).nearest_batch(p[~ok])",
      TEST_LOSSES + "::test_match_table_matches_flat_scan_oracle"),
+    # the line search tries every step down to `min_step`, that one included
+    ("src/cloudsr/refine.py", "while step >= cfg.min_step:", "while step > cfg.min_step:",
+     "tests/test_refine.py::test_min_step_may_not_exceed_initial_step"),
+    # a window ends after every `hull_refresh_period` iterations
+    ("src/cloudsr/refine.py", "(it - 1) % cfg.hull_refresh_period == 0",
+     "it % cfg.hull_refresh_period == 0",
+     "tests/test_refine.py::test_each_refresh_is_warmed_with_the_previous_members"),
 ]
 
 

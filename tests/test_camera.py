@@ -316,6 +316,17 @@ def test_load_rig_rejects_bad_rotation(tmp_path):
         load_rig(path)
 
 
+@pytest.mark.parametrize("key", ["e_rgb", "e_tof"])
+def test_load_rig_extrinsic_error_names_its_key(tmp_path, key):
+    data = _calib_dict()
+    data[key] = [np.inf] + list(np.eye(4).ravel()[1:])
+    path = tmp_path / "calib.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(CloudSRError) as info:
+        load_rig(path)
+    assert str(info.value) == f"bad calibration data: {key}: extrinsic matrix must be finite"
+
+
 def test_load_rig_rejects_missing_keys(tmp_path):
     path = tmp_path / "calib.json"
     path.write_text(json.dumps({"width": 640}))

@@ -142,11 +142,13 @@ _SUPERRES = ["superres", "{ply}", "{pgm}", "{calib}", "{out}"]
     (_SUPERRES + ["--alpha", "nan"], "loss weights must be finite"),
     (_SUPERRES + ["--beta", "inf"], "loss weights must be finite"),
     (_SUPERRES + ["--gamma", "inf"], "loss weights must be finite"),
+    (_SUPERRES + ["--max-iters", "-1"], "max_iters must be nonnegative"),
 ], ids=["densify-rate", "densify-k-interp", "hull-k", "edges-sigma",
         "superres-thresholds", "superres-backtrack", "superres-weight", "densify-target",
         "edges-sigma-inf", "edges-sigma-nan", "superres-sigma-inf", "superres-step-inf",
         "superres-min-step-inf", "superres-min-step-above-step", "superres-step-nan",
-        "superres-alpha-nan", "superres-beta-inf", "superres-gamma-inf"])
+        "superres-alpha-nan", "superres-beta-inf", "superres-gamma-inf",
+        "superres-max-iters-negative"])
 def test_invalid_flag_value_is_usage_error(tmp_path, calib, capsys, argv, message):
     files = {"ply": tmp_path / "in.ply", "csv": tmp_path / "pts.csv",
              "pgm": tmp_path / "img.pgm", "calib": calib, "out": tmp_path / "out"}
@@ -677,6 +679,11 @@ _BIN_PLY = (b"ply\nformat binary_little_endian 1.0\n%b"
     ("project", "rig.json", _CALIB.replace('"cy": 240.0', '"cy": 240.0, "k1": 0.1')),
     ("project", "rig.json", _CALIB.replace(
         '{"fx": 800.0, "fy": 800.0, "cx": 320.0, "cy": 240.0}', "[800.0, 800.0, 320.0, 240.0]")),
+    ("project", "rig.json", _CALIB.replace('"fx": 800.0', '"fx": 0')),
+    ("project", "rig.json", _CALIB.replace('"fx": 800.0', '"fx": 1e400')),
+    ("project", "rig.json", _CALIB.replace('"e_tof": [1.0', '"e_tof": [1e400')),
+    ("synth", "scene.json", _SCENE.replace('"extent": 0.5', '"extent": -1')),
+    ("synth", "scene.json", _SCENE.replace('"fg": 1.0', '"fg": 2')),
 ], ids=["hull-bad-row", "hull-nan", "synth-bad-json", "synth-json-list", "densify-nan",
         "hull-non-ascii", "synth-non-utf8", "calib-non-utf8", "calib-width-overflow",
         "calib-zero-width", "synth-density-overflow", "synth-density-huge",
@@ -689,7 +696,8 @@ _BIN_PLY = (b"ply\nformat binary_little_endian 1.0\n%b"
         "synth-string-pose-entry", "eval-normalized-past-limit",
         "eval-normalized-overflow", "calib-json-list", "calib-json-null",
         "calib-json-string", "calib-unknown-key", "calib-unknown-intrinsic",
-        "calib-intrinsics-list"])
+        "calib-intrinsics-list", "calib-zero-fx", "calib-fx-overflow",
+        "calib-e-tof-overflow", "synth-negative-extent", "synth-fg-above-one"])
 def test_malformed_input_exit_2_without_traceback(tmp_path, calib, cmd, name, text):
     bad = tmp_path / name
     bad.write_bytes(text if isinstance(text, bytes) else text.encode("ascii"))
@@ -717,6 +725,8 @@ def test_malformed_input_exit_2_without_traceback(tmp_path, calib, cmd, name, te
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     if name == "rig.json" and text in ("[1, 2]", "null", '"x"'):
         assert "the file must hold a JSON object" in lines[0], lines[0]
+    if isinstance(text, str) and '"e_tof": [1e400' in text:
+        assert lines[0] == "error: bad calibration data: e_tof: extrinsic matrix must be finite"
 
 
 def test_superres_ply_formats_write_the_same_cloud(tmp_path, calib, scene):

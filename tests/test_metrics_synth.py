@@ -10,7 +10,7 @@ from cloudsr.edges import CannyParams, canny
 from cloudsr.errors import CloudSRError
 from cloudsr.geometry import PointCloud3, normalize_to_unit
 from cloudsr.metrics import eval_metrics
-from cloudsr.synth import SceneSpec, _camera_center_in_tof, synth_scene
+from cloudsr.synth import SceneSpec, _camera_center_in_tof, scene_from_dict, synth_scene
 
 from oracles import (brute_chamfer, brute_hausdorff, random_rotation, silhouette_mask,
                      six_face_box_samples, square_samples)
@@ -329,3 +329,15 @@ def test_spec_validation():
         SceneSpec(shape="torus", pose=Extrinsics(np.eye(4)))
     with pytest.raises(ValueError):
         SceneSpec(shape="box", pose=Extrinsics(np.eye(4)), fg=0.5, bg=0.5)
+
+
+@pytest.mark.parametrize("pose,message", [
+    (np.eye(4).ravel().tolist()[:12] + [0.5, 0.0, 0.0, 1.0],
+     "pose: extrinsic bottom row must be [0, 0, 0, 1]"),
+    (np.eye(4).ravel().tolist()[:15], "pose must hold 16 numbers, got 15"),
+    ([[1.0, 0.0], [0.0, 1.0]], "pose must hold 16 numbers, got 4"),
+])
+def test_bad_pose_error_names_its_key(pose, message):
+    with pytest.raises(CloudSRError) as info:
+        scene_from_dict({"shape": "box", "pose": pose})
+    assert str(info.value) == f"bad scene spec: {message}"

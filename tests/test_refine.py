@@ -17,6 +17,9 @@ from cloudsr.synth import SceneSpec, synth_scene
 from oracles import random_rotation, two_index_combined_loss
 
 
+_STOP_REASONS = ("max_iters", "window_stall", "refresh_failed", "stationary", "step_underflow")
+
+
 def _rig():
     return CameraRig(Intrinsics(100.0, 100.0, 50.0, 50.0), Extrinsics(np.eye(4)),
                      Extrinsics(np.eye(4)), 100, 100)
@@ -110,6 +113,7 @@ def test_stationary_point_zero_accepted_steps():
     np.testing.assert_array_equal(out.points, cloud.points)
     assert trace.accepted_steps() == 0
     assert trace.records[0].total == 0.0
+    assert trace.stop_reason == "stationary" and len(trace.records) == 1
 
 
 def test_identical_points_have_no_hull():
@@ -125,6 +129,7 @@ def test_max_iters_zero_is_identity():
                         RefineConfig(max_iters=0))
     np.testing.assert_array_equal(out.points, cloud.points)
     assert len(trace.records) == 1  # baseline record only
+    assert trace.stop_reason == "max_iters"
 
 
 def test_offset_square_loss_decreases():
@@ -139,6 +144,7 @@ def test_offset_square_loss_decreases():
     final = trace.records[-1].total
     assert final <= 0.5 * initial
     assert trace.accepted_steps() > 0
+    assert trace.stop_reason == "max_iters" and trace.records[-1].iteration == 80
 
     # accepted-loss monotonicity within each hull-fixed window
     for window in _windows(trace, cfg.hull_refresh_period):
@@ -155,8 +161,9 @@ def test_perfectly_collinear_boundary_stalls_cleanly():
                         RefineConfig(max_iters=10))
     totals = [r.total for r in trace.records]
     assert totals[-1] <= totals[0]
-    if trace.accepted_steps() == 0:
-        np.testing.assert_array_equal(out.points, cloud.points)
+    assert trace.stop_reason == "step_underflow" and trace.accepted_steps() == 0
+    assert trace.records[-1].step == 0.0
+    np.testing.assert_array_equal(out.points, cloud.points)
 
 
 def test_non_hull_points_bit_identical():
@@ -207,13 +214,14 @@ def test_window_stall_stops_at_the_refresh(monkeypatch):
     edge_map = _square_outline(27.0, 73.0)
     cfg = RefineConfig(max_iters=80)
     _, trace = refine(cloud, edge_map, _rig(), cfg)
-    assert trace.records[-1].iteration == 80
+    assert trace.stop_reason == "max_iters" and trace.records[-1].iteration == 80
 
     hulls = []
     monkeypatch.setattr("cloudsr.refine.concave_hull",
                         lambda *args, **kw: hulls.append(1) or concave_hull(*args, **kw))
     monkeypatch.setattr("cloudsr.refine._REL_IMPROVEMENT_STOP", 0.9)
     _, trace = refine(cloud, edge_map, _rig(), cfg)
+    assert trace.stop_reason == "window_stall"
     assert trace.records[-1].iteration == cfg.hull_refresh_period
     assert len(hulls) == 1
 
@@ -274,6 +282,7 @@ def test_window_match_table_changes_no_byte(monkeypatch, scene):
                         lambda self, q: full_queries.append(1) or nearest_batch(self, q))
     out, trace = refine(cloud, edge_map, rig, cfg)
     assert trace.accepted_steps() > 0
+    assert trace.stop_reason in _STOP_REASONS
     assert bool(full_queries) == scene.endswith("long-steps")
     monkeypatch.setattr("cloudsr.refine.combined_loss", two_index_combined_loss)
     want_out, want_trace = refine(cloud, edge_map, rig, cfg)
@@ -326,6 +335,7 @@ def test_refresh_without_a_hull_keeps_progress():
     out, trace = refine(cloud, edge_map, rig, cfg)
 
     last = trace.records[-1]
+    assert trace.stop_reason == "refresh_failed"
     assert last.iteration < cfg.max_iters and last.iteration % cfg.hull_refresh_period == 0
     assert last.hull_size == 3 and last.culled > 0
     assert trace.accepted_steps() > 0
@@ -368,6 +378,7 @@ def test_refresh_that_has_no_hull_ends_refinement(monkeypatch, error):
     calls = _fail_second_hull(monkeypatch, error)
     out, trace = refine(cloud, edge_map, _rig(), cfg)
     assert len(calls) == 2
+    assert trace.stop_reason == "refresh_failed"
     assert trace.records[-1].iteration == cfg.hull_refresh_period
     assert trace.to_jsonl() == first_window.to_jsonl()
     assert out.points.tobytes() == reached.points.tobytes()
