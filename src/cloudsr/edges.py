@@ -129,8 +129,8 @@ def canny(img: GrayImage, params: CannyParams = CannyParams()) -> np.ndarray:
     float64 array.
 
     Output points are (u=column, v=row) in row-major scan order.  A border
-    band of ceil(3*sigma)+1 pixels is excluded to avoid clamp artifacts, so
-    a sigma whose band covers the image finds no edges.
+    band of ceil(3*sigma)+1 pixels is cut off after hysteresis to avoid
+    clamp artifacts, so a sigma whose band covers the image finds no edges.
     """
     if img.width < 3 or img.height < 3:
         raise CloudSRError("canny needs at least a 3x3 image")
@@ -159,19 +159,11 @@ def canny(img: GrayImage, params: CannyParams = CannyParams()) -> np.ndarray:
     weak = np.zeros(mag.shape, dtype=bool)
     weak[rows, cols] = True
     strong = mag[rows, cols] >= params.high * gmax
-    if not strong.any():
-        return _NO_EDGES
 
     labels, _ = ndimage.label(weak, structure=np.ones((3, 3), dtype=bool))
     good = np.unique(labels[rows[strong], cols[strong]])
     edges = weak & np.isin(labels, good)
-
-    edges[:band, :] = False
-    edges[-band:, :] = False
-    edges[:, :band] = False
-    edges[:, -band:] = False
-
-    rows, cols = np.nonzero(edges)
-    pts = np.stack([cols, rows], axis=1).astype(np.float64)
+    rows, cols = np.nonzero(edges[band:-band, band:-band])
+    pts = np.stack([cols, rows], axis=1).astype(np.float64) + band
     pts.setflags(write=False)
     return pts

@@ -261,17 +261,16 @@ def contains_all(verts: np.ndarray, points) -> bool:
 def monotone_chain(pts: np.ndarray) -> list[int]:
     """Convex hull indices, CCW, keeping collinear boundary points."""
     order = sorted(range(pts.shape[0]), key=lambda i: (pts[i, 0], pts[i, 1]))
-    lower: list[int] = []
-    for i in order:
-        while len(lower) >= 2 and orient(pts[lower[-2]], pts[lower[-1]], pts[i]) < 0:
-            lower.pop()
-        lower.append(i)
-    upper: list[int] = []
-    for i in reversed(order):
-        while len(upper) >= 2 and orient(pts[upper[-2]], pts[upper[-1]], pts[i]) < 0:
-            upper.pop()
-        upper.append(i)
-    return lower[:-1] + upper[:-1]
+
+    def chain(rows) -> list[int]:  # one chain, its last row left to the other
+        out: list[int] = []
+        for i in rows:
+            while len(out) >= 2 and orient(pts[out[-2]], pts[out[-1]], pts[i]) < 0:
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    return chain(order) + chain(reversed(order))
 
 
 def _start_row(pts: np.ndarray) -> int:
@@ -355,10 +354,11 @@ def _walk(pts: np.ndarray, index: SpatialIndex, kk: int, warm: np.ndarray) -> li
     return None
 
 
-def _oriented_ccw(order: list[int], pts: np.ndarray) -> list[int]:
+def _ccw_polygon(order: list[int], pts: np.ndarray, sources: np.ndarray, k: int) -> HullPolygon:
+    """The hull over rows `order` of `pts`, reversed after its first row if clockwise."""
     if _signed_area(pts[order]) < 0:
         order = [order[0]] + order[1:][::-1]
-    return order
+    return HullPolygon(pts[order], sources[order], k)
 
 
 def concave_hull(points, index_map=None, k: int = START_K, likely=None) -> HullPolygon:
@@ -396,8 +396,7 @@ def concave_hull(points, index_map=None, k: int = START_K, likely=None) -> HullP
         raise HullFailed("all points are collinear")
 
     if n == 3:
-        order = _oriented_ccw([0, 1, 2], pts)
-        return HullPolygon(pts[order], sources[order], min(k, n - 1))
+        return _ccw_polygon([0, 1, 2], pts, sources, min(k, n - 1))
 
     index = SpatialIndex(pts)
     warm = np.flatnonzero(np.isin(sources, [] if likely is None else likely))
@@ -405,15 +404,13 @@ def concave_hull(points, index_map=None, k: int = START_K, likely=None) -> HullP
         order = _walk(pts, index, kk, warm)
         if order is None:
             continue
-        order = _oriented_ccw(order, pts)
-        verts = pts[order]
-        if polygon_is_simple(verts) and contains_all(verts, pts):
-            return HullPolygon(verts, sources[order], kk)
+        hull = _ccw_polygon(order, pts, sources, kk)
+        if polygon_is_simple(hull.vertices) and contains_all(hull.vertices, pts):
+            return hull
 
     # terminal fallback: the convex hull is the k -> count-1 limit and always
     # satisfies the contract for non-collinear input
     order = monotone_chain(pts)
     if len(order) >= 3:
-        order = _oriented_ccw(order, pts)
-        return HullPolygon(pts[order], sources[order], n - 1)
+        return _ccw_polygon(order, pts, sources, n - 1)
     raise HullFailed("no neighbor count produced a valid hull")

@@ -188,22 +188,16 @@ def combined_loss(table: MatchTable, verts, w: LossWeights = LossWeights()) -> L
     l_cd = float(np.sum(d2_e2h) + np.sum(d2_h2e))
     grad_cd = _cd_gradient(p, r, e2h, h2e)
 
-    # directed maxima; np.argmax takes the first (lowest-index) maximum
+    # directed maxima; np.argmax takes the first (lowest-index) maximum.  The
+    # larger one's (vertex, edge pixel) pair is the Hausdorff pair
     i_e = int(np.argmax(d2_e2h))
     i_h = int(np.argmax(d2_h2e))
     d_e2h = float(np.sqrt(d2_e2h[i_e]))
     d_h2e = float(np.sqrt(d2_h2e[i_h]))
+    v, e, l_hd = (e2h[i_e], i_e, d_e2h) if d_e2h >= d_h2e else (i_h, h2e[i_h], d_h2e)
     grad_hd = np.zeros((n, 2))
-    if d_e2h >= d_h2e:
-        l_hd = d_e2h
-        if d_e2h > 0.0:
-            b, a = p[e2h[i_e]], r[i_e]
-            grad_hd[e2h[i_e]] = (b - a) / d_e2h
-    else:
-        l_hd = d_h2e
-        if d_h2e > 0.0:
-            b, a = p[i_h], r[h2e[i_h]]
-            grad_hd[i_h] = (b - a) / d_h2e
+    if l_hd > 0.0:
+        grad_hd[v] = (p[v] - r[e]) / l_hd
 
     l_gs = _gs_loss(p)
     grad_gs = _gs_gradient(p)

@@ -8,11 +8,13 @@ the test expected to fail).  A run copies ``src/``, ``tests/`` and
 ``pytest.ini`` to a temporary directory once per mutation, replaces the old
 text with the new there, and runs only the named test against the mutated
 copy.  A mutation the test still passes is a survivor: some wrong rule at
-that margin goes unnoticed.  The exit status is 1 when a mutation survives
-or no longer applies.
+that margin goes unnoticed.  Each named test first runs once on an
+unmutated copy; an entry whose test fails there is stale, not killed.  The
+exit status is 1 when a mutation survives or an entry is stale.
 
 ``--check`` runs no test: it fails when an entry's old text does not occur
-exactly once in its file, or its test function is not defined.
+exactly once in its file, its mutated file does not compile, or its test
+function is not defined.
 """
 
 from __future__ import annotations
@@ -86,33 +88,49 @@ MUTANTS = [
     ("src/cloudsr/refine.py", "(it - 1) % cfg.hull_refresh_period == 0",
      "it % cfg.hull_refresh_period == 0",
      "tests/test_refine.py::test_each_refresh_is_warmed_with_the_previous_members"),
+    # edge->hull wins a tie between the directed Hausdorff maxima
+    ("src/cloudsr/losses.py", "if d_e2h >= d_h2e else", "if d_e2h > d_h2e else",
+     TEST_LOSSES + "::test_hausdorff_tie_takes_the_edge_to_hull_maximum"),
+    # canny cuts exactly `band` rows and columns off each side
+    ("src/cloudsr/edges.py", "edges[band:-band, band:-band]", "edges[band + 1:-band, band:-band]",
+     "tests/test_edges.py::test_canny_matches_dense_suppression"),
+    # a clockwise hull is reversed after its first row, which stays first
+    ("src/cloudsr/hull.py", "[order[0]] + order[1:][::-1]", "order[::-1]",
+     "tests/test_hull.py::test_lattice_walk_tie_order"),
 ]
 
 
 def problems() -> list[str]:
     """Why each entry no longer applies to the sources."""
     out = []
-    for path, old, _, test in MUTANTS:
-        count = (ROOT / path).read_text(encoding="utf-8").count(old)
+    for path, old, new, test in MUTANTS:
+        text = (ROOT / path).read_text(encoding="utf-8")
+        count = text.count(old)
         if count != 1:
             out.append(f"{path}: {old!r} occurs {count} times, not once")
+        try:
+            compile(text.replace(old, new), path, "exec")
+        except SyntaxError as exc:
+            out.append(f"{path}: {old!r} -> {new!r} does not compile: {exc.msg}")
         test_path, _, name = test.partition("::")
         if f"def {name}(" not in (ROOT / test_path).read_text(encoding="utf-8"):
             out.append(f"{test_path}: no test {name}")
     return out
 
 
-def survives(path: str, old: str, new: str, test: str) -> bool:
-    """Whether `test` passes with `old` replaced by `new` in a copy of the tree."""
+def passes(test: str, path: str = "", old: str = "", new: str = "") -> bool:
+    """Whether `test` passes in a copy of the tree, with `old` replaced by
+    `new` in `path` when a path is given."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, work / name, ignore=ignore)
         shutil.copy(ROOT / "pytest.ini", work / "pytest.ini")
-        target = work / path
-        target.write_text(target.read_text(encoding="utf-8").replace(old, new),
-                          encoding="utf-8")
+        if path:
+            target = work / path
+            target.write_text(target.read_text(encoding="utf-8").replace(old, new),
+                              encoding="utf-8")
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
         run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                               test], cwd=work, env=env, stdout=subprocess.DEVNULL,
@@ -130,14 +148,22 @@ def main(argv=None) -> int:
         print(f"stale: {line}")
     if args.check or found:
         return 1 if found else 0
-    survivors = 0
+    # a test that fails unmutated would count every mutation as killed
+    clean = {test: passes(test) for test in dict.fromkeys(t for *_, t in MUTANTS)}
+    survivors = stale = 0
     for path, old, new, test in MUTANTS:
-        alive = survives(path, old, new, test)
-        survivors += alive
-        print(f"{'SURVIVED' if alive else 'killed  '}  {path}: {old!r} -> {new!r}  [{test}]",
-              flush=True)
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutations killed")
-    return 1 if survivors else 0
+        if not clean[test]:
+            stale += 1
+            verdict = "stale   "
+        elif passes(test, path, old, new):
+            survivors += 1
+            verdict = "SURVIVED"
+        else:
+            verdict = "killed  "
+        print(f"{verdict}  {path}: {old!r} -> {new!r}  [{test}]", flush=True)
+    print(f"{len(MUTANTS) - survivors - stale} of {len(MUTANTS)} mutations killed, "
+          f"{stale} stale (the test fails unmutated)")
+    return 1 if survivors or stale else 0
 
 
 if __name__ == "__main__":

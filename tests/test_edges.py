@@ -243,12 +243,14 @@ def _disc(size, radius, rng):
 def test_canny_matches_dense_suppression(params):
     # thinning only the pixels at or above the low threshold keeps every
     # weak and strong pixel: the same bytes as thinning the whole image, on
-    # noise, a noisy disc, exact plateaus and ramps, and a dark-right step
-    # whose direction atan2(0, -g) is exactly pi
+    # noise, a noisy disc, exact plateaus and ramps, a dark-right step
+    # whose direction atan2(0, -g) is exactly pi, and the smallest image
+    # whose border band leaves an interior: at sigma 1.4 the band of 6 leaves
+    # 13 x 13 one pixel, which the step's edge runs through
     rng = np.random.default_rng(4)
     images = [rng.uniform(size=(40, 56)), _disc(64, 20, rng), np.tri(48, 48, k=5) * 0.7,
               np.clip(np.add.outer(np.arange(32), np.arange(40)) / 80.0, 0, 1),
-              1.0 - _step_image(col=30).pixels]
+              1.0 - _step_image(col=30).pixels, _step_image(h=13, w=13, col=6).pixels]
     found = 0
     for img in images:
         got = canny(GrayImage(img), params)
